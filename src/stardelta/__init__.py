@@ -9,7 +9,6 @@ synthesis of square-integrable eigenfunctions.
 
 from .basis import (
     BasisElement,
-    TwoParticleState,
     build_basis,
     circular_distance,
     complex_momentum_profile,
@@ -24,14 +23,11 @@ from .domain import (
     OFFDIAG,
     AmplitudeTensor,
     MomentumPair,
-    QuadrantPoint,
     StarConfig,
     make_config,
 )
 from .oneparticle import (
     OneParticleSolution,
-    VertexMatrices,
-    build_vertex_matrices,
     phi,
     phi_j,
     phi_zero,

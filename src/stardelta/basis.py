@@ -20,9 +20,9 @@ conditions; the verifier module makes all of that executable.
 
 On its own diagonal quadrant Q_ii a ``sym_diag`` element collapses to a
 closed form in the rotated momenta k = (k1+k2)/2, k' = (k1-k2)/2 (see
-:func:`diagonal_closed_form`), which also continues to complex k; at
-k = i*c/2 it splits into a term decaying in |x - y| and a term growing
-in x + y (:func:`complex_momentum_profile`).
+:func:`diagonal_closed_form`); :func:`closed_form` also continues it
+to complex k, and at k = i*c/2 it splits into a term decaying in
+|x - y| and a term growing in x + y (:func:`complex_momentum_profile`).
 """
 
 from __future__ import annotations
@@ -102,23 +102,8 @@ def product_tensor(
     return AmplitudeTensor(entries)
 
 
-@dataclass(frozen=True)
-class TwoParticleState:
-    """A single product (or antisymmetrised product) state."""
-
-    kind: tuple
-    assignment: tuple[int, int]
-    tensor: AmplitudeTensor
-    momentum: MomentumPair
-
-
-def product_state(
-    cfg: StarConfig,
-    kind: tuple,
-    assignment: tuple[int, int],
-    m: MomentumPair,
-) -> TwoParticleState:
-    """Build one product state.
+def product_state(cfg: StarConfig, kind: tuple, assignment: tuple[int, int]) -> AmplitudeTensor:
+    """Plane-wave tensor of one product state (momentum-free).
 
     ``kind`` is one of ``("phi_phi", i, j)`` with i, j in 0..n,
     ``("psi_psi", i, j)`` with i, j in 1..n, or
@@ -131,22 +116,20 @@ def product_state(
         _, i, j = kind
         if not (0 <= i <= n and 0 <= j <= n):
             raise ValueError(f"phi indices out of range: {kind}")
-        tensor = product_tensor(n, phi(cfg, i), phi(cfg, j), assignment)
-    elif name == "psi_psi":
+        return product_tensor(n, phi(cfg, i), phi(cfg, j), assignment)
+    if name == "psi_psi":
         _, i, j = kind
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"psi indices out of range: {kind}")
-        tensor = product_tensor(n, scattering_wave(cfg, i), scattering_wave(cfg, j), assignment)
-    elif name == "phi_xi_antisym":
+        return product_tensor(n, scattering_wave(cfg, i), scattering_wave(cfg, j), assignment)
+    if name == "phi_xi_antisym":
         _, i = kind
         if not 1 <= i <= n:
             raise ValueError(f"index out of range: {kind}")
         xi = xi_solution(cfg)
         ph = phi(cfg, i)
-        tensor = product_tensor(n, ph, xi, assignment) - product_tensor(n, xi, ph, assignment)
-    else:
-        raise ValueError(f"unknown product kind {name!r}")
-    return TwoParticleState(kind=kind, assignment=assignment, tensor=tensor, momentum=m)
+        return product_tensor(n, ph, xi, assignment) - product_tensor(n, xi, ph, assignment)
+    raise ValueError(f"unknown product kind {name!r}")
 
 
 @dataclass(frozen=True)
@@ -175,7 +158,7 @@ class BasisElement:
         }
 
 
-def cycle_completing_tensor(cfg: StarConfig, m: MomentumPair) -> AmplitudeTensor:
+def cycle_completing_tensor(cfg: StarConfig) -> AmplitudeTensor:
     """The symmetric eigensolution with cyclic antisymmetric coefficients.
 
     sum_i (Phi^{i,i+1}_{12} + Phi^{i+1,i}_{21} - Phi^{i+1,i}_{12}
@@ -193,10 +176,10 @@ def cycle_completing_tensor(cfg: StarConfig, m: MomentumPair) -> AmplitudeTensor
     for i in range(1, n + 1):
         s = 1 if i == n else i + 1
         terms += [
-            (1.0, product_state(cfg, ("phi_phi", i, s), (1, 2), m).tensor),
-            (1.0, product_state(cfg, ("phi_phi", s, i), (2, 1), m).tensor),
-            (-1.0, product_state(cfg, ("phi_phi", s, i), (1, 2), m).tensor),
-            (-1.0, product_state(cfg, ("phi_phi", i, s), (2, 1), m).tensor),
+            (1.0, product_state(cfg, ("phi_phi", i, s), (1, 2))),
+            (1.0, product_state(cfg, ("phi_phi", s, i), (2, 1))),
+            (-1.0, product_state(cfg, ("phi_phi", s, i), (1, 2))),
+            (-1.0, product_state(cfg, ("phi_phi", i, s), (2, 1))),
         ]
     return AmplitudeTensor.combine(terms)
 
@@ -226,10 +209,10 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     k1, k2 = m.k1, m.k2
 
     def psi_psi(i, j, assignment):
-        return product_state(cfg, ("psi_psi", i, j), assignment, m).tensor
+        return product_state(cfg, ("psi_psi", i, j), assignment)
 
     def phi_phi(i, j, assignment):
-        return product_state(cfg, ("phi_phi", i, j), assignment, m).tensor
+        return product_state(cfg, ("phi_phi", i, j), assignment)
 
     out: list[BasisElement] = []
     for i in range(1, n + 1):
@@ -241,10 +224,10 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
             if circular_distance(i, j, n) >= 2:
                 tensor = phi_phi(i, j, (1, 2)) + phi_phi(j, i, (2, 1))
                 out.append(BasisElement("sym_offdiag", (i, j), tensor, m, c))
-    completer = cycle_completing_tensor(cfg, m)
+    completer = cycle_completing_tensor(cfg)
     for i in range(1, n + 1):
-        anti_12 = product_state(cfg, ("phi_xi_antisym", i), (1, 2), m).tensor
-        anti_21 = product_state(cfg, ("phi_xi_antisym", i), (2, 1), m).tensor
+        anti_12 = product_state(cfg, ("phi_xi_antisym", i), (1, 2))
+        anti_21 = product_state(cfg, ("phi_xi_antisym", i), (2, 1))
         # Coupling coefficients -n*k1/c and +n*k2/c: this is the unique
         # sign choice for which the derivative jump across the diagonal
         # equals c times the boundary value (and for which the element
@@ -274,40 +257,40 @@ def family_counts(elements: list[BasisElement]) -> dict[str, int]:
     return counts
 
 
-def _closed_form_terms(n: int, c: float, k: complex, kp: complex, x, y):
-    """The four closed-form terms on a diagonal quadrant, as arrays."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.abs(x - y)
-    v = x + y
-    t1 = np.sin(kp * u) * np.sin(k * v)
-    t2 = -np.sin(k * u) * np.sin(kp * v)
-    t3 = -(2.0 * k / c) * np.cos(k * u) * np.sin(kp * v)
-    t4 = (2.0 * kp / c) * np.cos(kp * u) * np.sin(k * v)
-    return n * t1, n * t2, n * t3, n * t4
+def closed_form(cfg: StarConfig, k: complex, kprime: complex, x, y):
+    """The sym_diag closed form on a diagonal quadrant in rotated momenta.
 
-
-def diagonal_closed_form(cfg: StarConfig, i: int, m: MomentumPair, x, y):
-    """Value of the sym_diag(i) element on its own diagonal quadrant Q_ii.
-
-    In rotated momenta k = (k1+k2)/2 along x+y and k' = (k1-k2)/2 along
-    x-y the element reads
+    With k along x + y and k' along x - y,
 
         n * ( sin k'|x-y| sin k(x+y) - sin k|x-y| sin k'(x+y)
               - (2k/c) cos k|x-y| sin k'(x+y)
               + (2k'/c) cos k'|x-y| sin k(x+y) ).
 
-    Same value in both sectors of Q_ii (the form is even in x - y).
+    Vectorised in (x, y); k and k' may be complex, which continues the
+    form off the real energy shell.  Even in x - y, so both sectors of
+    Q_ii share it.
     """
     if cfg.c == 0:
         raise ValueError("closed form undefined at c = 0")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    u = np.abs(x - y)
+    v = x + y
+    total = cfg.n * (
+        np.sin(kprime * u) * np.sin(k * v)
+        - np.sin(k * u) * np.sin(kprime * v)
+        - (2.0 * k / cfg.c) * np.cos(k * u) * np.sin(kprime * v)
+        + (2.0 * kprime / cfg.c) * np.cos(kprime * u) * np.sin(k * v)
+    )
+    return complex(total) if np.ndim(total) == 0 else total
+
+
+def diagonal_closed_form(cfg: StarConfig, i: int, m: MomentumPair, x, y):
+    """Value of the sym_diag(i) element on its own diagonal quadrant Q_ii:
+    :func:`closed_form` at k = (k1+k2)/2, k' = (k1-k2)/2."""
     if not 1 <= i <= cfg.n:
         raise ValueError(f"edge index {i} out of range")
-    k = (m.k1 + m.k2) / 2.0
-    kp = (m.k1 - m.k2) / 2.0
-    terms = _closed_form_terms(cfg.n, cfg.c, k, kp, x, y)
-    total = terms[0] + terms[1] + terms[2] + terms[3]
-    return complex(total) if np.ndim(total) == 0 else total
+    return closed_form(cfg, (m.k1 + m.k2) / 2.0, (m.k1 - m.k2) / 2.0, x, y)
 
 
 @dataclass(frozen=True)
@@ -351,23 +334,3 @@ def complex_momentum_profile(
         second = 1j * n * bracket * cmath.sinh(0.5 * c * v)
         out.append(ComplexMomentumSample(x=x, y=y, decaying_term=first, growing_term=second))
     return out
-
-
-def closed_form_at_complex_momentum(cfg: StarConfig, k: complex, kprime: complex, x: float, y: float) -> complex:
-    """Analytic continuation of the diagonal closed form to complex k.
-
-    Used to cross-check that the two-term decomposition of
-    :func:`complex_momentum_profile` sums to the continued closed form.
-    """
-    if cfg.c == 0:
-        raise ValueError("closed form undefined at c = 0")
-    u = abs(x - y)
-    v = x + y
-    c, n = cfg.c, cfg.n
-    total = (
-        cmath.sin(kprime * u) * cmath.sin(k * v)
-        - cmath.sin(k * u) * cmath.sin(kprime * v)
-        - (2.0 * k / c) * cmath.cos(k * u) * cmath.sin(kprime * v)
-        + (2.0 * kprime / c) * cmath.cos(kprime * u) * cmath.sin(k * v)
-    )
-    return n * total

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 from . import synthesis as syn
 from . import transforms as tr
 from . import verifier as vf
-from .domain import MomentumPair, make_config
+from .domain import MomentumPair, make_config, near_pole
 
 SCHEMA = 1
 
@@ -69,11 +68,10 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _momentum(k1: float, c: float) -> MomentumPair:
-    if not 0.0 <= k1 <= 1.0:
-        raise ValueError(f"k1 must lie in [0, 1], got {k1}")
-    if c != 0.0 and abs(k1 - 1.0 / math.sqrt(2.0)) < 1e-6:
+    m = MomentumPair.from_k1(k1)
+    if c != 0.0 and near_pole(m.fold):
         raise ValueError("k1 inside the exclusion zone around 1/sqrt(2)")
-    return MomentumPair.from_k1(k1)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +123,15 @@ def cmd_sweep(args) -> int:
     for n in parse_int_grid(args.n):
         for c in parse_float_grid(args.c):
             for k1 in parse_float_grid(args.k1):
-                if c != 0.0 and abs(k1 - 1.0 / math.sqrt(2.0)) < 1e-6:
-                    rows.append([n, repr(c), repr(k1), "-", "-", "", "", "SKIPPED(singularity)"])
-                    continue
                 if c == 0.0:
                     rows.append([n, repr(c), repr(k1), "-", "-", "", "", "SKIPPED(c=0)"])
                     continue
+                m = MomentumPair.from_k1(k1)
+                if near_pole(m.fold):
+                    rows.append([n, repr(c), repr(k1), "-", "-", "", "", "SKIPPED(singularity)"])
+                    continue
                 cfg = make_config(n, c)
-                report = vf.verify_full_basis(
-                    cfg, MomentumPair.from_k1(k1), samples=args.samples, tol=args.tol, seed=args.seed
-                )
+                report = vf.verify_full_basis(cfg, m, samples=args.samples, tol=args.tol, seed=args.seed)
                 worst: dict[tuple[str, str], tuple[float, float]] = {}
                 for el in report.extras["elements"]:
                     family = el["solution"].split("(")[0]
@@ -236,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k1=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=vf.DEFAULT_TOL)
         p.add_argument("--samples", type=int, default=100)

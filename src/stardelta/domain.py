@@ -34,6 +34,13 @@ SECTORS = (ABOVE, BELOW)
 
 ENERGY_TOL = 1e-12
 
+# The fold interval [0, POLE) carries the momentum k = min(k1, k2) of a
+# real pair.  The diagonal coupling scalar c_minus = -1j*c/(k - kappa),
+# kappa = sqrt(1 - k^2), has a pole at k = POLE; momenta within MARGIN of
+# it are refused.
+POLE = 1.0 / math.sqrt(2.0)
+MARGIN = 1e-6
+
 # Entry key layout: (i, j, sector, sig, tau, slot) with 1-based edge
 # indices, sig/tau in {-1, +1} and slot in {1, 2} naming which momentum
 # of the pair rides on x (slot 1 means x carries k1 and y carries k2).
@@ -55,15 +62,12 @@ class StarConfig:
 
     n: int
     c: float
-    lam: float = 1.0
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need at least 3 edges, got n={self.n}")
         if not math.isfinite(self.c):
             raise ValueError(f"coupling must be finite, got c={self.c}")
-        if self.lam != 1.0:
-            raise ValueError("energy is normalised to 1 after rescaling")
 
     @property
     def basis_size(self) -> int:
@@ -103,43 +107,24 @@ class MomentumPair:
         return cls(complex(k1), complex(math.sqrt(max(0.0, 1.0 - k1 * k1))))
 
     @property
-    def is_real(self) -> bool:
-        return self.k1.imag == 0.0 and self.k2.imag == 0.0
+    def fold(self) -> float:
+        """Fold momentum min(k1, k2) of a real pair."""
+        return min(self.k1.real, self.k2.real)
 
     def swapped(self) -> "MomentumPair":
         return MomentumPair(self.k2, self.k1)
 
-    def x_momentum(self, slot: int) -> complex:
-        return self.k1 if slot == 1 else self.k2
 
-    def y_momentum(self, slot: int) -> complex:
-        return self.k2 if slot == 1 else self.k1
+def near_pole(k):
+    """True where k lies within MARGIN of the pole; elementwise on arrays."""
+    return np.abs(np.asarray(k) - POLE) < MARGIN
 
 
-@dataclass(frozen=True)
-class QuadrantPoint:
-    """A configuration point with its quadrant and sector tag.
-
-    The sector selects which analytic branch to evaluate on diagonal
-    quadrants; x > y is not required of the stored coordinates, which
-    allows one-sided limits exactly at x = y.
-    """
-
-    i: int
-    j: int
-    x: float
-    y: float
-    sector: str
-
-    def __post_init__(self):
-        if self.i < 1 or self.j < 1:
-            raise ValueError("edge indices are 1-based")
-        if self.x < 0 or self.y < 0:
-            raise ValueError("edge coordinates are non-negative")
-        if (self.i != self.j) != (self.sector == OFFDIAG):
-            raise ValueError(
-                f"sector {self.sector!r} inconsistent with quadrant ({self.i},{self.j})"
-            )
+def check_fold(k) -> None:
+    """Raise unless 0 <= k < 1/sqrt(2), for every entry of an array."""
+    k_arr = np.asarray(k)
+    if not np.all((0.0 <= k_arr) & (k_arr < POLE)):
+        raise ValueError(f"fold momentum must lie in [0, 1/sqrt(2)), got {k}")
 
 
 class AmplitudeTensor:
@@ -194,9 +179,6 @@ class AmplitudeTensor:
             for key, amp in tensor.items():
                 acc[key] = acc.get(key, 0j) + coeff * amp
         return cls(acc)
-
-    def scaled(self, coeff: complex) -> "AmplitudeTensor":
-        return AmplitudeTensor.combine([(coeff, self)])
 
     def __add__(self, other: "AmplitudeTensor") -> "AmplitudeTensor":
         return AmplitudeTensor.combine([(1.0, self), (1.0, other)])
@@ -298,9 +280,3 @@ class AmplitudeTensor:
             raise ValueError(f"direction must be 'dx' or 'dy', got {direction!r}")
         phases = np.exp(1j * (np.multiply.outer(kx, x) + np.multiply.outer(ky, y)))
         return np.tensordot(amps * pref, phases, axes=1)
-
-    def value(self, p: QuadrantPoint, m: MomentumPair) -> complex:
-        return complex(self.value_array(p.i, p.j, p.sector, p.x, p.y, m)[0])
-
-    def derivative(self, p: QuadrantPoint, m: MomentumPair, direction: str) -> complex:
-        return complex(self.derivative_array(p.i, p.j, p.sector, p.x, p.y, m, direction)[0])

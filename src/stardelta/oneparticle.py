@@ -46,19 +46,19 @@ _SIN = (0.5j, -0.5j)   # sin(kx) = (i/2) e^{-ikx} - (i/2) e^{ikx}
 _COS = (0.5, 0.5)
 
 
-@dataclass(frozen=True)
-class VertexMatrices:
-    """Rank-one vertex projection P and the unitary involution S = 2P - I."""
-
-    P: np.ndarray
-    S: np.ndarray
+EDGE = "edge"          # physical basis: P is dense, diagonal entries are Q_ii
+SPECTRAL = "spectral"  # S-eigenbasis: S = diag(1, -1, ..., -1)
 
 
-def build_vertex_matrices(cfg: StarConfig) -> VertexMatrices:
-    n = cfg.n
-    P = np.full((n, n), 1.0 / n)
-    S = 2.0 * P - np.eye(n)
-    return VertexMatrices(P=P, S=S)
+def s_matrix(n: int, basis: str = EDGE) -> np.ndarray:
+    """The vertex scattering matrix S = 2P - I, P = (1/n) * ones((n, n))."""
+    if basis == EDGE:
+        return 2.0 / n * np.ones((n, n)) - np.eye(n)
+    if basis == SPECTRAL:
+        d = -np.ones(n)
+        d[0] = 1.0
+        return np.diag(d)
+    raise ValueError(f"unknown basis {basis!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def scattering_wave(cfg: StarConfig, i: int) -> OneParticleSolution:
     n = cfg.n
     if not 1 <= i <= n:
         raise ValueError(f"edge index {i} out of range 1..{n}")
-    S = build_vertex_matrices(cfg).S
+    S = s_matrix(n)
     coeff = np.zeros((n, 2), dtype=complex)
     coeff[i - 1, 0] = 1.0
     coeff[:, 1] = S[:, i - 1]

@@ -16,19 +16,26 @@ property.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .basis import build_basis
-from .domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, StarConfig
+from .domain import (
+    ABOVE,
+    BELOW,
+    MARGIN,
+    OFFDIAG,
+    POLE,
+    AmplitudeTensor,
+    MomentumPair,
+    StarConfig,
+    check_fold,
+    near_pole,
+)
 from .transforms import basic_solution_tensor
 from .verifier import kronecker_points
-
-FOLD_END = 1.0 / math.sqrt(2.0)
-ENDPOINT_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +91,8 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.nodes > FOLD_END - ENDPOINT_MARGIN + 1e-15) or np.any(self.nodes < 0):
+        check_fold(self.nodes)
+        if np.any(near_pole(self.nodes)):
             raise ValueError(
                 "quadrature nodes must stay inside [0, 1/sqrt(2) - 1e-6] "
                 "(coupling scalar pole at the fold endpoint)"
@@ -95,7 +103,7 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def gauss_rule(count: int, lo: float = ENDPOINT_MARGIN, hi: float = FOLD_END - ENDPOINT_MARGIN) -> QuadratureRule:
+def gauss_rule(count: int, lo: float = MARGIN, hi: float = POLE - MARGIN) -> QuadratureRule:
     """Gauss-Legendre rule on [lo, hi] inside the fold interval."""
     x, w = np.polynomial.legendre.leggauss(count)
     half = 0.5 * (hi - lo)

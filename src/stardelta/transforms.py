@@ -42,14 +42,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ABOVE, BELOW, AmplitudeTensor
+from .domain import ABOVE, BELOW, AmplitudeTensor, check_fold, near_pole
 from .basis import BasisElement
-
-EDGE = "edge"          # physical basis: P is dense, diagonal entries are Q_ii
-SPECTRAL = "spectral"  # S-eigenbasis: S = diag(1, -1, ..., -1)
+from .oneparticle import EDGE, SPECTRAL, s_matrix
 
 RANK_RTOL = 1e-10
-POLE_HALF_WIDTH = 1e-6
 
 _TAU2 = (1, 0)
 _TAU4 = (2, 3, 0, 1)  # the permutation (13)(24) on the folded slots
@@ -81,16 +78,6 @@ def change_of_basis(n: int) -> np.ndarray:
     if norm2 < 1e-15:
         return np.eye(n)
     return np.eye(n) - 2.0 * np.outer(v, v) / norm2
-
-
-def s_matrix(n: int, basis: str = EDGE) -> np.ndarray:
-    if basis == EDGE:
-        return 2.0 / n * np.ones((n, n)) - np.eye(n)
-    if basis == SPECTRAL:
-        d = -np.ones(n)
-        d[0] = 1.0
-        return np.diag(d)
-    raise ValueError(f"unknown basis {basis!r}")
 
 
 def _vec_conjugation(n: int) -> np.ndarray:
@@ -463,8 +450,7 @@ class TransformVectors4:
     def __post_init__(self):
         for arr in (self.hat_xi, self.hat_chi, self.check_xi, self.check_chi):
             _check_slots(arr, 4)
-        if not 0.0 <= self.k < 1.0 / math.sqrt(2.0):
-            raise ValueError(f"fold momentum must lie in [0, 1/sqrt(2)), got {self.k}")
+        check_fold(self.k)
 
     @classmethod
     def zero(cls, n: int, k: float) -> "TransformVectors4":
@@ -490,9 +476,8 @@ def extract_transforms(obj, k: float, n: int | None = None) -> TransformVectors4
     match (k, sqrt(1-k^2)) up to a swap of which assignment slot carries
     k.
     """
+    check_fold(k)
     kappa = math.sqrt(max(0.0, 1.0 - k * k))
-    if not 0.0 <= k < 1.0 / math.sqrt(2.0):
-        raise ValueError(f"fold momentum must lie in [0, 1/sqrt(2)), got {k}")
     if isinstance(obj, BasisElement):
         tensor = obj.tensor
         m = obj.momentum
@@ -614,7 +599,7 @@ def check_kirchhoff_transforms(tv) -> KirchhoffResiduals:
 def coupling_scalars(k: float, c: float) -> tuple[complex, complex]:
     """c_pm = -1j*c/(k +- sqrt(1-k^2)); c_minus blows up at k = 1/sqrt(2)."""
     kappa = math.sqrt(max(0.0, 1.0 - k * k))
-    if c != 0.0 and abs(k - kappa) < POLE_HALF_WIDTH * math.sqrt(2.0):
+    if c != 0.0 and near_pole(k):
         raise ValueError(
             f"k = {k} is inside the exclusion zone around 1/sqrt(2) for c != 0"
         )
@@ -625,8 +610,7 @@ def coupling_scalars(k: float, c: float) -> tuple[complex, complex]:
 
 def diagonal_condition_matrices(k: float, c: float) -> tuple[np.ndarray, np.ndarray]:
     """The 4x4 systems M (xi channels) and N (chi channels) on the diagonal."""
-    if not 0.0 <= k < 1.0 / math.sqrt(2.0):
-        raise ValueError(f"fold momentum must lie in [0, 1/sqrt(2)), got {k}")
+    check_fold(k)
     c_plus, c_minus = coupling_scalars(k, c)
     cm, cp = c_minus, c_plus
     M = np.array(

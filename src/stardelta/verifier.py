@@ -267,7 +267,7 @@ def verify_element(
     sol = TensorSolution.from_element(el)
     checks = check_vertex_bc(sol, n, samples=samples, tol=tol, offset=offset)
     checks += check_diagonal_bc(sol, n, el.coupling, samples=samples, tol=tol, offset=offset)
-    k = min(el.momentum.k1.real, el.momentum.k2.real)
+    k = el.momentum.fold
     tv = tr.extract_transforms(el, k, n=n)
     kir = tr.check_kirchhoff_transforms(tv)
     diag = tr.check_diagonal_conditions(tv, k, el.coupling)

@@ -6,7 +6,7 @@ import pytest
 from stardelta.basis import (
     build_basis,
     circular_distance,
-    closed_form_at_complex_momentum,
+    closed_form,
     complex_momentum_profile,
     cycle_completing_tensor,
     diagonal_closed_form,
@@ -35,19 +35,19 @@ def test_circular_distance():
 
 
 def test_phi_phi_00_is_cosine_product():
-    state = product_state(CFG3, ("phi_phi", 0, 0), (1, 2), M68)
+    state = product_state(CFG3, ("phi_phi", 0, 0), (1, 2))
     rng = np.random.default_rng(1)
     for _ in range(20):
         i, j = rng.integers(1, 4, size=2)
         sector = OFFDIAG if i != j else ABOVE
         x, y = rng.uniform(0, 9, size=2)
-        got = state.tensor.value_array(int(i), int(j), sector, x, y, M68)[0]
+        got = state.value_array(int(i), int(j), sector, x, y, M68)[0]
         assert got == pytest.approx(np.cos(0.6 * x) * np.cos(0.8 * y), abs=1e-13)
 
 
 def test_psi_psi_matches_factorwise_oracle():
-    state = product_state(CFG3, ("psi_psi", 1, 2), (1, 2), M68)
-    got = state.tensor.value_array(1, 3, OFFDIAG, 1.0, 2.0, M68)[0]
+    state = product_state(CFG3, ("psi_psi", 1, 2), (1, 2))
+    got = state.value_array(1, 3, OFFDIAG, 1.0, 2.0, M68)[0]
     oracle = scattering_wave(CFG3, 1).value(1, 1.0, 0.6) * scattering_wave(CFG3, 2).value(3, 2.0, 0.8)
     assert got == pytest.approx(oracle, abs=1e-12)
 
@@ -57,7 +57,7 @@ def test_product_matches_factorwise_oracle_all_quadrants():
     xi = xi_solution(CFG3)
     for kind in (("phi_phi", 1, 2), ("psi_psi", 3, 1)):
         for assignment in ((1, 2), (2, 1)):
-            state = product_state(CFG3, kind, assignment, M68)
+            state = product_state(CFG3, kind, assignment)
             fx = phi(CFG3, kind[1]) if kind[0] == "phi_phi" else scattering_wave(CFG3, kind[1])
             gy = phi(CFG3, kind[2]) if kind[0] == "phi_phi" else scattering_wave(CFG3, kind[2])
             ks = (M68.k1, M68.k2) if assignment == (1, 2) else (M68.k2, M68.k1)
@@ -66,18 +66,18 @@ def test_product_matches_factorwise_oracle_all_quadrants():
                 sector = OFFDIAG if i != j else (ABOVE if rng.random() < 0.5 else BELOW)
                 bx, by = _branches(i, j, sector)
                 x, y = rng.uniform(0, 9, size=2)
-                got = state.tensor.value_array(i, j, sector, x, y, M68)[0]
+                got = state.value_array(i, j, sector, x, y, M68)[0]
                 oracle = fx.value(i, x, ks[0], bx) * gy.value(j, y, ks[1], by)
                 assert got == pytest.approx(oracle, abs=1e-12)
     # the antisymmetrised phi/xi product against its two-term oracle
-    state = product_state(CFG3, ("phi_xi_antisym", 2), (1, 2), M68)
+    state = product_state(CFG3, ("phi_xi_antisym", 2), (1, 2))
     ph = phi(CFG3, 2)
     for _ in range(15):
         i, j = (int(v) for v in rng.integers(1, 4, size=2))
         sector = OFFDIAG if i != j else (ABOVE if rng.random() < 0.5 else BELOW)
         bx, by = _branches(i, j, sector)
         x, y = rng.uniform(0, 9, size=2)
-        got = state.tensor.value_array(i, j, sector, x, y, M68)[0]
+        got = state.value_array(i, j, sector, x, y, M68)[0]
         oracle = ph.value(i, x, 0.6, bx) * xi.value(j, y, 0.8, by) - xi.value(i, x, 0.6, bx) * ph.value(
             j, y, 0.8, by
         )
@@ -88,32 +88,32 @@ def test_phi_xi_antisym_exchange_rule():
     # the antisymmetrised product obeys psi_12(x, y) = -psi_21(y, x) with
     # the sector flipped along with the coordinates; at x = y the two
     # sector branches are therefore opposite across the assignments
-    s12 = product_state(CFG3, ("phi_xi_antisym", 1), (1, 2), M68)
-    s21 = product_state(CFG3, ("phi_xi_antisym", 1), (2, 1), M68)
+    s12 = product_state(CFG3, ("phi_xi_antisym", 1), (1, 2))
+    s21 = product_state(CFG3, ("phi_xi_antisym", 1), (2, 1))
     rng = np.random.default_rng(6)
     for _ in range(20):
         i, j = (int(v) for v in rng.integers(1, 4, size=2))
         sector = OFFDIAG if i != j else (ABOVE if rng.random() < 0.5 else BELOW)
         flipped = sector if i != j else (BELOW if sector == ABOVE else ABOVE)
         x, y = rng.uniform(0, 9, size=2)
-        v = s12.tensor.value_array(i, j, sector, x, y, M68)[0]
-        w = s21.tensor.value_array(j, i, flipped, y, x, M68)[0]
+        v = s12.value_array(i, j, sector, x, y, M68)[0]
+        w = s21.value_array(j, i, flipped, y, x, M68)[0]
         assert w == pytest.approx(-v, abs=1e-12)
     t = 2.5
-    va = s12.tensor.value_array(1, 1, ABOVE, t, t, M68)[0]
-    vb = s21.tensor.value_array(1, 1, BELOW, t, t, M68)[0]
+    va = s12.value_array(1, 1, ABOVE, t, t, M68)[0]
+    vb = s21.value_array(1, 1, BELOW, t, t, M68)[0]
     assert vb == pytest.approx(-va, abs=1e-12)
 
 
 def test_product_state_rejects_bad_indices():
     with pytest.raises(ValueError):
-        product_state(CFG3, ("psi_psi", 0, 1), (1, 2), M68)
+        product_state(CFG3, ("psi_psi", 0, 1), (1, 2))
     with pytest.raises(ValueError):
-        product_state(CFG3, ("phi_phi", 4, 0), (1, 2), M68)
+        product_state(CFG3, ("phi_phi", 4, 0), (1, 2))
     with pytest.raises(ValueError):
-        product_state(CFG3, ("phi_xi_antisym", 5), (1, 2), M68)
+        product_state(CFG3, ("phi_xi_antisym", 5), (1, 2))
     with pytest.raises(ValueError):
-        product_state(CFG3, ("psi_psi", 1, 1), (2, 2), M68)
+        product_state(CFG3, ("psi_psi", 1, 1), (2, 2))
 
 
 @pytest.mark.parametrize(
@@ -169,7 +169,7 @@ def test_sym_offdiag_vanishes_on_diagonal_quadrants():
 
 
 def test_cycle_completer_vanishes_on_diagonal_quadrants():
-    t = cycle_completing_tensor(CFG3, M68)
+    t = cycle_completing_tensor(CFG3)
     rng = np.random.default_rng(4)
     for _ in range(20):
         i = int(rng.integers(1, 4))
@@ -289,7 +289,7 @@ def test_complex_profile_sums_to_continued_closed_form():
     k = 1j * cfg.c / 2
     for x, y in ((2.0, 0.5), (1.1, 4.0)):
         (sample,) = complex_momentum_profile(cfg, 1, 0.5, [(x, y)])
-        want = closed_form_at_complex_momentum(cfg, k, 0.5, x, y)
+        want = closed_form(cfg, k, 0.5, x, y)
         assert sample.total == pytest.approx(want, abs=1e-12)
 
 

@@ -1,9 +1,13 @@
 """CLI integration: exit codes, report files, determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from stardelta import synthesis as syn
+from stardelta import transforms as tr
 from stardelta.cli import main, parse_float_grid, parse_int_grid
 
 
@@ -46,6 +50,30 @@ def test_verify_guard_bad_momentum(capsys):
     assert main(["verify", "--n", "3", "--c", "1.0", "--k1", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("d", [0.5e-6, 0.8e-6, 1.1e-6])
+def test_one_pole_verdict_everywhere(d):
+    # every layer refuses a fold momentum within 1e-6 of 1/sqrt(2) and
+    # accepts one outside that zone
+    k = 1.0 / math.sqrt(2.0) - d
+
+    def refuses(call):
+        try:
+            call()
+        except ValueError:
+            return True
+        return False
+
+    code = main(["verify", "--n", "3", "--c", "1.0", "--k1", repr(k)])
+    verdicts = {
+        "verify": code == 2,
+        "coupling_scalars": refuses(lambda: tr.coupling_scalars(k, 1.0)),
+        "diagonal_condition_matrices": refuses(lambda: tr.diagonal_condition_matrices(k, 1.0)),
+        "QuadratureRule": refuses(lambda: syn.QuadratureRule(nodes=np.array([k]), weights=np.array([1.0]))),
+    }
+    assert verdicts == dict.fromkeys(verdicts, d < 1e-6)
+    assert code in (0, 2)
+
+
 def test_kernels_grid(tmp_path, capsys):
     outdir = tmp_path / "reports"
     code = main(["kernels", "--n", "3..5", "--out", str(outdir)])
@@ -77,9 +105,10 @@ def test_sweep_deterministic(tmp_path):
 
 def test_sweep_skips_singular_momentum(tmp_path):
     out = tmp_path / "s.csv"
-    code = main(["sweep", "--n", "3", "--c", "1.0", "--k1", "0.7071067811865476", "--out", str(out)])
+    code = main(["sweep", "--n", "3", "--c", "1.0,0.0", "--k1", "0.7071067811865476", "--out", str(out)])
     assert code == 0
-    assert "SKIPPED(singularity)" in out.read_text()
+    statuses = [row.split(",")[-1] for row in out.read_text().splitlines()[1:]]
+    assert statuses == ["SKIPPED(singularity)", "SKIPPED(c=0)"]
 
 
 def test_sweep_json_format(tmp_path):

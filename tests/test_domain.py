@@ -13,14 +13,13 @@ from stardelta.domain import (
     OFFDIAG,
     AmplitudeTensor,
     MomentumPair,
-    QuadrantPoint,
     make_config,
 )
 
 
 def test_make_config_valid():
     cfg = make_config(3, 1.0)
-    assert cfg.n == 3 and cfg.c == 1.0 and cfg.lam == 1.0
+    assert cfg.n == 3 and cfg.c == 1.0
     assert cfg.basis_size == 12  # 2*9 - 6
     assert make_config(5, -2.0).basis_size == 40
 
@@ -53,47 +52,32 @@ def test_momentum_partner_roundtrip(k1):
     assert m.swapped().k1 == m.k2
 
 
-def test_quadrant_point_sector_consistency():
-    QuadrantPoint(1, 1, 0.5, 0.2, ABOVE)
-    QuadrantPoint(1, 2, 0.5, 0.2, OFFDIAG)
-    with pytest.raises(ValueError):
-        QuadrantPoint(1, 2, 0.5, 0.2, ABOVE)
-    with pytest.raises(ValueError):
-        QuadrantPoint(2, 2, 0.5, 0.2, OFFDIAG)
-    with pytest.raises(ValueError):
-        QuadrantPoint(1, 1, -0.5, 0.2, ABOVE)
-
-
 def test_empty_tensor_evaluates_to_zero():
     t = AmplitudeTensor.zero()
     m = MomentumPair.from_k1(0.6)
-    p = QuadrantPoint(1, 2, 1.0, 2.0, OFFDIAG)
-    assert t.value(p, m) == 0
-    assert t.derivative(p, m, "dx") == 0
+    assert t.value_array(1, 2, OFFDIAG, 1.0, 2.0, m)[0] == 0
+    assert t.derivative_array(1, 2, OFFDIAG, 1.0, 2.0, m, "dx")[0] == 0
 
 
 def test_single_entry_at_origin():
     t = AmplitudeTensor({(1, 2, OFFDIAG, 1, 1, 1): 1.0})
     m = MomentumPair.from_k1(0.6)
-    p = QuadrantPoint(1, 2, 0.0, 0.0, OFFDIAG)
-    assert t.value(p, m) == pytest.approx(1.0)
+    assert t.value_array(1, 2, OFFDIAG, 0.0, 0.0, m)[0] == pytest.approx(1.0)
 
 
 def test_single_entry_derivative_at_origin():
     # d/dx exp(i*0.6*x + i*0.8*y) at the origin is 0.6i
     t = AmplitudeTensor({(1, 2, OFFDIAG, 1, 1, 1): 1.0})
     m = MomentumPair.from_k1(0.6)
-    p = QuadrantPoint(1, 2, 0.0, 0.0, OFFDIAG)
-    assert t.derivative(p, m, "dx") == pytest.approx(0.6j)
-    assert t.derivative(p, m, "dy") == pytest.approx(0.8j)
+    assert t.derivative_array(1, 2, OFFDIAG, 0.0, 0.0, m, "dx")[0] == pytest.approx(0.6j)
+    assert t.derivative_array(1, 2, OFFDIAG, 0.0, 0.0, m, "dy")[0] == pytest.approx(0.8j)
 
 
 def test_assignment_slot_swaps_momenta():
     t = AmplitudeTensor({(1, 2, OFFDIAG, 1, 1, 2): 1.0})
     m = MomentumPair.from_k1(0.6)
-    p = QuadrantPoint(1, 2, 1.0, 0.0, OFFDIAG)
     # slot 2 means x carries k2 = 0.8
-    assert t.value(p, m) == pytest.approx(np.exp(0.8j))
+    assert t.value_array(1, 2, OFFDIAG, 1.0, 0.0, m)[0] == pytest.approx(np.exp(0.8j))
 
 
 def test_offdiagonal_sector_collapses():

@@ -8,35 +8,35 @@ from stardelta.oneparticle import (
     LARGER,
     NEUTRAL,
     SMALLER,
-    build_vertex_matrices,
     phi_j,
     phi_zero,
+    s_matrix,
     scattering_wave,
     xi_solution,
 )
 
 
 def test_vertex_matrices_n3():
-    vm = build_vertex_matrices(make_config(3, 1.0))
-    assert np.allclose(vm.P, np.full((3, 3), 1.0 / 3.0))
-    assert np.allclose(np.diag(vm.S), -1.0 / 3.0)
-    off = vm.S[~np.eye(3, dtype=bool)]
+    S = s_matrix(3)
+    assert np.allclose(np.diag(S), -1.0 / 3.0)
+    off = S[~np.eye(3, dtype=bool)]
     assert np.allclose(off, 2.0 / 3.0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_vertex_matrix_invariants(n):
-    vm = build_vertex_matrices(make_config(n, 0.5))
-    assert np.allclose(vm.P @ vm.P, vm.P, atol=1e-14)
-    assert np.allclose(vm.P, vm.P.T)
-    assert np.trace(vm.P) == pytest.approx(1.0)
-    assert np.allclose(vm.S @ vm.S, np.eye(n), atol=1e-14)
-    assert np.allclose(vm.S, vm.S.T)
+    # S = 2P - I with P the rank-one projection onto (1, ..., 1)
+    S = s_matrix(n)
+    P = 0.5 * (S + np.eye(n))
+    assert np.allclose(P, np.full((n, n), 1.0 / n), atol=1e-15)
+    assert np.allclose(P @ P, P, atol=1e-14)
+    assert np.trace(P) == pytest.approx(1.0)
+    assert np.allclose(S @ S, np.eye(n), atol=1e-14)
+    assert np.allclose(S, S.T)
 
 
 def test_s_eigenvalues_n4():
-    vm = build_vertex_matrices(make_config(4, 1.0))
-    evals = np.sort(np.linalg.eigvalsh(vm.S))
+    evals = np.sort(np.linalg.eigvalsh(s_matrix(4)))
     assert np.allclose(evals, [-1, -1, -1, 1], atol=1e-13)
 
 

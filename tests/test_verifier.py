@@ -39,8 +39,8 @@ def test_vertex_check_cosine_product():
     # cos(k1 x) cos(k2 y) has vanishing outgoing derivatives at the vertex
     from stardelta.basis import product_state
 
-    state = product_state(CFG3, ("phi_phi", 0, 0), (1, 2), M68)
-    sol = vf.TensorSolution(state.tensor, M68)
+    state = product_state(CFG3, ("phi_phi", 0, 0), (1, 2))
+    sol = vf.TensorSolution(state, M68)
     _, deriv_check = vf.check_vertex_bc(sol, 3)
     assert deriv_check.max_abs_residual <= 1e-13
 
