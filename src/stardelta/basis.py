@@ -33,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ABOVE, BELOW, AmplitudeTensor, MomentumPair, StarConfig
+from .domain import AmplitudeTensor, MomentumPair, StarConfig
 from .oneparticle import (
     LARGER,
-    NEUTRAL,
     SMALLER,
     OneParticleSolution,
     phi,
@@ -65,41 +64,16 @@ def product_tensor(
     variable: in the "above" sector x is the larger coordinate, so fx
     takes its larger-branch scale and gy its smaller-branch scale.
     """
-    s = assignment[0]
     if assignment not in ((1, 2), (2, 1)):
         raise ValueError(f"assignment must be (1,2) or (2,1), got {assignment}")
-    entries: dict = {}
-
-    def put(i, j, sector, sig, tau, amp):
-        if amp == 0:
-            return
-        key = (i, j, sector, sig, tau, s)
-        entries[key] = entries.get(key, 0j) + amp
-
-    for a in range(1, n + 1):
-        fa = fx.coeff[a - 1]
-        if fa[0] == 0 and fa[1] == 0:
-            continue
-        for b in range(1, n + 1):
-            gb = gy.coeff[b - 1]
-            if gb[0] == 0 and gb[1] == 0:
-                continue
-            if a == b:
-                sector_scales = (
-                    (ABOVE, fx.branch_scale(LARGER) * gy.branch_scale(SMALLER)),
-                    (BELOW, fx.branch_scale(SMALLER) * gy.branch_scale(LARGER)),
-                )
-            else:
-                sector_scales = ((None, fx.branch_scale(NEUTRAL) * gy.branch_scale(NEUTRAL)),)
-            for sector, scale in sector_scales:
-                for sig, fc in ((-1, fa[0]), (1, fa[1])):
-                    if fc == 0:
-                        continue
-                    for tau, gc in ((-1, gb[0]), (1, gb[1])):
-                        if gc == 0:
-                            continue
-                        put(a, b, sector if sector else "off", sig, tau, scale * fc * gc)
-    return AmplitudeTensor(entries)
+    waves = np.einsum("as,bt->abst", fx.coeff, gy.coeff)  # edge a, edge b, sig, tau
+    amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
+    slot = amps[..., assignment[0] - 1]  # view: quadrant, quadrant, sector, sig, tau
+    slot[:] = waves[:, :, None]
+    d = np.arange(n)
+    slot[d, d, 0] = fx.branch_scale(LARGER) * gy.branch_scale(SMALLER) * waves[d, d]
+    slot[d, d, 1] = fx.branch_scale(SMALLER) * gy.branch_scale(LARGER) * waves[d, d]
+    return AmplitudeTensor(amps)
 
 
 def product_state(cfg: StarConfig, kind: tuple, assignment: tuple[int, int]) -> AmplitudeTensor:
@@ -144,18 +118,6 @@ class BasisElement:
     def label(self) -> str:
         idx = ",".join(str(i) for i in self.indices)
         return f"{self.family}({idx})"
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "indices": list(self.indices),
-            "momentum": {
-                "k1": [self.momentum.k1.real, self.momentum.k1.imag],
-                "k2": [self.momentum.k2.real, self.momentum.k2.imag],
-            },
-            "coupling": self.coupling,
-            "amplitudes": self.tensor.to_rows(),
-        }
 
 
 def cycle_completing_tensor(cfg: StarConfig) -> AmplitudeTensor:

@@ -13,14 +13,16 @@ Wavefunctions at fixed energy are finite sums of plane waves
 
 where (k_x, k_y) is one of the two orderings of a momentum pair
 (k1, k2) with k1^2 + k2^2 = 1 and sig, tau are signs.  The coefficient
-table of such a sum is an :class:`AmplitudeTensor`, keyed by quadrant,
-sector, sign pair and momentum assignment.  Evaluation is exact
-(analytic), never discretised.
+table of such a sum is an :class:`AmplitudeTensor`: one dense array
+indexed by quadrant, sector, sign pair and momentum assignment.
+Evaluation is exact (analytic), never discretised.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -45,15 +47,6 @@ MARGIN = 1e-6
 # indices, sig/tau in {-1, +1} and slot in {1, 2} naming which momentum
 # of the pair rides on x (slot 1 means x carries k1 and y carries k2).
 EntryKey = tuple[int, int, str, int, int, int]
-
-
-def canonical_sector(i: int, j: int, sector: str) -> str:
-    """Normalise a sector tag: off-diagonal quadrants have one slot."""
-    if i != j:
-        return OFFDIAG
-    if sector not in (ABOVE, BELOW):
-        raise ValueError(f"diagonal quadrant needs sector above/below, got {sector!r}")
-    return sector
 
 
 @dataclass(frozen=True)
@@ -130,153 +123,136 @@ def check_fold(k) -> None:
 class AmplitudeTensor:
     """Plane-wave coefficient table of a piecewise-analytic wavefunction.
 
-    Entries map :data:`EntryKey` to a complex amplitude.  Evaluation at a
-    point sums all entries matching the point's quadrant and sector; the
-    sum is linear in the entries.  Instances are immutable after
-    construction.
+    One read-only complex array ``amps`` of shape (n, n, 2, 2, 2, 2)
+    holds the amplitude of key (i, j, sector, sig, tau, slot) at
+    ``amps[i-1, j-1, s, (sig+1)//2, (tau+1)//2, slot-1]``, with s = 0 for
+    the above sector and s = 1 for the below sector.  Off-diagonal
+    quadrants have no sector split and hold the same values in both
+    planes.  Evaluation at a point sums the eight waves of the point's
+    quadrant and sector; the sum is linear in the entries.
     """
 
-    __slots__ = ("_blocks", "_arrays")
+    __slots__ = ("amps",)
 
-    def __init__(self, entries: Mapping[EntryKey, complex] | Iterable[tuple[EntryKey, complex]] = ()):
-        blocks: dict[tuple[int, int, str], dict[tuple[int, int, int], complex]] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for (i, j, sector, sig, tau, slot), amp in items:
-            amp = complex(amp)
-            if amp == 0:
-                continue
-            sector = canonical_sector(i, j, sector)
-            if sig not in (-1, 1) or tau not in (-1, 1) or slot not in (1, 2):
-                raise ValueError(f"bad sign/slot key ({sig}, {tau}, {slot})")
-            block = blocks.setdefault((i, j, sector), {})
-            block[(sig, tau, slot)] = block.get((sig, tau, slot), 0j) + amp
-        self._blocks = {key: blk for key, blk in blocks.items() if any(v != 0 for v in blk.values())}
-        # evaluation arrays are built eagerly so instances never mutate
-        # after construction (safe to share across threads)
-        self._arrays: dict[tuple[int, int, str], tuple] = {}
-        for key, block in self._blocks.items():
-            keys = sorted(block)
-            self._arrays[key] = (
-                np.array([block[k] for k in keys], dtype=complex),
-                np.array([k[0] for k in keys], dtype=float),
-                np.array([k[1] for k in keys], dtype=float),
-                np.array([k[2] == 1 for k in keys], dtype=bool),
-            )
+    def __init__(self, amps):
+        amps = np.array(amps, dtype=complex)
+        n = amps.shape[0]
+        if amps.shape != (n, n, 2, 2, 2, 2):
+            raise ValueError(f"expected an (n, n, 2, 2, 2, 2) amplitude array, got {amps.shape}")
+        amps.setflags(write=False)
+        self.amps = amps
+
+    @property
+    def n(self) -> int:
+        return self.amps.shape[0]
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "AmplitudeTensor":
-        return cls()
+    def from_entries(cls, n: int, entries: Mapping[EntryKey, complex]) -> "AmplitudeTensor":
+        """Tensor of an n-edge star from keyed amplitudes; keys that
+        coincide (an off-diagonal quadrant under two sector tags) add up."""
+        amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
+        for key, amp in entries.items():
+            amps[_entry_index(n, key)] += amp
+        return cls(amps)
 
     @classmethod
     def combine(cls, terms: Iterable[tuple[complex, "AmplitudeTensor"]]) -> "AmplitudeTensor":
-        """Linear combination sum(coeff * tensor) as a new tensor."""
-        acc: dict[EntryKey, complex] = {}
-        for coeff, tensor in terms:
-            if coeff == 0:
-                continue
-            for key, amp in tensor.items():
-                acc[key] = acc.get(key, 0j) + coeff * amp
-        return cls(acc)
+        """Linear combination sum(coeff * tensor), summed in term order."""
+        return cls(functools.reduce(operator.add, (coeff * tensor.amps for coeff, tensor in terms)))
 
     def __add__(self, other: "AmplitudeTensor") -> "AmplitudeTensor":
-        return AmplitudeTensor.combine([(1.0, self), (1.0, other)])
+        return AmplitudeTensor(self.amps + other.amps)
 
     def __sub__(self, other: "AmplitudeTensor") -> "AmplitudeTensor":
-        return AmplitudeTensor.combine([(1.0, self), (-1.0, other)])
+        return AmplitudeTensor(self.amps - other.amps)
 
     def with_scaled_entry(self, key: EntryKey, factor: complex) -> "AmplitudeTensor":
         """Copy with a single amplitude multiplied by ``factor`` (mutation tests)."""
-        i, j, sector, sig, tau, slot = key
-        sector = canonical_sector(i, j, sector)
-        norm = (i, j, sector, sig, tau, slot)
-        entries = dict(self.items())
-        if norm not in entries:
-            raise KeyError(f"no amplitude stored at {norm}")
-        entries[norm] = entries[norm] * factor
-        return AmplitudeTensor(entries)
+        idx = _entry_index(self.n, key)
+        if np.any(self.amps[idx] == 0):
+            raise KeyError(f"no amplitude stored at {key}")
+        amps = self.amps.copy()
+        amps[idx] *= factor
+        return AmplitudeTensor(amps)
 
     # -- inspection ------------------------------------------------------------
 
     def items(self) -> Iterator[tuple[EntryKey, complex]]:
-        for (i, j, sector), block in sorted(self._blocks.items()):
-            for (sig, tau, slot), amp in sorted(block.items()):
-                yield (i, j, sector, sig, tau, slot), amp
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._blocks.values())
-
-    def support(self) -> list[tuple[int, int, str]]:
-        return sorted(self._blocks)
-
-    def get(self, i: int, j: int, sector: str, sig: int, tau: int, slot: int) -> complex:
-        block = self._blocks.get((i, j, canonical_sector(i, j, sector)))
-        if not block:
-            return 0j
-        return block.get((sig, tau, slot), 0j)
-
-    def to_rows(self) -> list[dict]:
-        """Flat serialisable amplitude table."""
-        rows = []
-        for (i, j, sector, sig, tau, slot), amp in self.items():
-            rows.append(
-                {
-                    "quadrant": [i, j],
-                    "sector": sector,
-                    "sig": sig,
-                    "tau": tau,
-                    "assignment": [slot, 3 - slot],
-                    "re": amp.real,
-                    "im": amp.imag,
-                }
-            )
-        return rows
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Mapping]) -> "AmplitudeTensor":
-        entries = {}
-        for row in rows:
-            i, j = row["quadrant"]
-            key = (int(i), int(j), row["sector"], int(row["sig"]), int(row["tau"]), int(row["assignment"][0]))
-            entries[key] = entries.get(key, 0j) + complex(row["re"], row["im"])
-        return cls(entries)
+        """Nonzero entries sorted by key; off-diagonal quadrants once, tagged OFFDIAG."""
+        keep = self.amps != 0
+        keep[~np.eye(self.n, dtype=bool), 1] = False
+        for (a, b, s, p, q, r), amp in zip(np.argwhere(keep).tolist(), self.amps[keep].tolist()):
+            sector = SECTORS[s] if a == b else OFFDIAG
+            yield (a + 1, b + 1, sector, 2 * p - 1, 2 * q - 1, r + 1), amp
 
     # -- evaluation ------------------------------------------------------------
 
-    def _momenta(self, key, m: MomentumPair):
-        arrays = self._arrays.get(key)
-        if arrays is None:
-            return None
-        amps, sig, tau, slot1 = arrays
-        kx = sig * np.where(slot1, m.k1, m.k2)
-        ky = tau * np.where(slot1, m.k2, m.k1)
-        return amps, kx, ky
+    def _waves(self, i: int, j: int, sector: str) -> np.ndarray:
+        """The eight amplitudes of one quadrant/sector, in (sig, tau, slot) order."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexError(f"quadrant ({i}, {j}) outside an n = {self.n} star")
+        return self.amps[i - 1, j - 1, _plane(i, j, sector)].reshape(8)
 
     def value_array(self, i: int, j: int, sector: str, x, y, m: MomentumPair) -> np.ndarray:
         """Evaluate at arrays of coordinates within one quadrant/sector."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        data = self._momenta((i, j, canonical_sector(i, j, sector)), m)
-        if data is None:
-            return np.zeros(np.broadcast(x, y).shape, dtype=complex)
-        amps, kx, ky = data
-        phases = np.exp(1j * (np.multiply.outer(kx, x) + np.multiply.outer(ky, y)))
-        return np.tensordot(amps, phases, axes=1)
+        kx, ky = wave_momenta(m)
+        return _superpose(self._waves(i, j, sector), kx, ky, x, y)
 
     def derivative_array(self, i: int, j: int, sector: str, x, y, m: MomentumPair, direction: str) -> np.ndarray:
         """Exact analytic partial derivative, vectorised like value_array."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        data = self._momenta((i, j, canonical_sector(i, j, sector)), m)
-        if data is None:
-            return np.zeros(np.broadcast(x, y).shape, dtype=complex)
-        amps, kx, ky = data
+        kx, ky = wave_momenta(m)
         if direction == "dx":
             pref = 1j * kx
         elif direction == "dy":
             pref = 1j * ky
         else:
             raise ValueError(f"direction must be 'dx' or 'dy', got {direction!r}")
-        phases = np.exp(1j * (np.multiply.outer(kx, x) + np.multiply.outer(ky, y)))
-        return np.tensordot(amps * pref, phases, axes=1)
+        return _superpose(self._waves(i, j, sector) * pref, kx, ky, x, y)
+
+
+def _plane(i: int, j: int, sector: str) -> int:
+    """Sector axis of the amplitude array: 0 above or off-diagonal, 1 below."""
+    if i != j:
+        return 0
+    if sector not in SECTORS:
+        raise ValueError(f"diagonal quadrant needs sector above/below, got {sector!r}")
+    return SECTORS.index(sector)
+
+
+def _entry_index(n: int, key: EntryKey) -> tuple:
+    """Array index of a key; an off-diagonal key selects both sector planes."""
+    i, j, sector, sig, tau, slot = key
+    if not (1 <= i <= n and 1 <= j <= n) or sig not in (-1, 1) or tau not in (-1, 1) or slot not in (1, 2):
+        raise KeyError(f"{key} is not an entry of an n = {n} amplitude table")
+    plane = slice(None) if i != j else _plane(i, j, sector)
+    return (i - 1, j - 1, plane, (sig + 1) // 2, (tau + 1) // 2, slot - 1)
+
+
+# Signs and slots of the eight waves of one quadrant/sector, in the
+# (sig, tau, slot) order of the amplitude array's last three axes.
+_SIG = np.repeat([-1.0, 1.0], 4)
+_TAU = np.tile(np.repeat([-1.0, 1.0], 2), 2)
+_SLOT1 = np.tile([True, False], 4)
+
+
+def wave_momenta(m: MomentumPair) -> tuple[np.ndarray, np.ndarray]:
+    """Momenta (k_x, k_y) of the eight waves of a quadrant/sector."""
+    kx = _SIG * np.where(_SLOT1, m.k1, m.k2)
+    ky = _TAU * np.where(_SLOT1, m.k2, m.k1)
+    return kx, ky
+
+
+def wave_phases(kx: np.ndarray, ky: np.ndarray, x, y) -> np.ndarray:
+    """exp(1j(k_x x + k_y y)) per wave (rows) and point (columns)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return np.exp(1j * (np.multiply.outer(kx, x) + np.multiply.outer(ky, y)))
+
+
+def _superpose(weights: np.ndarray, kx: np.ndarray, ky: np.ndarray, x, y) -> np.ndarray:
+    """Weighted sum of the eight waves at each point.  A plain matmul keeps
+    the per-call cost low; these calls are the verifier's hot path."""
+    phases = wave_phases(kx, ky, x, y)
+    return (weights @ phases.reshape(8, -1)).reshape(phases.shape[1:])

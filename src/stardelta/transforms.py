@@ -4,8 +4,13 @@ A plane-wave solution at momentum k pairs each quadrant Q_ij with four
 channel coefficients psi^{st}_{ij}, one per sign pair (sig, tau), with
 the convention that the wave exp(1j(sig k x + tau kappa y)),
 kappa = sqrt(1 - k^2), enters the solution with coefficient
--sig*tau*psi^{st}.  Collecting (psi^{++}, psi^{--}) into xi and
-(psi^{+-}, psi^{-+}) into chi, the vertex matching conditions become
+-sig*tau*psi^{st}.  :func:`extract_transforms` is therefore one
+signed gather, by -sig*tau*kappa, from the tensor's amplitude array
+indexed (i, j, sector, sig, tau, slot), with the above sector giving
+hat and the below sector check; :func:`resynthesize_tensor` and
+:func:`basic_solution_tensor` are the matching scatter.  Collecting
+(psi^{++}, psi^{--}) into xi and (psi^{+-}, psi^{-+}) into chi, the
+vertex matching conditions become
 
     xi_hat   = -chi_hat S       (rows: y = 0 boundaries, "above" data)
     xi_check = -S tau chi_check (columns: x = 0 boundaries, "below" data)
@@ -42,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ABOVE, BELOW, AmplitudeTensor, check_fold, near_pole
+from .domain import AmplitudeTensor, check_fold, near_pole
 from .basis import BasisElement
 from .oneparticle import EDGE, SPECTRAL, s_matrix
 
@@ -458,14 +463,12 @@ class TransformVectors4:
         return cls(n=n, k=k, hat_xi=z, hat_chi=z.copy(), check_xi=z.copy(), check_chi=z.copy())
 
 
-def _psi_matrix(tensor: AmplitudeTensor, n: int, sig: int, tau: int, slot: int, sector: str) -> np.ndarray:
-    """psi^{sig tau} for one momentum slot; -sig*tau undoes the wave signs."""
-    out = np.zeros((n, n), dtype=complex)
-    sign = -sig * tau
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out[i - 1, j - 1] = sign * tensor.get(i, j, sector, sig, tau, slot)
-    return out
+# The four (sig, tau) channels (++, --, +-, -+) as indices (sig+1)//2,
+# (tau+1)//2 into the amplitude array, and -sig*tau, which turns a wave
+# amplitude into its channel coefficient psi^{sig tau} and back.
+_CH_SIG = np.array([1, 0, 1, 0])
+_CH_TAU = np.array([1, 0, 0, 1])
+_CH_SIGN = np.array([[-1.0], [-1.0], [1.0], [1.0]])
 
 
 def extract_transforms(obj, k: float, n: int | None = None) -> TransformVectors4:
@@ -474,7 +477,7 @@ def extract_transforms(obj, k: float, n: int | None = None) -> TransformVectors4
     ``obj`` is a BasisElement (momentum known) or a bare AmplitudeTensor
     built at the pair (k, sqrt(1-k^2)).  The tensor's momentum pair must
     match (k, sqrt(1-k^2)) up to a swap of which assignment slot carries
-    k.
+    k.  ``n``, if given, must be the tensor's edge count.
     """
     check_fold(k)
     kappa = math.sqrt(max(0.0, 1.0 - k * k))
@@ -489,66 +492,56 @@ def extract_transforms(obj, k: float, n: int | None = None) -> TransformVectors4
             raise ValueError(
                 f"momentum mismatch: element built at ({m.k1}, {m.k2}), fold at k={k}"
             )
-        if n is None:
-            n = max(max(i, j) for (i, j, *_rest) in tensor.support()) if len(tensor) else 3
     elif isinstance(obj, AmplitudeTensor):
         tensor = obj
         slot_k = 1
-        if n is None:
-            if len(tensor) == 0:
-                raise ValueError("cannot infer n from an empty tensor")
-            n = max(max(i, j) for (i, j, *_rest) in tensor.support())
     else:
         raise TypeError(f"expected BasisElement or AmplitudeTensor, got {type(obj)!r}")
-    slot_other = 3 - slot_k
-
-    def grab(sector):
-        xi = np.zeros((n, n, 4), dtype=complex)
-        chi = np.zeros((n, n, 4), dtype=complex)
-        xi[..., 0] = _psi_matrix(tensor, n, 1, 1, slot_k, sector) * kappa
-        xi[..., 1] = _psi_matrix(tensor, n, 1, 1, slot_other, sector) * kappa
-        xi[..., 2] = _psi_matrix(tensor, n, -1, -1, slot_k, sector) * kappa
-        xi[..., 3] = _psi_matrix(tensor, n, -1, -1, slot_other, sector) * kappa
-        chi[..., 0] = _psi_matrix(tensor, n, 1, -1, slot_k, sector) * kappa
-        chi[..., 1] = _psi_matrix(tensor, n, 1, -1, slot_other, sector) * kappa
-        chi[..., 2] = _psi_matrix(tensor, n, -1, 1, slot_k, sector) * kappa
-        chi[..., 3] = _psi_matrix(tensor, n, -1, 1, slot_other, sector) * kappa
-        return xi, chi
-
-    hat_xi, hat_chi = grab(ABOVE)
-    check_xi, check_chi = grab(BELOW)
+    if n is not None and n != tensor.n:
+        raise ValueError(f"tensor is built for n = {tensor.n}, not n = {n}")
+    n = tensor.n
+    # one signed gather: (quadrant, quadrant, sector, channel, slot)
+    psi = tensor.amps[:, :, :, _CH_SIG, _CH_TAU] * (_CH_SIGN * kappa)
+    if slot_k == 2:
+        psi = psi[..., ::-1]
+    # per sector: xi = (++ at k, ++ at kappa, -- at k, -- at kappa), chi likewise
+    psi = psi.reshape(n, n, 2, 8)
     return TransformVectors4(
-        n=n, k=k, hat_xi=hat_xi, hat_chi=hat_chi, check_xi=check_xi, check_chi=check_chi
+        n=n, k=k,
+        hat_xi=psi[:, :, 0, :4], hat_chi=psi[:, :, 0, 4:],
+        check_xi=psi[:, :, 1, :4], check_chi=psi[:, :, 1, 4:],
     )
 
 
+def _tensor_from_channels(hat: np.ndarray, check: np.ndarray, off_plane: int) -> AmplitudeTensor:
+    """Scatter (n, n, channel, slot) channel coefficients back into a tensor.
+
+    ``hat`` fills the above sector and ``check`` the below one; off the
+    diagonal both planes take the values of ``off_plane``.
+    """
+    n = hat.shape[0]
+    amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
+    amps[:, :, 0, _CH_SIG, _CH_TAU] = _CH_SIGN * hat
+    amps[:, :, 1, _CH_SIG, _CH_TAU] = _CH_SIGN * check
+    off = ~np.eye(n, dtype=bool)
+    amps[off, 1 - off_plane] = amps[off, off_plane]
+    return AmplitudeTensor(amps)
+
+
 def resynthesize_tensor(tv: TransformVectors4, k: float) -> AmplitudeTensor:
-    """Inverse of extract_transforms (both fold slots are weighted by kappa)."""
+    """Inverse of extract_transforms (both fold slots are weighted by kappa).
+
+    Off the diagonal, where hat = check, the check values are kept.
+    """
     kappa = math.sqrt(max(0.0, 1.0 - k * k))
     n = tv.n
-    entries: dict = {}
-    slot_data = {
-        (1, 1): ("xi", 0, 1),
-        (-1, -1): ("xi", 2, 3),
-        (1, -1): ("chi", 0, 1),
-        (-1, 1): ("chi", 2, 3),
-    }
-    for sector, xi, chi in ((ABOVE, tv.hat_xi, tv.hat_chi), (BELOW, tv.check_xi, tv.check_chi)):
-        arrays = {"xi": xi, "chi": chi}
-        for (sig, tau), (which, s_k, s_other) in slot_data.items():
-            arr = arrays[which]
-            sign = -sig * tau
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    psi_k = arr[i - 1, j - 1, s_k] / kappa
-                    psi_other = arr[i - 1, j - 1, s_other] / kappa
-                    for slot, psi in ((1, psi_k), (2, psi_other)):
-                        amp = sign * psi
-                        if amp != 0:
-                            key = (i, j, sector if i == j else "off", sig, tau, slot)
-                            # off-diagonal slots are written twice (hat = check)
-                            entries[key] = amp
-    return AmplitudeTensor(entries)
+
+    def channels(xi, chi):
+        return np.concatenate([xi, chi], axis=-1).reshape(n, n, 4, 2) / kappa
+
+    return _tensor_from_channels(
+        channels(tv.hat_xi, tv.hat_chi), channels(tv.check_xi, tv.check_chi), off_plane=1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -732,23 +725,13 @@ def basic_solution_tensor(
         raise ValueError(
             f"pair is not vertex-compatible: off-diagonal hat/check drift {drift:.3e}"
         )
-    channel = {
-        (1, 1): (xi_hat, xi_check, 1.0),
-        (-1, -1): (xi_hat, xi_check, float(tau_sign)),
-        (1, -1): (chi_hat, chi_check, 1.0),
-        (-1, 1): (chi_hat, chi_check, float(tau_sign)),
-    }
-    entries: dict = {}
-    for (sig, tau), (hat, check, factor) in channel.items():
-        sign = -sig * tau
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    sectors = ((ABOVE, hat[i - 1, j - 1]), (BELOW, check[i - 1, j - 1]))
-                else:
-                    sectors = (("off", hat[i - 1, j - 1]),)
-                for sector, psi in sectors:
-                    amp = sign * factor * psi
-                    if amp != 0:
-                        entries[(i, j, sector, sig, tau, 1)] = amp
-    return AmplitudeTensor(entries)
+    factor = np.array([1.0, tau_sign, 1.0, tau_sign])
+
+    def channels(xi, chi):
+        out = np.zeros((n, n, 4, 2), dtype=complex)
+        out[..., 0] = factor * np.stack([xi, xi, chi, chi], axis=-1)
+        return out
+
+    return _tensor_from_channels(
+        channels(xi_hat, chi_hat), channels(xi_check, chi_check), off_plane=0
+    )

@@ -21,7 +21,16 @@ from typing import Callable, Mapping, Protocol
 import numpy as np
 
 from .basis import BasisElement, build_basis, family_counts
-from .domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, StarConfig
+from .domain import (
+    ABOVE,
+    BELOW,
+    OFFDIAG,
+    AmplitudeTensor,
+    MomentumPair,
+    StarConfig,
+    wave_momenta,
+    wave_phases,
+)
 from . import transforms as tr
 
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
@@ -210,34 +219,35 @@ def check_diagonal_bc(
 
 
 def sample_points(n: int, count: int, seed: int, span: float = SPAN):
-    """Random evaluation points spread over all quadrants and sectors."""
+    """Random evaluation points spread over all quadrants and sectors.
+
+    Returns 1-based quadrants (count, 2), sector planes (1 for the below
+    sector of a diagonal quadrant, else 0) and coordinates (count, 2).
+    """
     rng = np.random.default_rng(seed)
     quads = rng.integers(1, n + 1, size=(count, 2))
     xy = rng.uniform(0.05, span, size=(count, 2))
-    sectors = []
-    for (i, j), flip in zip(quads, rng.random(count)):
-        if i != j:
-            sectors.append(OFFDIAG)
-        else:
-            sectors.append(ABOVE if flip < 0.5 else BELOW)
-    return quads, sectors, xy
+    planes = ((quads[:, 0] == quads[:, 1]) & (rng.random(count) >= 0.5)).astype(int)
+    return quads, planes, xy
 
 
 def sample_matrix(elements: list[BasisElement], count: int, seed: int) -> np.ndarray:
-    """Rows of element values at shared random points, row-normalised."""
-    n = max(max(i, j) for el in elements for (i, j, *_r) in el.tensor.support())
-    quads, sectors, xy = sample_points(n, count, seed)
-    mat = np.zeros((len(elements), count), dtype=complex)
-    for r, el in enumerate(elements):
-        for cidx in range(count):
-            i, j = quads[cidx]
-            mat[r, cidx] = el.tensor.value_array(
-                int(i), int(j), sectors[cidx], xy[cidx, 0], xy[cidx, 1], el.momentum
-            )[0]
-        norm = np.linalg.norm(mat[r])
-        if norm > 0:
-            mat[r] /= norm
-    return mat
+    """Rows of element values at shared random points, row-normalised.
+
+    All elements must be built at one momentum pair, which the points share.
+    """
+    m = elements[0].momentum
+    if any(el.momentum != m for el in elements):
+        raise ValueError("sample_matrix needs elements built at one momentum pair")
+    quads, planes, xy = sample_points(elements[0].tensor.n, count, seed)
+    phases = wave_phases(*wave_momenta(m), xy[:, 0], xy[:, 1])
+    i, j = quads[:, 0] - 1, quads[:, 1] - 1
+    mat = np.stack([
+        np.einsum("pw,wp->p", el.tensor.amps[i, j, planes].reshape(count, 8), phases)
+        for el in elements
+    ])
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    return mat / np.where(norms > 0, norms, 1.0)
 
 
 def basis_rank(

@@ -307,13 +307,3 @@ def test_complex_momentum_tensor_matches_profile():
         got = el.tensor.value_array(1, 1, sector, x, y, m)[0]
         (sample,) = complex_momentum_profile(cfg, 1, kp, [(x, y)])
         assert got == pytest.approx(sample.total, rel=1e-12, abs=1e-12)
-
-
-def test_basis_element_serialisation():
-    el = build_basis(CFG3, M68)[0]
-    d = el.to_dict()
-    assert d["family"] == "antisym"
-    assert d["coupling"] == 1.0
-    assert len(d["amplitudes"]) == len(el.tensor)
-    row = d["amplitudes"][0]
-    assert set(row) == {"quadrant", "sector", "sig", "tau", "assignment", "re", "im"}

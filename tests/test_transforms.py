@@ -144,7 +144,7 @@ def test_ker_p_splits_as_direct_sum():
 
 def test_extract_single_plane_wave():
     # amplitude 1 in channel (+, +) means psi^{++} = -1, weighted by kappa
-    t = AmplitudeTensor({(1, 1, ABOVE, 1, 1, 1): 1.0})
+    t = AmplitudeTensor.from_entries(3, {(1, 1, ABOVE, 1, 1, 1): 1.0})
     tv = tr.extract_transforms(t, K, n=3)
     kappa = math.sqrt(1 - K * K)
     assert tv.hat_xi[0, 0, 0] == pytest.approx(-kappa)

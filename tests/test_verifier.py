@@ -29,7 +29,7 @@ def test_vertex_checks_pass_for_basis():
 
 def test_vertex_check_negative_control():
     # a single raw plane wave on one quadrant is discontinuous at the vertex
-    t = AmplitudeTensor({(1, 2, OFFDIAG, 1, 1, 1): 1.0})
+    t = AmplitudeTensor.from_entries(3, {(1, 2, OFFDIAG, 1, 1, 1): 1.0})
     sol = vf.TensorSolution(t, M68)
     value_check, _ = vf.check_vertex_bc(sol, 3)
     assert value_check.max_abs_residual > 0.1
@@ -129,6 +129,36 @@ def test_mutation_sweep_detects_everything():
     assert len(records) == 12
     assert all(r["detected"] for r in records)
     assert min(r["max_residual"] for r in records) > 1e-5
+
+
+def test_mutation_sweep_entry_order():
+    # the sweep picks entries by position in items(), so this list pins
+    # that order: keys sorted by (i, j, sector, sig, tau, slot), zeros dropped
+    records = vf.mutation_sweep(CFG3, M68, seed=0)
+    assert [(r["element"], tuple(r["entry"])) for r in records] == [
+        ("antisym(1,1)", (3, 1, "off", 1, 1, 2)),
+        ("antisym(1,2)", (2, 2, "below", 1, -1, 1)),
+        ("antisym(1,3)", (2, 2, "below", 1, 1, 1)),
+        ("antisym(2,1)", (1, 2, "off", 1, 1, 1)),
+        ("antisym(2,2)", (2, 1, "off", 1, 1, 2)),
+        ("antisym(2,3)", (1, 1, "above", 1, 1, 2)),
+        ("antisym(3,1)", (1, 1, "above", 1, 1, 2)),
+        ("antisym(3,2)", (1, 1, "above", 1, 1, 1)),
+        ("antisym(3,3)", (1, 3, "off", 1, -1, 2)),
+        ("sym_diag(1)", (3, 1, "off", -1, -1, 2)),
+        ("sym_diag(2)", (3, 1, "off", -1, 1, 2)),
+        ("sym_diag(3)", (3, 3, "below", -1, -1, 2)),
+    ]
+    assert all(r["detected"] for r in records)
+
+
+def test_sample_matrix_refuses_mixed_momenta():
+    # every element is evaluated at one shared momentum pair
+    elements = build_basis(CFG3, M68)[:2] + build_basis(CFG3, MomentumPair.from_k1(0.3))[:2]
+    with pytest.raises(ValueError):
+        vf.sample_matrix(elements, 20, 0)
+    with pytest.raises(ValueError):
+        vf.basis_rank(elements)
 
 
 def test_basis_rank_degrades_at_equal_momenta():
