@@ -189,18 +189,27 @@ class AmplitudeTensor:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _waves(self, i: int, j: int, sector: str) -> np.ndarray:
-        """The eight amplitudes of one quadrant/sector, in (sig, tau, slot) order."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
+    def _waves(self, i, j, sector: str) -> np.ndarray:
+        """The eight amplitudes of each quadrant/sector, in (sig, tau, slot)
+        order on the last axis; ``i`` and ``j`` may be broadcasting int arrays."""
+        i, j = np.asarray(i), np.asarray(j)
+        if np.any((i < 1) | (i > self.n) | (j < 1) | (j > self.n)):
             raise IndexError(f"quadrant ({i}, {j}) outside an n = {self.n} star")
-        return self.amps[i - 1, j - 1, _plane(i, j, sector)].reshape(8)
+        waves = self.amps[i - 1, j - 1, _plane(i, j, sector)]
+        return waves.reshape(waves.shape[:-3] + (8,))
 
-    def value_array(self, i: int, j: int, sector: str, x, y, m: MomentumPair) -> np.ndarray:
-        """Evaluate at arrays of coordinates within one quadrant/sector."""
+    def value_array(self, i, j, sector: str, x, y, m: MomentumPair) -> np.ndarray:
+        """Evaluate at arrays of coordinates within quadrant (i, j), sector.
+
+        ``i`` and ``j`` are ints, or int arrays that broadcast against ``x``
+        and ``y`` to evaluate many quadrants in one call.  Off-diagonal
+        quadrants ignore the sector tag, so one tag serves a line of
+        quadrants that crosses the diagonal.
+        """
         kx, ky = wave_momenta(m)
         return _superpose(self._waves(i, j, sector), kx, ky, x, y)
 
-    def derivative_array(self, i: int, j: int, sector: str, x, y, m: MomentumPair, direction: str) -> np.ndarray:
+    def derivative_array(self, i, j, sector: str, x, y, m: MomentumPair, direction: str) -> np.ndarray:
         """Exact analytic partial derivative, vectorised like value_array."""
         kx, ky = wave_momenta(m)
         if direction == "dx":
@@ -212,13 +221,15 @@ class AmplitudeTensor:
         return _superpose(self._waves(i, j, sector) * pref, kx, ky, x, y)
 
 
-def _plane(i: int, j: int, sector: str) -> int:
-    """Sector axis of the amplitude array: 0 above or off-diagonal, 1 below."""
-    if i != j:
-        return 0
-    if sector not in SECTORS:
+def _plane(i, j, sector: str):
+    """Sector axis of the amplitude array: 0 above or off-diagonal, 1 below;
+    elementwise on quadrant index arrays."""
+    diag = np.asarray(i) == np.asarray(j)
+    if sector in SECTORS:
+        return np.where(diag, SECTORS.index(sector), 0)
+    if np.any(diag):
         raise ValueError(f"diagonal quadrant needs sector above/below, got {sector!r}")
-    return SECTORS.index(sector)
+    return 0
 
 
 def _entry_index(n: int, key: EntryKey) -> tuple:
@@ -226,7 +237,7 @@ def _entry_index(n: int, key: EntryKey) -> tuple:
     i, j, sector, sig, tau, slot = key
     if not (1 <= i <= n and 1 <= j <= n) or sig not in (-1, 1) or tau not in (-1, 1) or slot not in (1, 2):
         raise KeyError(f"{key} is not an entry of an n = {n} amplitude table")
-    plane = slice(None) if i != j else _plane(i, j, sector)
+    plane = slice(None) if i != j else int(_plane(i, j, sector))
     return (i - 1, j - 1, plane, (sig + 1) // 2, (tau + 1) // 2, slot - 1)
 
 
@@ -245,14 +256,13 @@ def wave_momenta(m: MomentumPair) -> tuple[np.ndarray, np.ndarray]:
 
 
 def wave_phases(kx: np.ndarray, ky: np.ndarray, x, y) -> np.ndarray:
-    """exp(1j(k_x x + k_y y)) per wave (rows) and point (columns)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    """exp(1j(k_x x + k_y y)) per wave (first axis) and point (the
+    broadcast shape of ``x`` and ``y``, at least 1-d)."""
+    x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)), np.asarray(y, dtype=float))
     return np.exp(1j * (np.multiply.outer(kx, x) + np.multiply.outer(ky, y)))
 
 
 def _superpose(weights: np.ndarray, kx: np.ndarray, ky: np.ndarray, x, y) -> np.ndarray:
-    """Weighted sum of the eight waves at each point.  A plain matmul keeps
-    the per-call cost low; these calls are the verifier's hot path."""
-    phases = wave_phases(kx, ky, x, y)
-    return (weights @ phases.reshape(8, -1)).reshape(phases.shape[1:])
+    """Weighted sum of the eight waves at each point; rows of weights for
+    many quadrants broadcast against the points."""
+    return np.einsum("...w,w...->...", weights, wave_phases(kx, ky, x, y))

@@ -143,23 +143,23 @@ class SynthesizedSolution:
         self.node_count = node_count
 
     def value_array(self, i, j, sector, x, y):
-        out = None
-        for w, tensor, m in self.terms:
-            v = w * tensor.value_array(i, j, sector, x, y, m)
-            out = v if out is None else out + v
-        if out is None:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.zeros_like(x, dtype=complex)
-        return out
+        return self._sum_terms(i, j, x, y, lambda tensor, m: tensor.value_array(i, j, sector, x, y, m))
 
     def derivative_array(self, i, j, sector, x, y, direction):
+        return self._sum_terms(
+            i, j, x, y, lambda tensor, m: tensor.derivative_array(i, j, sector, x, y, m, direction)
+        )
+
+    def _sum_terms(self, i, j, x, y, evaluate: Callable) -> np.ndarray:
+        """Weighted sum of ``evaluate(tensor, momentum)`` over the terms,
+        in term order; zeros of the evaluation shape when there are none."""
         out = None
         for w, tensor, m in self.terms:
-            v = w * tensor.derivative_array(i, j, sector, x, y, m, direction)
+            v = w * evaluate(tensor, m)
             out = v if out is None else out + v
         if out is None:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.zeros_like(x, dtype=complex)
+            shape = np.broadcast_shapes(np.shape(i), np.shape(j), np.shape(x), np.shape(y), (1,))
+            return np.zeros(shape, dtype=complex)
         return out
 
     # -- export ---------------------------------------------------------------
@@ -283,18 +283,21 @@ def refine_quadrature(sol: SynthesizedSolution, factor: int = 2, samples: int = 
     fine = sol.rebuild(sol.node_count * factor)
     n = sol.n
     per = max(1, samples // (n * n))
-    worst = 0.0
-    used = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            xs = kronecker_points(per, offset=13 * (i * n + j), lo=0.0, hi=8.0)
-            ys = kronecker_points(per, offset=29 * (i * n + j) + 7, lo=0.0, hi=8.0)
-            sectors = (ABOVE, BELOW) if i == j else (OFFDIAG,)
-            for sector in sectors:
-                a = sol.value_array(i, j, sector, xs, ys)
-                b = fine.value_array(i, j, sector, xs, ys)
-                worst = max(worst, float(np.max(np.abs(a - b))))
-                used += per
+    edges = np.arange(1, n + 1)
+    flat = edges[:, None] * n + edges  # i*n + j per quadrant
+    xs = kronecker_points(per, offset=13 * flat, lo=0.0, hi=8.0)
+    ys = kronecker_points(per, offset=29 * flat + 7, lo=0.0, hi=8.0)
+
+    def change(i, j, sector, x, y) -> float:
+        return float(np.max(np.abs(sol.value_array(i, j, sector, x, y) - fine.value_array(i, j, sector, x, y))))
+
+    # the above plane covers every quadrant, the below plane the diagonal ones
+    d = edges - 1
+    worst = max(
+        change(edges[:, None, None], edges[None, :, None], ABOVE, xs, ys),
+        change(edges[:, None], edges[:, None], BELOW, xs[d, d], ys[d, d]),
+    )
+    used = (n * n + n) * per
     return ConvergenceRecord(
         coarse_nodes=sol.node_count, fine_nodes=fine.node_count, max_change=worst, sample_count=used
     )

@@ -2,7 +2,8 @@
 
 Checks operate on anything that can evaluate itself and its first
 derivatives on a quadrant/sector (amplitude tensors bound to a momentum
-pair, or quadrature-synthesised superpositions).  All residuals are
+pair, or quadrature-synthesised superpositions); each check evaluates a
+whole family of boundary lines per call.  All residuals are
 exact analytic evaluations sampled at deterministic low-discrepancy
 points; one-sided limits at the diagonal evaluate the sector-tagged
 branches exactly at x = y, since each branch is an entire function.
@@ -24,7 +25,6 @@ from .basis import BasisElement, build_basis, family_counts
 from .domain import (
     ABOVE,
     BELOW,
-    OFFDIAG,
     AmplitudeTensor,
     MomentumPair,
     StarConfig,
@@ -41,19 +41,27 @@ GRAM_GAP = 1e-8
 SPAN = 10.0
 
 
-def kronecker_points(count: int, offset: int = 0, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Golden-ratio low-discrepancy sequence on [lo, hi)."""
-    idx = np.arange(offset + 1, offset + count + 1, dtype=float)
+def kronecker_points(count: int, offset: int | np.ndarray = 0, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """Golden-ratio low-discrepancy sequence on [lo, hi).
+
+    An int array of offsets gives one sequence per offset, stacked along
+    the leading axes.
+    """
+    idx = np.add.outer(offset, np.arange(1, count + 1)).astype(float)
     u = np.mod(0.5 + idx * GOLDEN_FRAC, 1.0)
     return lo + (hi - lo) * u
 
 
 class PointSolution(Protocol):
-    """Anything evaluable with one-sided analytic derivatives per sector."""
+    """Anything evaluable with one-sided analytic derivatives per sector.
 
-    def value_array(self, i: int, j: int, sector: str, x, y) -> np.ndarray: ...
+    Quadrant indices ``i, j`` are ints or int arrays that broadcast against
+    ``x, y``; off-diagonal quadrants ignore the sector tag.
+    """
 
-    def derivative_array(self, i: int, j: int, sector: str, x, y, direction: str) -> np.ndarray: ...
+    def value_array(self, i, j, sector: str, x, y) -> np.ndarray: ...
+
+    def derivative_array(self, i, j, sector: str, x, y, direction: str) -> np.ndarray: ...
 
 
 class TensorSolution:
@@ -118,15 +126,6 @@ class ResidualReport:
         }
 
 
-def _sector_at_x0(l: int, j: int) -> str:
-    # the x = 0 edge of a diagonal quadrant lies in the x < y sector
-    return BELOW if l == j else OFFDIAG
-
-
-def _sector_at_y0(i: int, l: int) -> str:
-    return ABOVE if i == l else OFFDIAG
-
-
 def check_vertex_bc(
     sol: PointSolution,
     n: int,
@@ -139,34 +138,23 @@ def check_vertex_bc(
 
     For each boundary sample the solution must take a common value
     across the n quadrants meeting at the vertex edge, and the outgoing
-    derivatives must sum to zero.
+    derivatives must sum to zero.  Each family of boundary lines (x = 0
+    on edge j, y = 0 on edge i) is evaluated in one call, with the n
+    quadrants of a line on axis 0 and the lines on axis 1.
     """
     per_line = max(1, samples // (2 * n))
-    worst_match = 0.0
-    worst_sum = 0.0
-    used = 0
-    for j in range(1, n + 1):
-        ts = kronecker_points(per_line, offset=offset + j * per_line, lo=0.0, hi=span)
-        zeros = np.zeros_like(ts)
-        vals = np.stack([sol.value_array(l, j, _sector_at_x0(l, j), zeros, ts) for l in range(1, n + 1)])
-        worst_match = max(worst_match, float(np.max(np.abs(vals - vals[0]))))
-        dsum = sum(
-            sol.derivative_array(l, j, _sector_at_x0(l, j), zeros, ts, "dx")
-            for l in range(1, n + 1)
-        )
-        worst_sum = max(worst_sum, float(np.max(np.abs(dsum))))
-        used += per_line
-    for i in range(1, n + 1):
-        ts = kronecker_points(per_line, offset=offset + (n + i) * per_line, lo=0.0, hi=span)
-        zeros = np.zeros_like(ts)
-        vals = np.stack([sol.value_array(i, l, _sector_at_y0(i, l), ts, zeros) for l in range(1, n + 1)])
-        worst_match = max(worst_match, float(np.max(np.abs(vals - vals[0]))))
-        dsum = sum(
-            sol.derivative_array(i, l, _sector_at_y0(i, l), ts, zeros, "dy")
-            for l in range(1, n + 1)
-        )
-        worst_sum = max(worst_sum, float(np.max(np.abs(dsum))))
-        used += per_line
+    edges = np.arange(1, n + 1)
+    quad, line = edges[:, None, None], edges[None, :, None]
+    ts = kronecker_points(per_line, offset=offset + edges * per_line, lo=0.0, hi=span)
+    # the x = 0 edge of a diagonal quadrant lies in the x < y sector
+    vals_x0 = sol.value_array(quad, line, BELOW, 0.0, ts)
+    dsum_x0 = sol.derivative_array(quad, line, BELOW, 0.0, ts, "dx").sum(axis=0)
+    ts = kronecker_points(per_line, offset=offset + (n + edges) * per_line, lo=0.0, hi=span)
+    vals_y0 = sol.value_array(line, quad, ABOVE, ts, 0.0)
+    dsum_y0 = sol.derivative_array(line, quad, ABOVE, ts, 0.0, "dy").sum(axis=0)
+    worst_match = max(float(np.max(np.abs(v - v[0]))) for v in (vals_x0, vals_y0))
+    worst_sum = max(float(np.max(np.abs(d))) for d in (dsum_x0, dsum_y0))
+    used = 2 * n * per_line
     return [
         CheckResult("vertex_value_match", worst_match, used, tol),
         CheckResult("vertex_derivative_sum", worst_sum, used, tol),
@@ -187,27 +175,26 @@ def check_diagonal_bc(
     The jump condition ties the one-sided normal derivatives to c times
     the boundary value:
     (d/dx - d/dy)/2 from above minus the same from below = c * value.
+    All n diagonals are evaluated in one call per sector and derivative.
     """
     per_line = max(1, samples // n)
-    worst_cont = 0.0
-    worst_jump = 0.0
-    used = 0
-    for i in range(1, n + 1):
-        ts = kronecker_points(per_line, offset=offset + i * per_line, lo=0.0, hi=span)
-        v_above = sol.value_array(i, i, ABOVE, ts, ts)
-        v_below = sol.value_array(i, i, BELOW, ts, ts)
-        worst_cont = max(worst_cont, float(np.max(np.abs(v_above - v_below))))
-        d_above = 0.5 * (
-            sol.derivative_array(i, i, ABOVE, ts, ts, "dx")
-            - sol.derivative_array(i, i, ABOVE, ts, ts, "dy")
-        )
-        d_below = 0.5 * (
-            sol.derivative_array(i, i, BELOW, ts, ts, "dx")
-            - sol.derivative_array(i, i, BELOW, ts, ts, "dy")
-        )
-        jump = d_above - d_below - c * 0.5 * (v_above + v_below)
-        worst_jump = max(worst_jump, float(np.max(np.abs(jump))))
-        used += per_line
+    edges = np.arange(1, n + 1)
+    ts = kronecker_points(per_line, offset=offset + edges * per_line, lo=0.0, hi=span)
+    quad = edges[:, None]
+    v_above = sol.value_array(quad, quad, ABOVE, ts, ts)
+    v_below = sol.value_array(quad, quad, BELOW, ts, ts)
+    worst_cont = float(np.max(np.abs(v_above - v_below)))
+    d_above = 0.5 * (
+        sol.derivative_array(quad, quad, ABOVE, ts, ts, "dx")
+        - sol.derivative_array(quad, quad, ABOVE, ts, ts, "dy")
+    )
+    d_below = 0.5 * (
+        sol.derivative_array(quad, quad, BELOW, ts, ts, "dx")
+        - sol.derivative_array(quad, quad, BELOW, ts, ts, "dy")
+    )
+    jump = d_above - d_below - c * 0.5 * (v_above + v_below)
+    worst_jump = float(np.max(np.abs(jump)))
+    used = n * per_line
     return [
         CheckResult("diagonal_continuity", worst_cont, used, tol),
         CheckResult("diagonal_jump", worst_jump, used, tol),

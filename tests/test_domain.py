@@ -89,6 +89,54 @@ def test_offdiagonal_sector_collapses():
     assert va[0] == vb[0]
 
 
+def test_array_quadrants_match_scalar_calls():
+    rng = np.random.default_rng(5)
+    t = _random_tensor(rng, n=4, entries=40)
+    m = MomentumPair.from_k1(0.37)
+    i = np.arange(1, 5)[:, None, None]
+    j = np.arange(1, 5)[None, :, None]
+    xs = rng.uniform(0.0, 9.0, size=(4, 4, 3))
+    ys = rng.uniform(0.0, 9.0, size=3)
+    for sector in (ABOVE, BELOW):
+        vals = t.value_array(i, j, sector, xs, ys, m)
+        dxs = t.derivative_array(i, j, sector, xs, ys, m, "dx")
+        dys = t.derivative_array(i, j, sector, xs, ys, m, "dy")
+        assert vals.shape == dxs.shape == dys.shape == (4, 4, 3)
+        for a in range(4):
+            for b in range(4):
+                tag = sector if a == b else OFFDIAG
+                args = (a + 1, b + 1, tag, xs[a, b], ys, m)
+                assert np.allclose(vals[a, b], t.value_array(*args), rtol=0, atol=1e-13)
+                assert np.allclose(dxs[a, b], t.derivative_array(*args, "dx"), rtol=0, atol=1e-13)
+                assert np.allclose(dys[a, b], t.derivative_array(*args, "dy"), rtol=0, atol=1e-13)
+
+
+def test_array_offdiagonal_quadrants_ignore_sector_tag():
+    rng = np.random.default_rng(6)
+    t = _random_tensor(rng, n=3, entries=30)
+    m = MomentumPair.from_k1(0.52)
+    i, j = np.array([1, 2, 3, 3]), np.array([2, 1, 1, 2])
+    xs, ys = rng.uniform(0.0, 9.0, size=(2, 4))
+    by_tag = [t.value_array(i, j, tag, xs, ys, m) for tag in (ABOVE, BELOW, OFFDIAG)]
+    assert np.array_equal(by_tag[0], by_tag[1]) and np.array_equal(by_tag[0], by_tag[2])
+
+
+def test_array_quadrants_are_validated():
+    t = AmplitudeTensor.from_entries(3, {(1, 2, OFFDIAG, 1, 1, 1): 1.0})
+    m = MomentumPair.from_k1(0.6)
+    for i, j in (([1, 4], [2, 2]), ([1, 2], [0, 1]), (np.array([[3], [-1]]), [1, 2])):
+        with pytest.raises(IndexError):
+            t.value_array(np.array(i), np.array(j), ABOVE, [1.0], [2.0], m)
+        with pytest.raises(IndexError):
+            t.derivative_array(np.array(i), np.array(j), ABOVE, [1.0], [2.0], m, "dx")
+    # a diagonal quadrant needs a sector, in an array as for a scalar index
+    for i, j in ((np.array([1, 2]), np.array([2, 2])), (2, 2)):
+        with pytest.raises(ValueError):
+            t.value_array(i, j, OFFDIAG, [1.0], [2.0], m)
+        with pytest.raises(ValueError):
+            t.derivative_array(i, j, OFFDIAG, [1.0], [2.0], m, "dy")
+
+
 def _random_tensor(rng, n=3, entries=8):
     table = {}
     for _ in range(entries):

@@ -32,6 +32,8 @@ def test_zero_profile_gives_zero_function():
         CFG3, {0: lambda k: np.zeros_like(np.asarray(k))}, syn.gauss_rule(16)
     )
     assert sol.value_array(1, 2, OFFDIAG, [1.0, 3.0], [2.0, 4.0])[0] == 0
+    zeros = sol.derivative_array(np.array([[1], [2]]), 3, ABOVE, [1.0, 3.0, 5.0], 2.0, "dx")
+    assert zeros.shape == (2, 3) and not np.any(zeros)
 
 
 def test_single_node_reproduces_weighted_element():
@@ -80,6 +82,24 @@ def test_refinement_spectral_for_smooth_profile():
     record = syn.refine_quadrature(sol, 2)
     assert record.coarse_nodes == 32 and record.fine_nodes == 64
     assert record.max_change < 1e-9
+
+
+def test_refinement_samples_every_quadrant_and_sector():
+    # the batched study takes the points of a loop over quadrants and sectors
+    sol = syn.synthesize_eigensolution(CFG3, {9: syn.indicator_profile(0.2, 0.5)}, syn.gauss_rule(8))
+    fine = sol.rebuild(16)
+    worst, used = 0.0, 0
+    for i in range(1, 4):
+        for j in range(1, 4):
+            xs = vf.kronecker_points(6, offset=13 * (i * 3 + j), lo=0.0, hi=8.0)
+            ys = vf.kronecker_points(6, offset=29 * (i * 3 + j) + 7, lo=0.0, hi=8.0)
+            for sector in (ABOVE, BELOW) if i == j else (OFFDIAG,):
+                change = sol.value_array(i, j, sector, xs, ys) - fine.value_array(i, j, sector, xs, ys)
+                worst = max(worst, float(np.max(np.abs(change))))
+                used += 6
+    record = syn.refine_quadrature(sol, 2, samples=60)
+    assert record.sample_count == used == 72
+    assert record.max_change == pytest.approx(worst, rel=1e-12)
 
 
 def test_refinement_algebraic_for_indicator_profile():

@@ -5,6 +5,7 @@ import pytest
 
 from stardelta.basis import build_basis
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, make_config
+from stardelta import synthesis as syn
 from stardelta import verifier as vf
 
 CFG3 = make_config(3, 1.0)
@@ -168,6 +169,109 @@ def test_basis_rank_degrades_at_equal_momenta():
         elements = build_basis(CFG3, MomentumPair.from_k1(1.0 / np.sqrt(2.0)))
     rank, _ = vf.basis_rank(elements, seed=2)
     assert rank < len(elements)
+
+
+# -- batched boundary checks against a per-quadrant loop ---------------------------
+
+
+def _reference_vertex_bc(sol, n, samples, offset, tol=vf.DEFAULT_TOL, span=vf.SPAN):
+    # one scalar evaluation per quadrant of each boundary line
+    per_line = max(1, samples // (2 * n))
+    worst_match = worst_sum = 0.0
+    for j in range(1, n + 1):
+        ts = vf.kronecker_points(per_line, offset=offset + j * per_line, lo=0.0, hi=span)
+        zeros = np.zeros_like(ts)
+        sectors = [BELOW if l == j else OFFDIAG for l in range(1, n + 1)]
+        vals = np.stack([sol.value_array(l, j, sectors[l - 1], zeros, ts) for l in range(1, n + 1)])
+        worst_match = max(worst_match, float(np.max(np.abs(vals - vals[0]))))
+        dsum = sum(sol.derivative_array(l, j, sectors[l - 1], zeros, ts, "dx") for l in range(1, n + 1))
+        worst_sum = max(worst_sum, float(np.max(np.abs(dsum))))
+    for i in range(1, n + 1):
+        ts = vf.kronecker_points(per_line, offset=offset + (n + i) * per_line, lo=0.0, hi=span)
+        zeros = np.zeros_like(ts)
+        sectors = [ABOVE if i == l else OFFDIAG for l in range(1, n + 1)]
+        vals = np.stack([sol.value_array(i, l, sectors[l - 1], ts, zeros) for l in range(1, n + 1)])
+        worst_match = max(worst_match, float(np.max(np.abs(vals - vals[0]))))
+        dsum = sum(sol.derivative_array(i, l, sectors[l - 1], ts, zeros, "dy") for l in range(1, n + 1))
+        worst_sum = max(worst_sum, float(np.max(np.abs(dsum))))
+    used = 2 * n * per_line
+    return [
+        vf.CheckResult("vertex_value_match", worst_match, used, tol),
+        vf.CheckResult("vertex_derivative_sum", worst_sum, used, tol),
+    ]
+
+
+def _reference_diagonal_bc(sol, n, c, samples, offset, tol=vf.DEFAULT_TOL, span=vf.SPAN):
+    per_line = max(1, samples // n)
+    worst_cont = worst_jump = 0.0
+    for i in range(1, n + 1):
+        ts = vf.kronecker_points(per_line, offset=offset + i * per_line, lo=0.0, hi=span)
+        v_above = sol.value_array(i, i, ABOVE, ts, ts)
+        v_below = sol.value_array(i, i, BELOW, ts, ts)
+        worst_cont = max(worst_cont, float(np.max(np.abs(v_above - v_below))))
+        d_above = 0.5 * (sol.derivative_array(i, i, ABOVE, ts, ts, "dx") - sol.derivative_array(i, i, ABOVE, ts, ts, "dy"))
+        d_below = 0.5 * (sol.derivative_array(i, i, BELOW, ts, ts, "dx") - sol.derivative_array(i, i, BELOW, ts, ts, "dy"))
+        jump = d_above - d_below - c * 0.5 * (v_above + v_below)
+        worst_jump = max(worst_jump, float(np.max(np.abs(jump))))
+    used = n * per_line
+    return [
+        vf.CheckResult("diagonal_continuity", worst_cont, used, tol),
+        vf.CheckResult("diagonal_jump", worst_jump, used, tol),
+    ]
+
+
+def _assert_batched_checks_match_loop(sol, n, c, samples, offset, residuals=True):
+    got = vf.check_vertex_bc(sol, n, samples=samples, offset=offset)
+    got += vf.check_diagonal_bc(sol, n, c, samples=samples, offset=offset)
+    want = _reference_vertex_bc(sol, n, samples, offset) + _reference_diagonal_bc(sol, n, c, samples, offset)
+    assert [(g.name, g.sample_count, g.passed) for g in got] == [(w.name, w.sample_count, w.passed) for w in want]
+    if residuals:
+        for g, w in zip(got, want):
+            assert abs(g.max_abs_residual - w.max_abs_residual) <= 1e-12, g.name
+
+
+@pytest.mark.parametrize(
+    "n,c,k1,residuals",
+    [
+        (3, 1.0, 0.6, True),
+        (4, -1.5, 0.28, True),
+        (5, 0.3, 0.9, True),
+        (6, 2.0, 0.1, True),
+        (4, 1e-3, 0.45, True),
+        # amplitudes near 1e6: residuals are roundoff close to the 1e-9 tolerance,
+        # so only the verdicts are compared; both sides sum the waves in one einsum
+        (3, 1e-6, 0.6, False),
+    ],
+)
+def test_batched_checks_match_per_quadrant_loop(n, c, k1, residuals):
+    cfg = make_config(n, c)
+    elements = build_basis(cfg, MomentumPair.from_k1(k1))
+    for idx, el in enumerate(elements):
+        sol = vf.TensorSolution.from_element(el)
+        _assert_batched_checks_match_loop(sol, n, c, 100, idx * 7, residuals)
+    el = [e for e in elements if e.family == "sym_diag"][0]
+    # a diagonal-quadrant entry, seen by both the vertex and the diagonal checks
+    key = next(k for k, _v in el.tensor.items() if k[0] == k[1])
+    mutant = vf.TensorSolution(el.tensor.with_scaled_entry(key, 1.001), el.momentum)
+    _assert_batched_checks_match_loop(mutant, n, c, 60, 0, residuals)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_batched_checks_match_loop_on_random_table(n):
+    # a generic table violates every condition by amounts that vary along
+    # each line, so the residuals depend on which points are sampled
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=(n, n, 2, 2, 2, 2)) + 1j * rng.normal(size=(n, n, 2, 2, 2, 2))
+    off = ~np.eye(n, dtype=bool)
+    amps[off, 1] = amps[off, 0]
+    sol = vf.TensorSolution(AmplitudeTensor(amps), MomentumPair.from_k1(0.37))
+    _assert_batched_checks_match_loop(sol, n, 0.8, 60, 3)
+
+
+def test_batched_checks_match_loop_on_synthesized_solution():
+    sol = syn.synthesize_eigensolution(CFG3, {9: syn.gaussian_bump(0.35, 0.1)}, syn.gauss_rule(4))
+    assert len(sol.terms) == 4
+    _assert_batched_checks_match_loop(sol, 3, CFG3.c, 60, 0)
 
 
 # -- norm limit ------------------------------------------------------------------
