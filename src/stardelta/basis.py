@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -146,12 +147,11 @@ def cycle_completing_tensor(cfg: StarConfig) -> AmplitudeTensor:
     return AmplitudeTensor.combine(terms)
 
 
-def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
-    """All 2n^2 - 2n basis elements at the given momentum pair.
-
-    Family cardinalities are n^2, n^2 - 3n and n.  Requires c != 0
-    because the diagonal family carries 1/c coefficients; the c -> 0
-    limit changes the solution-space structure and is not taken here.
+def basis_template(cfg: StarConfig) -> Iterator[tuple[str, tuple, tuple[np.ndarray, ...]]]:
+    """Family, indices and tables (T0, T1, T2) of every basis element, in
+    basis order.  The element at (k1, k2) is T0 + (k1/c) T1 + (k2/c) T2;
+    no table depends on k or c, and T1 and T2 vanish outside ``sym_diag``,
+    whose coupling terms are the only momentum-dependent ones.
 
     The diagonal family is the phi/xi product combination plus 1/n of
     the cycle-completing solution.  Without that term the n elements sum
@@ -160,15 +160,8 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     on every diagonal quadrant, so the elements' diagonal behaviour,
     including the closed form on Q_ii, is untouched.
     """
-    n, c = cfg.n, cfg.c
-    if c == 0:
-        raise ValueError("sym_diag family undefined at c = 0 (1/c coefficients)")
-    if abs(m.k1 - m.k2) < 1e-12:
-        warnings.warn(
-            "degenerate momentum pair k1 = k2: basis may lose rank",
-            stacklevel=2,
-        )
-    k1, k2 = m.k1, m.k2
+    n = cfg.n
+    zero = np.broadcast_to(0j, (n, n, 2, 2, 2, 2))
 
     def psi_psi(i, j, assignment):
         return product_state(cfg, ("psi_psi", i, j), assignment)
@@ -176,16 +169,15 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     def phi_phi(i, j, assignment):
         return product_state(cfg, ("phi_phi", i, j), assignment)
 
-    out: list[BasisElement] = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             tensor = psi_psi(i, j, (1, 2)) - psi_psi(j, i, (2, 1))
-            out.append(BasisElement("antisym", (i, j), tensor, m, c))
+            yield "antisym", (i, j), (tensor.amps, zero, zero)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if circular_distance(i, j, n) >= 2:
                 tensor = phi_phi(i, j, (1, 2)) + phi_phi(j, i, (2, 1))
-                out.append(BasisElement("sym_offdiag", (i, j), tensor, m, c))
+                yield "sym_offdiag", (i, j), (tensor.amps, zero, zero)
     completer = cycle_completing_tensor(cfg)
     for i in range(1, n + 1):
         anti_12 = product_state(cfg, ("phi_xi_antisym", i), (1, 2))
@@ -194,21 +186,34 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
         # sign choice for which the derivative jump across the diagonal
         # equals c times the boundary value (and for which the element
         # matches diagonal_closed_form on Q_ii).
-        tensor = AmplitudeTensor.combine(
-            [
-                (1.0, anti_12),
-                (-1.0, anti_21),
-                (-n * k1 / c, phi_phi(0, i, (1, 2))),
-                (-n * k1 / c, phi_phi(i, 0, (2, 1))),
-                (n * k2 / c, phi_phi(0, i, (2, 1))),
-                (n * k2 / c, phi_phi(i, 0, (1, 2))),
-                (1.0 / n, completer),
-            ]
+        yield "sym_diag", (i,), (
+            (anti_12 - anti_21).amps + (1.0 / n) * completer.amps,
+            -n * (phi_phi(0, i, (1, 2)) + phi_phi(i, 0, (2, 1))).amps,
+            n * (phi_phi(0, i, (2, 1)) + phi_phi(i, 0, (1, 2))).amps,
         )
-        out.append(BasisElement("sym_diag", (i,), tensor, m, c))
 
-    expected = cfg.basis_size
-    assert len(out) == expected, (len(out), expected)
+
+def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
+    """All 2n^2 - 2n basis elements at the given momentum pair.
+
+    Family cardinalities are n^2, n^2 - 3n and n.  Each element is
+    T0 + (k1/c) T1 + (k2/c) T2 from :func:`basis_template`, so c != 0;
+    the c -> 0 limit changes the solution space and is not taken here.
+    """
+    c = cfg.c
+    if c == 0:
+        raise ValueError("sym_diag family undefined at c = 0 (1/c coefficients)")
+    if abs(m.k1 - m.k2) < 1e-12:
+        warnings.warn(
+            "degenerate momentum pair k1 = k2: basis may lose rank",
+            stacklevel=2,
+        )
+    s1, s2 = m.k1 / c, m.k2 / c
+    out = [
+        BasisElement(family, indices, AmplitudeTensor(t0 + s1 * t1 + s2 * t2), m, c)
+        for family, indices, (t0, t1, t2) in basis_template(cfg)
+    ]
+    assert len(out) == cfg.basis_size, len(out)
     return out
 
 

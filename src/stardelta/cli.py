@@ -164,22 +164,26 @@ def cmd_sweep(args) -> int:
 def _parse_profile(text: str):
     kind, _, rest = text.partition(":")
     params = [float(p) for p in rest.split(",") if p != ""]
-    if kind == "gaussian":
-        center, width = params[0], params[1]
-        amp = params[2] if len(params) > 2 else 1.0
-        return syn.gaussian_bump(center, width, amp)
-    if kind == "indicator":
-        lo, hi = params[0], params[1]
-        return syn.indicator_profile(lo, hi)
-    if kind == "poly":
-        return syn.polynomial_profile(params)
-    raise ValueError(f"unknown profile {text!r} (use gaussian:c,w | indicator:a,b | poly:c0,c1,...)")
+    # profile kind: constructor, fewest and most parameters
+    make, lo, hi = {
+        "gaussian": (syn.gaussian_bump, 2, 3),
+        "indicator": (syn.indicator_profile, 2, 2),
+        "poly": (lambda *coeffs: syn.polynomial_profile(coeffs), 1, float("inf")),
+    }.get(kind, (None, 1, 0))
+    if not lo <= len(params) <= hi:
+        raise ValueError(f"bad profile {text!r} (use gaussian:c,w[,a] | indicator:a,b | poly:c0,c1,...)")
+    return make(*params)
 
 
 def cmd_synthesize(args) -> int:
     cfg = make_config(args.n, args.c)
     profile = _parse_profile(args.profile)
+    if not args.grid_step > 0 or args.grid_span < 0:
+        raise ValueError("--grid-step must be positive and --grid-span non-negative")
     rule = syn.gauss_rule(args.nodes)
+    values = syn._profile_on(profile, rule.nodes)
+    if not np.all(np.isfinite(values)) or not np.any(values):
+        raise ValueError(f"profile {args.profile!r} must be finite and not vanish at every quadrature node")
     sol = syn.synthesize_eigensolution(cfg, {args.element: profile}, rule)
     checks = vf.check_vertex_bc(sol, cfg.n, samples=args.samples, tol=args.tol)
     checks += vf.check_diagonal_bc(sol, cfg.n, cfg.c, samples=args.samples, tol=args.tol)

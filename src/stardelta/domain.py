@@ -95,9 +95,7 @@ class MomentumPair:
     @classmethod
     def from_k1(cls, k1: float) -> "MomentumPair":
         """Real pair (k1, sqrt(1 - k1^2)); requires 0 <= k1 <= 1."""
-        if not 0.0 <= k1 <= 1.0:
-            raise ValueError(f"real momentum must lie in [0, 1], got {k1}")
-        return cls(complex(k1), complex(math.sqrt(max(0.0, 1.0 - k1 * k1))))
+        return cls(complex(k1), complex(partner_momentum(k1)))
 
     @property
     def fold(self) -> float:
@@ -106,6 +104,14 @@ class MomentumPair:
 
     def swapped(self) -> "MomentumPair":
         return MomentumPair(self.k2, self.k1)
+
+
+def partner_momentum(k1):
+    """k2 = sqrt(1 - k1^2) of real momenta 0 <= k1 <= 1, elementwise."""
+    k1 = np.asarray(k1, dtype=float)
+    if not np.all((0.0 <= k1) & (k1 <= 1.0)):
+        raise ValueError(f"real momentum must lie in [0, 1], got {k1}")
+    return np.sqrt(np.maximum(0.0, 1.0 - k1 * k1))
 
 
 def near_pole(k):
@@ -189,15 +195,6 @@ class AmplitudeTensor:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _waves(self, i, j, sector: str) -> np.ndarray:
-        """The eight amplitudes of each quadrant/sector, in (sig, tau, slot)
-        order on the last axis; ``i`` and ``j`` may be broadcasting int arrays."""
-        i, j = np.asarray(i), np.asarray(j)
-        if np.any((i < 1) | (i > self.n) | (j < 1) | (j > self.n)):
-            raise IndexError(f"quadrant ({i}, {j}) outside an n = {self.n} star")
-        waves = self.amps[i - 1, j - 1, _plane(i, j, sector)]
-        return waves.reshape(waves.shape[:-3] + (8,))
-
     def value_array(self, i, j, sector: str, x, y, m: MomentumPair) -> np.ndarray:
         """Evaluate at arrays of coordinates within quadrant (i, j), sector.
 
@@ -206,19 +203,11 @@ class AmplitudeTensor:
         quadrants ignore the sector tag, so one tag serves a line of
         quadrants that crosses the diagonal.
         """
-        kx, ky = wave_momenta(m)
-        return _superpose(self._waves(i, j, sector), kx, ky, x, y)
+        return plane_wave_sum(self.amps, *wave_momenta(m.k1, m.k2), i, j, sector, x, y)
 
     def derivative_array(self, i, j, sector: str, x, y, m: MomentumPair, direction: str) -> np.ndarray:
         """Exact analytic partial derivative, vectorised like value_array."""
-        kx, ky = wave_momenta(m)
-        if direction == "dx":
-            pref = 1j * kx
-        elif direction == "dy":
-            pref = 1j * ky
-        else:
-            raise ValueError(f"direction must be 'dx' or 'dy', got {direction!r}")
-        return _superpose(self._waves(i, j, sector) * pref, kx, ky, x, y)
+        return plane_wave_sum(self.amps, *wave_momenta(m.k1, m.k2), i, j, sector, x, y, direction)
 
 
 def _plane(i, j, sector: str):
@@ -248,10 +237,11 @@ _TAU = np.tile(np.repeat([-1.0, 1.0], 2), 2)
 _SLOT1 = np.tile([True, False], 4)
 
 
-def wave_momenta(m: MomentumPair) -> tuple[np.ndarray, np.ndarray]:
-    """Momenta (k_x, k_y) of the eight waves of a quadrant/sector."""
-    kx = _SIG * np.where(_SLOT1, m.k1, m.k2)
-    ky = _TAU * np.where(_SLOT1, m.k2, m.k1)
+def wave_momenta(k1, k2) -> tuple[np.ndarray, np.ndarray]:
+    """Momenta (k_x, k_y) of the eight waves of a quadrant/sector at the
+    pair (k1, k2); a column of P pairs gives a (P, 8) array of each."""
+    kx = _SIG * np.where(_SLOT1, k1, k2)
+    ky = _TAU * np.where(_SLOT1, k2, k1)
     return kx, ky
 
 
@@ -262,7 +252,23 @@ def wave_phases(kx: np.ndarray, ky: np.ndarray, x, y) -> np.ndarray:
     return np.exp(1j * (np.multiply.outer(kx, x) + np.multiply.outer(ky, y)))
 
 
-def _superpose(weights: np.ndarray, kx: np.ndarray, ky: np.ndarray, x, y) -> np.ndarray:
-    """Weighted sum of the eight waves at each point; rows of weights for
-    many quadrants broadcast against the points."""
-    return np.einsum("...w,w...->...", weights, wave_phases(kx, ky, x, y))
+def plane_wave_sum(amps: np.ndarray, kx, ky, i, j, sector: str, x, y, direction: str | None = None) -> np.ndarray:
+    """Sum of the waves of quadrant (i, j), sector at the points (x, y), or
+    its exact partial derivative along ``direction`` ("dx" or "dy").
+
+    ``amps`` is one amplitude array, or P of them side by side on one wave
+    axis, shape (n, n, 2, 8P), for P momentum pairs: one sum of 8P waves,
+    momenta ``kx, ky`` in the same order.  Rows of waves for many
+    quadrants broadcast against the points.
+    """
+    i, j = np.asarray(i), np.asarray(j)
+    n = amps.shape[0]
+    if np.any((i < 1) | (i > n) | (j < 1) | (j > n)):
+        raise IndexError(f"quadrant ({i}, {j}) outside an n = {n} star")
+    waves = amps[i - 1, j - 1, _plane(i, j, sector)]
+    waves = waves.reshape(waves.shape[: waves.ndim - amps.ndim + 3] + (-1,))
+    if direction not in (None, "dx", "dy"):
+        raise ValueError(f"direction must be 'dx' or 'dy', got {direction!r}")
+    if direction is not None:
+        waves = waves * (1j * (kx if direction == "dx" else ky))
+    return np.einsum("...w,w...->...", waves, wave_phases(kx, ky, x, y))

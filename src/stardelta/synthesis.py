@@ -8,6 +8,11 @@ vertex and diagonal conditions are inherited exactly (the quadrature
 error lives only in the distance to the true integral, which the
 refinement study measures).
 
+Every basis element is T0 + (k1/c) T1 + (k2/c) T2 over momentum-free
+tables, so the superposition is one contraction of profile times weight
+with those tables: one amplitude table per node, P tables evaluated as
+one sum of 8P plane waves.
+
 Basic solutions work the same way from a kernel element of the vertex
 condition system: those satisfy the vertex matching at every momentum
 but generically violate the diagonal jump, which is their defining
@@ -21,18 +26,19 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .basis import build_basis
+from .basis import basis_template
 from .domain import (
     ABOVE,
     BELOW,
     MARGIN,
     OFFDIAG,
     POLE,
-    AmplitudeTensor,
-    MomentumPair,
     StarConfig,
     check_fold,
     near_pole,
+    partner_momentum,
+    plane_wave_sum,
+    wave_momenta,
 )
 from .transforms import basic_solution_tensor
 from .verifier import kronecker_points
@@ -43,6 +49,9 @@ from .verifier import kronecker_points
 
 
 def gaussian_bump(center: float, width: float, amplitude: float = 1.0) -> Callable:
+    if not width > 0:
+        raise ValueError(f"gaussian width must be positive, got {width}")
+
     def g(k):
         k = np.asarray(k, dtype=float)
         return amplitude * np.exp(-0.5 * ((k - center) / width) ** 2)
@@ -121,46 +130,50 @@ def _profile_on(profile: Callable, nodes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # synthesised solutions
 
+# wave-point pairs per plane_wave_sum call: at many points a stacked
+# solution sums a few nodes at a time, down to one node's eight waves
+_WAVE_POINTS = 1 << 18
+
 
 class SynthesizedSolution:
-    """Quadrature superposition of per-node plane-wave tensors.
+    """Quadrature superposition: one weighted amplitude table per node.
 
-    Implements the same evaluation protocol as TensorSolution, so all
+    ``amps`` stacks the tables of P nodes, shape (P, n, n, 2, 2, 2, 2), and
+    node p sits at the pair (k1[p], sqrt(1 - k1[p]^2)).  The stack is kept
+    as one (n, n, 2, 8P) wave table and evaluated like AmplitudeTensor, as
+    one sum of 8P waves (a few nodes per call at many points), so all
     verifier checks apply unchanged.  ``rebuild`` re-synthesises at a
     different node count for refinement studies.
     """
 
     def __init__(
         self,
-        terms: list[tuple[complex, AmplitudeTensor, MomentumPair]],
-        n: int,
+        amps,
+        k1,
         rebuild: Callable[[int], "SynthesizedSolution"] | None = None,
         node_count: int = 0,
     ):
-        self.terms = terms
-        self.n = n
+        amps, k1 = np.asarray(amps, dtype=complex), np.asarray(k1, dtype=float)[:, None]
+        # one wave axis, node-major like the momenta: shape (n, n, 2, 8P)
+        self.amps = amps.transpose(1, 2, 3, 0, 4, 5, 6).reshape(amps.shape[1:4] + (-1,))
+        kx, ky = wave_momenta(k1, partner_momentum(k1))
+        self.kx, self.ky = kx.reshape(-1), ky.reshape(-1)
+        self.n = self.amps.shape[0]
         self.rebuild = rebuild
         self.node_count = node_count
 
+    def _sum(self, i, j, sector, x, y, direction=None):
+        step = 8 * max(1, _WAVE_POINTS // (8 * np.broadcast(x, y).size))
+        # an empty stack still makes one call, which gives zeros of the right shape
+        blocks = [slice(w, w + step) for w in range(0, max(self.kx.size, 1), step)]
+        return sum(plane_wave_sum(self.amps[..., b], self.kx[b], self.ky[b], i, j, sector, x, y, direction)
+                   for b in blocks)
+
     def value_array(self, i, j, sector, x, y):
-        return self._sum_terms(i, j, x, y, lambda tensor, m: tensor.value_array(i, j, sector, x, y, m))
+        return self._sum(i, j, sector, x, y)
 
     def derivative_array(self, i, j, sector, x, y, direction):
-        return self._sum_terms(
-            i, j, x, y, lambda tensor, m: tensor.derivative_array(i, j, sector, x, y, m, direction)
-        )
-
-    def _sum_terms(self, i, j, x, y, evaluate: Callable) -> np.ndarray:
-        """Weighted sum of ``evaluate(tensor, momentum)`` over the terms,
-        in term order; zeros of the evaluation shape when there are none."""
-        out = None
-        for w, tensor, m in self.terms:
-            v = w * evaluate(tensor, m)
-            out = v if out is None else out + v
-        if out is None:
-            shape = np.broadcast_shapes(np.shape(i), np.shape(j), np.shape(x), np.shape(y), (1,))
-            return np.zeros(shape, dtype=complex)
-        return out
+        return self._sum(i, j, sector, x, y, direction)
 
     # -- export ---------------------------------------------------------------
 
@@ -212,23 +225,17 @@ def synthesize_eigensolution(
         if not 0 <= idx < size:
             raise ValueError(f"basis index {idx} out of range 0..{size - 1}")
 
+    # (profiled element, T0/T1/T2, table), in element order
+    template = np.array([tables for idx, (_, _, tables) in enumerate(basis_template(cfg)) if idx in profiles])
+
     def assemble(count: int) -> SynthesizedSolution:
         r = rule if count == rule.count else gauss_rule(count)
-        values = {idx: _profile_on(g, r.nodes) for idx, g in profiles.items()}
-        terms = []
-        for pos, (k, w) in enumerate(zip(r.nodes, r.weights)):
-            m = MomentumPair.from_k1(float(k))
-            elements = build_basis(cfg, m)
-            parts = [
-                (complex(values[idx][pos]), elements[idx].tensor)
-                for idx in profiles
-                if values[idx][pos] != 0
-            ]
-            if parts:
-                terms.append((complex(w), AmplitudeTensor.combine(parts), m))
-        sol = SynthesizedSolution(terms, cfg.n, node_count=r.count)
-        sol.rebuild = assemble
-        return sol
+        k2 = partner_momentum(r.nodes)
+        values = np.array([_profile_on(profiles[idx], r.nodes) for idx in sorted(profiles)])
+        # weight * profile * (1, k1/c, k2/c) per profile, template and node
+        coeff = r.weights * values[:, None] * np.array([np.ones_like(k2), r.nodes / cfg.c, k2 / cfg.c])
+        amps = np.einsum("etp,et...->p...", coeff, template)
+        return SynthesizedSolution(amps, r.nodes, rebuild=assemble, node_count=r.count)
 
     return assemble(rule.count)
 
@@ -243,8 +250,8 @@ def synthesize_basic_solution(
 ) -> SynthesizedSolution:
     """Superpose a vertex-condition kernel element over momentum.
 
-    The plane-wave pattern is momentum-independent, so one tensor serves
-    every node with the node's momentum pair and profile weight.  The
+    The plane-wave pattern is momentum-independent, so the stack is one
+    tensor scaled by each node's quadrature and profile weight.  The
     result passes the vertex checks and, for a generic kernel element
     with c != 0, fails the diagonal jump check.
     """
@@ -253,15 +260,8 @@ def synthesize_basic_solution(
 
     def assemble(count: int) -> SynthesizedSolution:
         r = rule if count == rule.count else gauss_rule(count)
-        values = _profile_on(profile, r.nodes)
-        terms = []
-        for pos, (k, w) in enumerate(zip(r.nodes, r.weights)):
-            coeff = complex(values[pos])
-            if coeff != 0:
-                terms.append((complex(w) * coeff, base, MomentumPair.from_k1(float(k))))
-        sol = SynthesizedSolution(terms, cfg.n, node_count=r.count)
-        sol.rebuild = assemble
-        return sol
+        amps = np.multiply.outer(r.weights * _profile_on(profile, r.nodes), base.amps)
+        return SynthesizedSolution(amps, r.nodes, rebuild=assemble, node_count=r.count)
 
     return assemble(rule.count)
 

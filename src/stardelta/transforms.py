@@ -641,37 +641,32 @@ class DiagonalConditionResiduals:
 def check_diagonal_conditions(tv: TransformVectors4, k: float, c: float) -> DiagonalConditionResiduals:
     """Residuals of the diagonal continuity and jump conditions, two ways.
 
-    The matrix path applies M and N per diagonal quadrant.  The raw path
-    evaluates the folded continuity identities and the four jump
-    identities directly from the slots; both must vanish together for an
-    actual eigensolution, and the report carries their difference as a
-    consistency diagnostic.
+    The matrix path applies M and N to every diagonal quadrant at once.
+    The raw path evaluates the folded continuity identities and the four
+    jump identities directly from the slots; both must vanish together
+    for an actual eigensolution, and the report carries their difference
+    as a consistency diagnostic.
     """
     M, N = diagonal_condition_matrices(k, c)
     c_plus, c_minus = coupling_scalars(k, c)
-    worst_matrix = 0.0
-    worst_raw = 0.0
-    for i in range(tv.n):
-        hx, cx = tv.hat_xi[i, i], tv.check_xi[i, i]
-        hc, cc = tv.hat_chi[i, i], tv.check_chi[i, i]
-        worst_matrix = max(
-            worst_matrix,
-            float(np.max(np.abs(hx - M @ cx))),
-            float(np.max(np.abs(hc - N @ cc))),
-        )
-        raw = [
-            # continuity per channel: folded boundary values agree
-            (hx[0] + hx[1]) - (cx[0] + cx[1]),
-            (hx[2] + hx[3]) - (cx[2] + cx[3]),
-            (hc[0] + hc[3]) - (cc[0] + cc[3]),
-            (hc[1] + hc[2]) - (cc[1] + cc[2]),
-            # jump per channel
-            -(hx[0] - cx[0]) + (hx[1] - cx[1]) + 2 * c_minus * (hx[0] + hx[1]),
-            (hx[2] - cx[2]) - (hx[3] - cx[3]) + 2 * c_minus * (hx[2] + hx[3]),
-            -(hc[2] - cc[2]) + (hc[1] - cc[1]) - 2 * c_plus * (hc[2] + hc[1]),
-            (hc[0] - cc[0]) - (hc[3] - cc[3]) - 2 * c_plus * (hc[0] + hc[3]),
-        ]
-        worst_raw = max(worst_raw, float(np.max(np.abs(raw))))
+    # slots on the first axis, the n diagonal quadrants on the second
+    d = np.arange(tv.n)
+    hx, cx = tv.hat_xi[d, d].T, tv.check_xi[d, d].T
+    hc, cc = tv.hat_chi[d, d].T, tv.check_chi[d, d].T
+    worst_matrix = max(float(np.max(np.abs(hx - M @ cx))), float(np.max(np.abs(hc - N @ cc))))
+    raw = [
+        # continuity per channel: folded boundary values agree
+        (hx[0] + hx[1]) - (cx[0] + cx[1]),
+        (hx[2] + hx[3]) - (cx[2] + cx[3]),
+        (hc[0] + hc[3]) - (cc[0] + cc[3]),
+        (hc[1] + hc[2]) - (cc[1] + cc[2]),
+        # jump per channel
+        -(hx[0] - cx[0]) + (hx[1] - cx[1]) + 2 * c_minus * (hx[0] + hx[1]),
+        (hx[2] - cx[2]) - (hx[3] - cx[3]) + 2 * c_minus * (hx[2] + hx[3]),
+        -(hc[2] - cc[2]) + (hc[1] - cc[1]) - 2 * c_plus * (hc[2] + hc[1]),
+        (hc[0] - cc[0]) - (hc[3] - cc[3]) - 2 * c_plus * (hc[0] + hc[3]),
+    ]
+    worst_raw = float(np.max(np.abs(raw)))
     return DiagonalConditionResiduals(
         matrix_form=worst_matrix,
         raw_equations=worst_raw,

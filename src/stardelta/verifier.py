@@ -113,9 +113,6 @@ class ResidualReport:
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def worst(self) -> float:
-        return max((c.max_abs_residual for c in self.checks), default=0.0)
-
     def to_dict(self) -> dict:
         return {
             "schema": 1,
@@ -227,7 +224,7 @@ def sample_matrix(elements: list[BasisElement], count: int, seed: int) -> np.nda
     if any(el.momentum != m for el in elements):
         raise ValueError("sample_matrix needs elements built at one momentum pair")
     quads, planes, xy = sample_points(elements[0].tensor.n, count, seed)
-    phases = wave_phases(*wave_momenta(m), xy[:, 0], xy[:, 1])
+    phases = wave_phases(*wave_momenta(m.k1, m.k2), xy[:, 0], xy[:, 1])
     i, j = quads[:, 0] - 1, quads[:, 1] - 1
     mat = np.stack([
         np.einsum("pw,wp->p", el.tensor.amps[i, j, planes].reshape(count, 8), phases)
@@ -338,6 +335,8 @@ def mutation_sweep(
     healthy verifier detects every mutation; silent records mean the
     checks are vacuous somewhere.
     """
+    if per_element < 1:
+        raise ValueError(f"need at least one mutation per element, got {per_element}")
     rng = np.random.default_rng(seed)
     elements = build_basis(cfg, m)
     out = []

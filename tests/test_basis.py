@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stardelta.basis import (
+    basis_template,
     build_basis,
     circular_distance,
     closed_form,
@@ -13,7 +14,7 @@ from stardelta.basis import (
     family_counts,
     product_state,
 )
-from stardelta.domain import ABOVE, BELOW, OFFDIAG, MomentumPair, make_config
+from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, make_config
 from stardelta.oneparticle import LARGER, NEUTRAL, SMALLER, phi, scattering_wave, xi_solution
 from stardelta.verifier import basis_rank
 
@@ -137,6 +138,57 @@ def test_build_basis_warns_at_degenerate_momentum():
     m_eq = MomentumPair.from_k1(1.0 / np.sqrt(2.0))
     with pytest.warns(UserWarning):
         build_basis(CFG3, m_eq)
+
+
+def _termwise_basis(cfg, m):
+    """Every element as a weighted sum of product states at the momentum
+    pair, term by term, without the momentum-free tables."""
+    n, c = cfg.n, cfg.c
+
+    def prod(kind, *idx):
+        return product_state(cfg, (kind, *idx[:-1]), idx[-1])
+
+    out = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            out.append(prod("psi_psi", i, j, (1, 2)) - prod("psi_psi", j, i, (2, 1)))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if circular_distance(i, j, n) >= 2:
+                out.append(prod("phi_phi", i, j, (1, 2)) + prod("phi_phi", j, i, (2, 1)))
+    completer = cycle_completing_tensor(cfg)
+    for i in range(1, n + 1):
+        out.append(AmplitudeTensor.combine([
+            (1.0, prod("phi_xi_antisym", i, (1, 2))),
+            (-1.0, prod("phi_xi_antisym", i, (2, 1))),
+            (-n * m.k1 / c, prod("phi_phi", 0, i, (1, 2))),
+            (-n * m.k1 / c, prod("phi_phi", i, 0, (2, 1))),
+            (n * m.k2 / c, prod("phi_phi", 0, i, (2, 1))),
+            (n * m.k2 / c, prod("phi_phi", i, 0, (1, 2))),
+            (1.0 / n, completer),
+        ]))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("c,k1", [(1.0, 0.6), (-2.5, 0.3), (1e-6, 0.6), (0.7, 0.0), (0.7, 1.0)])
+def test_template_basis_matches_termwise_sum(n, c, k1):
+    cfg, m = make_config(n, c), MomentumPair.from_k1(k1)
+    elements = build_basis(cfg, m)
+    reference = _termwise_basis(cfg, m)
+    assert len(elements) == len(reference)
+    for el, ref in zip(elements, reference):
+        scale = np.max(np.abs(ref.amps))
+        assert scale > 0 and np.max(np.abs(el.tensor.amps - ref.amps)) <= 1e-12 * scale, el.label
+
+
+def test_template_is_coupling_free_with_momentum_parts_only_in_sym_diag():
+    # the tables of one n serve every coupling; T1, T2 vanish outside sym_diag
+    other = basis_template(make_config(4, -3.0))
+    for (family, _indices, tables), (_f, _i, same) in zip(basis_template(make_config(4, 1.0)), other):
+        assert all(np.array_equal(t, u) for t, u in zip(tables, same))
+        assert np.any(tables[0])
+        assert (family == "sym_diag") == bool(np.any(tables[1])) == bool(np.any(tables[2]))
 
 
 def test_exchange_symmetry():

@@ -151,3 +151,29 @@ def test_mutate_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+SYN3 = ["synthesize", "--n", "3", "--c", "1.0", "--nodes", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SYN3 + ["--grid-step", "0"],
+        SYN3 + ["--grid-step", "-1"],
+        SYN3 + ["--profile", "gaussian:0.3"],
+        SYN3 + ["--profile", "poly:"],
+        SYN3 + ["--profile", "gaussian:0.3,0"],
+        SYN3 + ["--profile", "indicator:0.5,0.2"],
+        SYN3 + ["--profile", "poly:0"],
+        ["mutate", "--n", "3", "--c", "1.0", "--k1", "0.6", "--per-element", "0"],
+    ],
+)
+def test_bad_input_refused_with_exit_2(tmp_path, capsys, argv):
+    # refused before any work: an error line, exit 2 and no report or grid
+    out, grid = tmp_path / "out.json", tmp_path / "grid.csv"
+    extra = ["--out", str(out)] + (["--grid-out", str(grid)] if argv[0] == "synthesize" else [])
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.exists() and not grid.exists()

@@ -48,6 +48,32 @@ def test_single_node_reproduces_weighted_element():
     want = 0.125 * el.tensor.value_array(1, 3, OFFDIAG, 2.0, 1.5, m)[0]
     assert got == pytest.approx(want, abs=1e-14)
 
+    # each node contributes its weight times the profiled elements built
+    # there: one node, then three, with two profiles
+    profiles = {2: lambda k: 1.0 + np.asarray(k), 10: lambda k: (0.5 - 1j) * np.asarray(k) ** 2}
+    pts = [(1, 3, OFFDIAG, 2.0, 1.5), (2, 2, ABOVE, 3.1, 0.4), (3, 3, BELOW, 0.8, 5.5)]
+    for nodes, weights in (([0.41], [0.125]), ([0.13, 0.41, 0.62], [0.125, 0.3, 0.05])):
+        rule = syn.QuadratureRule(nodes=np.array(nodes), weights=np.array(weights))
+        sol = syn.synthesize_eigensolution(CFG3, profiles, rule)
+        for i, j, sector, x, y in pts:
+            want = np.zeros(3, dtype=complex)
+            for node, w in zip(nodes, weights):
+                m = MomentumPair.from_k1(node)
+                elements = build_basis(CFG3, m)
+                for idx, g in profiles.items():
+                    t = elements[idx].tensor
+                    want += w * g(node) * np.array([
+                        t.value_array(i, j, sector, x, y, m)[0],
+                        t.derivative_array(i, j, sector, x, y, m, "dx")[0],
+                        t.derivative_array(i, j, sector, x, y, m, "dy")[0],
+                    ])
+            got = np.array([
+                sol.value_array(i, j, sector, x, y)[0],
+                sol.derivative_array(i, j, sector, x, y, "dx")[0],
+                sol.derivative_array(i, j, sector, x, y, "dy")[0],
+            ])
+            assert got == pytest.approx(want, abs=1e-14)
+
 
 def test_synthesis_linearity():
     g1 = syn.gaussian_bump(0.3, 0.1)
@@ -183,11 +209,9 @@ def test_full_interval_equals_folded_half_interval():
         nodes = lo + 0.5 * (hi - lo) * (x0 + 1.0)
         weights = 0.5 * (hi - lo) * w0
         base = tr.basic_solution_tensor(3, chi_hat, chi_check, tau_sign=1)
-        terms = []
-        for kq, wq in zip(nodes, weights):
-            m = MomentumPair.from_k1(float(momentum_of(kq)))
-            terms.append((wq * weight_of(kq) * g(momentum_of(kq)), base, m))
-        return syn.SynthesizedSolution(terms, 3)
+        momenta = np.array([momentum_of(kq) for kq in nodes])
+        coeff = np.array([wq * weight_of(kq) * g(momentum_of(kq)) for kq, wq in zip(nodes, weights)])
+        return syn.SynthesizedSolution(np.multiply.outer(coeff, base.amps), momenta, node_count=nodes.size)
 
     full = integrate(1e-9, 1.0 - 1e-9, lambda k: k, lambda k: 1.0)
     half_lo = integrate(1e-9, 1.0 / math.sqrt(2.0), lambda k: k, lambda k: 1.0)
@@ -213,3 +237,17 @@ def test_grid_rows_export():
     # 9 points per patch, 6 off-diagonal quadrants + 3 diagonal with 2 sectors
     assert len(rows) == 9 * (6 + 3 * 2)
     assert {"quadrant_i", "quadrant_j", "sector", "x", "y", "re", "im"} == set(rows[0])
+
+
+def test_node_blocks_match_one_wave_sum(monkeypatch):
+    # many points are summed a few nodes at a time; the blocks add up to
+    # the single 8P-wave sum
+    sol = syn.synthesize_eigensolution(CFG3, {10: syn.gaussian_bump(0.3, 0.1)}, syn.gauss_rule(7))
+    xs = np.linspace(0.0, 6.0, 40)
+    args = (np.array([[1], [2], [3]]), 2, ABOVE, xs, 0.5 * xs)
+    whole = [sol.value_array(*args), sol.derivative_array(*args, "dy")]
+    monkeypatch.setattr(syn, "_WAVE_POINTS", 8 * 3 * xs.size)
+    blocked = [sol.value_array(*args), sol.derivative_array(*args, "dy")]
+    for got, want in zip(blocked, whole):
+        assert got.shape == (3, 40)
+        assert got == pytest.approx(want, abs=1e-14)

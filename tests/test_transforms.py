@@ -283,6 +283,45 @@ def test_diagonal_conditions_all_basis_elements():
             assert res.path_discrepancy <= 1e-10
 
 
+def _diagonal_conditions_loop(tv, k, c):
+    """Per-quadrant matrix and raw residuals, one diagonal quadrant at a time."""
+    M, N = tr.diagonal_condition_matrices(k, c)
+    c_plus, c_minus = tr.coupling_scalars(k, c)
+    worst_matrix = worst_raw = 0.0
+    for i in range(tv.n):
+        hx, cx = tv.hat_xi[i, i], tv.check_xi[i, i]
+        hc, cc = tv.hat_chi[i, i], tv.check_chi[i, i]
+        worst_matrix = max(worst_matrix, np.max(np.abs(hx - M @ cx)), np.max(np.abs(hc - N @ cc)))
+        raw = [
+            (hx[0] + hx[1]) - (cx[0] + cx[1]),
+            (hx[2] + hx[3]) - (cx[2] + cx[3]),
+            (hc[0] + hc[3]) - (cc[0] + cc[3]),
+            (hc[1] + hc[2]) - (cc[1] + cc[2]),
+            -(hx[0] - cx[0]) + (hx[1] - cx[1]) + 2 * c_minus * (hx[0] + hx[1]),
+            (hx[2] - cx[2]) - (hx[3] - cx[3]) + 2 * c_minus * (hx[2] + hx[3]),
+            -(hc[2] - cc[2]) + (hc[1] - cc[1]) - 2 * c_plus * (hc[2] + hc[1]),
+            (hc[0] - cc[0]) - (hc[3] - cc[3]) - 2 * c_plus * (hc[0] + hc[3]),
+        ]
+        worst_raw = max(worst_raw, np.max(np.abs(raw)))
+    return worst_matrix, worst_raw, abs(worst_matrix - worst_raw)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_batched_diagonal_conditions_match_per_quadrant_loop(n):
+    k, c = 0.37, -1.3
+    cases = [tr.extract_transforms(el, k, n=n) for el in build_basis(make_config(n, c), MomentumPair.from_k1(k))]
+    rng = np.random.default_rng(n)
+
+    def draw():
+        return rng.normal(size=(n, n, 4)) + 1j * rng.normal(size=(n, n, 4))
+
+    cases.append(tr.TransformVectors4(n=n, k=k, hat_xi=draw(), hat_chi=draw(), check_xi=draw(), check_chi=draw()))
+    for tv in cases:
+        res = tr.check_diagonal_conditions(tv, k, c)
+        got = (res.matrix_form, res.raw_equations, res.path_discrepancy)
+        assert got == pytest.approx(_diagonal_conditions_loop(tv, k, c), rel=1e-12, abs=1e-15)
+
+
 def test_kernel_element_fails_diagonal_conditions():
     # a basic solution satisfies the vertex equations but generically
     # violates the diagonal matching for c != 0

@@ -270,7 +270,8 @@ def test_batched_checks_match_loop_on_random_table(n):
 
 def test_batched_checks_match_loop_on_synthesized_solution():
     sol = syn.synthesize_eigensolution(CFG3, {9: syn.gaussian_bump(0.35, 0.1)}, syn.gauss_rule(4))
-    assert len(sol.terms) == 4
+    # one table per node, the 8 waves of each of the 4 nodes on one axis
+    assert sol.amps.shape == (3, 3, 2, 32)
     _assert_batched_checks_match_loop(sol, 3, CFG3.c, 60, 0)
 
 
