@@ -48,7 +48,6 @@ from .synthesis import (
 )
 from .transforms import (
     KernelReport,
-    TransformVectors2,
     TransformVectors4,
     build_p_operator,
     build_q_operator,
@@ -57,7 +56,6 @@ from .transforms import (
     compute_kernel_decomposition,
     diagonal_condition_matrices,
     extract_transforms,
-    resynthesize_tensor,
 )
 from .verifier import (
     CheckResult,

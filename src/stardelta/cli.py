@@ -8,7 +8,8 @@ sweep       residual sweep over an (n, c, k1) grid, CSV or JSON
 synthesize  quadrature synthesis with gridded CSV export
 mutate      amplitude-mutation detection sweep (negative controls)
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 bad configuration.
+Exit codes: 0 all checks passed, 1 a check failed, 2 bad configuration
+or input, refused before any work.
 Reports are flat JSON/CSV with a ``schema: 1`` marker and contain no
 timestamps, so identical invocations produce byte-identical files.  All
 randomness flows from ``--seed`` through NumPy's PCG64 generator plus a
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,25 +35,28 @@ from .domain import MomentumPair, make_config, near_pole
 SCHEMA = 1
 
 
+def _nonempty(grid: list, text: str) -> list:
+    if not grid:
+        raise ValueError(f"empty grid {text!r}")
+    return grid
+
+
 def parse_int_grid(text: str) -> list[int]:
-    """'3..8' -> [3..8]; '3,5,7' -> [3,5,7]; '4' -> [4]."""
+    """'3..8' -> [3..8]; '3,5,7' -> [3,5,7]; '4' -> [4]; an empty grid raises."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(p) for p in text.split(",") if p != ""]
+        return _nonempty(list(range(int(lo), int(hi) + 1)), text)
+    return _nonempty([int(p) for p in text.split(",") if p != ""], text)
 
 
 def parse_float_grid(text: str) -> list[float]:
-    """Comma list of floats; 'a..b:m' for m evenly spaced values."""
+    """Comma list of floats; 'a..b:m' for m evenly spaced values; an empty grid raises."""
     if ".." in text:
         span, _, count = text.partition(":")
         lo, hi = (float(p) for p in span.split("..", 1))
         m = int(count) if count else 5
-        return [float(v) for v in np.linspace(lo, hi, m)]
-    return [float(p) for p in text.split(",") if p != ""]
+        return _nonempty([float(v) for v in np.linspace(lo, hi, m)], text)
+    return _nonempty([float(p) for p in text.split(",") if p != ""], text)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -101,9 +106,10 @@ def cmd_verify(args) -> int:
 def cmd_kernels(args) -> int:
     ok = True
     outdir = Path(args.out) if args.out else None
-    for n in parse_int_grid(args.n):
-        if n < 3:
-            raise ValueError(f"kernel decomposition needs n >= 3, got {n}")
+    ns = parse_int_grid(args.n)
+    if min(ns) < 3:
+        raise ValueError(f"kernel decomposition needs n >= 3, got {min(ns)}")
+    for n in ns:
         report = tr.compute_kernel_decomposition(n, basis=args.basis)
         payload = report.to_dict(include_bases=args.include_bases)
         if outdir is not None:
@@ -120,9 +126,10 @@ def cmd_kernels(args) -> int:
 def cmd_sweep(args) -> int:
     rows = []
     ok = True
-    for n in parse_int_grid(args.n):
-        for c in parse_float_grid(args.c):
-            for k1 in parse_float_grid(args.k1):
+    ns, cs, k1s = parse_int_grid(args.n), parse_float_grid(args.c), parse_float_grid(args.k1)
+    for n in ns:
+        for c in cs:
+            for k1 in k1s:
                 if c == 0.0:
                     rows.append([n, repr(c), repr(k1), "-", "-", "", "", "SKIPPED(c=0)"])
                     continue
@@ -178,8 +185,8 @@ def _parse_profile(text: str):
 def cmd_synthesize(args) -> int:
     cfg = make_config(args.n, args.c)
     profile = _parse_profile(args.profile)
-    if not args.grid_step > 0 or args.grid_span < 0:
-        raise ValueError("--grid-step must be positive and --grid-span non-negative")
+    if not (args.grid_step > 0 and 0.0 <= args.grid_span < math.inf):
+        raise ValueError("--grid-step must be positive and --grid-span non-negative and finite")
     rule = syn.gauss_rule(args.nodes)
     values = syn._profile_on(profile, rule.nodes)
     if not np.all(np.isfinite(values)) or not np.any(values):
@@ -210,6 +217,10 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_mutate(args) -> int:
+    if args.rel == 0 or not math.isfinite(args.rel):
+        raise ValueError(f"--rel must be non-zero and finite, got {args.rel}")
+    if not 0.0 < args.detect_above < math.inf:
+        raise ValueError(f"--detect-above must be positive and finite, got {args.detect_above}")
     cfg = make_config(args.n, args.c)
     m = _momentum(args.k1, args.c)
     records = vf.mutation_sweep(
@@ -237,17 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=vf.DEFAULT_TOL)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--out", type=str, default=None)
+    shared = {
+        "--seed": dict(type=int, default=0),
+        "--tol": dict(type=float, default=vf.DEFAULT_TOL),
+        "--samples": dict(type=int, default=100),
+        "--out": dict(type=str, default=None),
+    }
+
+    def common(p, *flags):
+        # each subcommand takes only the shared options it reads
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("verify", help="verify the full basis at one parameter point")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--k1", type=float, required=True)
-    common(p)
+    common(p, "--seed", "--tol", "--samples", "--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("kernels", help="kernel-dimension reports over a grid of n")
@@ -262,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=str, required=True)
     p.add_argument("--k1", type=str, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    common(p)
+    common(p, "--seed", "--tol", "--samples", "--out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synthesize", help="quadrature synthesis with verification")
@@ -274,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-out", type=str, default=None, help="CSV of gridded values")
     p.add_argument("--grid-span", type=float, default=5.0)
     p.add_argument("--grid-step", type=float, default=1.0)
-    common(p)
+    common(p, "--tol", "--samples", "--out")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("mutate", help="single-amplitude mutation detection sweep")
@@ -284,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel", type=float, default=1e-3)
     p.add_argument("--per-element", type=int, default=1)
     p.add_argument("--detect-above", type=float, default=1e-5)
-    common(p)
+    common(p, "--seed", "--out")
     p.set_defaults(func=cmd_mutate)
 
     return parser
@@ -294,6 +311,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "tol" in args and not 0.0 < args.tol < math.inf:
+            raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+        if "samples" in args and args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class MomentumPair:
         """Fold momentum min(k1, k2) of a real pair."""
         return min(self.k1.real, self.k2.real)
 
-    def swapped(self) -> "MomentumPair":
-        return MomentumPair(self.k2, self.k1)
-
 
 def partner_momentum(k1):
     """k2 = sqrt(1 - k1^2) of real momenta 0 <= k1 <= 1, elementwise."""
@@ -153,15 +150,6 @@ class AmplitudeTensor:
         return self.amps.shape[0]
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_entries(cls, n: int, entries: Mapping[EntryKey, complex]) -> "AmplitudeTensor":
-        """Tensor of an n-edge star from keyed amplitudes; keys that
-        coincide (an off-diagonal quadrant under two sector tags) add up."""
-        amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
-        for key, amp in entries.items():
-            amps[_entry_index(n, key)] += amp
-        return cls(amps)
 
     @classmethod
     def combine(cls, terms: Iterable[tuple[complex, "AmplitudeTensor"]]) -> "AmplitudeTensor":

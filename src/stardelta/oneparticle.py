@@ -71,7 +71,6 @@ class OneParticleSolution:
     except for xi.
     """
 
-    kind: str
     coeff: np.ndarray
     scale_larger: float = 1.0
     scale_smaller: float = 1.0
@@ -118,13 +117,13 @@ def scattering_wave(cfg: StarConfig, i: int) -> OneParticleSolution:
     coeff = np.zeros((n, 2), dtype=complex)
     coeff[i - 1, 0] = 1.0
     coeff[:, 1] = S[:, i - 1]
-    return OneParticleSolution(kind=f"scattering({i})", coeff=coeff)
+    return OneParticleSolution(coeff)
 
 
 def phi_zero(cfg: StarConfig) -> OneParticleSolution:
     """Half the sum of all scattering waves; equals cos(kx) on every edge."""
     coeff = np.tile(np.array(_COS, dtype=complex), (cfg.n, 1))
-    return OneParticleSolution(kind="phi(0)", coeff=coeff)
+    return OneParticleSolution(coeff)
 
 
 def phi_j(cfg: StarConfig, j: int) -> OneParticleSolution:
@@ -136,18 +135,13 @@ def phi_j(cfg: StarConfig, j: int) -> OneParticleSolution:
     coeff = np.zeros((n, 2), dtype=complex)
     coeff[j - 1] = (-_SIN[0], -_SIN[1])
     coeff[succ - 1] = _SIN
-    return OneParticleSolution(kind=f"phi({j})", coeff=coeff)
+    return OneParticleSolution(coeff)
 
 
 def xi_solution(cfg: StarConfig) -> OneParticleSolution:
     """Sine wave with amplitude (1 - n) on the branch whose variable is smaller."""
     coeff = np.tile(np.array(_SIN, dtype=complex), (cfg.n, 1))
-    return OneParticleSolution(
-        kind="xi",
-        coeff=coeff,
-        scale_larger=1.0,
-        scale_smaller=float(1 - cfg.n),
-    )
+    return OneParticleSolution(coeff, scale_smaller=float(1 - cfg.n))
 
 
 def phi(cfg: StarConfig, i: int) -> OneParticleSolution:

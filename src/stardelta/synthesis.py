@@ -74,26 +74,6 @@ def indicator_profile(lo: float, hi: float, amplitude: float = 1.0) -> Callable:
     return g
 
 
-class SampledProfile:
-    """Profile given only by samples on a fixed grid.
-
-    Usable with the exact rule it was sampled on; any other rule raises,
-    since refinement must re-sample analytically and samples cannot.
-    """
-
-    def __init__(self, nodes: np.ndarray, values: np.ndarray):
-        self.nodes = np.asarray(nodes, dtype=float)
-        self.values = np.asarray(values, dtype=complex)
-        if self.nodes.shape != self.values.shape:
-            raise ValueError("nodes and values must have matching shapes")
-
-    def __call__(self, k):
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        if k.shape != self.nodes.shape or not np.allclose(k, self.nodes, atol=1e-14):
-            raise ValueError("sampled profile cannot be re-evaluated off its grid")
-        return self.values
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     nodes: np.ndarray
@@ -112,8 +92,10 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def gauss_rule(count: int, lo: float = MARGIN, hi: float = POLE - MARGIN) -> QuadratureRule:
-    """Gauss-Legendre rule on [lo, hi] inside the fold interval."""
+def gauss_rule(count: int) -> QuadratureRule:
+    """Gauss-Legendre rule on the fold interval less the margins,
+    [MARGIN, 1/sqrt(2) - MARGIN]."""
+    lo, hi = MARGIN, POLE - MARGIN
     x, w = np.polynomial.legendre.leggauss(count)
     half = 0.5 * (hi - lo)
     return QuadratureRule(nodes=lo + half * (x + 1.0), weights=half * w)

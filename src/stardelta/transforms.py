@@ -7,8 +7,8 @@ kappa = sqrt(1 - k^2), enters the solution with coefficient
 -sig*tau*psi^{st}.  :func:`extract_transforms` is therefore one
 signed gather, by -sig*tau*kappa, from the tensor's amplitude array
 indexed (i, j, sector, sig, tau, slot), with the above sector giving
-hat and the below sector check; :func:`resynthesize_tensor` and
-:func:`basic_solution_tensor` are the matching scatter.  Collecting
+hat and the below sector check; :func:`basic_solution_tensor` is the
+matching scatter.  Collecting
 (psi^{++}, psi^{--}) into xi and (psi^{+-}, psi^{-+}) into chi, the
 vertex matching conditions become
 
@@ -47,13 +47,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import AmplitudeTensor, check_fold, near_pole
+from .domain import AmplitudeTensor, check_fold, near_pole, partner_momentum
 from .basis import BasisElement
 from .oneparticle import EDGE, SPECTRAL, s_matrix
 
 RANK_RTOL = 1e-10
 
-_TAU2 = (1, 0)
 _TAU4 = (2, 3, 0, 1)  # the permutation (13)(24) on the folded slots
 
 PREDICTED_DIMS = {
@@ -146,38 +145,38 @@ def build_p_operator(n: int, sign: int, basis: str = SPECTRAL) -> np.ndarray:
 # small dense subspace utilities
 
 
-def nullspace(A: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def nullspace(A: np.ndarray) -> np.ndarray:
     """Orthonormal kernel basis via SVD; threshold relative to sigma_max."""
     u, s, vh = np.linalg.svd(A)
     if s.size == 0:
         return np.eye(A.shape[1])
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     return vh[rank:].conj().T
 
 
-def orthonormal_range(A: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def orthonormal_range(A: np.ndarray) -> np.ndarray:
     u, s, vh = np.linalg.svd(A)
-    rank = int(np.sum(s > rtol * s[0])) if s.size else 0
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
     return u[:, :rank]
 
 
-def orthonormalize(cols: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def orthonormalize(cols: np.ndarray) -> np.ndarray:
     if cols.size == 0:
         return cols.reshape(cols.shape[0], 0)
     u, s, vh = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > rtol * s[0])) if s.size else 0
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
     return u[:, :rank]
 
 
-def intersect_subspaces(U: np.ndarray, W: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def intersect_subspaces(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(U) n span(W); inputs have orthonormal columns."""
     if U.shape[1] == 0 or W.shape[1] == 0:
         return np.zeros((U.shape[0], 0))
-    combos = nullspace(np.hstack([U, -W]), rtol)
+    combos = nullspace(np.hstack([U, -W]))
     if combos.shape[1] == 0:
         return np.zeros((U.shape[0], 0))
     vecs = U @ combos[: U.shape[1]]
-    return orthonormalize(vecs, rtol)
+    return orthonormalize(vecs)
 
 
 def projection_defect(U: np.ndarray, vecs: np.ndarray) -> float:
@@ -231,12 +230,7 @@ class KernelReport:
         return out
 
 
-def compute_kernel_decomposition(
-    n: int,
-    basis: str = SPECTRAL,
-    rtol: float = RANK_RTOL,
-    residual_tol: float = 1e-10,
-) -> KernelReport:
+def compute_kernel_decomposition(n: int, basis: str = SPECTRAL) -> KernelReport:
     """Kernels of Q_pm and the bridging subspaces K_pm, with dimensions.
 
     K_pm is computed as the minimum-norm preimage under Q_pm of
@@ -251,18 +245,18 @@ def compute_kernel_decomposition(
 
     for sign, tag in ((1, "plus"), (-1, "minus")):
         Q = build_q_operator(n, sign, basis)
-        ker = nullspace(Q, rtol)
+        ker = nullspace(Q)
         dims[f"ker_Q_{tag}"] = ker.shape[1]
         bases[f"ker_Q_{tag}"] = ker
         residuals[f"ker_Q_{tag}_apply"] = float(
             np.max(np.abs(Q @ ker)) if ker.size else 0.0
         )
 
-        ran = orthonormal_range(Q, rtol)
-        target = intersect_subspaces(diag_pairs, ran, rtol)
+        ran = orthonormal_range(Q)
+        target = intersect_subspaces(diag_pairs, ran)
         if target.shape[1]:
             pre, *_ = np.linalg.lstsq(Q, target, rcond=None)
-            K = orthonormalize(pre, rtol)
+            K = orthonormalize(pre)
             residuals[f"K_{tag}_preimage"] = float(np.max(np.abs(Q @ pre - target)))
         else:
             K = np.zeros((Q.shape[1], 0))
@@ -275,8 +269,8 @@ def compute_kernel_decomposition(
 
         # ker(P_pm) must be spanned by ker(Q_pm) and K_pm together.
         P = build_p_operator(n, sign, basis)
-        ker_p = nullspace(P, rtol)
-        joint = orthonormalize(np.hstack([ker, K]), rtol)
+        ker_p = nullspace(P)
+        joint = orthonormalize(np.hstack([ker, K]))
         residuals[f"ker_P_{tag}_dim_gap"] = float(abs(ker_p.shape[1] - joint.shape[1]))
         residuals[f"ker_P_{tag}_span"] = projection_defect(joint, ker_p)
         residuals[f"ker_P_{tag}_apply"] = float(
@@ -284,7 +278,7 @@ def compute_kernel_decomposition(
         )
 
     predicted = {key: fn(n) for key, fn in PREDICTED_DIMS.items()}
-    passed = dims == predicted and all(v <= residual_tol for v in residuals.values())
+    passed = dims == predicted and all(v <= 1e-10 for v in residuals.values())
     return KernelReport(
         n=n, basis=basis, dims=dims, predicted=predicted, residuals=residuals,
         passed=passed, bases=bases,
@@ -379,52 +373,6 @@ def k_minus_targets(n: int, basis: str = EDGE) -> np.ndarray:
 # transform vectors extracted from amplitude tensors
 
 
-def _check_slots(values: np.ndarray, want: int):
-    if values.ndim != 3 or values.shape[2] != want or values.shape[0] != values.shape[1]:
-        raise ValueError(f"expected (n, n, {want}) transform array, got {values.shape}")
-
-
-@dataclass(frozen=True)
-class TransformVectors2:
-    """Per-quadrant C^2 transform vectors at a single momentum.
-
-    xi stacks (psi^{++}, psi^{--}) and chi stacks (psi^{+-}, psi^{-+}).
-    Hat describes the solution on x > y sectors, check on x < y; the two
-    agree entrywise off the diagonal.
-    """
-
-    n: int
-    hat_xi: np.ndarray
-    hat_chi: np.ndarray
-    check_xi: np.ndarray
-    check_chi: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.hat_xi, self.hat_chi, self.check_xi, self.check_chi):
-            _check_slots(arr, 2)
-
-    @classmethod
-    def from_single(cls, xi: np.ndarray, chi: np.ndarray) -> "TransformVectors2":
-        """Sector-independent transforms (hat = check everywhere)."""
-        xi = np.asarray(xi, dtype=complex)
-        chi = np.asarray(chi, dtype=complex)
-        return cls(n=xi.shape[0], hat_xi=xi, hat_chi=chi, check_xi=xi.copy(), check_chi=chi.copy())
-
-    @classmethod
-    def from_folded(cls, tv: "TransformVectors4", momentum_slot: int) -> "TransformVectors2":
-        """Single-momentum slice of folded vectors (slot 1: at k, 2: at kappa)."""
-        if momentum_slot not in (1, 2):
-            raise ValueError("momentum_slot must be 1 or 2")
-        take = [0, 2] if momentum_slot == 1 else [1, 3]
-        return cls(
-            n=tv.n,
-            hat_xi=tv.hat_xi[..., take],
-            hat_chi=tv.hat_chi[..., take],
-            check_xi=tv.check_xi[..., take],
-            check_chi=tv.check_chi[..., take],
-        )
-
-
 @dataclass(frozen=True)
 class TransformVectors4:
     """Folded C^4 transform vectors coupling momenta k and sqrt(1-k^2).
@@ -454,13 +402,9 @@ class TransformVectors4:
 
     def __post_init__(self):
         for arr in (self.hat_xi, self.hat_chi, self.check_xi, self.check_chi):
-            _check_slots(arr, 4)
+            if arr.ndim != 3 or arr.shape[2] != 4 or arr.shape[0] != arr.shape[1]:
+                raise ValueError(f"expected (n, n, 4) transform array, got {arr.shape}")
         check_fold(self.k)
-
-    @classmethod
-    def zero(cls, n: int, k: float) -> "TransformVectors4":
-        z = np.zeros((n, n, 4), dtype=complex)
-        return cls(n=n, k=k, hat_xi=z, hat_chi=z.copy(), check_xi=z.copy(), check_chi=z.copy())
 
 
 # The four (sig, tau) channels (++, --, +-, -+) as indices (sig+1)//2,
@@ -480,7 +424,7 @@ def extract_transforms(obj, k: float, n: int | None = None) -> TransformVectors4
     k.  ``n``, if given, must be the tensor's edge count.
     """
     check_fold(k)
-    kappa = math.sqrt(max(0.0, 1.0 - k * k))
+    kappa = partner_momentum(k)
     if isinstance(obj, BasisElement):
         tensor = obj.tensor
         m = obj.momentum
@@ -513,44 +457,8 @@ def extract_transforms(obj, k: float, n: int | None = None) -> TransformVectors4
     )
 
 
-def _tensor_from_channels(hat: np.ndarray, check: np.ndarray, off_plane: int) -> AmplitudeTensor:
-    """Scatter (n, n, channel, slot) channel coefficients back into a tensor.
-
-    ``hat`` fills the above sector and ``check`` the below one; off the
-    diagonal both planes take the values of ``off_plane``.
-    """
-    n = hat.shape[0]
-    amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
-    amps[:, :, 0, _CH_SIG, _CH_TAU] = _CH_SIGN * hat
-    amps[:, :, 1, _CH_SIG, _CH_TAU] = _CH_SIGN * check
-    off = ~np.eye(n, dtype=bool)
-    amps[off, 1 - off_plane] = amps[off, off_plane]
-    return AmplitudeTensor(amps)
-
-
-def resynthesize_tensor(tv: TransformVectors4, k: float) -> AmplitudeTensor:
-    """Inverse of extract_transforms (both fold slots are weighted by kappa).
-
-    Off the diagonal, where hat = check, the check values are kept.
-    """
-    kappa = math.sqrt(max(0.0, 1.0 - k * k))
-    n = tv.n
-
-    def channels(xi, chi):
-        return np.concatenate([xi, chi], axis=-1).reshape(n, n, 4, 2) / kappa
-
-    return _tensor_from_channels(
-        channels(tv.hat_xi, tv.hat_chi), channels(tv.check_xi, tv.check_chi), off_plane=1
-    )
-
-
 # ---------------------------------------------------------------------------
 # residual checks on transform vectors
-
-
-def _tau_perm(values: np.ndarray) -> np.ndarray:
-    perm = _TAU2 if values.shape[2] == 2 else _TAU4
-    return values[..., perm]
 
 
 @dataclass(frozen=True)
@@ -564,7 +472,7 @@ class KirchhoffResiduals:
         return max(self.row, self.column, self.hat_check_offdiag)
 
 
-def check_kirchhoff_transforms(tv) -> KirchhoffResiduals:
+def check_kirchhoff_transforms(tv: TransformVectors4) -> KirchhoffResiduals:
     """Defects of the vertex-matching equations on transform vectors.
 
     Row equations (xi_hat = -chi_hat S) come from the y = 0 boundaries
@@ -576,7 +484,7 @@ def check_kirchhoff_transforms(tv) -> KirchhoffResiduals:
     n = tv.n
     S = s_matrix(n, EDGE)
     row_defect = tv.hat_xi + np.einsum("ims,mj->ijs", tv.hat_chi, S)
-    col_defect = tv.check_xi + np.einsum("im,mjs->ijs", S, _tau_perm(tv.check_chi))
+    col_defect = tv.check_xi + np.einsum("im,mjs->ijs", S, tv.check_chi[..., _TAU4])
     off = ~np.eye(n, dtype=bool)
     drift = max(
         float(np.max(np.abs((tv.hat_xi - tv.check_xi)[off]))),
@@ -591,7 +499,7 @@ def check_kirchhoff_transforms(tv) -> KirchhoffResiduals:
 
 def coupling_scalars(k: float, c: float) -> tuple[complex, complex]:
     """c_pm = -1j*c/(k +- sqrt(1-k^2)); c_minus blows up at k = 1/sqrt(2)."""
-    kappa = math.sqrt(max(0.0, 1.0 - k * k))
+    kappa = partner_momentum(k)
     if c != 0.0 and near_pole(k):
         raise ValueError(
             f"k = {k} is inside the exclusion zone around 1/sqrt(2) for c != 0"
@@ -689,13 +597,7 @@ def kernel_pair_matrices(vec: np.ndarray, n: int, basis: str = SPECTRAL) -> tupl
     return A, B
 
 
-def basic_solution_tensor(
-    n: int,
-    chi_hat: np.ndarray,
-    chi_check: np.ndarray,
-    tau_sign: int,
-    consistency_tol: float = 1e-9,
-) -> AmplitudeTensor:
+def basic_solution_tensor(n: int, chi_hat: np.ndarray, chi_check: np.ndarray, tau_sign: int) -> AmplitudeTensor:
     """Plane-wave tensor of a vertex-compatible (basic) solution.
 
     ``(chi_hat, chi_check)`` is an element of ker(PI_perp o Q_pm) in the
@@ -716,17 +618,16 @@ def basic_solution_tensor(
         float(np.max(np.abs((chi_hat - chi_check)[off]))),
         float(np.max(np.abs((xi_hat - xi_check)[off]))),
     )
-    if drift > consistency_tol:
+    if drift > 1e-9:
         raise ValueError(
             f"pair is not vertex-compatible: off-diagonal hat/check drift {drift:.3e}"
         )
-    factor = np.array([1.0, tau_sign, 1.0, tau_sign])
-
-    def channels(xi, chi):
-        out = np.zeros((n, n, 4, 2), dtype=complex)
-        out[..., 0] = factor * np.stack([xi, xi, chi, chi], axis=-1)
-        return out
-
-    return _tensor_from_channels(
-        channels(xi_hat, chi_hat), channels(xi_check, chi_check), off_plane=0
-    )
+    # channels (++, --, +-, -+) carry (xi, tau_sign xi, chi, tau_sign chi) in
+    # slot 1; -sig*tau turns each into its wave amplitude
+    sign = _CH_SIGN[:, 0] * np.array([1.0, tau_sign, 1.0, tau_sign])
+    amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
+    for plane, (xi, chi) in enumerate(((xi_hat, chi_hat), (xi_check, chi_check))):
+        amps[:, :, plane, _CH_SIG, _CH_TAU, 0] = sign * np.stack([xi, xi, chi, chi], axis=-1)
+    # off the diagonal, where hat = check, both planes hold the hat values
+    amps[off, 1] = amps[off, 0]
+    return AmplitudeTensor(amps)

@@ -28,6 +28,7 @@ from .domain import (
     AmplitudeTensor,
     MomentumPair,
     StarConfig,
+    partner_momentum,
     wave_momenta,
     wave_phases,
 )
@@ -128,7 +129,6 @@ def check_vertex_bc(
     n: int,
     samples: int = 100,
     tol: float = DEFAULT_TOL,
-    span: float = SPAN,
     offset: int = 0,
 ) -> list[CheckResult]:
     """Continuity and derivative-sum residuals on the quadrant boundaries.
@@ -142,11 +142,11 @@ def check_vertex_bc(
     per_line = max(1, samples // (2 * n))
     edges = np.arange(1, n + 1)
     quad, line = edges[:, None, None], edges[None, :, None]
-    ts = kronecker_points(per_line, offset=offset + edges * per_line, lo=0.0, hi=span)
+    ts = kronecker_points(per_line, offset=offset + edges * per_line, lo=0.0, hi=SPAN)
     # the x = 0 edge of a diagonal quadrant lies in the x < y sector
     vals_x0 = sol.value_array(quad, line, BELOW, 0.0, ts)
     dsum_x0 = sol.derivative_array(quad, line, BELOW, 0.0, ts, "dx").sum(axis=0)
-    ts = kronecker_points(per_line, offset=offset + (n + edges) * per_line, lo=0.0, hi=span)
+    ts = kronecker_points(per_line, offset=offset + (n + edges) * per_line, lo=0.0, hi=SPAN)
     vals_y0 = sol.value_array(line, quad, ABOVE, ts, 0.0)
     dsum_y0 = sol.derivative_array(line, quad, ABOVE, ts, 0.0, "dy").sum(axis=0)
     worst_match = max(float(np.max(np.abs(v - v[0]))) for v in (vals_x0, vals_y0))
@@ -164,7 +164,6 @@ def check_diagonal_bc(
     c: float,
     samples: int = 100,
     tol: float = DEFAULT_TOL,
-    span: float = SPAN,
     offset: int = 0,
 ) -> list[CheckResult]:
     """Continuity and derivative-jump residuals across each diagonal.
@@ -176,7 +175,7 @@ def check_diagonal_bc(
     """
     per_line = max(1, samples // n)
     edges = np.arange(1, n + 1)
-    ts = kronecker_points(per_line, offset=offset + edges * per_line, lo=0.0, hi=span)
+    ts = kronecker_points(per_line, offset=offset + edges * per_line, lo=0.0, hi=SPAN)
     quad = edges[:, None]
     v_above = sol.value_array(quad, quad, ABOVE, ts, ts)
     v_below = sol.value_array(quad, quad, BELOW, ts, ts)
@@ -234,18 +233,12 @@ def sample_matrix(elements: list[BasisElement], count: int, seed: int) -> np.nda
     return mat / np.where(norms > 0, norms, 1.0)
 
 
-def basis_rank(
-    elements: list[BasisElement],
-    points: int | None = None,
-    seed: int = 0,
-    gap: float = GRAM_GAP,
-) -> tuple[int, np.ndarray]:
+def basis_rank(elements: list[BasisElement], seed: int = 0) -> tuple[int, np.ndarray]:
     """Numerical rank of the sampled basis (singular values attached)."""
     need = len(elements)
-    count = points if points is not None else max(4 * need, 2 * need + 16)
-    mat = sample_matrix(elements, count, seed)
+    mat = sample_matrix(elements, max(4 * need, 2 * need + 16), seed)
     svals = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(svals > gap * svals[0]))
+    rank = int(np.sum(svals > GRAM_GAP * svals[0]))
     return rank, svals
 
 
@@ -254,7 +247,6 @@ def verify_element(
     n: int,
     samples: int = 100,
     tol: float = DEFAULT_TOL,
-    transform_tol: float = TRANSFORM_TOL,
     offset: int = 0,
 ) -> ResidualReport:
     """All per-element checks: pointwise boundary conditions + transforms."""
@@ -265,8 +257,8 @@ def verify_element(
     tv = tr.extract_transforms(el, k, n=n)
     kir = tr.check_kirchhoff_transforms(tv)
     diag = tr.check_diagonal_conditions(tv, k, el.coupling)
-    checks.append(CheckResult("transform_kirchhoff", kir.max, 4 * n * n, transform_tol))
-    checks.append(CheckResult("transform_diagonal", diag.max, 8 * n, transform_tol))
+    checks.append(CheckResult("transform_kirchhoff", kir.max, 4 * n * n, TRANSFORM_TOL))
+    checks.append(CheckResult("transform_diagonal", diag.max, 8 * n, TRANSFORM_TOL))
     pointwise_diag = [c for c in checks if c.name == "diagonal_jump"][0]
     agree = pointwise_diag.passed == (diag.max <= tol)
     checks.append(
@@ -280,7 +272,6 @@ def verify_full_basis(
     m: MomentumPair,
     samples: int = 100,
     tol: float = DEFAULT_TOL,
-    transform_tol: float = TRANSFORM_TOL,
     seed: int = 0,
 ) -> ResidualReport:
     """Verify every basis element and the joint rank at this momentum."""
@@ -289,9 +280,7 @@ def verify_full_basis(
     checks: list[CheckResult] = []
     sub_reports = []
     for idx, el in enumerate(elements):
-        rep = verify_element(
-            el, cfg.n, samples=samples, tol=tol, transform_tol=transform_tol, offset=idx * 7
-        )
+        rep = verify_element(el, cfg.n, samples=samples, tol=tol, offset=idx * 7)
         sub_reports.append(rep)
         # aggregate row per element: worst residual normalised by each
         # sub-check's own tolerance, so <= 1 means the element passed
@@ -325,15 +314,14 @@ def mutation_sweep(
     rel: float = 1e-3,
     per_element: int = 1,
     detect_above: float = 1e-5,
-    samples: int = 60,
     seed: int = 0,
 ) -> list[dict]:
     """Perturb single amplitudes and record the worst triggered residual.
 
-    Returns one record per mutation with the residual and whether the
-    perturbation was detected (residual above ``detect_above``).  A
-    healthy verifier detects every mutation; silent records mean the
-    checks are vacuous somewhere.
+    Returns one record per mutation with the worst vertex or diagonal
+    residual at 60 samples and whether the perturbation was detected
+    (residual above ``detect_above``).  A healthy verifier detects every
+    mutation; silent records mean the checks are vacuous somewhere.
     """
     if per_element < 1:
         raise ValueError(f"need at least one mutation per element, got {per_element}")
@@ -347,8 +335,8 @@ def mutation_sweep(
             key = keys[int(pick)]
             bad = el.tensor.with_scaled_entry(key, 1.0 + rel)
             sol = TensorSolution(bad, el.momentum)
-            checks = check_vertex_bc(sol, cfg.n, samples=samples)
-            checks += check_diagonal_bc(sol, cfg.n, el.coupling, samples=samples)
+            checks = check_vertex_bc(sol, cfg.n, samples=60)
+            checks += check_diagonal_bc(sol, cfg.n, el.coupling, samples=60)
             worst = max(c.max_abs_residual for c in checks)
             out.append(
                 {
@@ -385,8 +373,8 @@ class NormLimitResult:
         return self.quadrature_change <= 0.02 * scale
 
 
-def _panel_rule(R: float, panel: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+def _panel_rule(R: float, panel: float) -> tuple[np.ndarray, np.ndarray]:
+    base_x, base_w = np.polynomial.legendre.leggauss(8)
     count = max(1, int(math.ceil(R / panel)))
     edges = np.linspace(0.0, R, count + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -396,12 +384,12 @@ def _panel_rule(R: float, panel: float, order: int) -> tuple[np.ndarray, np.ndar
     return xs, ws
 
 
-def _norm_lhs(profiles: Mapping[tuple[int, int], Callable], R: float, panel: float, order: int, k_count: int) -> float:
+def _norm_lhs(profiles: Mapping[tuple[int, int], Callable], R: float, panel: float, k_count: int) -> float:
     knots, kweights = np.polynomial.legendre.leggauss(k_count)
     knots = 0.5 * (knots + 1.0)
     kweights = 0.5 * kweights
-    kappa = np.sqrt(np.maximum(0.0, 1.0 - knots**2))
-    xs, ws = _panel_rule(R, panel, order)
+    kappa = partner_momentum(knots)
+    xs, ws = _panel_rule(R, panel)
     psi = np.zeros((xs.size, xs.size), dtype=complex)
     for (sig, tau), g in profiles.items():
         if g is None:
@@ -417,26 +405,21 @@ def _norm_lhs(profiles: Mapping[tuple[int, int], Callable], R: float, panel: flo
     return float(ws @ dens @ ws) / R
 
 
-def check_norm_limit(
-    profiles: Mapping[tuple[int, int], Callable],
-    R: float,
-    panel: float = 1.4,
-    order: int = 8,
-    k_count: int | None = None,
-) -> NormLimitResult:
+def check_norm_limit(profiles: Mapping[tuple[int, int], Callable], R: float) -> NormLimitResult:
     """Compare (1/R) * integral of |psi|^2 over [0, R]^2 against the channel sum.
 
     ``profiles`` maps sign pairs (sig, tau) to square-integrable
     transform functions on [0, 1]; psi is the plane-wave superposition
     they generate on one quadrant.  The right-hand side is
     2*pi * sum of the channel L2 norms.  The left-hand side uses
-    composite Gauss panels in x and y; a refined pass (finer panels)
-    estimates the remaining quadrature error, exposed as
-    ``quadrature_change`` and the ``converged`` flag.
+    composite 8-point Gauss panels of width 1.4 in x and y, and a
+    Gauss rule of max(256, 3.2 R) nodes in momentum; a refined pass
+    (panels of width 1.4/1.5) estimates the remaining quadrature error,
+    exposed as ``quadrature_change`` and the ``converged`` flag.
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    k_count = k_count if k_count is not None else max(256, int(3.2 * R))
+    k_count = max(256, int(3.2 * R))
     # right-hand side: 2 pi * sum of channel norms
     qx, qw = np.polynomial.legendre.leggauss(400)
     qx = 0.5 * (qx + 1.0)
@@ -448,6 +431,6 @@ def check_norm_limit(
         gv = np.asarray(g(qx), dtype=complex)
         rhs += float(qw @ (np.abs(gv) ** 2))
     rhs *= 2.0 * math.pi
-    lhs = _norm_lhs(profiles, R, panel, order, k_count)
-    lhs_fine = _norm_lhs(profiles, R, panel / 1.5, order, k_count)
+    lhs = _norm_lhs(profiles, R, 1.4, k_count)
+    lhs_fine = _norm_lhs(profiles, R, 1.4 / 1.5, k_count)
     return NormLimitResult(R=R, lhs=lhs, rhs=rhs, quadrature_change=abs(lhs - lhs_fine))

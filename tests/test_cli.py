@@ -154,6 +154,8 @@ def test_mutate_deterministic(tmp_path):
 
 
 SYN3 = ["synthesize", "--n", "3", "--c", "1.0", "--nodes", "8"]
+VERIFY3 = ["verify", "--n", "3", "--c", "1.0", "--k1", "0.6"]
+MUTATE3 = ["mutate", "--n", "3", "--c", "1.0", "--k1", "0.6"]
 
 
 @pytest.mark.parametrize(
@@ -167,6 +169,27 @@ SYN3 = ["synthesize", "--n", "3", "--c", "1.0", "--nodes", "8"]
         SYN3 + ["--profile", "indicator:0.5,0.2"],
         SYN3 + ["--profile", "poly:0"],
         ["mutate", "--n", "3", "--c", "1.0", "--k1", "0.6", "--per-element", "0"],
+        VERIFY3 + ["--tol", "-1"],
+        VERIFY3 + ["--tol", "0"],
+        VERIFY3 + ["--tol", "nan"],
+        VERIFY3 + ["--tol", "inf"],
+        VERIFY3 + ["--samples", "0"],
+        VERIFY3 + ["--samples", "-5"],
+        SYN3 + ["--tol=-1e-9"],
+        SYN3 + ["--samples", "0"],
+        ["sweep", "--n", "3", "--c", "1.0", "--k1", "0.6", "--tol", "-1"],
+        ["sweep", "--n", "3", "--c", "1.0", "--k1", "0.2..0.4:0"],
+        ["sweep", "--n", "3", "--c", ",", "--k1", "0.6"],
+        ["sweep", "--n", ",", "--c", "1.0", "--k1", "0.6"],
+        ["kernels", "--n", ","],
+        ["kernels", "--n", "3,2"],
+        MUTATE3 + ["--rel", "0"],
+        MUTATE3 + ["--rel", "nan"],
+        MUTATE3 + ["--rel", "inf"],
+        MUTATE3 + ["--detect-above", "-1"],
+        MUTATE3 + ["--detect-above", "nan"],
+        SYN3 + ["--grid-span", "nan"],
+        SYN3 + ["--grid-span", "inf"],
     ],
 )
 def test_bad_input_refused_with_exit_2(tmp_path, capsys, argv):
@@ -177,3 +200,26 @@ def test_bad_input_refused_with_exit_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert not out.exists() and not grid.exists()
+
+
+def test_negative_rel_is_a_mutation(tmp_path):
+    out = tmp_path / "mut.json"
+    assert main(MUTATE3 + ["--rel", "-0.5", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert all(rec["detected"] for rec in payload["mutations"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        MUTATE3 + ["--tol", "1e-30"],
+        MUTATE3 + ["--samples", "5"],
+        SYN3 + ["--seed", "7"],
+    ],
+)
+def test_options_a_subcommand_ignores_are_not_accepted(capsys, argv):
+    # each subcommand takes only the shared options it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

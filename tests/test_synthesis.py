@@ -149,21 +149,6 @@ def test_synthesis_guards():
         syn.synthesize_eigensolution(CFG3, {99: syn.gaussian_bump(0.3, 0.1)}, syn.gauss_rule(4))
 
 
-def test_sampled_profile_locked_to_grid():
-    rule = syn.gauss_rule(12)
-    prof = syn.SampledProfile(rule.nodes, np.ones_like(rule.nodes))
-    sol = syn.synthesize_eigensolution(CFG3, {0: prof}, rule)
-    assert sol.node_count == 12
-    # refinement would need values off the grid, which samples cannot give
-    with pytest.raises(ValueError):
-        syn.refine_quadrature(sol, 2)
-    # and it matches the analytic constant profile on the same rule
-    ana = syn.synthesize_eigensolution(CFG3, {0: lambda k: np.ones_like(np.asarray(k))}, rule)
-    a = sol.value_array(1, 2, OFFDIAG, [2.2], [0.9])[0]
-    b = ana.value_array(1, 2, OFFDIAG, [2.2], [0.9])[0]
-    assert a == pytest.approx(b, abs=1e-14)
-
-
 def test_basic_solution_passes_vertex_fails_diagonal():
     chi_hat, chi_check = _kernel_element()
     sol = syn.synthesize_basic_solution(

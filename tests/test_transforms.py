@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from stardelta.basis import build_basis
-from stardelta.domain import ABOVE, AmplitudeTensor, MomentumPair, make_config
+from stardelta.domain import ABOVE, MomentumPair, make_config
 from stardelta import transforms as tr
+from helpers import from_entries, resynthesize_tensor
 
 CFG3 = make_config(3, 1.0)
 K = 0.6
@@ -144,7 +145,7 @@ def test_ker_p_splits_as_direct_sum():
 
 def test_extract_single_plane_wave():
     # amplitude 1 in channel (+, +) means psi^{++} = -1, weighted by kappa
-    t = AmplitudeTensor.from_entries(3, {(1, 1, ABOVE, 1, 1, 1): 1.0})
+    t = from_entries(3, {(1, 1, ABOVE, 1, 1, 1): 1.0})
     tv = tr.extract_transforms(t, K, n=3)
     kappa = math.sqrt(1 - K * K)
     assert tv.hat_xi[0, 0, 0] == pytest.approx(-kappa)
@@ -179,7 +180,7 @@ def test_roundtrip_extract_resynthesize():
     rng = np.random.default_rng(14)
     for el in (build_basis(CFG3, M68)[1], build_basis(CFG3, M68)[-1]):
         tv = tr.extract_transforms(el, K)
-        back = tr.resynthesize_tensor(tv, K)
+        back = resynthesize_tensor(tv, K)
         for _ in range(50):
             i, j = (int(v) for v in rng.integers(1, 4, size=2))
             sector = "off" if i != j else (ABOVE if rng.random() < 0.5 else "below")
@@ -192,8 +193,13 @@ def test_roundtrip_extract_resynthesize():
 # -- vertex equations on transforms --------------------------------------------
 
 
+def _zero_transforms(n, k):
+    z = np.zeros((n, n, 4), dtype=complex)
+    return tr.TransformVectors4(n=n, k=k, hat_xi=z, hat_chi=z, check_xi=z, check_chi=z)
+
+
 def test_kirchhoff_zero_transforms():
-    tv = tr.TransformVectors4.zero(3, K)
+    tv = _zero_transforms(3, K)
     res = tr.check_kirchhoff_transforms(tv)
     assert res.max == 0.0
 
@@ -211,23 +217,6 @@ def test_kirchhoff_random_transforms_fail():
         n=3, k=K, hat_xi=arr(), hat_chi=arr(), check_xi=arr(), check_chi=arr()
     )
     assert tr.check_kirchhoff_transforms(tv).max > 1e-3
-
-
-def test_c2_transform_vectors_from_single():
-    xi = np.zeros((3, 3, 2), dtype=complex)
-    chi = np.zeros((3, 3, 2), dtype=complex)
-    tv = tr.TransformVectors2.from_single(xi, chi)
-    assert tr.check_kirchhoff_transforms(tv).max == 0.0
-
-
-def test_c2_slices_of_folded_vectors_satisfy_vertex_equations():
-    # the vertex equations hold momentum by momentum, so each slice of
-    # the folded vectors passes on its own
-    for el in build_basis(CFG3, M68):
-        tv4 = tr.extract_transforms(el, K)
-        for slot in (1, 2):
-            tv2 = tr.TransformVectors2.from_folded(tv4, slot)
-            assert tr.check_kirchhoff_transforms(tv2).max <= 1e-11
 
 
 # -- diagonal matching systems --------------------------------------------------
@@ -268,7 +257,7 @@ def test_pole_exclusion_zone():
 
 
 def test_diagonal_conditions_zero_transforms():
-    tv = tr.TransformVectors4.zero(3, K)
+    tv = _zero_transforms(3, K)
     res = tr.check_diagonal_conditions(tv, K, 1.0)
     assert res.max == 0.0
 

@@ -7,6 +7,7 @@ from stardelta.basis import build_basis
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, make_config
 from stardelta import synthesis as syn
 from stardelta import verifier as vf
+from helpers import from_entries
 
 CFG3 = make_config(3, 1.0)
 M68 = MomentumPair.from_k1(0.6)
@@ -30,7 +31,7 @@ def test_vertex_checks_pass_for_basis():
 
 def test_vertex_check_negative_control():
     # a single raw plane wave on one quadrant is discontinuous at the vertex
-    t = AmplitudeTensor.from_entries(3, {(1, 2, OFFDIAG, 1, 1, 1): 1.0})
+    t = from_entries(3, {(1, 2, OFFDIAG, 1, 1, 1): 1.0})
     sol = vf.TensorSolution(t, M68)
     value_check, _ = vf.check_vertex_bc(sol, 3)
     assert value_check.max_abs_residual > 0.1
