@@ -27,9 +27,12 @@ tau reduces to the operators
 composed with the projection PI_perp that kills diagonal matrix
 entries.  ker(PI_perp o Q_pm) = ker(Q_pm) (+) K_pm where K_pm is the
 least-squares preimage of the diagonal-pair subspace inside ran(Q_pm);
-the four blocks have dimensions (n-1)^2 + 1, 2(n-1), n-1 and 2, and
-:func:`compute_kernel_decomposition` verifies all of them numerically
-together with closed-form basis patterns.
+the four blocks have dimensions (n-1)^2 + 1, 2(n-1), n-1 and 2.
+:func:`compute_kernel_decomposition` verifies them numerically with one
+SVD per operator, in the edge basis, where PI_perp is a row mask and the
+diagonal pairs are 2n coordinate vectors; spectral-basis results come
+from one conversion of the finished bases.  The closed-form basis
+patterns below are the cross-check.
 
 The diagonal continuity/jump conditions additionally couple momenta k
 and kappa.  Folding the pair of momenta into C^4 vectors (see
@@ -84,39 +87,20 @@ def change_of_basis(n: int) -> np.ndarray:
     return np.eye(n) - 2.0 * np.outer(v, v) / norm2
 
 
-def _vec_conjugation(n: int) -> np.ndarray:
-    """Matrix acting on vec(M) (row-major) for M -> F M F."""
+def _conjugate(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Apply (A, B) -> (F A F, F B F) to a stacked pair vector or to columns of them.
+
+    F is an involution, so the same map converts edge coordinates to
+    spectral ones and back.
+    """
     F = change_of_basis(n)
-    return np.kron(F, F)
+    return (np.kron(F, F) @ pairs.reshape(2, n * n, -1)).reshape(pairs.shape)
 
 
-def offdiag_projector(n: int, basis: str = EDGE) -> np.ndarray:
-    """n^2 x n^2 projector killing the diagonal entries of an edge-basis matrix."""
-    mask = 1.0 - np.eye(n)
-    proj = np.diag(mask.reshape(-1))
-    if basis == EDGE:
-        return proj
-    if basis == SPECTRAL:
-        T = _vec_conjugation(n)
-        return T @ proj @ T
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-def diag_pair_basis(n: int, basis: str = EDGE) -> np.ndarray:
-    """Orthonormal basis (columns) of pairs of edge-diagonal matrices."""
-    cols = []
-    T = _vec_conjugation(n) if basis == SPECTRAL else None
-    for comp in (0, 1):
-        for i in range(n):
-            E = np.zeros((n, n))
-            E[i, i] = 1.0
-            v = E.reshape(-1)
-            if T is not None:
-                v = T @ v
-            full = np.zeros(2 * n * n)
-            full[comp * n * n : (comp + 1) * n * n] = v
-            cols.append(full)
-    return np.column_stack(cols)
+def _diag_rows(n: int) -> np.ndarray:
+    """Positions of the 2n edge-basis diagonal entries in a stacked pair vector."""
+    d = np.arange(n) * (n + 1)
+    return np.concatenate([d, n * n + d])
 
 
 def build_q_operator(n: int, sign: int, basis: str = SPECTRAL) -> np.ndarray:
@@ -134,15 +118,20 @@ def build_q_operator(n: int, sign: int, basis: str = SPECTRAL) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def build_p_operator(n: int, sign: int, basis: str = SPECTRAL) -> np.ndarray:
-    """Q_pm composed with the off-diagonal projection in both output slots."""
-    proj = offdiag_projector(n, basis)
-    pi = np.block([[proj, np.zeros_like(proj)], [np.zeros_like(proj), proj]])
-    return pi @ build_q_operator(n, sign, basis)
+def build_p_operator(n: int, sign: int) -> np.ndarray:
+    """PI_perp o Q_pm: the edge-basis Q_pm with its diagonal output rows zeroed."""
+    P = build_q_operator(n, sign, EDGE)
+    P[_diag_rows(n)] = 0.0
+    return P
 
 
 # ---------------------------------------------------------------------------
 # small dense subspace utilities
+
+
+def _rank(s: np.ndarray, scale: float) -> int:
+    """The rank rule: count the singular values above RANK_RTOL * scale."""
+    return int(np.count_nonzero(s > RANK_RTOL * scale))
 
 
 def nullspace(A: np.ndarray) -> np.ndarray:
@@ -150,13 +139,12 @@ def nullspace(A: np.ndarray) -> np.ndarray:
     u, s, vh = np.linalg.svd(A)
     if s.size == 0:
         return np.eye(A.shape[1])
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    return vh[rank:].conj().T
+    return vh[_rank(s, s[0]):].conj().T
 
 
 def orthonormal_range(A: np.ndarray) -> np.ndarray:
     u, s, vh = np.linalg.svd(A)
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+    rank = _rank(s, s[0]) if s.size else 0
     return u[:, :rank]
 
 
@@ -164,19 +152,7 @@ def orthonormalize(cols: np.ndarray) -> np.ndarray:
     if cols.size == 0:
         return cols.reshape(cols.shape[0], 0)
     u, s, vh = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
-    return u[:, :rank]
-
-
-def intersect_subspaces(U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(U) n span(W); inputs have orthonormal columns."""
-    if U.shape[1] == 0 or W.shape[1] == 0:
-        return np.zeros((U.shape[0], 0))
-    combos = nullspace(np.hstack([U, -W]))
-    if combos.shape[1] == 0:
-        return np.zeros((U.shape[0], 0))
-    vecs = U @ combos[: U.shape[1]]
-    return orthonormalize(vecs)
+    return u[:, :_rank(s, s[0])]
 
 
 def projection_defect(U: np.ndarray, vecs: np.ndarray) -> float:
@@ -190,6 +166,10 @@ def projection_defect(U: np.ndarray, vecs: np.ndarray) -> float:
         resid = v - U @ (U.conj().T @ v)
         worst = max(worst, np.linalg.norm(resid) / nv)
     return worst
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.abs(a).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -233,50 +213,58 @@ class KernelReport:
 def compute_kernel_decomposition(n: int, basis: str = SPECTRAL) -> KernelReport:
     """Kernels of Q_pm and the bridging subspaces K_pm, with dimensions.
 
-    K_pm is computed as the minimum-norm preimage under Q_pm of
-    ker(PI_perp) n ran(Q_pm); least squares lands the preimage in
-    ker_perp(Q_pm) automatically.  Verifies the direct-sum split of
-    ker(PI_perp o Q_pm) as a by-product.
+    One SVD per operator, edge basis, one conversion.  The SVD
+    Q_pm = U Sigma V* of the edge-basis operator gives ker(Q_pm), ran(Q_pm)
+    and the minimum-norm preimage V_r Sigma_r^-1 U_r*.  In the edge basis
+    ker(PI_perp) is spanned by the 2n coordinate vectors of the diagonal
+    entries, so the targets ker(PI_perp) n ran(Q_pm) are the diagonal
+    pairs y with U[diag, r:]* y = 0, and K_pm is their preimage, which
+    lies in ker_perp(Q_pm).  ker(PI_perp o Q_pm) gets its own SVD and
+    must split as ker(Q_pm) (+) K_pm.  Dims, residuals and the verdict
+    are computed in the edge basis; for ``basis="spectral"`` the finished
+    bases are conjugated by F once.
     """
+    if basis not in (EDGE, SPECTRAL):
+        raise ValueError(f"unknown basis {basis!r}")
     dims: dict[str, int] = {}
     residuals: dict[str, float] = {}
     bases: dict[str, np.ndarray] = {}
-    diag_pairs = diag_pair_basis(n, basis)
+    diag = _diag_rows(n)
 
     for sign, tag in ((1, "plus"), (-1, "minus")):
-        Q = build_q_operator(n, sign, basis)
-        ker = nullspace(Q)
+        Q = build_q_operator(n, sign, EDGE)
+        u, s, vh = np.linalg.svd(Q)
+        r = _rank(s, s[0])
+        ker = vh[r:].conj().T
         dims[f"ker_Q_{tag}"] = ker.shape[1]
         bases[f"ker_Q_{tag}"] = ker
-        residuals[f"ker_Q_{tag}_apply"] = float(
-            np.max(np.abs(Q @ ker)) if ker.size else 0.0
-        )
+        residuals[f"ker_Q_{tag}_apply"] = _max_abs(Q @ ker)
 
-        ran = orthonormal_range(Q)
-        target = intersect_subspaces(diag_pairs, ran)
-        if target.shape[1]:
-            pre, *_ = np.linalg.lstsq(Q, target, rcond=None)
-            K = orthonormalize(pre)
-            residuals[f"K_{tag}_preimage"] = float(np.max(np.abs(Q @ pre - target)))
-        else:
-            K = np.zeros((Q.shape[1], 0))
-            residuals[f"K_{tag}_preimage"] = 0.0
+        # A diagonal pair lies in ran(Q) when it is orthogonal to the left
+        # kernel U[:, r:].  The singular values of this block are cosines
+        # in [0, 1], all of them roundoff when every diagonal pair lies in
+        # ran(Q), so the rank is taken against 1, not against the largest.
+        _, cos, wh = np.linalg.svd(u[diag, r:].conj().T)
+        y = wh[_rank(cos, 1.0):].conj().T
+        target = np.zeros((Q.shape[0], y.shape[1]))
+        target[diag] = y
+        pre = vh[:r].conj().T @ ((u[diag, :r].conj().T @ y) / s[:r, None])
+        K = orthonormalize(pre)
+        residuals[f"K_{tag}_preimage"] = _max_abs(Q @ pre - target)
         dims[f"K_{tag}"] = K.shape[1]
         bases[f"K_{tag}"] = K
-        residuals[f"K_{tag}_orth"] = float(
-            np.max(np.abs(ker.conj().T @ K)) if ker.size and K.size else 0.0
-        )
+        residuals[f"K_{tag}_orth"] = _max_abs(ker.conj().T @ K)
 
         # ker(P_pm) must be spanned by ker(Q_pm) and K_pm together.
-        P = build_p_operator(n, sign, basis)
+        P = build_p_operator(n, sign)
         ker_p = nullspace(P)
         joint = orthonormalize(np.hstack([ker, K]))
         residuals[f"ker_P_{tag}_dim_gap"] = float(abs(ker_p.shape[1] - joint.shape[1]))
         residuals[f"ker_P_{tag}_span"] = projection_defect(joint, ker_p)
-        residuals[f"ker_P_{tag}_apply"] = float(
-            np.max(np.abs(P @ joint)) if joint.size else 0.0
-        )
+        residuals[f"ker_P_{tag}_apply"] = _max_abs(P @ joint)
 
+    if basis == SPECTRAL:
+        bases = {name: _conjugate(cols, n) for name, cols in bases.items()}
     predicted = {key: fn(n) for key, fn in PREDICTED_DIMS.items()}
     passed = dims == predicted and all(v <= 1e-10 for v in residuals.values())
     return KernelReport(
@@ -294,12 +282,7 @@ def _pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _to_basis(vecs: list[np.ndarray], n: int, src: str, dst: str) -> np.ndarray:
     cols = np.column_stack(vecs)
-    if src == dst:
-        return cols
-    T = _vec_conjugation(n)
-    full = np.block([[T, np.zeros_like(T)], [np.zeros_like(T), T]])
-    # F is an involution, so the same conjugation maps both ways.
-    return full @ cols
+    return cols if src == dst else _conjugate(cols, n)
 
 
 def q_plus_kernel_patterns(n: int, basis: str = SPECTRAL) -> np.ndarray:
@@ -512,8 +495,10 @@ def coupling_scalars(k: float, c: float) -> tuple[complex, complex]:
 def diagonal_condition_matrices(k: float, c: float) -> tuple[np.ndarray, np.ndarray]:
     """The 4x4 systems M (xi channels) and N (chi channels) on the diagonal."""
     check_fold(k)
-    c_plus, c_minus = coupling_scalars(k, c)
-    cm, cp = c_minus, c_plus
+    return _diagonal_matrices(*coupling_scalars(k, c))
+
+
+def _diagonal_matrices(cp: complex, cm: complex) -> tuple[np.ndarray, np.ndarray]:
     M = np.array(
         [
             [1 + cm, cm, 0, 0],
@@ -555,8 +540,9 @@ def check_diagonal_conditions(tv: TransformVectors4, k: float, c: float) -> Diag
     for an actual eigensolution, and the report carries their difference
     as a consistency diagnostic.
     """
-    M, N = diagonal_condition_matrices(k, c)
+    check_fold(k)
     c_plus, c_minus = coupling_scalars(k, c)
+    M, N = _diagonal_matrices(c_plus, c_minus)
     # slots on the first axis, the n diagonal quadrants on the second
     d = np.arange(tv.n)
     hx, cx = tv.hat_xi[d, d].T, tv.check_xi[d, d].T
@@ -588,13 +574,9 @@ def check_diagonal_conditions(tv: TransformVectors4, k: float, c: float) -> Diag
 
 def kernel_pair_matrices(vec: np.ndarray, n: int, basis: str = SPECTRAL) -> tuple[np.ndarray, np.ndarray]:
     """Split a stacked kernel vector into its two n x n matrices, edge basis."""
-    A = vec[: n * n].reshape(n, n)
-    B = vec[n * n :].reshape(n, n)
     if basis == SPECTRAL:
-        F = change_of_basis(n)
-        A = F @ A @ F
-        B = F @ B @ F
-    return A, B
+        vec = _conjugate(vec, n)
+    return vec[: n * n].reshape(n, n), vec[n * n :].reshape(n, n)
 
 
 def basic_solution_tensor(n: int, chi_hat: np.ndarray, chi_check: np.ndarray, tau_sign: int) -> AmplitudeTensor:

@@ -92,6 +92,29 @@ def test_kernels_grid(tmp_path, capsys):
     assert "n=3: PASS" in text and "total=13" in text
 
 
+@pytest.mark.parametrize("basis", [tr.EDGE, tr.SPECTRAL])
+def test_kernels_include_bases(tmp_path, basis):
+    # the exported columns are orthonormal, are annihilated by Q (ker_Q_*)
+    # or P (K_*) built in the requested basis, and match the dims
+    args = ["kernels", "--n", "3,4", "--basis", basis, "--include-bases", "--out", str(tmp_path)]
+    assert main(args) == 0
+    for n in (3, 4):
+        payload = json.loads((tmp_path / f"kernels_n{n}.json").read_text())
+        assert set(payload["bases"]) == set(payload["dims"])
+        F = tr.change_of_basis(n)
+        to_basis = np.kron(np.eye(2), np.kron(F, F)) if basis == tr.SPECTRAL else np.eye(2 * n * n)
+        for name, cols in payload["bases"].items():
+            V = np.array(cols).T
+            assert V.shape == (2 * n * n, payload["dims"][name])
+            assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-12
+            sign = 1 if name.endswith("plus") else -1
+            if name.startswith("ker_Q"):
+                op = tr.build_q_operator(n, sign, basis)
+            else:
+                op = to_basis @ tr.build_p_operator(n, sign) @ to_basis
+            assert np.max(np.abs(op @ V)) <= 1e-12, name
+
+
 def test_sweep_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -125,7 +125,7 @@ def test_edge_and_spectral_bases_agree():
 
 def test_ker_p_splits_as_direct_sum():
     for n, sign in ((3, 1), (4, -1)):
-        report = tr.compute_kernel_decomposition(n)
+        report = tr.compute_kernel_decomposition(n, basis=tr.EDGE)
         tag = "plus" if sign == 1 else "minus"
         ker_q = report.bases[f"ker_Q_{tag}"]
         k_sub = report.bases[f"K_{tag}"]
@@ -138,6 +138,57 @@ def test_ker_p_splits_as_direct_sum():
         assert ker_p.shape[1] == joint.shape[1]
         assert tr.projection_defect(joint, ker_p) <= 1e-10
         assert np.max(np.abs(P @ joint)) <= 1e-12
+
+
+def _stacked_svd_decomposition(n, basis):
+    """The four kernel bases the long way, as an oracle.
+
+    Separate SVDs for ker Q and ran Q, the intersection of ran Q with the
+    diagonal pairs from the null space of the stacked bases, and the
+    preimage from lstsq, all with the operator built in ``basis``.
+    """
+    F = tr.change_of_basis(n)
+    to_basis = np.kron(np.eye(2), np.kron(F, F)) if basis == tr.SPECTRAL else np.eye(2 * n * n)
+    on_diag = np.tile(np.eye(n).reshape(-1), 2) == 1.0
+    diag_pairs = to_basis @ np.eye(2 * n * n)[:, on_diag]
+    out = {}
+    for sign, tag in ((1, "plus"), (-1, "minus")):
+        Q = tr.build_q_operator(n, sign, basis)
+        out[f"ker_Q_{tag}"] = tr.nullspace(Q)
+        ran = tr.orthonormal_range(Q)
+        combos = tr.nullspace(np.hstack([diag_pairs, -ran]))
+        target = tr.orthonormalize(diag_pairs @ combos[: diag_pairs.shape[1]])
+        pre, *_ = np.linalg.lstsq(Q, target, rcond=None)
+        out[f"K_{tag}"] = tr.orthonormalize(pre)
+    return out
+
+
+@pytest.mark.parametrize("basis", [tr.EDGE, tr.SPECTRAL])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_kernel_decomposition_matches_stacked_svd_oracle(n, basis):
+    report = tr.compute_kernel_decomposition(n, basis)
+    oracle = _stacked_svd_decomposition(n, basis)
+    assert report.dims == {name: cols.shape[1] for name, cols in oracle.items()}
+    for name, cols in oracle.items():
+        assert tr.projection_defect(cols, report.bases[name]) <= 1e-9, name
+        assert tr.projection_defect(report.bases[name], cols) <= 1e-9, name
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_kernel_dims_follow_a_wrong_s(monkeypatch, n):
+    # an S with two +1 eigenvalues: the rank decisions must see it, so the
+    # dims move away from the prediction and the report fails
+    d = -np.ones(n)
+    d[:2] = 1.0
+    F = tr.change_of_basis(n)
+    wrong = {tr.SPECTRAL: np.diag(d), tr.EDGE: F @ np.diag(d) @ F}
+    monkeypatch.setattr(tr, "s_matrix", lambda n, basis: wrong[basis])
+    report = tr.compute_kernel_decomposition(n)
+    assert report.dims != {key: fn(n) for key, fn in tr.PREDICTED_DIMS.items()}
+    # commutant and anticommutant of S = diag(1, 1, -1, ..., -1)
+    assert report.dims["ker_Q_minus"] == 4 + (n - 2) ** 2
+    assert report.dims["ker_Q_plus"] == 4 * (n - 2)
+    assert not report.passed
 
 
 # -- transform extraction -------------------------------------------------------
