@@ -28,11 +28,14 @@ composed with the projection PI_perp that kills diagonal matrix
 entries.  ker(PI_perp o Q_pm) = ker(Q_pm) (+) K_pm where K_pm is the
 least-squares preimage of the diagonal-pair subspace inside ran(Q_pm);
 the four blocks have dimensions (n-1)^2 + 1, 2(n-1), n-1 and 2.
-:func:`compute_kernel_decomposition` verifies them numerically with one
-SVD per operator, in the edge basis, where PI_perp is a row mask and the
-diagonal pairs are 2n coordinate vectors; spectral-basis results come
-from one conversion of the finished bases.  The closed-form basis
-patterns below are the cross-check.
+:func:`compute_kernel_decomposition` verifies them numerically in the
+spectral basis, where S = diag(s) and Q_pm splits into one 2x2 block
+per matrix entry, so a batched 2x2 SVD replaces any 2n^2 x 2n^2
+operator.  Edge-basis bases come from F X F per matrix.  The residuals
+apply Q_pm matrix-free with the full edge-basis S, where PI_perp is a
+mask on the diagonal entries.  The dense operators
+(:func:`build_q_operator`, :func:`build_p_operator`) and subspace
+utilities are the oracle the tests compare against.
 
 The diagonal continuity/jump conditions additionally couple momenta k
 and kappa.  Folding the pair of momenta into C^4 vectors (see
@@ -94,7 +97,16 @@ def _conjugate(pairs: np.ndarray, n: int) -> np.ndarray:
     spectral ones and back.
     """
     F = change_of_basis(n)
-    return (np.kron(F, F) @ pairs.reshape(2, n * n, -1)).reshape(pairs.shape)
+    half = F @ pairs.reshape(2, n, -1)
+    return (F @ half.reshape(2 * n, n, -1)).reshape(pairs.shape)
+
+
+def _apply_q(S: np.ndarray, sign: int, cols: np.ndarray) -> np.ndarray:
+    """(A, B) -> (A S + sign * S B, A - B) on columns of stacked pair vectors."""
+    n = S.shape[0]
+    A, B = cols.reshape(2, n, n, -1)
+    top = S.T @ A + sign * (S @ B.reshape(n, -1)).reshape(B.shape)
+    return np.concatenate([top, A - B]).reshape(cols.shape)
 
 
 def _diag_rows(n: int) -> np.ndarray:
@@ -129,9 +141,13 @@ def build_p_operator(n: int, sign: int) -> np.ndarray:
 # small dense subspace utilities
 
 
+def _live(s: np.ndarray, scale: float) -> np.ndarray:
+    """The rank rule: the singular values above RANK_RTOL * scale."""
+    return s > RANK_RTOL * scale
+
+
 def _rank(s: np.ndarray, scale: float) -> int:
-    """The rank rule: count the singular values above RANK_RTOL * scale."""
-    return int(np.count_nonzero(s > RANK_RTOL * scale))
+    return int(np.count_nonzero(_live(s, scale)))
 
 
 def nullspace(A: np.ndarray) -> np.ndarray:
@@ -153,19 +169,6 @@ def orthonormalize(cols: np.ndarray) -> np.ndarray:
         return cols.reshape(cols.shape[0], 0)
     u, s, vh = np.linalg.svd(cols, full_matrices=False)
     return u[:, :_rank(s, s[0])]
-
-
-def projection_defect(U: np.ndarray, vecs: np.ndarray) -> float:
-    """max_j ||(I - U U*) v_j|| / ||v_j|| for columns v_j."""
-    worst = 0.0
-    for j in range(vecs.shape[1]):
-        v = vecs[:, j]
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            continue
-        resid = v - U @ (U.conj().T @ v)
-        worst = max(worst, np.linalg.norm(resid) / nv)
-    return worst
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -204,152 +207,105 @@ class KernelReport:
             "pass": bool(self.passed),
         }
         if include_bases:
-            out["bases"] = {
-                k: [[float(x.real) for x in col] for col in v.T] for k, v in self.bases.items()
-            }
+            for name, v in self.bases.items():
+                if v.dtype != np.float64:
+                    raise TypeError(f"basis {name!r} is {v.dtype}, not real float64")
+            out["bases"] = {k: v.T.tolist() for k, v in self.bases.items()}
         return out
 
 
 def compute_kernel_decomposition(n: int, basis: str = SPECTRAL) -> KernelReport:
     """Kernels of Q_pm and the bridging subspaces K_pm, with dimensions.
 
-    One SVD per operator, edge basis, one conversion.  The SVD
-    Q_pm = U Sigma V* of the edge-basis operator gives ker(Q_pm), ran(Q_pm)
-    and the minimum-norm preimage V_r Sigma_r^-1 U_r*.  In the edge basis
-    ker(PI_perp) is spanned by the 2n coordinate vectors of the diagonal
-    entries, so the targets ker(PI_perp) n ran(Q_pm) are the diagonal
-    pairs y with U[diag, r:]* y = 0, and K_pm is their preimage, which
-    lies in ker_perp(Q_pm).  ker(PI_perp o Q_pm) gets its own SVD and
-    must split as ker(Q_pm) (+) K_pm.  Dims, residuals and the verdict
-    are computed in the edge basis; for ``basis="spectral"`` the finished
-    bases are conjugated by F once.
+    Blockwise in the spectral basis, where S = diag(s): Q_pm acts on the
+    entry pair (A_ij, B_ij) as the 2x2 block [[s_j, +-s_i], [1, -1]].  One
+    batched SVD of the n^2 blocks decides each block's rank against the
+    largest singular value of all of them.  ker(Q_pm) is one coordinate
+    pair per singular block, and the singular blocks' left null vectors
+    span the left kernel.  The edge-diagonal pairs are (f_k f_k^T, 0) and
+    (0, f_k f_k^T) for the columns f_k of F; the targets
+    ker(PI_perp) n ran(Q_pm) are their combinations orthogonal to the left
+    kernel, and K_pm is their per-block pseudo-inverse preimage, which lies
+    in ker_perp(Q_pm).  [ker(Q_pm), K_pm] must span ker(PI_perp o Q_pm),
+    whose dimension follows from rank and nullity: the block nullities
+    plus the targets.
+
+    The residuals apply Q_pm to the edge-basis bases matrix-free with the
+    full S, so an S that is not diagonal in the spectral basis shows up in
+    them; PI_perp masks the diagonal entries.  Both parts of the joint
+    basis are orthonormal by construction, so ``ker_P_*_span``, its Gram
+    defect, repeats ``K_*_orth``, and ``ker_P_*_dim_gap`` reduces to the
+    targets less the rank of their preimage.  The independent comparison,
+    with a dense null space of PI_perp o Q_pm, is in the tests.
     """
     if basis not in (EDGE, SPECTRAL):
         raise ValueError(f"unknown basis {basis!r}")
     dims: dict[str, int] = {}
     residuals: dict[str, float] = {}
     bases: dict[str, np.ndarray] = {}
+    nn = n * n
     diag = _diag_rows(n)
+    s = np.diag(s_matrix(n, SPECTRAL))
+    S = s_matrix(n, EDGE)
+    F = change_of_basis(n)
+    # entry (i, j) of f_k f_k^T, with k on the last axis
+    g = (F[:, None, :] * F[None, :, :]).reshape(nn, n)
 
     for sign, tag in ((1, "plus"), (-1, "minus")):
-        Q = build_q_operator(n, sign, EDGE)
-        u, s, vh = np.linalg.svd(Q)
-        r = _rank(s, s[0])
-        ker = vh[r:].conj().T
-        dims[f"ker_Q_{tag}"] = ker.shape[1]
-        bases[f"ker_Q_{tag}"] = ker
-        residuals[f"ker_Q_{tag}_apply"] = _max_abs(Q @ ker)
+        blocks = np.empty((nn, 2, 2))
+        blocks[:, 0, 0] = np.tile(s, n)
+        blocks[:, 0, 1] = sign * np.repeat(s, n)
+        blocks[:, 1] = (1.0, -1.0)
+        u, sv, vh = np.linalg.svd(blocks)
+        live = _live(sv, sv.max())
+        b, idx = np.nonzero(~live)
+        cols = np.arange(b.size)
+        ker = np.zeros((2 * nn, b.size))
+        ker[b, cols] = vh[b, idx, 0]
+        ker[nn + b, cols] = vh[b, idx, 1]
 
         # A diagonal pair lies in ran(Q) when it is orthogonal to the left
-        # kernel U[:, r:].  The singular values of this block are cosines
-        # in [0, 1], all of them roundoff when every diagonal pair lies in
-        # ran(Q), so the rank is taken against 1, not against the largest.
-        _, cos, wh = np.linalg.svd(u[diag, r:].conj().T)
-        y = wh[_rank(cos, 1.0):].conj().T
-        target = np.zeros((Q.shape[0], y.shape[1]))
-        target[diag] = y
-        pre = vh[:r].conj().T @ ((u[diag, :r].conj().T @ y) / s[:r, None])
+        # kernel: one row per singular block, its left null vector against
+        # the 2n pairs.  The R factor of that matrix has the same singular
+        # values and null space at 2n x 2n size.  The singular values are
+        # cosines in [0, 1], all of them roundoff when every diagonal pair
+        # lies in ran(Q), so the rank is taken against 1, not the largest.
+        left = u[b, :, idx]
+        G = (left[:, :, None] * g[b, None, :]).reshape(b.size, 2 * n)
+        _, cos, wh = np.linalg.svd(np.linalg.qr(G, mode="r"))
+        y = wh[_rank(cos, 1.0):].T
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=live)
+        pinv = np.einsum("bji,bj,bkj->bik", vh, inv, u)
+        target_blocks = np.stack([g @ y[:n], g @ y[n:]], axis=1)
+        pre = (pinv @ target_blocks).transpose(1, 0, 2).reshape(2 * nn, -1)
         K = orthonormalize(pre)
-        residuals[f"K_{tag}_preimage"] = _max_abs(Q @ pre - target)
+        dims[f"ker_Q_{tag}"] = ker.shape[1]
         dims[f"K_{tag}"] = K.shape[1]
-        bases[f"K_{tag}"] = K
-        residuals[f"K_{tag}_orth"] = _max_abs(ker.conj().T @ K)
 
-        # ker(P_pm) must be spanned by ker(Q_pm) and K_pm together.
-        P = build_p_operator(n, sign)
-        ker_p = nullspace(P)
-        joint = orthonormalize(np.hstack([ker, K]))
-        residuals[f"ker_P_{tag}_dim_gap"] = float(abs(ker_p.shape[1] - joint.shape[1]))
-        residuals[f"ker_P_{tag}_span"] = projection_defect(joint, ker_p)
-        residuals[f"ker_P_{tag}_apply"] = _max_abs(P @ joint)
+        ker_e, pre_e, K_e = (_conjugate(c, n) for c in (ker, pre, K))
+        target = np.zeros_like(pre_e)
+        target[diag] = y
+        joint = np.hstack([ker_e, K_e])
+        image = _apply_q(S, sign, joint)
+        residuals[f"ker_Q_{tag}_apply"] = _max_abs(image[:, : ker.shape[1]])
+        residuals[f"K_{tag}_preimage"] = _max_abs(_apply_q(S, sign, pre_e) - target)
+        residuals[f"K_{tag}_orth"] = _max_abs(ker.T @ K)
+        # ker(P_pm) must be spanned by ker(Q_pm) and K_pm together:
+        # dim ker(P) = 2n^2 - rank(Q) + #targets, and the joint columns are
+        # independent and annihilated by P.
+        ker_p_dim = 2 * nn - np.count_nonzero(live) + y.shape[1]
+        residuals[f"ker_P_{tag}_dim_gap"] = float(abs(ker_p_dim - joint.shape[1]))
+        residuals[f"ker_P_{tag}_span"] = _max_abs(joint.T @ joint - np.eye(joint.shape[1]))
+        image[diag] = 0.0
+        residuals[f"ker_P_{tag}_apply"] = _max_abs(image)
+        bases[f"ker_Q_{tag}"], bases[f"K_{tag}"] = (ker_e, K_e) if basis == EDGE else (ker, K)
 
-    if basis == SPECTRAL:
-        bases = {name: _conjugate(cols, n) for name, cols in bases.items()}
     predicted = {key: fn(n) for key, fn in PREDICTED_DIMS.items()}
     passed = dims == predicted and all(v <= 1e-10 for v in residuals.values())
     return KernelReport(
         n=n, basis=basis, dims=dims, predicted=predicted, residuals=residuals,
         passed=passed, bases=bases,
     )
-
-
-# -- closed-form kernel patterns --------------------------------------------
-
-
-def _pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.concatenate([A.reshape(-1), B.reshape(-1)])
-
-
-def _to_basis(vecs: list[np.ndarray], n: int, src: str, dst: str) -> np.ndarray:
-    cols = np.column_stack(vecs)
-    return cols if src == dst else _conjugate(cols, n)
-
-
-def q_plus_kernel_patterns(n: int, basis: str = SPECTRAL) -> np.ndarray:
-    """Pairs (X, X) with X supported on the first row/column off-block."""
-    vecs = []
-    for j in range(1, n):
-        X = np.zeros((n, n))
-        X[0, j] = 1.0
-        vecs.append(_pair(X, X))
-        X = np.zeros((n, n))
-        X[j, 0] = 1.0
-        vecs.append(_pair(X, X))
-    return _to_basis(vecs, n, SPECTRAL, basis)
-
-
-def q_minus_kernel_patterns(n: int, basis: str = SPECTRAL) -> np.ndarray:
-    """Pairs (X, X) with X block-diagonal in the spectral basis."""
-    vecs = []
-    X = np.zeros((n, n))
-    X[0, 0] = 1.0
-    vecs.append(_pair(X, X))
-    for i in range(1, n):
-        for j in range(1, n):
-            X = np.zeros((n, n))
-            X[i, j] = 1.0
-            vecs.append(_pair(X, X))
-    return _to_basis(vecs, n, SPECTRAL, basis)
-
-
-def k_plus_patterns(n: int, basis: str = SPECTRAL) -> np.ndarray:
-    """The two-dimensional preimage of the scalar-pair targets."""
-    vecs = []
-    for a, ap in ((1.0, 0.0), (0.0, 1.0)):
-        A = np.diag(np.concatenate([[a + ap], -np.full(n - 1, a - ap)]))
-        B = np.diag(np.concatenate([[a - ap], -np.full(n - 1, a + ap)]))
-        vecs.append(_pair(A, B))
-    return _to_basis(vecs, n, SPECTRAL, basis)
-
-
-def k_minus_patterns(n: int, basis: str = SPECTRAL) -> np.ndarray:
-    """Preimages of the trace-free diagonal pairs (C, -C).
-
-    For C = diag(c) with sum(c) = 0 the preimage is
-    (C + R, -C + R) with the antisymmetric rank-two correction
-    R = (u c^t - c u^t) / n, u = (1, ..., 1)^t; Q_minus maps this pair
-    to (-2C, 2C).  Expressed in the edge basis, then converted.
-    """
-    u = np.ones(n)
-    vecs = []
-    for m in range(n - 1):
-        c = np.zeros(n)
-        c[m], c[m + 1] = 1.0, -1.0
-        C = np.diag(c)
-        R = (np.outer(u, c) - np.outer(c, u)) / n
-        vecs.append(_pair(C + R, -C + R))
-    return _to_basis(vecs, n, EDGE, basis)
-
-
-def k_minus_targets(n: int, basis: str = EDGE) -> np.ndarray:
-    """Trace-free diagonal pairs (C, -C) spanning ker(PI_perp) n ran(Q_minus)."""
-    vecs = []
-    for m in range(n - 1):
-        c = np.zeros(n)
-        c[m], c[m + 1] = 1.0, -1.0
-        C = np.diag(c)
-        vecs.append(_pair(C, -C))
-    return _to_basis(vecs, n, EDGE, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Test-side constructors and oracles for amplitude tensors.
+"""Test-side constructors and oracles for amplitude tensors and kernels.
 
 ``from_entries`` builds a tensor from keyed amplitudes, and
 ``resynthesize_tensor`` rebuilds one from transform vectors key by key,
-independently of the array gather in ``extract_transforms``.
+independently of the array gather in ``extract_transforms``.  The
+closed-form kernel patterns are the cross-check of
+``compute_kernel_decomposition``; they change basis through the dense
+``kron(F, F)``, independently of the per-matrix conversion in the package.
 """
 
 from typing import Mapping
@@ -10,7 +13,8 @@ from typing import Mapping
 import numpy as np
 
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, EntryKey, _entry_index
-from stardelta.transforms import TransformVectors4
+from stardelta.oneparticle import EDGE, SPECTRAL
+from stardelta.transforms import TransformVectors4, change_of_basis
 
 # the (sig, tau) channel of each slot pair of xi, then chi
 CHANNELS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
@@ -46,3 +50,93 @@ def resynthesize_tensor(tv: TransformVectors4, k: float) -> AmplitudeTensor:
                     for s in (0, 1):
                         entries[(i, j, sector, sig, tau, s + 1)] = -sig * tau * psi[2 * c + s] / kappa
     return from_entries(tv.n, entries)
+
+
+def projection_defect(U: np.ndarray, vecs: np.ndarray) -> float:
+    """max_j ||(I - U U*) v_j|| / ||v_j|| over the nonzero columns v_j."""
+    norms = np.linalg.norm(vecs, axis=0)
+    resid = np.linalg.norm(vecs - U @ (U.conj().T @ vecs), axis=0)
+    keep = norms > 0
+    return float(np.max(resid[keep] / norms[keep], initial=0.0))
+
+
+# -- closed-form kernel patterns --------------------------------------------
+
+
+def _pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return np.concatenate([A.reshape(-1), B.reshape(-1)])
+
+
+def _to_basis(vecs: list[np.ndarray], n: int, src: str, dst: str) -> np.ndarray:
+    cols = np.column_stack(vecs)
+    if src == dst:
+        return cols
+    F = change_of_basis(n)
+    return (np.kron(F, F) @ cols.reshape(2, n * n, -1)).reshape(cols.shape)
+
+
+def q_plus_kernel_patterns(n: int, basis: str = SPECTRAL) -> np.ndarray:
+    """Pairs (X, X) with X supported on the first row/column off-block."""
+    vecs = []
+    for j in range(1, n):
+        X = np.zeros((n, n))
+        X[0, j] = 1.0
+        vecs.append(_pair(X, X))
+        X = np.zeros((n, n))
+        X[j, 0] = 1.0
+        vecs.append(_pair(X, X))
+    return _to_basis(vecs, n, SPECTRAL, basis)
+
+
+def q_minus_kernel_patterns(n: int, basis: str = SPECTRAL) -> np.ndarray:
+    """Pairs (X, X) with X block-diagonal in the spectral basis."""
+    vecs = []
+    X = np.zeros((n, n))
+    X[0, 0] = 1.0
+    vecs.append(_pair(X, X))
+    for i in range(1, n):
+        for j in range(1, n):
+            X = np.zeros((n, n))
+            X[i, j] = 1.0
+            vecs.append(_pair(X, X))
+    return _to_basis(vecs, n, SPECTRAL, basis)
+
+
+def k_plus_patterns(n: int, basis: str = SPECTRAL) -> np.ndarray:
+    """The two-dimensional preimage of the scalar-pair targets."""
+    vecs = []
+    for a, ap in ((1.0, 0.0), (0.0, 1.0)):
+        A = np.diag(np.concatenate([[a + ap], -np.full(n - 1, a - ap)]))
+        B = np.diag(np.concatenate([[a - ap], -np.full(n - 1, a + ap)]))
+        vecs.append(_pair(A, B))
+    return _to_basis(vecs, n, SPECTRAL, basis)
+
+
+def k_minus_patterns(n: int, basis: str = SPECTRAL) -> np.ndarray:
+    """Preimages of the trace-free diagonal pairs (C, -C).
+
+    For C = diag(c) with sum(c) = 0 the preimage is
+    (C + R, -C + R) with the antisymmetric rank-two correction
+    R = (u c^t - c u^t) / n, u = (1, ..., 1)^t; Q_minus maps this pair
+    to (-2C, 2C).  Expressed in the edge basis, then converted.
+    """
+    u = np.ones(n)
+    vecs = []
+    for m in range(n - 1):
+        c = np.zeros(n)
+        c[m], c[m + 1] = 1.0, -1.0
+        C = np.diag(c)
+        R = (np.outer(u, c) - np.outer(c, u)) / n
+        vecs.append(_pair(C + R, -C + R))
+    return _to_basis(vecs, n, EDGE, basis)
+
+
+def k_minus_targets(n: int, basis: str = EDGE) -> np.ndarray:
+    """Trace-free diagonal pairs (C, -C) spanning ker(PI_perp) n ran(Q_minus)."""
+    vecs = []
+    for m in range(n - 1):
+        c = np.zeros(n)
+        c[m], c[m + 1] = 1.0, -1.0
+        C = np.diag(c)
+        vecs.append(_pair(C, -C))
+    return _to_basis(vecs, n, EDGE, basis)

@@ -1,5 +1,6 @@
 """Transform-side linear algebra: vertex equations, kernels, diagonal systems."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,16 @@ import pytest
 from stardelta.basis import build_basis
 from stardelta.domain import ABOVE, MomentumPair, make_config
 from stardelta import transforms as tr
-from helpers import from_entries, resynthesize_tensor
+from helpers import (
+    from_entries,
+    k_minus_patterns,
+    k_minus_targets,
+    k_plus_patterns,
+    projection_defect,
+    q_minus_kernel_patterns,
+    q_plus_kernel_patterns,
+    resynthesize_tensor,
+)
 
 CFG3 = make_config(3, 1.0)
 K = 0.6
@@ -62,8 +72,8 @@ def test_closed_form_kernel_patterns_annihilated():
     for n in (3, 4):
         qp = tr.build_q_operator(n, 1, tr.SPECTRAL)
         qm = tr.build_q_operator(n, -1, tr.SPECTRAL)
-        assert np.max(np.abs(qp @ tr.q_plus_kernel_patterns(n))) <= 1e-14
-        assert np.max(np.abs(qm @ tr.q_minus_kernel_patterns(n))) <= 1e-14
+        assert np.max(np.abs(qp @ q_plus_kernel_patterns(n))) <= 1e-14
+        assert np.max(np.abs(qm @ q_minus_kernel_patterns(n))) <= 1e-14
 
 
 def test_q_minus_kernel_dimension_n3():
@@ -71,7 +81,7 @@ def test_q_minus_kernel_dimension_n3():
     assert tr.nullspace(Q).shape[1] == 5  # (3-1)^2 + 1
 
 
-@pytest.mark.parametrize("n", [3, 4, 6, 8])
+@pytest.mark.parametrize("n", [*range(3, 25), 32, 40])
 def test_kernel_decomposition_dimensions(n):
     report = tr.compute_kernel_decomposition(n)
     assert report.passed
@@ -86,25 +96,27 @@ def test_kernel_decomposition_dimensions(n):
 
 
 def test_kernel_decomposition_closed_form_cross_checks():
-    for n in (3, 5):
-        report = tr.compute_kernel_decomposition(n)
-        pairs = [
-            ("ker_Q_plus", tr.q_plus_kernel_patterns(n)),
-            ("ker_Q_minus", tr.q_minus_kernel_patterns(n)),
-            ("K_plus", tr.k_plus_patterns(n)),
-            ("K_minus", tr.k_minus_patterns(n, tr.SPECTRAL)),
-        ]
-        for name, patterns in pairs:
-            defect = tr.projection_defect(report.bases[name], tr.orthonormalize(patterns))
-            assert defect <= 1e-10, (name, defect)
+    for n in range(3, 13):
+        for basis in (tr.EDGE, tr.SPECTRAL):
+            report = tr.compute_kernel_decomposition(n, basis)
+            pairs = [
+                ("ker_Q_plus", q_plus_kernel_patterns(n, basis)),
+                ("ker_Q_minus", q_minus_kernel_patterns(n, basis)),
+                ("K_plus", k_plus_patterns(n, basis)),
+                ("K_minus", k_minus_patterns(n, basis)),
+            ]
+            for name, patterns in pairs:
+                assert report.bases[name].shape[1] == patterns.shape[1], (n, basis, name)
+                defect = projection_defect(report.bases[name], tr.orthonormalize(patterns))
+                assert defect <= 1e-10, (n, basis, name, defect)
 
 
 def test_k_minus_preimage_maps_onto_targets():
     # Q_minus carries the corrected preimage pairs onto (-2C, 2C)
     n = 4
     Q = tr.build_q_operator(n, -1, tr.EDGE)
-    pre = tr.k_minus_patterns(n, tr.EDGE)
-    tgt = tr.k_minus_targets(n, tr.EDGE)
+    pre = k_minus_patterns(n, tr.EDGE)
+    tgt = k_minus_targets(n, tr.EDGE)
     assert np.max(np.abs(Q @ pre - tgt @ np.diag([-2.0] * (n - 1)))) <= 1e-13
 
 
@@ -136,7 +148,7 @@ def test_ker_p_splits_as_direct_sum():
         ker_p = tr.nullspace(P)
         joint = tr.orthonormalize(np.hstack([ker_q, k_sub]))
         assert ker_p.shape[1] == joint.shape[1]
-        assert tr.projection_defect(joint, ker_p) <= 1e-10
+        assert projection_defect(joint, ker_p) <= 1e-10
         assert np.max(np.abs(P @ joint)) <= 1e-12
 
 
@@ -163,15 +175,48 @@ def _stacked_svd_decomposition(n, basis):
     return out
 
 
+def _dense_decomposition(n, basis):
+    """The four kernel bases and ker(PI_perp o Q) from dense edge-basis SVDs.
+
+    One SVD of each Q gives ker Q, the left kernel and the minimum-norm
+    preimage; the targets are the diagonal pairs orthogonal to the left
+    kernel; ker(PI_perp o Q) is the null space of the dense P.  The bases
+    are converted to ``basis`` by kron(F, F).
+    """
+    F = tr.change_of_basis(n)
+    to_basis = np.kron(np.eye(2), np.kron(F, F)) if basis == tr.SPECTRAL else np.eye(2 * n * n)
+    diag = np.flatnonzero(np.tile(np.eye(n).reshape(-1), 2))
+    out = {}
+    for sign, tag in ((1, "plus"), (-1, "minus")):
+        u, s, vh = np.linalg.svd(tr.build_q_operator(n, sign, tr.EDGE))
+        r = int(np.count_nonzero(s > tr.RANK_RTOL * s[0]))
+        _, cos, wh = np.linalg.svd(u[diag, r:].T)
+        y = wh[int(np.count_nonzero(cos > tr.RANK_RTOL)):].T
+        pre = vh[:r].T @ ((u[diag, :r].T @ y) / s[:r, None])
+        out[f"ker_Q_{tag}"] = to_basis @ vh[r:].T
+        out[f"K_{tag}"] = to_basis @ tr.orthonormalize(pre)
+        out[f"ker_P_{tag}"] = to_basis @ tr.nullspace(tr.build_p_operator(n, sign))
+    return out
+
+
 @pytest.mark.parametrize("basis", [tr.EDGE, tr.SPECTRAL])
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", [*range(3, 9), 12, 16])
 def test_kernel_decomposition_matches_stacked_svd_oracle(n, basis):
     report = tr.compute_kernel_decomposition(n, basis)
-    oracle = _stacked_svd_decomposition(n, basis)
-    assert report.dims == {name: cols.shape[1] for name, cols in oracle.items()}
-    for name, cols in oracle.items():
-        assert tr.projection_defect(cols, report.bases[name]) <= 1e-9, name
-        assert tr.projection_defect(report.bases[name], cols) <= 1e-9, name
+    dense = _dense_decomposition(n, basis)
+    for oracle in (_stacked_svd_decomposition(n, basis), dense):
+        for name in report.bases:
+            cols = oracle[name]
+            assert report.dims[name] == cols.shape[1], name
+            assert projection_defect(cols, report.bases[name]) <= 1e-9, name
+            assert projection_defect(report.bases[name], cols) <= 1e-9, name
+    # ker(PI_perp o Q) is spanned by ker Q and K together
+    for tag in ("plus", "minus"):
+        joint = np.hstack([report.bases[f"ker_Q_{tag}"], report.bases[f"K_{tag}"]])
+        ker_p = dense[f"ker_P_{tag}"]
+        assert joint.shape[1] == ker_p.shape[1], tag
+        assert projection_defect(joint, ker_p) <= 1e-9, tag
+        assert projection_defect(ker_p, joint) <= 1e-9, tag
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -188,6 +233,43 @@ def test_kernel_dims_follow_a_wrong_s(monkeypatch, n):
     # commutant and anticommutant of S = diag(1, 1, -1, ..., -1)
     assert report.dims["ker_Q_minus"] == 4 + (n - 2) ** 2
     assert report.dims["ker_Q_plus"] == 4 * (n - 2)
+    assert not report.passed
+
+
+def test_kernel_residuals_see_an_s_that_is_not_diagonal(monkeypatch):
+    # the blocks read only the diagonal of the spectral S, so the dims stay
+    # as predicted; the residuals apply the full S and must fail
+    n = 4
+    S = tr.s_matrix(n, tr.SPECTRAL)
+    S[1, 2] = S[2, 1] = 1e-6
+    F = tr.change_of_basis(n)
+    wrong = {tr.SPECTRAL: S, tr.EDGE: F @ S @ F}
+    monkeypatch.setattr(tr, "s_matrix", lambda n, basis: wrong[basis])
+    report = tr.compute_kernel_decomposition(n)
+    assert report.dims == {key: fn(n) for key, fn in tr.PREDICTED_DIMS.items()}
+    keys = ("ker_Q_plus_apply", "ker_Q_minus_apply", "K_plus_preimage", "K_minus_preimage")
+    assert max(report.residuals[key] for key in keys) > 1e-8
+    assert not report.passed
+
+
+def test_kernel_residuals_see_a_k_column_outside_ker_p(monkeypatch):
+    # add a component from ker(P_plus)^perp = ran(P_plus^T) to the first K column
+    n = 4
+    P = tr.build_p_operator(n, 1)
+    F = tr.change_of_basis(n)
+    to_spectral = np.kron(np.eye(2), np.kron(F, F))
+    v = to_spectral @ P.T @ np.random.default_rng(3).normal(size=P.shape[0])
+    v /= np.linalg.norm(v)
+    orthonormalize = tr.orthonormalize
+
+    def leaky(cols):
+        K = orthonormalize(cols)
+        K[:, 0] += 1e-6 * v
+        return K
+
+    monkeypatch.setattr(tr, "orthonormalize", leaky)
+    report = tr.compute_kernel_decomposition(n)
+    assert report.residuals["ker_P_plus_apply"] > 1e-8
     assert not report.passed
 
 
@@ -387,3 +469,13 @@ def test_kernel_report_serialisation():
     assert d["pass"] is True
     assert d["total"] == 13
     assert set(d["dims"]) == {"K_minus", "K_plus", "ker_Q_minus", "ker_Q_plus"}
+
+
+def test_kernel_report_bases_serialise_like_the_element_loop():
+    report = tr.compute_kernel_decomposition(5, basis=tr.EDGE)
+    loop = {k: [[float(x.real) for x in col] for col in v.T] for k, v in report.bases.items()}
+    assert json.dumps(report.to_dict(include_bases=True)["bases"]) == json.dumps(loop)
+    # an imaginary part is refused, not dropped
+    report.bases["K_plus"] = report.bases["K_plus"] + 0j
+    with pytest.raises(TypeError):
+        report.to_dict(include_bases=True)
