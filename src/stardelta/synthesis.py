@@ -83,7 +83,7 @@ class QuadratureRule:
         check_fold(self.nodes)
         if np.any(near_pole(self.nodes)):
             raise ValueError(
-                "quadrature nodes must stay inside [0, 1/sqrt(2) - 1e-6] "
+                f"quadrature nodes must stay inside [0, 1/sqrt(2) - {MARGIN:g}] "
                 "(coupling scalar pole at the fold endpoint)"
             )
 
@@ -95,6 +95,8 @@ class QuadratureRule:
 def gauss_rule(count: int) -> QuadratureRule:
     """Gauss-Legendre rule on the fold interval less the margins,
     [MARGIN, 1/sqrt(2) - MARGIN]."""
+    if count < 1:
+        raise ValueError(f"a quadrature rule needs at least one node, got {count}")
     lo, hi = MARGIN, POLE - MARGIN
     x, w = np.polynomial.legendre.leggauss(count)
     half = 0.5 * (hi - lo)
@@ -256,7 +258,10 @@ class ConvergenceRecord:
     sample_count: int
 
 
-def refine_quadrature(sol: SynthesizedSolution, factor: int = 2, samples: int = 60) -> ConvergenceRecord:
+REFINE_SAMPLES = 60  # compared points, spread evenly over the n^2 quadrants
+
+
+def refine_quadrature(sol: SynthesizedSolution, factor: int = 2) -> ConvergenceRecord:
     """Empirical quadrature error: max pointwise change under node refinement."""
     if factor < 2:
         raise ValueError("refinement factor must be at least 2")
@@ -264,7 +269,7 @@ def refine_quadrature(sol: SynthesizedSolution, factor: int = 2, samples: int = 
         raise ValueError("solution does not carry a rebuild recipe")
     fine = sol.rebuild(sol.node_count * factor)
     n = sol.n
-    per = max(1, samples // (n * n))
+    per = max(1, REFINE_SAMPLES // (n * n))
     edges = np.arange(1, n + 1)
     flat = edges[:, None] * n + edges  # i*n + j per quadrant
     xs = kronecker_points(per, offset=13 * flat, lo=0.0, hi=8.0)

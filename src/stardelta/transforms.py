@@ -16,7 +16,8 @@ vertex matching conditions become
     xi_check = -S tau chi_check (columns: x = 0 boundaries, "below" data)
 
 with S = 2P - I the vertex scattering matrix and tau the component
-swap.  Hat/check are the transforms describing a solution on the
+swap; :func:`_vertex_xi` is their one definition, shared by the
+Kirchhoff check, :func:`basic_solution_tensor` and the Q_pm residuals.  Hat/check are the transforms describing a solution on the
 x > y resp. x < y sector of diagonal quadrants; they agree off the
 diagonal.  Eliminating xi leaves the finite-dimensional solvability
 system on (chi_hat, chi_check); splitting it over the eigenspaces of
@@ -41,7 +42,8 @@ The diagonal continuity/jump conditions additionally couple momenta k
 and kappa.  Folding the pair of momenta into C^4 vectors (see
 :class:`TransformVectors4` for the weighting) turns them into the pair
 of 4x4 systems xi_hat = M xi_check, chi_hat = N chi_check built by
-:func:`diagonal_condition_matrices`, with coupling scalars
+:func:`diagonal_condition_matrices` and checked in that form only, with
+coupling scalars
 c_pm = -1j*c/(k +- kappa), for fold momentum k in [0, 1/sqrt(2)).
 c_minus has a pole at k = 1/sqrt(2), hence the exclusion zone there.
 """
@@ -101,12 +103,34 @@ def _conjugate(pairs: np.ndarray, n: int) -> np.ndarray:
     return (F @ half.reshape(2 * n, n, -1)).reshape(pairs.shape)
 
 
+def _vertex_xi(S: np.ndarray, chi_hat: np.ndarray, tau_chi_check: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The xi the vertex equations assign: (-chi_hat S, -S tau chi_check).
+
+    The quadrant axes lead; trailing axes (slots, kernel columns) ride along.
+    """
+    n = S.shape[0]
+    xi_hat = -(S.T @ chi_hat.reshape(n, n, -1)).reshape(chi_hat.shape)
+    xi_check = -(S @ tau_chi_check.reshape(n, -1)).reshape(tau_chi_check.shape)
+    return xi_hat, xi_check
+
+
+def _offdiag_drift(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
+    """Largest |hat - check| off the diagonal, where hat and check must agree."""
+    off = ~np.eye(pairs[0][0].shape[0], dtype=bool)
+    return max(_max_abs((hat - check)[off]) for hat, check in pairs)
+
+
 def _apply_q(S: np.ndarray, sign: int, cols: np.ndarray) -> np.ndarray:
-    """(A, B) -> (A S + sign * S B, A - B) on columns of stacked pair vectors."""
+    """Q_pm(A, B) = (A S + sign * S B, A - B) on columns of stacked pair vectors.
+
+    That is (xi_check - xi_hat, chi_hat - chi_check) for chi = (A, B) and
+    tau chi_check = -sign * B, so PI_perp o Q_pm is the off-diagonal
+    hat/check drift that :func:`basic_solution_tensor` refuses.
+    """
     n = S.shape[0]
     A, B = cols.reshape(2, n, n, -1)
-    top = S.T @ A + sign * (S @ B.reshape(n, -1)).reshape(B.shape)
-    return np.concatenate([top, A - B]).reshape(cols.shape)
+    xi_hat, xi_check = _vertex_xi(S, A, -sign * B)
+    return np.concatenate([xi_check - xi_hat, A - B]).reshape(cols.shape)
 
 
 def _diag_rows(n: int) -> np.ndarray:
@@ -417,22 +441,14 @@ def check_kirchhoff_transforms(tv: TransformVectors4) -> KirchhoffResiduals:
     Row equations (xi_hat = -chi_hat S) come from the y = 0 boundaries
     and see the hat transforms; column equations
     (xi_check = -S tau chi_check) come from x = 0 and see the check
-    transforms.  Also reports how far hat and check drift apart off the
-    diagonal, where they must agree.
+    transforms; both compare xi with :func:`_vertex_xi`.  Also reports
+    how far hat and check drift apart off the diagonal.
     """
-    n = tv.n
-    S = s_matrix(n, EDGE)
-    row_defect = tv.hat_xi + np.einsum("ims,mj->ijs", tv.hat_chi, S)
-    col_defect = tv.check_xi + np.einsum("im,mjs->ijs", S, tv.check_chi[..., _TAU4])
-    off = ~np.eye(n, dtype=bool)
-    drift = max(
-        float(np.max(np.abs((tv.hat_xi - tv.check_xi)[off]))),
-        float(np.max(np.abs((tv.hat_chi - tv.check_chi)[off]))),
-    )
+    xi_hat, xi_check = _vertex_xi(s_matrix(tv.n, EDGE), tv.hat_chi, tv.check_chi[..., _TAU4])
     return KirchhoffResiduals(
-        row=float(np.max(np.abs(row_defect))),
-        column=float(np.max(np.abs(col_defect))),
-        hat_check_offdiag=drift,
+        row=_max_abs(tv.hat_xi - xi_hat),
+        column=_max_abs(tv.check_xi - xi_check),
+        hat_check_offdiag=_offdiag_drift((tv.hat_xi, tv.check_xi), (tv.hat_chi, tv.check_chi)),
     )
 
 
@@ -448,79 +464,41 @@ def coupling_scalars(k: float, c: float) -> tuple[complex, complex]:
     return c_plus, c_minus
 
 
+# M = I + c_minus J_M and N = I + c_plus J_N with J^2 = 0, so det M = det N = 1
+_J_M = np.array([[1, 1, 0, 0], [-1, -1, 0, 0], [0, 0, -1, -1], [0, 0, 1, 1]])
+_J_N = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1, -1, 0], [-1, 0, 0, -1]])
+
+
 def diagonal_condition_matrices(k: float, c: float) -> tuple[np.ndarray, np.ndarray]:
     """The 4x4 systems M (xi channels) and N (chi channels) on the diagonal."""
     check_fold(k)
-    return _diagonal_matrices(*coupling_scalars(k, c))
-
-
-def _diagonal_matrices(cp: complex, cm: complex) -> tuple[np.ndarray, np.ndarray]:
-    M = np.array(
-        [
-            [1 + cm, cm, 0, 0],
-            [-cm, 1 - cm, 0, 0],
-            [0, 0, 1 - cm, -cm],
-            [0, 0, cm, 1 + cm],
-        ],
-        dtype=complex,
-    )
-    N = np.array(
-        [
-            [1 + cp, 0, 0, cp],
-            [0, 1 + cp, cp, 0],
-            [0, -cp, 1 - cp, 0],
-            [-cp, 0, 0, 1 - cp],
-        ],
-        dtype=complex,
-    )
-    return M, N
+    cp, cm = coupling_scalars(k, c)
+    return np.eye(4) + cm * _J_M, np.eye(4) + cp * _J_N
 
 
 @dataclass(frozen=True)
 class DiagonalConditionResiduals:
-    matrix_form: float      # residual of xi_hat = M xi_check, chi_hat = N chi_check
-    raw_equations: float    # residual of the continuity/jump transform identities
-    path_discrepancy: float
+    xi: float   # residual of xi_hat = M xi_check
+    chi: float  # residual of chi_hat = N chi_check
 
     @property
     def max(self) -> float:
-        return max(self.matrix_form, self.raw_equations)
+        return max(self.xi, self.chi)
 
 
 def check_diagonal_conditions(tv: TransformVectors4, k: float, c: float) -> DiagonalConditionResiduals:
-    """Residuals of the diagonal continuity and jump conditions, two ways.
+    """Residuals of xi_hat = M xi_check and chi_hat = N chi_check on the diagonal.
 
-    The matrix path applies M and N to every diagonal quadrant at once.
-    The raw path evaluates the folded continuity identities and the four
-    jump identities directly from the slots; both must vanish together
-    for an actual eigensolution, and the report carries their difference
-    as a consistency diagnostic.
+    Applied to every diagonal quadrant at once.  Per channel pair, the
+    folded continuity and jump identities are an invertible 2x2
+    combination (determinant 2) of these residuals, so both vanish together.
     """
-    check_fold(k)
-    c_plus, c_minus = coupling_scalars(k, c)
-    M, N = _diagonal_matrices(c_plus, c_minus)
+    M, N = diagonal_condition_matrices(k, c)
     # slots on the first axis, the n diagonal quadrants on the second
     d = np.arange(tv.n)
-    hx, cx = tv.hat_xi[d, d].T, tv.check_xi[d, d].T
-    hc, cc = tv.hat_chi[d, d].T, tv.check_chi[d, d].T
-    worst_matrix = max(float(np.max(np.abs(hx - M @ cx))), float(np.max(np.abs(hc - N @ cc))))
-    raw = [
-        # continuity per channel: folded boundary values agree
-        (hx[0] + hx[1]) - (cx[0] + cx[1]),
-        (hx[2] + hx[3]) - (cx[2] + cx[3]),
-        (hc[0] + hc[3]) - (cc[0] + cc[3]),
-        (hc[1] + hc[2]) - (cc[1] + cc[2]),
-        # jump per channel
-        -(hx[0] - cx[0]) + (hx[1] - cx[1]) + 2 * c_minus * (hx[0] + hx[1]),
-        (hx[2] - cx[2]) - (hx[3] - cx[3]) + 2 * c_minus * (hx[2] + hx[3]),
-        -(hc[2] - cc[2]) + (hc[1] - cc[1]) - 2 * c_plus * (hc[2] + hc[1]),
-        (hc[0] - cc[0]) - (hc[3] - cc[3]) - 2 * c_plus * (hc[0] + hc[3]),
-    ]
-    worst_raw = float(np.max(np.abs(raw)))
     return DiagonalConditionResiduals(
-        matrix_form=worst_matrix,
-        raw_equations=worst_raw,
-        path_discrepancy=abs(worst_matrix - worst_raw),
+        xi=_max_abs(tv.hat_xi[d, d].T - M @ tv.check_xi[d, d].T),
+        chi=_max_abs(tv.hat_chi[d, d].T - N @ tv.check_chi[d, d].T),
     )
 
 
@@ -548,14 +526,8 @@ def basic_solution_tensor(n: int, chi_hat: np.ndarray, chi_check: np.ndarray, ta
     """
     if tau_sign not in (1, -1):
         raise ValueError("tau_sign must be +1 or -1")
-    S = s_matrix(n, EDGE)
-    xi_hat = -chi_hat @ S
-    xi_check = -tau_sign * (S @ chi_check)
-    off = ~np.eye(n, dtype=bool)
-    drift = max(
-        float(np.max(np.abs((chi_hat - chi_check)[off]))),
-        float(np.max(np.abs((xi_hat - xi_check)[off]))),
-    )
+    xi_hat, xi_check = _vertex_xi(s_matrix(n, EDGE), chi_hat, tau_sign * chi_check)
+    drift = _offdiag_drift((chi_hat, chi_check), (xi_hat, xi_check))
     if drift > 1e-9:
         raise ValueError(
             f"pair is not vertex-compatible: off-diagonal hat/check drift {drift:.3e}"
@@ -567,5 +539,6 @@ def basic_solution_tensor(n: int, chi_hat: np.ndarray, chi_check: np.ndarray, ta
     for plane, (xi, chi) in enumerate(((xi_hat, chi_hat), (xi_check, chi_check))):
         amps[:, :, plane, _CH_SIG, _CH_TAU, 0] = sign * np.stack([xi, xi, chi, chi], axis=-1)
     # off the diagonal, where hat = check, both planes hold the hat values
+    off = ~np.eye(n, dtype=bool)
     amps[off, 1] = amps[off, 0]
     return AmplitudeTensor(amps)

@@ -201,7 +201,7 @@ def check_diagonal_bc(
 # whole-basis checks
 
 
-def sample_points(n: int, count: int, seed: int, span: float = SPAN):
+def sample_points(n: int, count: int, seed: int):
     """Random evaluation points spread over all quadrants and sectors.
 
     Returns 1-based quadrants (count, 2), sector planes (1 for the below
@@ -209,7 +209,7 @@ def sample_points(n: int, count: int, seed: int, span: float = SPAN):
     """
     rng = np.random.default_rng(seed)
     quads = rng.integers(1, n + 1, size=(count, 2))
-    xy = rng.uniform(0.05, span, size=(count, 2))
+    xy = rng.uniform(0.05, SPAN, size=(count, 2))
     planes = ((quads[:, 0] == quads[:, 1]) & (rng.random(count) >= 0.5)).astype(int)
     return quads, planes, xy
 

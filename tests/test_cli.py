@@ -225,6 +225,16 @@ def test_bad_input_refused_with_exit_2(tmp_path, capsys, argv):
     assert not out.exists() and not grid.exists()
 
 
+@pytest.mark.parametrize("nodes", ["0", "-3"])
+def test_synthesize_refuses_a_node_count_below_one(tmp_path, capsys, nodes):
+    out = tmp_path / "out.json"
+    argv = ["synthesize", "--n", "3", "--c", "1.0", "--nodes", nodes, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: a quadrature rule needs at least one node, got {nodes}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_negative_rel_is_a_mutation(tmp_path):
     out = tmp_path / "mut.json"
     assert main(MUTATE3 + ["--rel", "-0.5", "--out", str(out)]) == 0

@@ -1,11 +1,12 @@
 """Quadrature synthesis: inheritance of boundary conditions, refinement, folding."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from stardelta.domain import ABOVE, BELOW, OFFDIAG, MomentumPair, make_config
+from stardelta.domain import ABOVE, BELOW, MARGIN, OFFDIAG, POLE, MomentumPair, make_config
 from stardelta import synthesis as syn
 from stardelta import transforms as tr
 from stardelta import verifier as vf
@@ -25,6 +26,9 @@ def test_gauss_rule_respects_exclusion_zone():
     assert rule.nodes.max() <= 1.0 / math.sqrt(2.0) - 1e-6 + 1e-12
     with pytest.raises(ValueError):
         syn.QuadratureRule(nodes=np.array([0.71]), weights=np.array([1.0]))
+    # the refusal names the margin it applies
+    with pytest.raises(ValueError, match=re.escape(f"[0, 1/sqrt(2) - {MARGIN:g}]")):
+        syn.QuadratureRule(nodes=np.array([POLE - 0.5 * MARGIN]), weights=np.array([1.0]))
 
 
 def test_zero_profile_gives_zero_function():
@@ -123,7 +127,8 @@ def test_refinement_samples_every_quadrant_and_sector():
                 change = sol.value_array(i, j, sector, xs, ys) - fine.value_array(i, j, sector, xs, ys)
                 worst = max(worst, float(np.max(np.abs(change))))
                 used += 6
-    record = syn.refine_quadrature(sol, 2, samples=60)
+    record = syn.refine_quadrature(sol, 2)
+    assert syn.REFINE_SAMPLES == 60
     assert record.sample_count == used == 72
     assert record.max_change == pytest.approx(worst, rel=1e-12)
 

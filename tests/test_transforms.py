@@ -402,30 +402,16 @@ def test_diagonal_conditions_all_basis_elements():
             tv = tr.extract_transforms(el, k1, n=cfg.n)
             res = tr.check_diagonal_conditions(tv, k1, cfg.c)
             assert res.max <= 1e-10, el.label
-            assert res.path_discrepancy <= 1e-10
 
 
 def _diagonal_conditions_loop(tv, k, c):
-    """Per-quadrant matrix and raw residuals, one diagonal quadrant at a time."""
+    """Worst xi and chi residuals of the M/N systems, one diagonal quadrant at a time."""
     M, N = tr.diagonal_condition_matrices(k, c)
-    c_plus, c_minus = tr.coupling_scalars(k, c)
-    worst_matrix = worst_raw = 0.0
+    worst_xi = worst_chi = 0.0
     for i in range(tv.n):
-        hx, cx = tv.hat_xi[i, i], tv.check_xi[i, i]
-        hc, cc = tv.hat_chi[i, i], tv.check_chi[i, i]
-        worst_matrix = max(worst_matrix, np.max(np.abs(hx - M @ cx)), np.max(np.abs(hc - N @ cc)))
-        raw = [
-            (hx[0] + hx[1]) - (cx[0] + cx[1]),
-            (hx[2] + hx[3]) - (cx[2] + cx[3]),
-            (hc[0] + hc[3]) - (cc[0] + cc[3]),
-            (hc[1] + hc[2]) - (cc[1] + cc[2]),
-            -(hx[0] - cx[0]) + (hx[1] - cx[1]) + 2 * c_minus * (hx[0] + hx[1]),
-            (hx[2] - cx[2]) - (hx[3] - cx[3]) + 2 * c_minus * (hx[2] + hx[3]),
-            -(hc[2] - cc[2]) + (hc[1] - cc[1]) - 2 * c_plus * (hc[2] + hc[1]),
-            (hc[0] - cc[0]) - (hc[3] - cc[3]) - 2 * c_plus * (hc[0] + hc[3]),
-        ]
-        worst_raw = max(worst_raw, np.max(np.abs(raw)))
-    return worst_matrix, worst_raw, abs(worst_matrix - worst_raw)
+        worst_xi = max(worst_xi, np.max(np.abs(tv.hat_xi[i, i] - M @ tv.check_xi[i, i])))
+        worst_chi = max(worst_chi, np.max(np.abs(tv.hat_chi[i, i] - N @ tv.check_chi[i, i])))
+    return worst_xi, worst_chi
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -440,8 +426,84 @@ def test_batched_diagonal_conditions_match_per_quadrant_loop(n):
     cases.append(tr.TransformVectors4(n=n, k=k, hat_xi=draw(), hat_chi=draw(), check_xi=draw(), check_chi=draw()))
     for tv in cases:
         res = tr.check_diagonal_conditions(tv, k, c)
-        got = (res.matrix_form, res.raw_equations, res.path_discrepancy)
-        assert got == pytest.approx(_diagonal_conditions_loop(tv, k, c), rel=1e-12, abs=1e-15)
+        assert (res.xi, res.chi) == pytest.approx(_diagonal_conditions_loop(tv, k, c), rel=1e-12, abs=1e-15)
+        assert res.max == max(res.xi, res.chi)
+
+
+def _raw_diagonal_identities(tv, k, c):
+    """The folded continuity and jump identities, written out from the slots.
+
+    One row per identity, one column per diagonal quadrant; they use the
+    coupling scalars directly, not M or N.
+    """
+    c_plus, c_minus = tr.coupling_scalars(k, c)
+    d = np.arange(tv.n)
+    hx, cx = tv.hat_xi[d, d].T, tv.check_xi[d, d].T
+    hc, cc = tv.hat_chi[d, d].T, tv.check_chi[d, d].T
+    return np.array([
+        # continuity per channel: folded boundary values agree
+        (hx[0] + hx[1]) - (cx[0] + cx[1]),
+        (hx[2] + hx[3]) - (cx[2] + cx[3]),
+        (hc[0] + hc[3]) - (cc[0] + cc[3]),
+        (hc[1] + hc[2]) - (cc[1] + cc[2]),
+        # jump per channel
+        -(hx[0] - cx[0]) + (hx[1] - cx[1]) + 2 * c_minus * (hx[0] + hx[1]),
+        (hx[2] - cx[2]) - (hx[3] - cx[3]) + 2 * c_minus * (hx[2] + hx[3]),
+        -(hc[2] - cc[2]) + (hc[1] - cc[1]) - 2 * c_plus * (hc[2] + hc[1]),
+        (hc[0] - cc[0]) - (hc[3] - cc[3]) - 2 * c_plus * (hc[0] + hc[3]),
+    ])
+
+
+def _raw_from_m_n_residuals(tv, k, c):
+    """The raw identities as L(c) r per channel pair, r the M/N residual.
+
+    L(c) = [[1, 1], [-1 + 2c, 1 + 2c]] has determinant 2, so the raw
+    identities and the M/N systems vanish together.  The xi pairs take
+    c = c_minus on the slot pairs (0, 1) and (3, 2); the chi pairs take
+    c = -c_plus on (2, 1) and (3, 0).
+    """
+    M, N = tr.diagonal_condition_matrices(k, c)
+    c_plus, c_minus = tr.coupling_scalars(k, c)
+    d = np.arange(tv.n)
+    rx = tv.hat_xi[d, d].T - M @ tv.check_xi[d, d].T
+    rc = tv.hat_chi[d, d].T - N @ tv.check_chi[d, d].T
+
+    def L(cs, a, b):
+        return a + b, (-1 + 2 * cs) * a + (1 + 2 * cs) * b
+
+    (c0, j0), (c1, j1) = L(c_minus, rx[0], rx[1]), L(c_minus, rx[3], rx[2])
+    (c2, j3), (c3, j2) = L(-c_plus, rc[3], rc[0]), L(-c_plus, rc[2], rc[1])
+    return np.array([c0, c1, c2, c3, j0, j1, j2, j3])
+
+
+@pytest.mark.parametrize("k,c", [(0.37, -1.3), (0.0, 1.5), (0.6, 2.7), (0.2, 0.0), (0.65, 1e-6), (0.1, -40.0)])
+def test_raw_diagonal_identities_are_l_times_m_n_residuals(k, c):
+    # the M/N residuals determine the continuity/jump identities, on
+    # random transforms, on basis elements and on basis elements whose
+    # diagonal slots are perturbed
+    n = 4
+    rng = np.random.default_rng(7)
+
+    def draw(scale=1.0):
+        return scale * (rng.normal(size=(n, n, 4)) + 1j * rng.normal(size=(n, n, 4)))
+
+    cases = [tr.TransformVectors4(n=n, k=k, hat_xi=draw(), hat_chi=draw(), check_xi=draw(), check_chi=draw())
+             for _ in range(3)]
+    if c != 0.0:
+        elements = build_basis(make_config(n, c), MomentumPair.from_k1(k))
+        for el in elements[::3]:
+            tv = tr.extract_transforms(el, k, n=n)
+            cases.append(tv)
+            cases.append(tr.TransformVectors4(
+                n=n, k=k, hat_xi=tv.hat_xi + draw(1e-3), hat_chi=tv.hat_chi,
+                check_xi=tv.check_xi, check_chi=tv.check_chi + draw(1e-3),
+            ))
+    # roundoff scales with the amplitudes and with |c_pm|
+    gain = 1 + 2 * max(abs(z) for z in tr.coupling_scalars(k, c))
+    for tv in cases:
+        scale = gain * max(np.abs(a).max() for a in (tv.hat_xi, tv.hat_chi, tv.check_xi, tv.check_chi))
+        raw = _raw_diagonal_identities(tv, k, c)
+        np.testing.assert_allclose(raw, _raw_from_m_n_residuals(tv, k, c), rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_kernel_element_fails_diagonal_conditions():
@@ -460,6 +522,19 @@ def test_basic_solution_tensor_rejects_incompatible_pair():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
         tr.basic_solution_tensor(3, rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_kernel_columns_pair_with_their_own_tau(n):
+    # Q_minus pairs with tau = +1 and Q_plus with tau = -1: every column of
+    # ker(PI_perp o Q_pm) is a basic solution with its own tau, not the other
+    report = tr.compute_kernel_decomposition(n, basis=tr.EDGE)
+    for name, tau in (("ker_Q_minus", 1), ("K_minus", 1), ("ker_Q_plus", -1), ("K_plus", -1)):
+        for vec in report.bases[name].T:
+            chi_hat, chi_check = tr.kernel_pair_matrices(vec, n, tr.EDGE)
+            tr.basic_solution_tensor(n, chi_hat, chi_check, tau)
+            with pytest.raises(ValueError, match="not vertex-compatible"):
+                tr.basic_solution_tensor(n, chi_hat, chi_check, -tau)
 
 
 def test_kernel_report_serialisation():
