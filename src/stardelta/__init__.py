@@ -15,7 +15,7 @@ from .basis import (
     cycle_completing_tensor,
     diagonal_closed_form,
     family_counts,
-    product_state,
+    product_tensor,
 )
 from .domain import (
     ABOVE,

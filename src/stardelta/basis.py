@@ -1,18 +1,20 @@
-"""Two-particle product states and the full eigenbasis.
+"""Two-particle products and the full eigenbasis.
 
-Products of two one-particle factors are expanded into sector-tagged
-plane waves.  Three families span the solution space at a generic
-momentum pair (k1, k2) on the unit energy shell:
+Every basis element is a sum of products of one-particle solutions,
+each product symmetrised or antisymmetrised over particle exchange:
+:func:`product_tensor` expands S+-(f, g) = f(x) g(y) +- g(x) f(y) into
+sector-tagged plane waves, and it is the only product constructor.
+Three families span the solution space at a generic momentum pair
+(k1, k2) on the unit energy shell:
 
-* ``antisym``:   psi^i(x) psi^j(y) antisymmetrised over particle
-  exchange, n^2 elements,
-* ``sym_offdiag``: phi^i(x) phi^j(y) symmetrised, for index pairs at
-  circular distance >= 2 so the product vanishes identically on every
-  diagonal quadrant, n^2 - 3n elements,
-* ``sym_diag``:  the antisymmetrised phi^i/xi product plus cosine
-  correction terms with coefficients n*k_s/c tuned so that the
-  derivative jump across the diagonal equals c times the boundary
-  value, n elements.
+* ``antisym``:   S-(psi^i, psi^j), n^2 elements,
+* ``sym_offdiag``: S+(phi^i, phi^j) for index pairs at circular
+  distance >= 2, so the product vanishes identically on every diagonal
+  quadrant, n^2 - 3n elements,
+* ``sym_diag``:  S+(phi^i, xi) - S+(xi, phi^i) plus cosine correction
+  terms S+(phi^0, phi^i), S+(phi^i, phi^0) with coefficients n*k_s/c
+  tuned so that the derivative jump across the diagonal equals c times
+  the boundary value, n elements.
 
 Total: 2n^2 - 2n.  Each element satisfies the vertex matching in both
 variables (inherited factor-wise) and the diagonal continuity and jump
@@ -53,58 +55,24 @@ def circular_distance(i: int, j: int, n: int) -> int:
     return min(d, n - d)
 
 
-def product_tensor(
-    n: int,
-    fx: OneParticleSolution,
-    gy: OneParticleSolution,
-    assignment: tuple[int, int],
-) -> AmplitudeTensor:
-    """Expand fx(x, k_s) * gy(y, k_t) into sector-tagged plane waves.
+def product_tensor(n: int, f: OneParticleSolution, g: OneParticleSolution, sign: float) -> AmplitudeTensor:
+    """Expand f(x) g(y) + sign * g(x) f(y) into sector-tagged plane waves.
 
-    On a diagonal quadrant the branch of each factor follows its own
-    variable: in the "above" sector x is the larger coordinate, so fx
-    takes its larger-branch scale and gy its smaller-branch scale.
+    Slot 1 holds f(x, k1) g(y, k2), the product with x carrying k1; slot 2
+    holds its exchange image g(x, k2) f(y, k1), times ``sign``.  On a
+    diagonal quadrant the branch of each factor follows its own variable:
+    in the "above" sector x is the larger coordinate, so the factor of x
+    takes its larger-branch scale and the factor of y its smaller-branch
+    scale.
     """
-    if assignment not in ((1, 2), (2, 1)):
-        raise ValueError(f"assignment must be (1,2) or (2,1), got {assignment}")
-    waves = np.einsum("as,bt->abst", fx.coeff, gy.coeff)  # edge a, edge b, sig, tau
     amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
-    slot = amps[..., assignment[0] - 1]  # view: quadrant, quadrant, sector, sig, tau
-    slot[:] = waves[:, :, None]
     d = np.arange(n)
-    slot[d, d, 0] = fx.branch_scale(LARGER) * gy.branch_scale(SMALLER) * waves[d, d]
-    slot[d, d, 1] = fx.branch_scale(SMALLER) * gy.branch_scale(LARGER) * waves[d, d]
+    for slot, (fx, gy, s) in enumerate(((f, g, 1.0), (g, f, sign))):
+        waves = s * np.einsum("as,bt->abst", fx.coeff, gy.coeff)  # edge a, edge b, sig, tau
+        amps[..., slot] = waves[:, :, None]
+        amps[d, d, 0, ..., slot] = fx.branch_scale(LARGER) * gy.branch_scale(SMALLER) * waves[d, d]
+        amps[d, d, 1, ..., slot] = fx.branch_scale(SMALLER) * gy.branch_scale(LARGER) * waves[d, d]
     return AmplitudeTensor(amps)
-
-
-def product_state(cfg: StarConfig, kind: tuple, assignment: tuple[int, int]) -> AmplitudeTensor:
-    """Plane-wave tensor of one product state (momentum-free).
-
-    ``kind`` is one of ``("phi_phi", i, j)`` with i, j in 0..n,
-    ``("psi_psi", i, j)`` with i, j in 1..n, or
-    ``("phi_xi_antisym", i)`` with i in 1..n, the latter meaning
-    phi^i(x) xi(y) - xi(x) phi^i(y).
-    """
-    n = cfg.n
-    name = kind[0]
-    if name == "phi_phi":
-        _, i, j = kind
-        if not (0 <= i <= n and 0 <= j <= n):
-            raise ValueError(f"phi indices out of range: {kind}")
-        return product_tensor(n, phi(cfg, i), phi(cfg, j), assignment)
-    if name == "psi_psi":
-        _, i, j = kind
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"psi indices out of range: {kind}")
-        return product_tensor(n, scattering_wave(cfg, i), scattering_wave(cfg, j), assignment)
-    if name == "phi_xi_antisym":
-        _, i = kind
-        if not 1 <= i <= n:
-            raise ValueError(f"index out of range: {kind}")
-        xi = xi_solution(cfg)
-        ph = phi(cfg, i)
-        return product_tensor(n, ph, xi, assignment) - product_tensor(n, xi, ph, assignment)
-    raise ValueError(f"unknown product kind {name!r}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +92,8 @@ class BasisElement:
 def cycle_completing_tensor(cfg: StarConfig) -> AmplitudeTensor:
     """The symmetric eigensolution with cyclic antisymmetric coefficients.
 
-    sum_i (Phi^{i,i+1}_{12} + Phi^{i+1,i}_{21} - Phi^{i+1,i}_{12}
-    - Phi^{i,i+1}_{21}) with indices wrapping mod n.  The antisymmetric
+    sum_i S+(phi^i, phi^{i+1}) - S+(phi^{i+1}, phi^i) with indices wrapping
+    mod n, where S+(f, g) = f(x) g(y) + g(x) f(y).  The antisymmetric
     coefficient pattern makes the product contributions cancel on every
     diagonal quadrant (zero diagonal after conjugating by the edge
     difference stencil), so it satisfies all boundary conditions for
@@ -135,15 +103,10 @@ def cycle_completing_tensor(cfg: StarConfig) -> AmplitudeTensor:
     family restores the full 2n^2 - 2n span.
     """
     n = cfg.n
+    phis = [phi(cfg, i) for i in range(1, n + 1)]
     terms = []
-    for i in range(1, n + 1):
-        s = 1 if i == n else i + 1
-        terms += [
-            (1.0, product_state(cfg, ("phi_phi", i, s), (1, 2))),
-            (1.0, product_state(cfg, ("phi_phi", s, i), (2, 1))),
-            (-1.0, product_state(cfg, ("phi_phi", s, i), (1, 2))),
-            (-1.0, product_state(cfg, ("phi_phi", i, s), (2, 1))),
-        ]
+    for f, g in zip(phis, phis[1:] + phis[:1]):
+        terms += [(1.0, product_tensor(n, f, g, 1)), (-1.0, product_tensor(n, g, f, 1))]
     return AmplitudeTensor.combine(terms)
 
 
@@ -153,43 +116,39 @@ def basis_template(cfg: StarConfig) -> Iterator[tuple[str, tuple, tuple[np.ndarr
     no table depends on k or c, and T1 and T2 vanish outside ``sym_diag``,
     whose coupling terms are the only momentum-dependent ones.
 
-    The diagonal family is the phi/xi product combination plus 1/n of
-    the cycle-completing solution.  Without that term the n elements sum
-    to zero identically (the phi^i telescope around the cycle) and the
-    family would span only n - 1 dimensions; the added solution vanishes
-    on every diagonal quadrant, so the elements' diagonal behaviour,
+    Each one-particle factor is built once.  ``sym_diag(i)`` has
+    T0 = S+(phi^i, xi) - S+(xi, phi^i) plus 1/n of the cycle-completing
+    solution, T1 = -n S+(phi^0, phi^i) and T2 = n S+(phi^i, phi^0).
+    Without the cycle-completing term the n elements sum to zero
+    identically (the phi^i telescope around the cycle) and the family
+    would span only n - 1 dimensions; the added solution vanishes on
+    every diagonal quadrant, so the elements' diagonal behaviour,
     including the closed form on Q_ii, is untouched.
     """
     n = cfg.n
     zero = np.broadcast_to(0j, (n, n, 2, 2, 2, 2))
+    psis = [scattering_wave(cfg, i) for i in range(1, n + 1)]
+    phis = [phi(cfg, i) for i in range(n + 1)]
+    xi = xi_solution(cfg)
 
-    def psi_psi(i, j, assignment):
-        return product_state(cfg, ("psi_psi", i, j), assignment)
-
-    def phi_phi(i, j, assignment):
-        return product_state(cfg, ("phi_phi", i, j), assignment)
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            tensor = psi_psi(i, j, (1, 2)) - psi_psi(j, i, (2, 1))
-            yield "antisym", (i, j), (tensor.amps, zero, zero)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
+    for i, f in enumerate(psis, 1):
+        for j, g in enumerate(psis, 1):
+            yield "antisym", (i, j), (product_tensor(n, f, g, -1).amps, zero, zero)
+    for i, f in enumerate(phis[1:], 1):
+        for j, g in enumerate(phis[1:], 1):
             if circular_distance(i, j, n) >= 2:
-                tensor = phi_phi(i, j, (1, 2)) + phi_phi(j, i, (2, 1))
-                yield "sym_offdiag", (i, j), (tensor.amps, zero, zero)
+                yield "sym_offdiag", (i, j), (product_tensor(n, f, g, 1).amps, zero, zero)
     completer = cycle_completing_tensor(cfg)
     for i in range(1, n + 1):
-        anti_12 = product_state(cfg, ("phi_xi_antisym", i), (1, 2))
-        anti_21 = product_state(cfg, ("phi_xi_antisym", i), (2, 1))
         # Coupling coefficients -n*k1/c and +n*k2/c: this is the unique
         # sign choice for which the derivative jump across the diagonal
         # equals c times the boundary value (and for which the element
         # matches diagonal_closed_form on Q_ii).
         yield "sym_diag", (i,), (
-            (anti_12 - anti_21).amps + (1.0 / n) * completer.amps,
-            -n * (phi_phi(0, i, (1, 2)) + phi_phi(i, 0, (2, 1))).amps,
-            n * (phi_phi(0, i, (2, 1)) + phi_phi(i, 0, (1, 2))).amps,
+            (product_tensor(n, phis[i], xi, 1) - product_tensor(n, xi, phis[i], 1)).amps
+            + (1.0 / n) * completer.amps,
+            -n * product_tensor(n, phis[0], phis[i], 1).amps,
+            n * product_tensor(n, phis[i], phis[0], 1).amps,
         )
 
 

@@ -9,7 +9,8 @@ synthesize  quadrature synthesis with gridded CSV export
 mutate      amplitude-mutation detection sweep (negative controls)
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad configuration
-or input, refused before any work.
+or input, refused before any work, or an output path that cannot be
+written, found after it.
 Reports are flat JSON/CSV with a ``schema: 1`` marker and contain no
 timestamps, so identical invocations produce byte-identical files.  All
 randomness flows from ``--seed`` through NumPy's PCG64 generator plus a
@@ -194,7 +195,7 @@ def cmd_synthesize(args) -> int:
     sol = syn.synthesize_eigensolution(cfg, {args.element: profile}, rule)
     checks = vf.check_vertex_bc(sol, cfg.n, samples=args.samples, tol=args.tol)
     checks += vf.check_diagonal_bc(sol, cfg.n, cfg.c, samples=args.samples, tol=args.tol)
-    record = syn.refine_quadrature(sol, 2)
+    record = syn.refine_quadrature(sol)
     payload = {
         "schema": SCHEMA,
         "n": cfg.n,
@@ -298,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--k1", type=float, required=True)
-    p.add_argument("--rel", type=float, default=1e-3)
+    p.add_argument("--rel", type=float, default=vf.DEFAULT_REL)
     p.add_argument("--per-element", type=int, default=1)
-    p.add_argument("--detect-above", type=float, default=1e-5)
+    p.add_argument("--detect-above", type=float, default=vf.DEFAULT_DETECT_ABOVE)
     common(p, "--seed", "--out")
     p.set_defaults(func=cmd_mutate)
 
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
         if "samples" in args and args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -259,15 +259,14 @@ class ConvergenceRecord:
 
 
 REFINE_SAMPLES = 60  # compared points, spread evenly over the n^2 quadrants
+REFINE_FACTOR = 2  # the refined rule has this many times the nodes
 
 
-def refine_quadrature(sol: SynthesizedSolution, factor: int = 2) -> ConvergenceRecord:
+def refine_quadrature(sol: SynthesizedSolution) -> ConvergenceRecord:
     """Empirical quadrature error: max pointwise change under node refinement."""
-    if factor < 2:
-        raise ValueError("refinement factor must be at least 2")
     if sol.rebuild is None:
         raise ValueError("solution does not carry a rebuild recipe")
-    fine = sol.rebuild(sol.node_count * factor)
+    fine = sol.rebuild(sol.node_count * REFINE_FACTOR)
     n = sol.n
     per = max(1, REFINE_SAMPLES // (n * n))
     edges = np.arange(1, n + 1)

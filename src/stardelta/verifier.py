@@ -37,6 +37,8 @@ from . import transforms as tr
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_TOL = 1e-9
+DEFAULT_REL = 1e-3  # mutation size, relative to the amplitude
+DEFAULT_DETECT_ABOVE = 1e-5  # worst residual that counts as a detected mutation
 TRANSFORM_TOL = 1e-10
 GRAM_GAP = 1e-8
 SPAN = 10.0
@@ -311,9 +313,9 @@ def verify_full_basis(
 def mutation_sweep(
     cfg: StarConfig,
     m: MomentumPair,
-    rel: float = 1e-3,
+    rel: float = DEFAULT_REL,
     per_element: int = 1,
-    detect_above: float = 1e-5,
+    detect_above: float = DEFAULT_DETECT_ABOVE,
     seed: int = 0,
 ) -> list[dict]:
     """Perturb single amplitudes and record the worst triggered residual.
@@ -341,7 +343,7 @@ def mutation_sweep(
             out.append(
                 {
                     "element": el.label,
-                    "entry": list(key[:3]) + [key[3], key[4], key[5]],
+                    "entry": list(key),
                     "relative_change": rel,
                     "max_residual": float(worst),
                     "detected": bool(worst > detect_above),

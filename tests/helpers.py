@@ -2,7 +2,9 @@
 
 ``from_entries`` builds a tensor from keyed amplitudes, and
 ``resynthesize_tensor`` rebuilds one from transform vectors key by key,
-independently of the array gather in ``extract_transforms``.  The
+independently of the array gather in ``extract_transforms``.
+``single_slot_product`` is one unsymmetrised product in one momentum
+slot, the oracle of the exchange-symmetrised ``product_tensor``.  The
 closed-form kernel patterns are the cross-check of
 ``compute_kernel_decomposition``; they change basis through the dense
 ``kron(F, F)``, independently of the per-matrix conversion in the package.
@@ -13,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, EntryKey, _entry_index
-from stardelta.oneparticle import EDGE, SPECTRAL
+from stardelta.oneparticle import EDGE, LARGER, SMALLER, SPECTRAL, OneParticleSolution
 from stardelta.transforms import TransformVectors4, change_of_basis
 
 # the (sig, tau) channel of each slot pair of xi, then chi
@@ -50,6 +52,26 @@ def resynthesize_tensor(tv: TransformVectors4, k: float) -> AmplitudeTensor:
                     for s in (0, 1):
                         entries[(i, j, sector, sig, tau, s + 1)] = -sig * tau * psi[2 * c + s] / kappa
     return from_entries(tv.n, entries)
+
+
+def single_slot_product(
+    n: int, fx: OneParticleSolution, gy: OneParticleSolution, assignment: tuple[int, int]
+) -> AmplitudeTensor:
+    """fx(x, k_s) * gy(y, k_t) alone, in slot 1 for assignment (1, 2) (x
+    carries k1) or slot 2 for (2, 1) (x carries k2).
+
+    On a diagonal quadrant the branch of each factor follows its own
+    variable: in the "above" sector x is the larger coordinate, so fx
+    takes its larger-branch scale and gy its smaller-branch scale.
+    """
+    waves = np.einsum("as,bt->abst", fx.coeff, gy.coeff)  # edge a, edge b, sig, tau
+    amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
+    slot = amps[..., assignment[0] - 1]  # view: quadrant, quadrant, sector, sig, tau
+    slot[:] = waves[:, :, None]
+    d = np.arange(n)
+    slot[d, d, 0] = fx.branch_scale(LARGER) * gy.branch_scale(SMALLER) * waves[d, d]
+    slot[d, d, 1] = fx.branch_scale(SMALLER) * gy.branch_scale(LARGER) * waves[d, d]
+    return AmplitudeTensor(amps)
 
 
 def projection_defect(U: np.ndarray, vecs: np.ndarray) -> float:

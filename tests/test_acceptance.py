@@ -165,7 +165,7 @@ def test_criterion_7_synthesis_inheritance():
     sol32 = syn.synthesize_eigensolution(
         cfg, {9: syn.gaussian_bump(0.35, 0.08)}, syn.gauss_rule(32)
     )
-    record = syn.refine_quadrature(sol32, 2)
+    record = syn.refine_quadrature(sol32)
     _report(
         "criterion 7",
         worst < 1e-8 and record.max_change < 1e-9,

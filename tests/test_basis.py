@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import single_slot_product
 from stardelta.basis import (
     basis_template,
     build_basis,
@@ -12,7 +13,7 @@ from stardelta.basis import (
     cycle_completing_tensor,
     diagonal_closed_form,
     family_counts,
-    product_state,
+    product_tensor,
 )
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, make_config
 from stardelta.oneparticle import LARGER, NEUTRAL, SMALLER, phi, scattering_wave, xi_solution
@@ -36,85 +37,69 @@ def test_circular_distance():
 
 
 def test_phi_phi_00_is_cosine_product():
-    state = product_state(CFG3, ("phi_phi", 0, 0), (1, 2))
+    state = product_tensor(3, phi(CFG3, 0), phi(CFG3, 0), 1)
     rng = np.random.default_rng(1)
     for _ in range(20):
         i, j = rng.integers(1, 4, size=2)
         sector = OFFDIAG if i != j else ABOVE
         x, y = rng.uniform(0, 9, size=2)
         got = state.value_array(int(i), int(j), sector, x, y, M68)[0]
-        assert got == pytest.approx(np.cos(0.6 * x) * np.cos(0.8 * y), abs=1e-13)
+        expected = np.cos(0.6 * x) * np.cos(0.8 * y) + np.cos(0.8 * x) * np.cos(0.6 * y)
+        assert got == pytest.approx(expected, abs=1e-13)
 
 
 def test_psi_psi_matches_factorwise_oracle():
-    state = product_state(CFG3, ("psi_psi", 1, 2), (1, 2))
+    psi1, psi2 = scattering_wave(CFG3, 1), scattering_wave(CFG3, 2)
+    state = product_tensor(3, psi1, psi2, -1)
     got = state.value_array(1, 3, OFFDIAG, 1.0, 2.0, M68)[0]
-    oracle = scattering_wave(CFG3, 1).value(1, 1.0, 0.6) * scattering_wave(CFG3, 2).value(3, 2.0, 0.8)
+    oracle = psi1.value(1, 1.0, 0.6) * psi2.value(3, 2.0, 0.8) - psi2.value(1, 1.0, 0.8) * psi1.value(3, 2.0, 0.6)
     assert got == pytest.approx(oracle, abs=1e-12)
 
 
 def test_product_matches_factorwise_oracle_all_quadrants():
+    # f(x, k1) g(y, k2) + sign * g(x, k2) f(y, k1), factor by factor with
+    # each variable's branch; in the xi pairs the branch scales swap
+    # factors under exchange
+    cfg = make_config(4, 1.0)
+    psi2, psi3 = scattering_wave(cfg, 2), scattering_wave(cfg, 3)
+    phi0, phi1, phi3 = phi(cfg, 0), phi(cfg, 1), phi(cfg, 3)
+    xi = xi_solution(cfg)
     rng = np.random.default_rng(8)
-    xi = xi_solution(CFG3)
-    for kind in (("phi_phi", 1, 2), ("psi_psi", 3, 1)):
-        for assignment in ((1, 2), (2, 1)):
-            state = product_state(CFG3, kind, assignment)
-            fx = phi(CFG3, kind[1]) if kind[0] == "phi_phi" else scattering_wave(CFG3, kind[1])
-            gy = phi(CFG3, kind[2]) if kind[0] == "phi_phi" else scattering_wave(CFG3, kind[2])
-            ks = (M68.k1, M68.k2) if assignment == (1, 2) else (M68.k2, M68.k1)
-            for _ in range(15):
-                i, j = (int(v) for v in rng.integers(1, 4, size=2))
-                sector = OFFDIAG if i != j else (ABOVE if rng.random() < 0.5 else BELOW)
-                bx, by = _branches(i, j, sector)
-                x, y = rng.uniform(0, 9, size=2)
-                got = state.value_array(i, j, sector, x, y, M68)[0]
-                oracle = fx.value(i, x, ks[0], bx) * gy.value(j, y, ks[1], by)
-                assert got == pytest.approx(oracle, abs=1e-12)
-    # the antisymmetrised phi/xi product against its two-term oracle
-    state = product_state(CFG3, ("phi_xi_antisym", 2), (1, 2))
-    ph = phi(CFG3, 2)
-    for _ in range(15):
-        i, j = (int(v) for v in rng.integers(1, 4, size=2))
-        sector = OFFDIAG if i != j else (ABOVE if rng.random() < 0.5 else BELOW)
-        bx, by = _branches(i, j, sector)
-        x, y = rng.uniform(0, 9, size=2)
-        got = state.value_array(i, j, sector, x, y, M68)[0]
-        oracle = ph.value(i, x, 0.6, bx) * xi.value(j, y, 0.8, by) - xi.value(i, x, 0.6, bx) * ph.value(
-            j, y, 0.8, by
-        )
-        assert got == pytest.approx(oracle, abs=1e-12)
+    k1, k2 = M68.k1, M68.k2
+    for f, g in ((psi3, psi2), (phi1, phi3), (phi0, phi1), (phi3, xi), (xi, phi1)):
+        for sign in (1, -1):
+            state = product_tensor(cfg.n, f, g, sign)
+            for i in range(1, cfg.n + 1):
+                for j in range(1, cfg.n + 1):
+                    for sector in (ABOVE, BELOW) if i == j else (OFFDIAG,):
+                        bx, by = _branches(i, j, sector)
+                        x, y = rng.uniform(0, 9, size=2)
+                        got = state.value_array(i, j, sector, x, y, M68)[0]
+                        oracle = f.value(i, x, k1, bx) * g.value(j, y, k2, by) + sign * g.value(
+                            i, x, k2, bx
+                        ) * f.value(j, y, k1, by)
+                        assert got == pytest.approx(oracle, abs=1e-12), (i, j, sector, sign)
 
 
 def test_phi_xi_antisym_exchange_rule():
-    # the antisymmetrised product obeys psi_12(x, y) = -psi_21(y, x) with
-    # the sector flipped along with the coordinates; at x = y the two
-    # sector branches are therefore opposite across the assignments
-    s12 = product_state(CFG3, ("phi_xi_antisym", 1), (1, 2))
-    s21 = product_state(CFG3, ("phi_xi_antisym", 1), (2, 1))
+    # the phi/xi product obeys psi(x, y) = sign * psi(y, x) with the sector
+    # flipped along with the coordinates; at x = y the two sector branches
+    # therefore differ by the sign
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        i, j = (int(v) for v in rng.integers(1, 4, size=2))
-        sector = OFFDIAG if i != j else (ABOVE if rng.random() < 0.5 else BELOW)
-        flipped = sector if i != j else (BELOW if sector == ABOVE else ABOVE)
-        x, y = rng.uniform(0, 9, size=2)
-        v = s12.value_array(i, j, sector, x, y, M68)[0]
-        w = s21.value_array(j, i, flipped, y, x, M68)[0]
-        assert w == pytest.approx(-v, abs=1e-12)
-    t = 2.5
-    va = s12.value_array(1, 1, ABOVE, t, t, M68)[0]
-    vb = s21.value_array(1, 1, BELOW, t, t, M68)[0]
-    assert vb == pytest.approx(-va, abs=1e-12)
-
-
-def test_product_state_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        product_state(CFG3, ("psi_psi", 0, 1), (1, 2))
-    with pytest.raises(ValueError):
-        product_state(CFG3, ("phi_phi", 4, 0), (1, 2))
-    with pytest.raises(ValueError):
-        product_state(CFG3, ("phi_xi_antisym", 5), (1, 2))
-    with pytest.raises(ValueError):
-        product_state(CFG3, ("psi_psi", 1, 1), (2, 2))
+    for sign in (1, -1):
+        state = product_tensor(3, phi(CFG3, 1), xi_solution(CFG3), sign)
+        for _ in range(20):
+            i, j = (int(v) for v in rng.integers(1, 4, size=2))
+            sector = OFFDIAG if i != j else (ABOVE if rng.random() < 0.5 else BELOW)
+            flipped = sector if i != j else (BELOW if sector == ABOVE else ABOVE)
+            x, y = rng.uniform(0, 9, size=2)
+            v = state.value_array(i, j, sector, x, y, M68)[0]
+            w = state.value_array(j, i, flipped, y, x, M68)[0]
+            assert w == pytest.approx(sign * v, abs=1e-12)
+        t = 2.5
+        va = state.value_array(1, 1, ABOVE, t, t, M68)[0]
+        vb = state.value_array(1, 1, BELOW, t, t, M68)[0]
+        assert vb == pytest.approx(sign * va, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -140,34 +125,58 @@ def test_build_basis_warns_at_degenerate_momentum():
         build_basis(CFG3, m_eq)
 
 
-def _termwise_basis(cfg, m):
-    """Every element as a weighted sum of product states at the momentum
-    pair, term by term, without the momentum-free tables."""
-    n, c = cfg.n, cfg.c
+def _oracle_terms(cfg):
+    """Terms (coefficient, tensor) of the tables T0, T1, T2 of every
+    element, in basis order, from single-slot products summed the way the
+    tables were summed before the exchange-symmetrised product."""
+    n = cfg.n
+    psi = [None] + [scattering_wave(cfg, i) for i in range(1, n + 1)]
+    ph = [phi(cfg, i) for i in range(n + 1)]
+    xi = xi_solution(cfg)
 
-    def prod(kind, *idx):
-        return product_state(cfg, (kind, *idx[:-1]), idx[-1])
+    def prod(f, g, assignment):
+        return single_slot_product(n, f, g, assignment)
 
     out = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            out.append(prod("psi_psi", i, j, (1, 2)) - prod("psi_psi", j, i, (2, 1)))
+            out.append(([(1.0, prod(psi[i], psi[j], (1, 2))), (-1.0, prod(psi[j], psi[i], (2, 1)))], [], []))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if circular_distance(i, j, n) >= 2:
-                out.append(prod("phi_phi", i, j, (1, 2)) + prod("phi_phi", j, i, (2, 1)))
-    completer = cycle_completing_tensor(cfg)
+                out.append(([(1.0, prod(ph[i], ph[j], (1, 2))), (1.0, prod(ph[j], ph[i], (2, 1)))], [], []))
+    completer = []
     for i in range(1, n + 1):
-        out.append(AmplitudeTensor.combine([
-            (1.0, prod("phi_xi_antisym", i, (1, 2))),
-            (-1.0, prod("phi_xi_antisym", i, (2, 1))),
-            (-n * m.k1 / c, prod("phi_phi", 0, i, (1, 2))),
-            (-n * m.k1 / c, prod("phi_phi", i, 0, (2, 1))),
-            (n * m.k2 / c, prod("phi_phi", 0, i, (2, 1))),
-            (n * m.k2 / c, prod("phi_phi", i, 0, (1, 2))),
+        s = 1 if i == n else i + 1
+        completer += [
+            (1.0, prod(ph[i], ph[s], (1, 2))),
+            (1.0, prod(ph[s], ph[i], (2, 1))),
+            (-1.0, prod(ph[s], ph[i], (1, 2))),
+            (-1.0, prod(ph[i], ph[s], (2, 1))),
+        ]
+    completer = AmplitudeTensor.combine(completer)
+    for i in range(1, n + 1):
+        t0 = [
+            (1.0, prod(ph[i], xi, (1, 2))),
+            (-1.0, prod(xi, ph[i], (1, 2))),
+            (-1.0, prod(ph[i], xi, (2, 1))),
+            (1.0, prod(xi, ph[i], (2, 1))),
             (1.0 / n, completer),
-        ]))
+        ]
+        t1 = [(-n, prod(ph[0], ph[i], (1, 2))), (-n, prod(ph[i], ph[0], (2, 1)))]
+        t2 = [(n, prod(ph[0], ph[i], (2, 1))), (n, prod(ph[i], ph[0], (1, 2)))]
+        out.append((t0, t1, t2))
     return out
+
+
+def _termwise_basis(cfg, m):
+    """Every element as a weighted sum of single-slot products at the
+    momentum pair, term by term, without the momentum-free tables."""
+    s1, s2 = m.k1 / cfg.c, m.k2 / cfg.c
+    return [
+        AmplitudeTensor.combine(t0 + [(s1 * a, t) for a, t in t1] + [(s2 * a, t) for a, t in t2])
+        for t0, t1, t2 in _oracle_terms(cfg)
+    ]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -180,6 +189,20 @@ def test_template_basis_matches_termwise_sum(n, c, k1):
     for el, ref in zip(elements, reference):
         scale = np.max(np.abs(ref.amps))
         assert scale > 0 and np.max(np.abs(el.tensor.amps - ref.amps)) <= 1e-12 * scale, el.label
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_template_tables_equal_single_slot_oracle(n):
+    # exactly equal, not within roundoff: each table sums the same
+    # products in the same order as the single-slot construction
+    cfg = make_config(n, 1.0)
+    oracle = _oracle_terms(cfg)
+    template = list(basis_template(cfg))
+    assert len(template) == len(oracle)
+    for (family, indices, tables), terms in zip(template, oracle):
+        for t, (table, table_terms) in enumerate(zip(tables, terms)):
+            expected = AmplitudeTensor.combine(table_terms).amps if table_terms else 0
+            assert np.array_equal(table, np.broadcast_to(expected, table.shape)), (family, indices, t)
 
 
 def test_template_is_coupling_free_with_momentum_parts_only_in_sym_diag():

@@ -225,6 +225,25 @@ def test_bad_input_refused_with_exit_2(tmp_path, capsys, argv):
     assert not out.exists() and not grid.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        VERIFY3 + ["--out", "{dir}"],
+        ["kernels", "--n", "3", "--out", "{file}"],
+        SYN3 + ["--grid-out", "{file}/g.csv"],
+    ],
+    ids=["verify-out-is-a-directory", "kernels-out-is-a-file", "synthesize-grid-out-under-a-file"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    # found only when the report is written, after the work: an error
+    # line and exit 2, not a traceback and the exit 1 of a failed check
+    (tmp_path / "file").write_text("taken\n")
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (tmp_path / "file").read_text() == "taken\n"
+
+
 @pytest.mark.parametrize("nodes", ["0", "-3"])
 def test_synthesize_refuses_a_node_count_below_one(tmp_path, capsys, nodes):
     out = tmp_path / "out.json"

@@ -8,6 +8,7 @@ from stardelta.oneparticle import (
     LARGER,
     NEUTRAL,
     SMALLER,
+    phi,
     phi_j,
     phi_zero,
     s_matrix,
@@ -70,6 +71,14 @@ def test_scattering_wave_index_guard():
         scattering_wave(cfg, 0)
     with pytest.raises(ValueError):
         scattering_wave(cfg, 4)
+
+
+def test_phi_index_guard():
+    cfg = make_config(3, 1.0)
+    with pytest.raises(ValueError):
+        phi(cfg, 4)
+    with pytest.raises(ValueError):
+        phi(cfg, -1)
 
 
 def test_phi_zero_is_cosine_and_matches_scattering_sum():

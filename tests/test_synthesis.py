@@ -109,7 +109,7 @@ def test_refinement_spectral_for_smooth_profile():
     sol = syn.synthesize_eigensolution(
         CFG3, {9: syn.gaussian_bump(0.35, 0.08)}, syn.gauss_rule(32)
     )
-    record = syn.refine_quadrature(sol, 2)
+    record = syn.refine_quadrature(sol)
     assert record.coarse_nodes == 32 and record.fine_nodes == 64
     assert record.max_change < 1e-9
 
@@ -127,7 +127,7 @@ def test_refinement_samples_every_quadrant_and_sector():
                 change = sol.value_array(i, j, sector, xs, ys) - fine.value_array(i, j, sector, xs, ys)
                 worst = max(worst, float(np.max(np.abs(change))))
                 used += 6
-    record = syn.refine_quadrature(sol, 2)
+    record = syn.refine_quadrature(sol)
     assert syn.REFINE_SAMPLES == 60
     assert record.sample_count == used == 72
     assert record.max_change == pytest.approx(worst, rel=1e-12)
@@ -140,8 +140,8 @@ def test_refinement_algebraic_for_indicator_profile():
     rough = syn.synthesize_eigensolution(
         CFG3, {9: syn.indicator_profile(0.2, 0.5)}, syn.gauss_rule(32)
     )
-    rec_smooth = syn.refine_quadrature(smooth, 2)
-    rec_rough = syn.refine_quadrature(rough, 2)
+    rec_smooth = syn.refine_quadrature(smooth)
+    rec_rough = syn.refine_quadrature(rough)
     assert rec_rough.max_change > 1e4 * rec_smooth.max_change
 
 

@@ -38,10 +38,12 @@ def test_vertex_check_negative_control():
 
 
 def test_vertex_check_cosine_product():
-    # cos(k1 x) cos(k2 y) has vanishing outgoing derivatives at the vertex
-    from stardelta.basis import product_state
+    # cos(k1 x) cos(k2 y) + cos(k2 x) cos(k1 y) has vanishing outgoing
+    # derivatives at the vertex
+    from stardelta.basis import product_tensor
+    from stardelta.oneparticle import phi
 
-    state = product_state(CFG3, ("phi_phi", 0, 0), (1, 2))
+    state = product_tensor(3, phi(CFG3, 0), phi(CFG3, 0), 1)
     sol = vf.TensorSolution(state, M68)
     _, deriv_check = vf.check_vertex_bc(sol, 3)
     assert deriv_check.max_abs_residual <= 1e-13
