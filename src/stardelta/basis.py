@@ -55,7 +55,7 @@ def circular_distance(i: int, j: int, n: int) -> int:
     return min(d, n - d)
 
 
-def product_tensor(n: int, f: OneParticleSolution, g: OneParticleSolution, sign: float) -> AmplitudeTensor:
+def product_tensor(f: OneParticleSolution, g: OneParticleSolution, sign: float) -> AmplitudeTensor:
     """Expand f(x) g(y) + sign * g(x) f(y) into sector-tagged plane waves.
 
     Slot 1 holds f(x, k1) g(y, k2), the product with x carrying k1; slot 2
@@ -63,8 +63,9 @@ def product_tensor(n: int, f: OneParticleSolution, g: OneParticleSolution, sign:
     diagonal quadrant the branch of each factor follows its own variable:
     in the "above" sector x is the larger coordinate, so the factor of x
     takes its larger-branch scale and the factor of y its smaller-branch
-    scale.
+    scale.  The edge count is the factors' own.
     """
+    n = f.n
     amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
     d = np.arange(n)
     for slot, (fx, gy, s) in enumerate(((f, g, 1.0), (g, f, sign))):
@@ -102,11 +103,10 @@ def cycle_completing_tensor(cfg: StarConfig) -> AmplitudeTensor:
     telescoping identity sum_j phi^j = 0; folding it into the diagonal
     family restores the full 2n^2 - 2n span.
     """
-    n = cfg.n
-    phis = [phi(cfg, i) for i in range(1, n + 1)]
+    phis = [phi(cfg, i) for i in range(1, cfg.n + 1)]
     terms = []
     for f, g in zip(phis, phis[1:] + phis[:1]):
-        terms += [(1.0, product_tensor(n, f, g, 1)), (-1.0, product_tensor(n, g, f, 1))]
+        terms += [(1.0, product_tensor(f, g, 1)), (-1.0, product_tensor(g, f, 1))]
     return AmplitudeTensor.combine(terms)
 
 
@@ -133,11 +133,11 @@ def basis_template(cfg: StarConfig) -> Iterator[tuple[str, tuple, tuple[np.ndarr
 
     for i, f in enumerate(psis, 1):
         for j, g in enumerate(psis, 1):
-            yield "antisym", (i, j), (product_tensor(n, f, g, -1).amps, zero, zero)
+            yield "antisym", (i, j), (product_tensor(f, g, -1).amps, zero, zero)
     for i, f in enumerate(phis[1:], 1):
         for j, g in enumerate(phis[1:], 1):
             if circular_distance(i, j, n) >= 2:
-                yield "sym_offdiag", (i, j), (product_tensor(n, f, g, 1).amps, zero, zero)
+                yield "sym_offdiag", (i, j), (product_tensor(f, g, 1).amps, zero, zero)
     completer = cycle_completing_tensor(cfg)
     for i in range(1, n + 1):
         # Coupling coefficients -n*k1/c and +n*k2/c: this is the unique
@@ -145,10 +145,10 @@ def basis_template(cfg: StarConfig) -> Iterator[tuple[str, tuple, tuple[np.ndarr
         # equals c times the boundary value (and for which the element
         # matches diagonal_closed_form on Q_ii).
         yield "sym_diag", (i,), (
-            (product_tensor(n, phis[i], xi, 1) - product_tensor(n, xi, phis[i], 1)).amps
+            (product_tensor(phis[i], xi, 1) - product_tensor(xi, phis[i], 1)).amps
             + (1.0 / n) * completer.amps,
-            -n * product_tensor(n, phis[0], phis[i], 1).amps,
-            n * product_tensor(n, phis[i], phis[0], 1).amps,
+            -n * product_tensor(phis[0], phis[i], 1).amps,
+            n * product_tensor(phis[i], phis[0], 1).amps,
         )
 
 
@@ -211,11 +211,9 @@ def closed_form(cfg: StarConfig, k: complex, kprime: complex, x, y):
     return complex(total) if np.ndim(total) == 0 else total
 
 
-def diagonal_closed_form(cfg: StarConfig, i: int, m: MomentumPair, x, y):
-    """Value of the sym_diag(i) element on its own diagonal quadrant Q_ii:
+def diagonal_closed_form(cfg: StarConfig, m: MomentumPair, x, y):
+    """Value of every sym_diag(i) element on its own diagonal quadrant Q_ii:
     :func:`closed_form` at k = (k1+k2)/2, k' = (k1-k2)/2."""
-    if not 1 <= i <= cfg.n:
-        raise ValueError(f"edge index {i} out of range")
     return closed_form(cfg, (m.k1 + m.k2) / 2.0, (m.k1 - m.k2) / 2.0, x, y)
 
 
@@ -233,12 +231,7 @@ class ComplexMomentumSample:
         return self.decaying_term + self.growing_term
 
 
-def complex_momentum_profile(
-    cfg: StarConfig,
-    i: int,
-    kprime: float,
-    samples: list[tuple[float, float]],
-) -> list[ComplexMomentumSample]:
+def complex_momentum_profile(cfg: StarConfig, kprime: float, samples: list[tuple[float, float]]) -> list[ComplexMomentumSample]:
     """Evaluate the two terms of the diagonal closed form at k = i*c/2.
 
     Continuing k into the upper half plane makes the first term decay
@@ -249,8 +242,6 @@ def complex_momentum_profile(
     c, n = cfg.c, cfg.n
     if c >= 0:
         raise ValueError("complex-momentum profile requires attractive coupling c < 0")
-    if not 1 <= i <= n:
-        raise ValueError(f"edge index {i} out of range")
     out = []
     for x, y in samples:
         u = abs(x - y)

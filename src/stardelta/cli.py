@@ -8,9 +8,8 @@ sweep       residual sweep over an (n, c, k1) grid, CSV or JSON
 synthesize  quadrature synthesis with gridded CSV export
 mutate      amplitude-mutation detection sweep (negative controls)
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 bad configuration
-or input, refused before any work, or an output path that cannot be
-written, found after it.
+Exit codes: 0 all checks passed, 1 a check failed, 2 bad configuration,
+input or output path, refused before any work.
 Reports are flat JSON/CSV with a ``schema: 1`` marker and contain no
 timestamps, so identical invocations produce byte-identical files.  All
 randomness flows from ``--seed`` through NumPy's PCG64 generator plus a
@@ -21,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -60,13 +61,23 @@ def parse_float_grid(text: str) -> list[float]:
     return _nonempty([float(p) for p in text.split(",") if p != ""], text)
 
 
+def prepare_outputs(*paths) -> None:
+    """Create the parent directories of every output path before any work.
+
+    A path that is an existing directory is refused, and a parent that is
+    a file fails here, so a run that exits 2 leaves no report behind.
+    """
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        path.parent.mkdir(parents=True, exist_ok=True)
+
+
 def write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -87,6 +98,7 @@ def _momentum(k1: float, c: float) -> MomentumPair:
 def cmd_verify(args) -> int:
     cfg = make_config(args.n, args.c)
     m = _momentum(args.k1, args.c)
+    prepare_outputs(args.out)
     report = vf.verify_full_basis(cfg, m, samples=args.samples, tol=args.tol, seed=args.seed)
     payload = report.to_dict()
     payload["seed"] = args.seed
@@ -106,15 +118,16 @@ def cmd_verify(args) -> int:
 
 def cmd_kernels(args) -> int:
     ok = True
-    outdir = Path(args.out) if args.out else None
     ns = parse_int_grid(args.n)
     if min(ns) < 3:
         raise ValueError(f"kernel decomposition needs n >= 3, got {min(ns)}")
-    for n in ns:
+    outs = [Path(args.out) / f"kernels_n{n}.json" if args.out else None for n in ns]
+    prepare_outputs(*outs)
+    for n, out in zip(ns, outs):
         report = tr.compute_kernel_decomposition(n, basis=args.basis)
         payload = report.to_dict(include_bases=args.include_bases)
-        if outdir is not None:
-            write_json(outdir / f"kernels_n{n}.json", payload)
+        if out is not None:
+            write_json(out, payload)
         status = "PASS" if report.passed else "FAIL"
         dims = report.dims
         print(f"kernels n={n}: {status} "
@@ -125,38 +138,31 @@ def cmd_kernels(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = []
-    ok = True
     ns, cs, k1s = parse_int_grid(args.n), parse_float_grid(args.c), parse_float_grid(args.k1)
-    for n in ns:
-        for c in cs:
-            for k1 in k1s:
-                if c == 0.0:
-                    rows.append([n, repr(c), repr(k1), "-", "-", "", "", "SKIPPED(c=0)"])
-                    continue
-                m = MomentumPair.from_k1(k1)
-                if near_pole(m.fold):
-                    rows.append([n, repr(c), repr(k1), "-", "-", "", "", "SKIPPED(singularity)"])
-                    continue
-                cfg = make_config(n, c)
-                report = vf.verify_full_basis(cfg, m, samples=args.samples, tol=args.tol, seed=args.seed)
-                worst: dict[tuple[str, str], tuple[float, float]] = {}
-                for el in report.extras["elements"]:
-                    family = el["solution"].split("(")[0]
-                    for ch in el["checks"]:
-                        key = (family, ch["name"])
-                        prev = worst.get(key, (0.0, ch["tolerance"]))
-                        worst[key] = (max(prev[0], ch["max_abs_residual"]), ch["tolerance"])
-                        if not ch["pass"]:
-                            ok = False
-                for (family, check), (resid, tolerance) in sorted(worst.items()):
-                    status = "PASS" if resid <= tolerance else "FAIL"
-                    rows.append([n, repr(c), repr(k1), family, check, repr(resid), repr(tolerance), status])
-                rank_status = "PASS" if report.extras["rank"] == report.extras["rank_expected"] else "FAIL"
-                if rank_status == "FAIL":
-                    ok = False
-                rows.append([n, repr(c), repr(k1), "all", "basis_rank",
-                             str(report.extras["rank"]), str(report.extras["rank_expected"]), rank_status])
+    # every grid point is validated before the first verify
+    points = [(make_config(n, c), k1, MomentumPair.from_k1(k1)) for n in ns for c in cs for k1 in k1s]
+    prepare_outputs(args.out)
+    rows = []
+    for cfg, k1, m in points:
+        head = [cfg.n, repr(cfg.c), repr(k1)]
+        if cfg.c == 0.0:
+            rows.append(head + ["-", "-", "", "", "SKIPPED(c=0)"])
+            continue
+        if near_pole(m.fold):
+            rows.append(head + ["-", "-", "", "", "SKIPPED(singularity)"])
+            continue
+        report = vf.verify_full_basis(cfg, m, samples=args.samples, tol=args.tol, seed=args.seed)
+        # (family, check) -> worst residual, tolerance, every element passed
+        worst: dict[tuple[str, str], tuple[float, float, bool]] = {}
+        for el in report.extras["elements"]:
+            family = el["solution"].split("(")[0]
+            for ch in el["checks"]:
+                resid, _, passed = worst.get((family, ch["name"]), (0.0, 0.0, True))
+                worst[family, ch["name"]] = (max(resid, ch["max_abs_residual"]), ch["tolerance"], passed and ch["pass"])
+        for (family, check), (resid, tolerance, passed) in sorted(worst.items()):
+            rows.append(head + [family, check, repr(resid), repr(tolerance), "PASS" if passed else "FAIL"])
+        rank, expected = report.extras["rank"], report.extras["rank_expected"]
+        rows.append(head + ["all", "basis_rank", str(rank), str(expected), "PASS" if rank == expected else "FAIL"])
     header = ["n", "c", "k1", "family", "check", "max_residual", "tolerance", "status"]
     if args.out:
         if args.format == "csv":
@@ -166,7 +172,7 @@ def cmd_sweep(args) -> int:
                                         "rows": [dict(zip(header, r)) for r in rows]})
     failures = sum(1 for r in rows if r[-1] == "FAIL")
     print(f"sweep: {len(rows)} rows, {failures} failures")
-    return 0 if ok and failures == 0 else 1
+    return 0 if failures == 0 else 1
 
 
 def _parse_profile(text: str):
@@ -192,6 +198,7 @@ def cmd_synthesize(args) -> int:
     values = syn._profile_on(profile, rule.nodes)
     if not np.all(np.isfinite(values)) or not np.any(values):
         raise ValueError(f"profile {args.profile!r} must be finite and not vanish at every quadrature node")
+    prepare_outputs(args.out, args.grid_out)
     sol = syn.synthesize_eigensolution(cfg, {args.element: profile}, rule)
     checks = vf.check_vertex_bc(sol, cfg.n, samples=args.samples, tol=args.tol)
     checks += vf.check_diagonal_bc(sol, cfg.n, cfg.c, samples=args.samples, tol=args.tol)
@@ -224,6 +231,7 @@ def cmd_mutate(args) -> int:
         raise ValueError(f"--detect-above must be positive and finite, got {args.detect_above}")
     cfg = make_config(args.n, args.c)
     m = _momentum(args.k1, args.c)
+    prepare_outputs(args.out)
     records = vf.mutation_sweep(
         cfg, m, rel=args.rel, per_element=args.per_element,
         detect_above=args.detect_above, seed=args.seed,

@@ -240,7 +240,7 @@ def synthesize_basic_solution(
     with c != 0, fails the diagonal jump check.
     """
     rule = rule if rule is not None else gauss_rule(64)
-    base = basic_solution_tensor(cfg.n, chi_hat, chi_check, tau_sign)
+    base = basic_solution_tensor(chi_hat, chi_check, tau_sign)
 
     def assemble(count: int) -> SynthesizedSolution:
         r = rule if count == rule.count else gauss_rule(count)

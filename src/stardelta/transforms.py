@@ -55,8 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import AmplitudeTensor, check_fold, near_pole, partner_momentum
-from .basis import BasisElement
+from .domain import AmplitudeTensor, MomentumPair, check_fold, near_pole, partner_momentum
 from .oneparticle import EDGE, SPECTRAL, s_matrix
 
 RANK_RTOL = 1e-10
@@ -356,7 +355,6 @@ class TransformVectors4:
     systems M and N annihilate actual eigensolutions.
     """
 
-    n: int
     k: float
     hat_xi: np.ndarray
     hat_chi: np.ndarray
@@ -369,6 +367,10 @@ class TransformVectors4:
                 raise ValueError(f"expected (n, n, 4) transform array, got {arr.shape}")
         check_fold(self.k)
 
+    @property
+    def n(self) -> int:
+        return self.hat_xi.shape[0]
+
 
 # The four (sig, tau) channels (++, --, +-, -+) as indices (sig+1)//2,
 # (tau+1)//2 into the amplitude array, and -sig*tau, which turns a wave
@@ -378,43 +380,23 @@ _CH_TAU = np.array([1, 0, 0, 1])
 _CH_SIGN = np.array([[-1.0], [-1.0], [1.0], [1.0]])
 
 
-def extract_transforms(obj, k: float, n: int | None = None) -> TransformVectors4:
-    """Read a tensor's plane-wave amplitudes into folded transform vectors.
+def extract_transforms(tensor: AmplitudeTensor, m: MomentumPair) -> TransformVectors4:
+    """Read a tensor built at the real pair ``m`` into folded transform vectors.
 
-    ``obj`` is a BasisElement (momentum known) or a bare AmplitudeTensor
-    built at the pair (k, sqrt(1-k^2)).  The tensor's momentum pair must
-    match (k, sqrt(1-k^2)) up to a swap of which assignment slot carries
-    k.  ``n``, if given, must be the tensor's edge count.
+    The fold momentum is k = ``m.fold``; the assignment slot that carries
+    it is slot 1, or slot 2 when k2 < k1.
     """
-    check_fold(k)
+    k = m.fold
     kappa = partner_momentum(k)
-    if isinstance(obj, BasisElement):
-        tensor = obj.tensor
-        m = obj.momentum
-        if abs(m.k1 - k) < 1e-9 and abs(m.k2 - kappa) < 1e-9:
-            slot_k = 1
-        elif abs(m.k2 - k) < 1e-9 and abs(m.k1 - kappa) < 1e-9:
-            slot_k = 2
-        else:
-            raise ValueError(
-                f"momentum mismatch: element built at ({m.k1}, {m.k2}), fold at k={k}"
-            )
-    elif isinstance(obj, AmplitudeTensor):
-        tensor = obj
-        slot_k = 1
-    else:
-        raise TypeError(f"expected BasisElement or AmplitudeTensor, got {type(obj)!r}")
-    if n is not None and n != tensor.n:
-        raise ValueError(f"tensor is built for n = {tensor.n}, not n = {n}")
     n = tensor.n
     # one signed gather: (quadrant, quadrant, sector, channel, slot)
     psi = tensor.amps[:, :, :, _CH_SIG, _CH_TAU] * (_CH_SIGN * kappa)
-    if slot_k == 2:
+    if m.k2.real < m.k1.real:
         psi = psi[..., ::-1]
     # per sector: xi = (++ at k, ++ at kappa, -- at k, -- at kappa), chi likewise
     psi = psi.reshape(n, n, 2, 8)
     return TransformVectors4(
-        n=n, k=k,
+        k=k,
         hat_xi=psi[:, :, 0, :4], hat_chi=psi[:, :, 0, 4:],
         check_xi=psi[:, :, 1, :4], check_chi=psi[:, :, 1, 4:],
     )
@@ -486,14 +468,14 @@ class DiagonalConditionResiduals:
         return max(self.xi, self.chi)
 
 
-def check_diagonal_conditions(tv: TransformVectors4, k: float, c: float) -> DiagonalConditionResiduals:
+def check_diagonal_conditions(tv: TransformVectors4, c: float) -> DiagonalConditionResiduals:
     """Residuals of xi_hat = M xi_check and chi_hat = N chi_check on the diagonal.
 
     Applied to every diagonal quadrant at once.  Per channel pair, the
     folded continuity and jump identities are an invertible 2x2
     combination (determinant 2) of these residuals, so both vanish together.
     """
-    M, N = diagonal_condition_matrices(k, c)
+    M, N = diagonal_condition_matrices(tv.k, c)
     # slots on the first axis, the n diagonal quadrants on the second
     d = np.arange(tv.n)
     return DiagonalConditionResiduals(
@@ -513,7 +495,7 @@ def kernel_pair_matrices(vec: np.ndarray, n: int, basis: str = SPECTRAL) -> tupl
     return vec[: n * n].reshape(n, n), vec[n * n :].reshape(n, n)
 
 
-def basic_solution_tensor(n: int, chi_hat: np.ndarray, chi_check: np.ndarray, tau_sign: int) -> AmplitudeTensor:
+def basic_solution_tensor(chi_hat: np.ndarray, chi_check: np.ndarray, tau_sign: int) -> AmplitudeTensor:
     """Plane-wave tensor of a vertex-compatible (basic) solution.
 
     ``(chi_hat, chi_check)`` is an element of ker(PI_perp o Q_pm) in the
@@ -522,10 +504,12 @@ def basic_solution_tensor(n: int, chi_hat: np.ndarray, chi_check: np.ndarray, ta
     from the row/column vertex equations, so the result satisfies both
     by construction; it need not satisfy the diagonal conditions, which
     is the point of basic solutions.  The tensor is momentum-agnostic:
-    evaluate it at any pair (k, sqrt(1-k^2)) with assignment slot 1.
+    evaluate it at any real pair with k1 < k2, so that slot 1 carries the
+    fold momentum.  n is read from ``chi_hat``.
     """
     if tau_sign not in (1, -1):
         raise ValueError("tau_sign must be +1 or -1")
+    n = chi_hat.shape[0]
     xi_hat, xi_check = _vertex_xi(s_matrix(n, EDGE), chi_hat, tau_sign * chi_check)
     drift = _offdiag_drift((chi_hat, chi_check), (xi_hat, xi_check))
     if drift > 1e-9:

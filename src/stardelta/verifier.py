@@ -246,19 +246,21 @@ def basis_rank(elements: list[BasisElement], seed: int = 0) -> tuple[int, np.nda
 
 def verify_element(
     el: BasisElement,
-    n: int,
     samples: int = 100,
     tol: float = DEFAULT_TOL,
     offset: int = 0,
 ) -> ResidualReport:
-    """All per-element checks: pointwise boundary conditions + transforms."""
+    """All per-element checks: pointwise boundary conditions + transforms.
+
+    The edge count, momentum pair and coupling are the element's own.
+    """
+    n = el.tensor.n
     sol = TensorSolution.from_element(el)
     checks = check_vertex_bc(sol, n, samples=samples, tol=tol, offset=offset)
     checks += check_diagonal_bc(sol, n, el.coupling, samples=samples, tol=tol, offset=offset)
-    k = el.momentum.fold
-    tv = tr.extract_transforms(el, k, n=n)
+    tv = tr.extract_transforms(el.tensor, el.momentum)
     kir = tr.check_kirchhoff_transforms(tv)
-    diag = tr.check_diagonal_conditions(tv, k, el.coupling)
+    diag = tr.check_diagonal_conditions(tv, el.coupling)
     checks.append(CheckResult("transform_kirchhoff", kir.max, 4 * n * n, TRANSFORM_TOL))
     checks.append(CheckResult("transform_diagonal", diag.max, 8 * n, TRANSFORM_TOL))
     pointwise_diag = [c for c in checks if c.name == "diagonal_jump"][0]
@@ -282,7 +284,7 @@ def verify_full_basis(
     checks: list[CheckResult] = []
     sub_reports = []
     for idx, el in enumerate(elements):
-        rep = verify_element(el, cfg.n, samples=samples, tol=tol, offset=idx * 7)
+        rep = verify_element(el, samples=samples, tol=tol, offset=idx * 7)
         sub_reports.append(rep)
         # aggregate row per element: worst residual normalised by each
         # sub-check's own tolerance, so <= 1 means the element passed

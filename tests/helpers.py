@@ -31,14 +31,14 @@ def from_entries(n: int, entries: Mapping[EntryKey, complex]) -> AmplitudeTensor
     return AmplitudeTensor(amps)
 
 
-def resynthesize_tensor(tv: TransformVectors4, k: float) -> AmplitudeTensor:
+def resynthesize_tensor(tv: TransformVectors4) -> AmplitudeTensor:
     """Inverse of extract_transforms for a tensor with k in assignment slot 1.
 
     Slot 2c + s of (xi, chi) is the channel CHANNELS[c] at assignment slot
     s + 1, weighted by kappa; the wave amplitude is -sig*tau*psi/kappa.
     Off the diagonal, where hat = check, the check values are kept.
     """
-    kappa = np.sqrt(1.0 - k * k)
+    kappa = np.sqrt(1.0 - tv.k * tv.k)
     entries = {}
     for i in range(1, tv.n + 1):
         for j in range(1, tv.n + 1):

@@ -97,9 +97,9 @@ def test_criterion_4_transform_pointwise_equivalence():
         cfg = make_config(n, c)
         m = MomentumPair.from_k1(k1)
         for el in build_basis(cfg, m):
-            tv = tr.extract_transforms(el, k1, n=n)
+            tv = tr.extract_transforms(el.tensor, m)
             kir = tr.check_kirchhoff_transforms(tv)
-            diag = tr.check_diagonal_conditions(tv, k1, c)
+            diag = tr.check_diagonal_conditions(tv, c)
             worst = max(worst, kir.max, diag.max)
             sol = vf.TensorSolution.from_element(el)
             _, jump = vf.check_diagonal_bc(sol, n, c, samples=60)
@@ -127,7 +127,7 @@ def test_criterion_5_closed_form_cross_check():
             x, y = rng.uniform(0.0, 10.0, size=2)
             sector = ABOVE if x > y else BELOW
             got = el.tensor.value_array(i, i, sector, x, y, m)[0]
-            want = diagonal_closed_form(cfg, i, m, x, y)
+            want = diagonal_closed_form(cfg, m, x, y)
             worst = max(worst, abs(got - want))
     _report(
         "criterion 5",
@@ -209,7 +209,7 @@ def test_criterion_9_complex_momentum_diagnostic():
     u = 0.7
     vs = np.linspace(u, 20.0, 40)
     samples = complex_momentum_profile(
-        cfg, 1, 0.5, [((v + u) / 2, (v - u) / 2) for v in vs]
+        cfg, 0.5, [((v + u) / 2, (v - u) / 2) for v in vs]
     )
     first = np.array([abs(s.decaying_term) for s in samples])
     second = np.array([abs(s.growing_term) for s in samples])

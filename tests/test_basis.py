@@ -37,7 +37,7 @@ def test_circular_distance():
 
 
 def test_phi_phi_00_is_cosine_product():
-    state = product_tensor(3, phi(CFG3, 0), phi(CFG3, 0), 1)
+    state = product_tensor(phi(CFG3, 0), phi(CFG3, 0), 1)
     rng = np.random.default_rng(1)
     for _ in range(20):
         i, j = rng.integers(1, 4, size=2)
@@ -50,7 +50,7 @@ def test_phi_phi_00_is_cosine_product():
 
 def test_psi_psi_matches_factorwise_oracle():
     psi1, psi2 = scattering_wave(CFG3, 1), scattering_wave(CFG3, 2)
-    state = product_tensor(3, psi1, psi2, -1)
+    state = product_tensor(psi1, psi2, -1)
     got = state.value_array(1, 3, OFFDIAG, 1.0, 2.0, M68)[0]
     oracle = psi1.value(1, 1.0, 0.6) * psi2.value(3, 2.0, 0.8) - psi2.value(1, 1.0, 0.8) * psi1.value(3, 2.0, 0.6)
     assert got == pytest.approx(oracle, abs=1e-12)
@@ -68,7 +68,7 @@ def test_product_matches_factorwise_oracle_all_quadrants():
     k1, k2 = M68.k1, M68.k2
     for f, g in ((psi3, psi2), (phi1, phi3), (phi0, phi1), (phi3, xi), (xi, phi1)):
         for sign in (1, -1):
-            state = product_tensor(cfg.n, f, g, sign)
+            state = product_tensor(f, g, sign)
             for i in range(1, cfg.n + 1):
                 for j in range(1, cfg.n + 1):
                     for sector in (ABOVE, BELOW) if i == j else (OFFDIAG,):
@@ -87,7 +87,7 @@ def test_phi_xi_antisym_exchange_rule():
     # therefore differ by the sign
     rng = np.random.default_rng(6)
     for sign in (1, -1):
-        state = product_tensor(3, phi(CFG3, 1), xi_solution(CFG3), sign)
+        state = product_tensor(phi(CFG3, 1), xi_solution(CFG3), sign)
         for _ in range(20):
             i, j = (int(v) for v in rng.integers(1, 4, size=2))
             sector = OFFDIAG if i != j else (ABOVE if rng.random() < 0.5 else BELOW)
@@ -282,7 +282,7 @@ def test_closed_form_on_diagonal_cut():
     k = (m.k1 + m.k2) / 2
     kp = (m.k1 - m.k2) / 2
     for x in (0.7, 2.2, 5.1):
-        got = diagonal_closed_form(cfg, 1, m, x, x)
+        got = diagonal_closed_form(cfg, m, x, x)
         expected = cfg.n * (
             -(2 * k / cfg.c) * np.sin(kp * 2 * x) + (2 * kp / cfg.c) * np.sin(k * 2 * x)
         )
@@ -290,7 +290,7 @@ def test_closed_form_on_diagonal_cut():
 
 
 def test_closed_form_zero_at_origin():
-    assert diagonal_closed_form(CFG3, 2, M68, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert diagonal_closed_form(CFG3, M68, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n,c", [(3, 1.0), (4, -1.5), (5, 0.7)])
@@ -308,7 +308,7 @@ def test_closed_form_matches_tensor(n, c):
             x, y = rng.uniform(0, 9, size=2)
             sector = ABOVE if x > y else BELOW
             got = el.tensor.value_array(i, i, sector, x, y, m)[0]
-            want = diagonal_closed_form(cfg, i, m, x, y)
+            want = diagonal_closed_form(cfg, m, x, y)
             assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -317,7 +317,7 @@ def test_closed_form_specific_point():
     m = MomentumPair.from_k1(0.6)
     el = [e for e in build_basis(cfg, m) if e.family == "sym_diag" and e.indices == (1,)][0]
     got = el.tensor.value_array(1, 1, ABOVE, 1.5, 0.5, m)[0]
-    want = diagonal_closed_form(cfg, 1, m, 1.5, 0.5)
+    want = diagonal_closed_form(cfg, m, 1.5, 0.5)
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -326,12 +326,12 @@ def test_closed_form_specific_point():
 
 def test_complex_profile_requires_attractive_coupling():
     with pytest.raises(ValueError):
-        complex_momentum_profile(CFG3, 1, 0.5, [(1.0, 0.0)])
+        complex_momentum_profile(CFG3, 0.5, [(1.0, 0.0)])
 
 
 def test_complex_profile_zero_at_origin():
     cfg = make_config(3, -2.0)
-    (sample,) = complex_momentum_profile(cfg, 1, 0.5, [(0.0, 0.0)])
+    (sample,) = complex_momentum_profile(cfg, 0.5, [(0.0, 0.0)])
     assert sample.decaying_term == pytest.approx(0.0, abs=1e-15)
     assert sample.growing_term == pytest.approx(0.0, abs=1e-15)
 
@@ -339,7 +339,7 @@ def test_complex_profile_zero_at_origin():
 def test_complex_profile_first_term_value():
     # c = -2, k' = 0.5, (x, y) = (3, 1): -e^{-2} sin 2 times i*n
     cfg = make_config(3, -2.0)
-    (sample,) = complex_momentum_profile(cfg, 1, 0.5, [(3.0, 1.0)])
+    (sample,) = complex_momentum_profile(cfg, 0.5, [(3.0, 1.0)])
     scalar = -np.exp(-2.0) * np.sin(2.0)
     assert scalar == pytest.approx(-0.12306, abs=1e-5)
     assert sample.decaying_term == pytest.approx(1j * 3 * scalar, abs=1e-12)
@@ -350,7 +350,7 @@ def test_complex_profile_growth_along_sum_coordinate():
     u = 0.7
     vs = np.linspace(1.0, 20.0, 24)
     samples = complex_momentum_profile(
-        cfg, 1, 0.5, [((v + u) / 2, (v - u) / 2) for v in vs]
+        cfg, 0.5, [((v + u) / 2, (v - u) / 2) for v in vs]
     )
     mags = np.array([abs(s.growing_term) for s in samples])
     assert np.all(np.diff(mags) > 0)
@@ -363,7 +363,7 @@ def test_complex_profile_sums_to_continued_closed_form():
     cfg = make_config(3, -2.0)
     k = 1j * cfg.c / 2
     for x, y in ((2.0, 0.5), (1.1, 4.0)):
-        (sample,) = complex_momentum_profile(cfg, 1, 0.5, [(x, y)])
+        (sample,) = complex_momentum_profile(cfg, 0.5, [(x, y)])
         want = closed_form(cfg, k, 0.5, x, y)
         assert sample.total == pytest.approx(want, abs=1e-12)
 
@@ -380,5 +380,5 @@ def test_complex_momentum_tensor_matches_profile():
     for x, y in ((2.0, 0.5), (1.2, 3.0), (4.0, 4.0), (0.3, 6.0)):
         sector = ABOVE if x >= y else BELOW
         got = el.tensor.value_array(1, 1, sector, x, y, m)[0]
-        (sample,) = complex_momentum_profile(cfg, 1, kp, [(x, y)])
+        (sample,) = complex_momentum_profile(cfg, kp, [(x, y)])
         assert got == pytest.approx(sample.total, rel=1e-12, abs=1e-12)

@@ -8,6 +8,7 @@ import pytest
 
 from stardelta import synthesis as syn
 from stardelta import transforms as tr
+from stardelta import verifier as vf
 from stardelta.cli import main, parse_float_grid, parse_int_grid
 
 
@@ -231,17 +232,36 @@ def test_bad_input_refused_with_exit_2(tmp_path, capsys, argv):
         VERIFY3 + ["--out", "{dir}"],
         ["kernels", "--n", "3", "--out", "{file}"],
         SYN3 + ["--grid-out", "{file}/g.csv"],
+        SYN3 + ["--out", "{dir}/ok.json", "--grid-out", "{file}/g.csv"],
     ],
-    ids=["verify-out-is-a-directory", "kernels-out-is-a-file", "synthesize-grid-out-under-a-file"],
+    ids=["verify-out-is-a-directory", "kernels-out-is-a-file", "synthesize-grid-out-under-a-file",
+         "synthesize-out-beside-an-unwritable-grid-out"],
 )
 def test_unwritable_output_exits_2(tmp_path, capsys, argv):
-    # found only when the report is written, after the work: an error
-    # line and exit 2, not a traceback and the exit 1 of a failed check
+    # found before any work: an error line and exit 2, not a traceback
+    # and the exit 1 of a failed check, and no report written beside it
     (tmp_path / "file").write_text("taken\n")
     argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert (tmp_path / "file").read_text() == "taken\n"
+    assert not (tmp_path / "ok.json").exists()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [("12,2", "1.0", "0.6"), ("3", "1.0", "0.6,1.5"), ("3", "1.0,nan", "0.6"), ("3", "0.0", "-0.1")],
+    ids=["late-n-below-3", "late-k1-above-1", "late-c-not-finite", "k1-below-0-at-c-0"],
+)
+def test_sweep_refuses_a_bad_grid_before_any_verify(tmp_path, capsys, monkeypatch, grid):
+    calls = []
+    monkeypatch.setattr(vf, "verify_full_basis", lambda *a, **k: calls.append(a))
+    n, c, k1 = grid
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--n", n, "--c", c, "--k1", k1, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("nodes", ["0", "-3"])

@@ -198,7 +198,7 @@ def test_full_interval_equals_folded_half_interval():
     def integrate(lo, hi, momentum_of, weight_of):
         nodes = lo + 0.5 * (hi - lo) * (x0 + 1.0)
         weights = 0.5 * (hi - lo) * w0
-        base = tr.basic_solution_tensor(3, chi_hat, chi_check, tau_sign=1)
+        base = tr.basic_solution_tensor(chi_hat, chi_check, tau_sign=1)
         momenta = np.array([momentum_of(kq) for kq in nodes])
         coeff = np.array([wq * weight_of(kq) * g(momentum_of(kq)) for kq, wq in zip(nodes, weights)])
         return syn.SynthesizedSolution(np.multiply.outer(coeff, base.amps), momenta, node_count=nodes.size)

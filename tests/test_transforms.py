@@ -279,7 +279,7 @@ def test_kernel_residuals_see_a_k_column_outside_ker_p(monkeypatch):
 def test_extract_single_plane_wave():
     # amplitude 1 in channel (+, +) means psi^{++} = -1, weighted by kappa
     t = from_entries(3, {(1, 1, ABOVE, 1, 1, 1): 1.0})
-    tv = tr.extract_transforms(t, K, n=3)
+    tv = tr.extract_transforms(t, M68)
     kappa = math.sqrt(1 - K * K)
     assert tv.hat_xi[0, 0, 0] == pytest.approx(-kappa)
     assert np.count_nonzero(tv.hat_xi) == 1
@@ -289,31 +289,38 @@ def test_extract_single_plane_wave():
 
 def test_extract_offdiagonal_hat_equals_check():
     el = build_basis(CFG3, M68)[3]
-    tv = tr.extract_transforms(el, K)
+    tv = tr.extract_transforms(el.tensor, M68)
     off = ~np.eye(3, dtype=bool)
     assert np.max(np.abs((tv.hat_xi - tv.check_xi)[off])) <= 1e-14
     assert np.max(np.abs((tv.hat_chi - tv.check_chi)[off])) <= 1e-14
 
 
-def test_extract_momentum_mismatch_rejected():
-    el = build_basis(CFG3, M68)[0]
-    with pytest.raises(ValueError):
-        tr.extract_transforms(el, 0.5)
-
-
 def test_extract_accepts_swapped_momentum():
-    m_swapped = MomentumPair(0.8, 0.6)
-    basis = build_basis(CFG3, m_swapped)
-    tv = tr.extract_transforms(basis[0], K)
-    res = tr.check_kirchhoff_transforms(tv)
-    assert res.max <= 1e-12
+    # k in slot 1 (k1 < k2) or slot 2 (k2 < k1): the fold and the slot come
+    # from the pair
+    m, m_swapped = MomentumPair(0.6, 0.8), MomentumPair(0.8, 0.6)
+    for n in (3, 4, 5, 6):
+        cfg = make_config(n, -1.5)
+        wrong_slot = 0.0
+        for el, el_swapped in zip(build_basis(cfg, m), build_basis(cfg, m_swapped)):
+            tv = tr.extract_transforms(el.tensor, m)
+            tv_swapped = tr.extract_transforms(el_swapped.tensor, m_swapped)
+            assert tv.k == tv_swapped.k == K
+            for tv_el in (tv, tv_swapped):
+                assert tr.check_kirchhoff_transforms(tv_el).max <= 1e-12, (n, el.label)
+                assert tr.check_diagonal_conditions(tv_el, cfg.c).max <= 1e-10, (n, el.label)
+            # read with the other pair's slot, the diagonal conditions see it
+            for tensor, other in ((el.tensor, m_swapped), (el_swapped.tensor, m)):
+                wrong = tr.check_diagonal_conditions(tr.extract_transforms(tensor, other), cfg.c)
+                wrong_slot = max(wrong_slot, wrong.max)
+        assert wrong_slot > 1.0, n
 
 
 def test_roundtrip_extract_resynthesize():
     rng = np.random.default_rng(14)
     for el in (build_basis(CFG3, M68)[1], build_basis(CFG3, M68)[-1]):
-        tv = tr.extract_transforms(el, K)
-        back = resynthesize_tensor(tv, K)
+        tv = tr.extract_transforms(el.tensor, M68)
+        back = resynthesize_tensor(tv)
         for _ in range(50):
             i, j = (int(v) for v in rng.integers(1, 4, size=2))
             sector = "off" if i != j else (ABOVE if rng.random() < 0.5 else "below")
@@ -328,7 +335,7 @@ def test_roundtrip_extract_resynthesize():
 
 def _zero_transforms(n, k):
     z = np.zeros((n, n, 4), dtype=complex)
-    return tr.TransformVectors4(n=n, k=k, hat_xi=z, hat_chi=z, check_xi=z, check_chi=z)
+    return tr.TransformVectors4(k=k, hat_xi=z, hat_chi=z, check_xi=z, check_chi=z)
 
 
 def test_kirchhoff_zero_transforms():
@@ -339,7 +346,7 @@ def test_kirchhoff_zero_transforms():
 
 def test_kirchhoff_all_basis_elements():
     for el in build_basis(CFG3, M68):
-        res = tr.check_kirchhoff_transforms(tr.extract_transforms(el, K))
+        res = tr.check_kirchhoff_transforms(tr.extract_transforms(el.tensor, M68))
         assert res.max <= 1e-11, el.label
 
 
@@ -347,7 +354,7 @@ def test_kirchhoff_random_transforms_fail():
     rng = np.random.default_rng(23)
     arr = lambda: rng.normal(size=(3, 3, 4)) + 0j
     tv = tr.TransformVectors4(
-        n=3, k=K, hat_xi=arr(), hat_chi=arr(), check_xi=arr(), check_chi=arr()
+        k=K, hat_xi=arr(), hat_chi=arr(), check_xi=arr(), check_chi=arr()
     )
     assert tr.check_kirchhoff_transforms(tv).max > 1e-3
 
@@ -391,7 +398,7 @@ def test_pole_exclusion_zone():
 
 def test_diagonal_conditions_zero_transforms():
     tv = _zero_transforms(3, K)
-    res = tr.check_diagonal_conditions(tv, K, 1.0)
+    res = tr.check_diagonal_conditions(tv, 1.0)
     assert res.max == 0.0
 
 
@@ -399,8 +406,8 @@ def test_diagonal_conditions_all_basis_elements():
     for cfg, k1 in ((CFG3, 0.6), (make_config(4, -1.5), 0.28)):
         m = MomentumPair.from_k1(k1)
         for el in build_basis(cfg, m):
-            tv = tr.extract_transforms(el, k1, n=cfg.n)
-            res = tr.check_diagonal_conditions(tv, k1, cfg.c)
+            tv = tr.extract_transforms(el.tensor, m)
+            res = tr.check_diagonal_conditions(tv, cfg.c)
             assert res.max <= 1e-10, el.label
 
 
@@ -417,15 +424,16 @@ def _diagonal_conditions_loop(tv, k, c):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_batched_diagonal_conditions_match_per_quadrant_loop(n):
     k, c = 0.37, -1.3
-    cases = [tr.extract_transforms(el, k, n=n) for el in build_basis(make_config(n, c), MomentumPair.from_k1(k))]
+    m = MomentumPair.from_k1(k)
+    cases = [tr.extract_transforms(el.tensor, m) for el in build_basis(make_config(n, c), m)]
     rng = np.random.default_rng(n)
 
     def draw():
         return rng.normal(size=(n, n, 4)) + 1j * rng.normal(size=(n, n, 4))
 
-    cases.append(tr.TransformVectors4(n=n, k=k, hat_xi=draw(), hat_chi=draw(), check_xi=draw(), check_chi=draw()))
+    cases.append(tr.TransformVectors4(k=k, hat_xi=draw(), hat_chi=draw(), check_xi=draw(), check_chi=draw()))
     for tv in cases:
-        res = tr.check_diagonal_conditions(tv, k, c)
+        res = tr.check_diagonal_conditions(tv, c)
         assert (res.xi, res.chi) == pytest.approx(_diagonal_conditions_loop(tv, k, c), rel=1e-12, abs=1e-15)
         assert res.max == max(res.xi, res.chi)
 
@@ -487,15 +495,15 @@ def test_raw_diagonal_identities_are_l_times_m_n_residuals(k, c):
     def draw(scale=1.0):
         return scale * (rng.normal(size=(n, n, 4)) + 1j * rng.normal(size=(n, n, 4)))
 
-    cases = [tr.TransformVectors4(n=n, k=k, hat_xi=draw(), hat_chi=draw(), check_xi=draw(), check_chi=draw())
+    cases = [tr.TransformVectors4(k=k, hat_xi=draw(), hat_chi=draw(), check_xi=draw(), check_chi=draw())
              for _ in range(3)]
     if c != 0.0:
-        elements = build_basis(make_config(n, c), MomentumPair.from_k1(k))
-        for el in elements[::3]:
-            tv = tr.extract_transforms(el, k, n=n)
+        m = MomentumPair.from_k1(k)
+        for el in build_basis(make_config(n, c), m)[::3]:
+            tv = tr.extract_transforms(el.tensor, m)
             cases.append(tv)
             cases.append(tr.TransformVectors4(
-                n=n, k=k, hat_xi=tv.hat_xi + draw(1e-3), hat_chi=tv.hat_chi,
+                k=k, hat_xi=tv.hat_xi + draw(1e-3), hat_chi=tv.hat_chi,
                 check_xi=tv.check_xi, check_chi=tv.check_chi + draw(1e-3),
             ))
     # roundoff scales with the amplitudes and with |c_pm|
@@ -512,16 +520,16 @@ def test_kernel_element_fails_diagonal_conditions():
     report = tr.compute_kernel_decomposition(3, basis=tr.EDGE)
     vec = report.bases["ker_Q_minus"][:, 0]
     chi_hat, chi_check = tr.kernel_pair_matrices(vec, 3, tr.EDGE)
-    tensor = tr.basic_solution_tensor(3, chi_hat, chi_check, tau_sign=1)
-    tv = tr.extract_transforms(tensor, K, n=3)
+    tensor = tr.basic_solution_tensor(chi_hat, chi_check, tau_sign=1)
+    tv = tr.extract_transforms(tensor, M68)
     assert tr.check_kirchhoff_transforms(tv).max <= 1e-12
-    assert tr.check_diagonal_conditions(tv, K, 1.0).max > 1e-3
+    assert tr.check_diagonal_conditions(tv, 1.0).max > 1e-3
 
 
 def test_basic_solution_tensor_rejects_incompatible_pair():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
-        tr.basic_solution_tensor(3, rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), 1)
+        tr.basic_solution_tensor(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), 1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -532,9 +540,9 @@ def test_kernel_columns_pair_with_their_own_tau(n):
     for name, tau in (("ker_Q_minus", 1), ("K_minus", 1), ("ker_Q_plus", -1), ("K_plus", -1)):
         for vec in report.bases[name].T:
             chi_hat, chi_check = tr.kernel_pair_matrices(vec, n, tr.EDGE)
-            tr.basic_solution_tensor(n, chi_hat, chi_check, tau)
+            tr.basic_solution_tensor(chi_hat, chi_check, tau)
             with pytest.raises(ValueError, match="not vertex-compatible"):
-                tr.basic_solution_tensor(n, chi_hat, chi_check, -tau)
+                tr.basic_solution_tensor(chi_hat, chi_check, -tau)
 
 
 def test_kernel_report_serialisation():

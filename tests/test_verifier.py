@@ -43,7 +43,7 @@ def test_vertex_check_cosine_product():
     from stardelta.basis import product_tensor
     from stardelta.oneparticle import phi
 
-    state = product_tensor(3, phi(CFG3, 0), phi(CFG3, 0), 1)
+    state = product_tensor(phi(CFG3, 0), phi(CFG3, 0), 1)
     sol = vf.TensorSolution(state, M68)
     _, deriv_check = vf.check_vertex_bc(sol, 3)
     assert deriv_check.max_abs_residual <= 1e-13
@@ -91,7 +91,7 @@ def test_one_sided_derivatives_match_finite_differences():
 
 def test_verify_element_report_shape():
     el = build_basis(CFG3, M68)[0]
-    report = vf.verify_element(el, 3)
+    report = vf.verify_element(el)
     names = {c.name for c in report.checks}
     assert {
         "vertex_value_match",
