@@ -32,9 +32,7 @@ import numpy as np
 from . import synthesis as syn
 from . import transforms as tr
 from . import verifier as vf
-from .domain import MomentumPair, make_config, near_pole
-
-SCHEMA = 1
+from .domain import SCHEMA, MomentumPair, check_pole, make_config, near_pole
 
 
 def _nonempty(grid: list, text: str) -> list:
@@ -84,20 +82,14 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _momentum(k1: float, c: float) -> MomentumPair:
-    m = MomentumPair.from_k1(k1)
-    if c != 0.0 and near_pole(m.fold):
-        raise ValueError("k1 inside the exclusion zone around 1/sqrt(2)")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_verify(args) -> int:
     cfg = make_config(args.n, args.c)
-    m = _momentum(args.k1, args.c)
+    m = MomentumPair.from_k1(args.k1)
+    check_pole(m.fold, cfg.c)
     prepare_outputs(args.out)
     report = vf.verify_full_basis(cfg, m, samples=args.samples, tol=args.tol, seed=args.seed)
     payload = report.to_dict()
@@ -230,7 +222,8 @@ def cmd_mutate(args) -> int:
     if not 0.0 < args.detect_above < math.inf:
         raise ValueError(f"--detect-above must be positive and finite, got {args.detect_above}")
     cfg = make_config(args.n, args.c)
-    m = _momentum(args.k1, args.c)
+    m = MomentumPair.from_k1(args.k1)
+    check_pole(m.fold, cfg.c)
     prepare_outputs(args.out)
     records = vf.mutation_sweep(
         cfg, m, rel=args.rel, per_element=args.per_element,
@@ -260,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "--seed": dict(type=int, default=0),
         "--tol": dict(type=float, default=vf.DEFAULT_TOL),
-        "--samples": dict(type=int, default=100),
+        "--samples": dict(type=int, default=vf.DEFAULT_SAMPLES),
         "--out": dict(type=str, default=None),
     }
 

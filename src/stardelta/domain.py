@@ -36,6 +36,8 @@ SECTORS = (ABOVE, BELOW)
 
 ENERGY_TOL = 1e-12
 
+SCHEMA = 1  # the "schema" field of every JSON report
+
 # The fold interval [0, POLE) carries the momentum k = min(k1, k2) of a
 # real pair.  The diagonal coupling scalar c_minus = -1j*c/(k - kappa),
 # kappa = sqrt(1 - k^2), has a pole at k = POLE; momenta within MARGIN of
@@ -116,6 +118,12 @@ def near_pole(k):
     return np.abs(np.asarray(k) - POLE) < MARGIN
 
 
+def check_pole(k, c: float) -> None:
+    """Raise when c != 0 and the fold momentum k lies within MARGIN of the pole."""
+    if c != 0.0 and near_pole(k):
+        raise ValueError(f"fold momentum k = {k} is inside the exclusion zone around 1/sqrt(2) for c != 0")
+
+
 def check_fold(k) -> None:
     """Raise unless 0 <= k < 1/sqrt(2), for every entry of an array."""
     k_arr = np.asarray(k)
@@ -155,9 +163,6 @@ class AmplitudeTensor:
     def combine(cls, terms: Iterable[tuple[complex, "AmplitudeTensor"]]) -> "AmplitudeTensor":
         """Linear combination sum(coeff * tensor), summed in term order."""
         return cls(functools.reduce(operator.add, (coeff * tensor.amps for coeff, tensor in terms)))
-
-    def __add__(self, other: "AmplitudeTensor") -> "AmplitudeTensor":
-        return AmplitudeTensor(self.amps + other.amps)
 
     def __sub__(self, other: "AmplitudeTensor") -> "AmplitudeTensor":
         return AmplitudeTensor(self.amps - other.amps)

@@ -41,7 +41,7 @@ from .domain import (
     wave_momenta,
 )
 from .transforms import basic_solution_tensor
-from .verifier import kronecker_points
+from .verifier import gauss_legendre, kronecker_points
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +66,10 @@ def polynomial_profile(coeffs: Sequence[float]) -> Callable:
     return g
 
 
-def indicator_profile(lo: float, hi: float, amplitude: float = 1.0) -> Callable:
+def indicator_profile(lo: float, hi: float) -> Callable:
     def g(k):
         k = np.asarray(k, dtype=float)
-        return amplitude * ((k >= lo) & (k <= hi)).astype(float)
+        return ((k >= lo) & (k <= hi)).astype(float)
 
     return g
 
@@ -97,10 +97,7 @@ def gauss_rule(count: int) -> QuadratureRule:
     [MARGIN, 1/sqrt(2) - MARGIN]."""
     if count < 1:
         raise ValueError(f"a quadrature rule needs at least one node, got {count}")
-    lo, hi = MARGIN, POLE - MARGIN
-    x, w = np.polynomial.legendre.leggauss(count)
-    half = 0.5 * (hi - lo)
-    return QuadratureRule(nodes=lo + half * (x + 1.0), weights=half * w)
+    return QuadratureRule(*gauss_legendre(count, MARGIN, POLE - MARGIN))
 
 
 def _profile_on(profile: Callable, nodes: np.ndarray) -> np.ndarray:
@@ -190,7 +187,7 @@ class SynthesizedSolution:
 def synthesize_eigensolution(
     cfg: StarConfig,
     profiles: Mapping[int, Callable],
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
 ) -> SynthesizedSolution:
     """Superpose basis elements with momentum profiles over the fold interval.
 
@@ -203,7 +200,6 @@ def synthesize_eigensolution(
         raise ValueError("eigensolution synthesis needs c != 0")
     if not profiles:
         raise ValueError("need at least one coefficient profile")
-    rule = rule if rule is not None else gauss_rule(64)
     size = cfg.basis_size
     for idx in profiles:
         if not 0 <= idx < size:
@@ -230,7 +226,7 @@ def synthesize_basic_solution(
     chi_check: np.ndarray,
     tau_sign: int,
     profile: Callable,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
 ) -> SynthesizedSolution:
     """Superpose a vertex-condition kernel element over momentum.
 
@@ -239,7 +235,6 @@ def synthesize_basic_solution(
     result passes the vertex checks and, for a generic kernel element
     with c != 0, fails the diagonal jump check.
     """
-    rule = rule if rule is not None else gauss_rule(64)
     base = basic_solution_tensor(chi_hat, chi_check, tau_sign)
 
     def assemble(count: int) -> SynthesizedSolution:
@@ -271,8 +266,8 @@ def refine_quadrature(sol: SynthesizedSolution) -> ConvergenceRecord:
     per = max(1, REFINE_SAMPLES // (n * n))
     edges = np.arange(1, n + 1)
     flat = edges[:, None] * n + edges  # i*n + j per quadrant
-    xs = kronecker_points(per, offset=13 * flat, lo=0.0, hi=8.0)
-    ys = kronecker_points(per, offset=29 * flat + 7, lo=0.0, hi=8.0)
+    xs = kronecker_points(per, offset=13 * flat, hi=8.0)
+    ys = kronecker_points(per, offset=29 * flat + 7, hi=8.0)
 
     def change(i, j, sector, x, y) -> float:
         return float(np.max(np.abs(sol.value_array(i, j, sector, x, y) - fine.value_array(i, j, sector, x, y))))

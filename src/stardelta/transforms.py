@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import AmplitudeTensor, MomentumPair, check_fold, near_pole, partner_momentum
+from .domain import SCHEMA, AmplitudeTensor, MomentumPair, check_fold, check_pole, partner_momentum
 from .oneparticle import EDGE, SPECTRAL, s_matrix
 
 RANK_RTOL = 1e-10
@@ -220,7 +220,7 @@ class KernelReport:
 
     def to_dict(self, include_bases: bool = False) -> dict:
         out = {
-            "schema": 1,
+            "schema": SCHEMA,
             "n": self.n,
             "basis": self.basis,
             "dims": dict(sorted(self.dims.items())),
@@ -437,10 +437,7 @@ def check_kirchhoff_transforms(tv: TransformVectors4) -> KirchhoffResiduals:
 def coupling_scalars(k: float, c: float) -> tuple[complex, complex]:
     """c_pm = -1j*c/(k +- sqrt(1-k^2)); c_minus blows up at k = 1/sqrt(2)."""
     kappa = partner_momentum(k)
-    if c != 0.0 and near_pole(k):
-        raise ValueError(
-            f"k = {k} is inside the exclusion zone around 1/sqrt(2) for c != 0"
-        )
+    check_pole(k, c)
     c_plus = -1j * c / (k + kappa)
     c_minus = 0j if c == 0.0 else -1j * c / (k - kappa)
     return c_plus, c_minus

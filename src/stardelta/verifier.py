@@ -25,6 +25,7 @@ from .basis import BasisElement, build_basis, family_counts
 from .domain import (
     ABOVE,
     BELOW,
+    SCHEMA,
     AmplitudeTensor,
     MomentumPair,
     StarConfig,
@@ -37,6 +38,7 @@ from . import transforms as tr
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_TOL = 1e-9
+DEFAULT_SAMPLES = 100  # boundary samples per check family
 DEFAULT_REL = 1e-3  # mutation size, relative to the amplitude
 DEFAULT_DETECT_ABOVE = 1e-5  # worst residual that counts as a detected mutation
 TRANSFORM_TOL = 1e-10
@@ -44,15 +46,26 @@ GRAM_GAP = 1e-8
 SPAN = 10.0
 
 
-def kronecker_points(count: int, offset: int | np.ndarray = 0, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Golden-ratio low-discrepancy sequence on [lo, hi).
+def kronecker_points(count: int, offset: int | np.ndarray = 0, hi: float = 1.0) -> np.ndarray:
+    """Golden-ratio low-discrepancy sequence on [0, hi).
 
     An int array of offsets gives one sequence per offset, stacked along
     the leading axes.
     """
     idx = np.add.outer(offset, np.arange(1, count + 1)).astype(float)
     u = np.mod(0.5 + idx * GOLDEN_FRAC, 1.0)
-    return lo + (hi - lo) * u
+    return hi * u
+
+
+def gauss_legendre(count: int, lo=0.0, hi=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``count`` points on [lo, hi].
+
+    Arrays of ends give one rule per interval, on a new last axis.
+    """
+    x, w = np.polynomial.legendre.leggauss(count)
+    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
 
 
 class PointSolution(Protocol):
@@ -118,7 +131,7 @@ class ResidualReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": SCHEMA,
             "solution": self.solution_id,
             "checks": [c.to_dict() for c in self.checks],
             "overall": bool(self.overall),
@@ -129,7 +142,7 @@ class ResidualReport:
 def check_vertex_bc(
     sol: PointSolution,
     n: int,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
     offset: int = 0,
 ) -> list[CheckResult]:
@@ -144,11 +157,11 @@ def check_vertex_bc(
     per_line = max(1, samples // (2 * n))
     edges = np.arange(1, n + 1)
     quad, line = edges[:, None, None], edges[None, :, None]
-    ts = kronecker_points(per_line, offset=offset + edges * per_line, lo=0.0, hi=SPAN)
+    ts = kronecker_points(per_line, offset=offset + edges * per_line, hi=SPAN)
     # the x = 0 edge of a diagonal quadrant lies in the x < y sector
     vals_x0 = sol.value_array(quad, line, BELOW, 0.0, ts)
     dsum_x0 = sol.derivative_array(quad, line, BELOW, 0.0, ts, "dx").sum(axis=0)
-    ts = kronecker_points(per_line, offset=offset + (n + edges) * per_line, lo=0.0, hi=SPAN)
+    ts = kronecker_points(per_line, offset=offset + (n + edges) * per_line, hi=SPAN)
     vals_y0 = sol.value_array(line, quad, ABOVE, ts, 0.0)
     dsum_y0 = sol.derivative_array(line, quad, ABOVE, ts, 0.0, "dy").sum(axis=0)
     worst_match = max(float(np.max(np.abs(v - v[0]))) for v in (vals_x0, vals_y0))
@@ -164,7 +177,7 @@ def check_diagonal_bc(
     sol: PointSolution,
     n: int,
     c: float,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
     offset: int = 0,
 ) -> list[CheckResult]:
@@ -177,7 +190,7 @@ def check_diagonal_bc(
     """
     per_line = max(1, samples // n)
     edges = np.arange(1, n + 1)
-    ts = kronecker_points(per_line, offset=offset + edges * per_line, lo=0.0, hi=SPAN)
+    ts = kronecker_points(per_line, offset=offset + edges * per_line, hi=SPAN)
     quad = edges[:, None]
     v_above = sol.value_array(quad, quad, ABOVE, ts, ts)
     v_below = sol.value_array(quad, quad, BELOW, ts, ts)
@@ -246,7 +259,7 @@ def basis_rank(elements: list[BasisElement], seed: int = 0) -> tuple[int, np.nda
 
 def verify_element(
     el: BasisElement,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
     offset: int = 0,
 ) -> ResidualReport:
@@ -274,7 +287,7 @@ def verify_element(
 def verify_full_basis(
     cfg: StarConfig,
     m: MomentumPair,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> ResidualReport:
@@ -377,27 +390,14 @@ class NormLimitResult:
         return self.quadrature_change <= 0.02 * scale
 
 
-def _panel_rule(R: float, panel: float) -> tuple[np.ndarray, np.ndarray]:
-    base_x, base_w = np.polynomial.legendre.leggauss(8)
-    count = max(1, int(math.ceil(R / panel)))
-    edges = np.linspace(0.0, R, count + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * base_x[None, :]).reshape(-1)
-    ws = (half[:, None] * base_w[None, :]).reshape(-1)
-    return xs, ws
-
-
 def _norm_lhs(profiles: Mapping[tuple[int, int], Callable], R: float, panel: float, k_count: int) -> float:
-    knots, kweights = np.polynomial.legendre.leggauss(k_count)
-    knots = 0.5 * (knots + 1.0)
-    kweights = 0.5 * kweights
+    knots, kweights = gauss_legendre(k_count)
     kappa = partner_momentum(knots)
-    xs, ws = _panel_rule(R, panel)
+    # composite 8-point Gauss panels of width at most ``panel`` on [0, R]
+    edges = np.linspace(0.0, R, max(1, int(math.ceil(R / panel))) + 1)
+    xs, ws = (a.reshape(-1) for a in gauss_legendre(8, edges[:-1], edges[1:]))
     psi = np.zeros((xs.size, xs.size), dtype=complex)
     for (sig, tau), g in profiles.items():
-        if g is None:
-            continue
         gv = np.asarray(g(knots), dtype=complex)
         if not np.any(gv):
             continue
@@ -425,13 +425,9 @@ def check_norm_limit(profiles: Mapping[tuple[int, int], Callable], R: float) -> 
         raise ValueError("R must be positive")
     k_count = max(256, int(3.2 * R))
     # right-hand side: 2 pi * sum of channel norms
-    qx, qw = np.polynomial.legendre.leggauss(400)
-    qx = 0.5 * (qx + 1.0)
-    qw = 0.5 * qw
+    qx, qw = gauss_legendre(400)
     rhs = 0.0
-    for _pair, g in profiles.items():
-        if g is None:
-            continue
+    for g in profiles.values():
         gv = np.asarray(g(qx), dtype=complex)
         rhs += float(qw @ (np.abs(gv) ** 2))
     rhs *= 2.0 * math.pi

@@ -10,6 +10,7 @@ from stardelta import synthesis as syn
 from stardelta import transforms as tr
 from stardelta import verifier as vf
 from stardelta.cli import main, parse_float_grid, parse_int_grid
+from stardelta.domain import SCHEMA, check_pole
 
 
 def test_parse_int_grid():
@@ -52,9 +53,9 @@ def test_verify_guard_bad_momentum(capsys):
 
 
 @pytest.mark.parametrize("d", [0.5e-6, 0.8e-6, 1.1e-6])
-def test_one_pole_verdict_everywhere(d):
+def test_one_pole_verdict_everywhere(d, tmp_path, capsys):
     # every layer refuses a fold momentum within 1e-6 of 1/sqrt(2) and
-    # accepts one outside that zone
+    # accepts one outside that zone; the CLI refusals print one message
     k = 1.0 / math.sqrt(2.0) - d
 
     def refuses(call):
@@ -64,15 +65,30 @@ def test_one_pole_verdict_everywhere(d):
             return True
         return False
 
-    code = main(["verify", "--n", "3", "--c", "1.0", "--k1", repr(k)])
+    point = ["--n", "3", "--c", "1.0", "--k1", repr(k)]
+    codes, errors = {}, {}
+    for command in ("verify", "mutate"):
+        codes[command] = main([command, *point])
+        errors[command] = capsys.readouterr().err
+    sweep = tmp_path / "s.csv"
+    main(["sweep", *point, "--out", str(sweep)])
     verdicts = {
-        "verify": code == 2,
+        "verify": codes["verify"] == 2,
+        "mutate": codes["mutate"] == 2,
+        "sweep": sweep.read_text().splitlines()[1].endswith(",SKIPPED(singularity)"),
         "coupling_scalars": refuses(lambda: tr.coupling_scalars(k, 1.0)),
         "diagonal_condition_matrices": refuses(lambda: tr.diagonal_condition_matrices(k, 1.0)),
         "QuadratureRule": refuses(lambda: syn.QuadratureRule(nodes=np.array([k]), weights=np.array([1.0]))),
     }
-    assert verdicts == dict.fromkeys(verdicts, d < 1e-6)
-    assert code in (0, 2)
+    inside = d < 1e-6
+    assert verdicts == dict.fromkeys(verdicts, inside)
+    assert set(codes.values()) <= {0, 2}
+    expected = ""
+    if inside:
+        with pytest.raises(ValueError) as refusal:
+            check_pole(k, 1.0)
+        expected = f"error: {refusal.value}\n"
+    assert errors == dict.fromkeys(errors, expected)
 
 
 def test_kernels_grid(tmp_path, capsys):
@@ -180,6 +196,25 @@ def test_mutate_deterministic(tmp_path):
 SYN3 = ["synthesize", "--n", "3", "--c", "1.0", "--nodes", "8"]
 VERIFY3 = ["verify", "--n", "3", "--c", "1.0", "--k1", "0.6"]
 MUTATE3 = ["mutate", "--n", "3", "--c", "1.0", "--k1", "0.6"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        VERIFY3,
+        ["kernels", "--n", "3"],
+        ["sweep", "--n", "3", "--c", "1.0", "--k1", "0.6", "--format", "json"],
+        SYN3,
+        MUTATE3,
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_report_carries_the_one_schema(tmp_path, argv):
+    # kernels takes a directory and writes one report per n into it
+    kernels = argv[0] == "kernels"
+    report = tmp_path / ("kernels_n3.json" if kernels else "report.json")
+    assert main(argv + ["--out", str(tmp_path if kernels else report)]) == 0
+    assert json.loads(report.read_text())["schema"] == SCHEMA
 
 
 @pytest.mark.parametrize(

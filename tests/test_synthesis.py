@@ -31,6 +31,18 @@ def test_gauss_rule_respects_exclusion_zone():
         syn.QuadratureRule(nodes=np.array([POLE - 0.5 * MARGIN]), weights=np.array([1.0]))
 
 
+def test_gauss_rule_is_the_affine_map_of_leggauss():
+    # bit for bit, so synthesize reports and grids do not move with the
+    # shared Gauss-Legendre helper
+    lo, hi = MARGIN, POLE - MARGIN
+    half = 0.5 * (hi - lo)
+    for m in range(1, 65):
+        x, w = np.polynomial.legendre.leggauss(m)
+        rule = syn.gauss_rule(m)
+        assert np.array_equal(rule.nodes, lo + half * (x + 1.0)), m
+        assert np.array_equal(rule.weights, half * w), m
+
+
 def test_zero_profile_gives_zero_function():
     sol = syn.synthesize_eigensolution(
         CFG3, {0: lambda k: np.zeros_like(np.asarray(k))}, syn.gauss_rule(16)
@@ -121,8 +133,8 @@ def test_refinement_samples_every_quadrant_and_sector():
     worst, used = 0.0, 0
     for i in range(1, 4):
         for j in range(1, 4):
-            xs = vf.kronecker_points(6, offset=13 * (i * 3 + j), lo=0.0, hi=8.0)
-            ys = vf.kronecker_points(6, offset=29 * (i * 3 + j) + 7, lo=0.0, hi=8.0)
+            xs = vf.kronecker_points(6, offset=13 * (i * 3 + j), hi=8.0)
+            ys = vf.kronecker_points(6, offset=29 * (i * 3 + j) + 7, hi=8.0)
             for sector in (ABOVE, BELOW) if i == j else (OFFDIAG,):
                 change = sol.value_array(i, j, sector, xs, ys) - fine.value_array(i, j, sector, xs, ys)
                 worst = max(worst, float(np.max(np.abs(change))))
@@ -147,9 +159,9 @@ def test_refinement_algebraic_for_indicator_profile():
 
 def test_synthesis_guards():
     with pytest.raises(ValueError):
-        syn.synthesize_eigensolution(make_config(3, 0.0), {0: syn.gaussian_bump(0.3, 0.1)})
+        syn.synthesize_eigensolution(make_config(3, 0.0), {0: syn.gaussian_bump(0.3, 0.1)}, syn.gauss_rule(4))
     with pytest.raises(ValueError):
-        syn.synthesize_eigensolution(CFG3, {})
+        syn.synthesize_eigensolution(CFG3, {}, syn.gauss_rule(4))
     with pytest.raises(ValueError):
         syn.synthesize_eigensolution(CFG3, {99: syn.gaussian_bump(0.3, 0.1)}, syn.gauss_rule(4))
 

@@ -14,8 +14,8 @@ M68 = MomentumPair.from_k1(0.6)
 
 
 def test_kronecker_points_deterministic_and_spread():
-    a = vf.kronecker_points(50, offset=3, lo=0, hi=10)
-    b = vf.kronecker_points(50, offset=3, lo=0, hi=10)
+    a = vf.kronecker_points(50, offset=3, hi=10)
+    b = vf.kronecker_points(50, offset=3, hi=10)
     assert np.array_equal(a, b)
     assert a.min() >= 0 and a.max() <= 10
     hist, _ = np.histogram(a, bins=5, range=(0, 10))
@@ -58,7 +58,7 @@ def test_diagonal_checks_pass_for_basis():
 
 def test_antisym_vanishes_on_diagonal():
     elements = [el for el in build_basis(CFG3, M68) if el.family == "antisym"]
-    ts = vf.kronecker_points(40, lo=0.0, hi=10.0)
+    ts = vf.kronecker_points(40, hi=10.0)
     for el in elements:
         for i in range(1, 4):
             v = el.tensor.value_array(i, i, ABOVE, ts, ts, M68)
@@ -182,7 +182,7 @@ def _reference_vertex_bc(sol, n, samples, offset, tol=vf.DEFAULT_TOL, span=vf.SP
     per_line = max(1, samples // (2 * n))
     worst_match = worst_sum = 0.0
     for j in range(1, n + 1):
-        ts = vf.kronecker_points(per_line, offset=offset + j * per_line, lo=0.0, hi=span)
+        ts = vf.kronecker_points(per_line, offset=offset + j * per_line, hi=span)
         zeros = np.zeros_like(ts)
         sectors = [BELOW if l == j else OFFDIAG for l in range(1, n + 1)]
         vals = np.stack([sol.value_array(l, j, sectors[l - 1], zeros, ts) for l in range(1, n + 1)])
@@ -190,7 +190,7 @@ def _reference_vertex_bc(sol, n, samples, offset, tol=vf.DEFAULT_TOL, span=vf.SP
         dsum = sum(sol.derivative_array(l, j, sectors[l - 1], zeros, ts, "dx") for l in range(1, n + 1))
         worst_sum = max(worst_sum, float(np.max(np.abs(dsum))))
     for i in range(1, n + 1):
-        ts = vf.kronecker_points(per_line, offset=offset + (n + i) * per_line, lo=0.0, hi=span)
+        ts = vf.kronecker_points(per_line, offset=offset + (n + i) * per_line, hi=span)
         zeros = np.zeros_like(ts)
         sectors = [ABOVE if i == l else OFFDIAG for l in range(1, n + 1)]
         vals = np.stack([sol.value_array(i, l, sectors[l - 1], ts, zeros) for l in range(1, n + 1)])
@@ -208,7 +208,7 @@ def _reference_diagonal_bc(sol, n, c, samples, offset, tol=vf.DEFAULT_TOL, span=
     per_line = max(1, samples // n)
     worst_cont = worst_jump = 0.0
     for i in range(1, n + 1):
-        ts = vf.kronecker_points(per_line, offset=offset + i * per_line, lo=0.0, hi=span)
+        ts = vf.kronecker_points(per_line, offset=offset + i * per_line, hi=span)
         v_above = sol.value_array(i, i, ABOVE, ts, ts)
         v_below = sol.value_array(i, i, BELOW, ts, ts)
         worst_cont = max(worst_cont, float(np.max(np.abs(v_above - v_below))))
