@@ -30,6 +30,7 @@ to complex k, and at k = i*c/2 it splits into a term decaying in
 from __future__ import annotations
 
 import cmath
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Iterator
@@ -78,11 +79,19 @@ def product_tensor(f: OneParticleSolution, g: OneParticleSolution, sign: float) 
 
 @dataclass(frozen=True)
 class BasisElement:
+    """One element of a basis: row ``row`` of the basis's stacked tables."""
+
     family: str
     indices: tuple
-    tensor: AmplitudeTensor
+    stack: AmplitudeTensor
+    row: int
     momentum: MomentumPair
     coupling: float
+
+    @functools.cached_property
+    def tensor(self) -> AmplitudeTensor:
+        """The element's own table, a read-only view of its row."""
+        return AmplitudeTensor(self.stack.amps[self.row])
 
     @property
     def label(self) -> str:
@@ -155,7 +164,8 @@ def basis_template(cfg: StarConfig) -> Iterator[tuple[str, tuple, tuple[np.ndarr
 def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     """All 2n^2 - 2n basis elements at the given momentum pair.
 
-    Family cardinalities are n^2, n^2 - 3n and n.  Each element is
+    The elements' tables are the rows of one stacked table, in basis
+    order.  Family cardinalities are n^2, n^2 - 3n and n.  Each element is
     T0 + (k1/c) T1 + (k2/c) T2 from :func:`basis_template`, so c != 0;
     the c -> 0 limit changes the solution space and is not taken here.
     """
@@ -168,12 +178,16 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
             stacklevel=2,
         )
     s1, s2 = m.k1 / c, m.k2 / c
-    out = [
-        BasisElement(family, indices, AmplitudeTensor(t0 + s1 * t1 + s2 * t2), m, c)
-        for family, indices, (t0, t1, t2) in basis_template(cfg)
-    ]
-    assert len(out) == cfg.basis_size, len(out)
-    return out
+    n = cfg.n
+    amps = np.empty((cfg.basis_size, n, n, 2, 2, 2, 2), dtype=complex)
+    heads = []
+    for row, (family, indices, (t0, t1, t2)) in enumerate(basis_template(cfg)):
+        amps[row] = t0 + s1 * t1 + s2 * t2
+        heads.append((family, indices))
+    assert len(heads) == cfg.basis_size, len(heads)
+    amps.setflags(write=False)
+    stack = AmplitudeTensor(amps)
+    return [BasisElement(family, indices, stack, row, m, c) for row, (family, indices) in enumerate(heads)]
 
 
 def family_counts(elements: list[BasisElement]) -> dict[str, int]:

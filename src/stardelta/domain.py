@@ -141,21 +141,28 @@ class AmplitudeTensor:
     quadrants have no sector split and hold the same values in both
     planes.  Evaluation at a point sums the eight waves of the point's
     quadrant and sector; the sum is linear in the entries.
+
+    A leading axis, shape (E, n, n, 2, 2, 2, 2), stacks E tables that are
+    evaluated together: every evaluation then carries that axis first (see
+    :func:`plane_wave_sum`).  Keyed access (``items``,
+    ``with_scaled_entry``) is for a single table.
     """
 
     __slots__ = ("amps",)
 
     def __init__(self, amps):
-        amps = np.array(amps, dtype=complex)
-        n = amps.shape[0]
-        if amps.shape != (n, n, 2, 2, 2, 2):
-            raise ValueError(f"expected an (n, n, 2, 2, 2, 2) amplitude array, got {amps.shape}")
-        amps.setflags(write=False)
+        # a read-only complex array (a row or rows of a stack) is shared;
+        # anything else is copied and frozen
+        if not (isinstance(amps, np.ndarray) and amps.dtype == complex and not amps.flags.writeable):
+            amps = np.array(amps, dtype=complex)
+            amps.setflags(write=False)
+        if amps.ndim not in (6, 7) or amps.shape[-6:] != (amps.shape[-6],) * 2 + (2, 2, 2, 2):
+            raise ValueError(f"expected an ([E,] n, n, 2, 2, 2, 2) amplitude array, got {amps.shape}")
         self.amps = amps
 
     @property
     def n(self) -> int:
-        return self.amps.shape[0]
+        return self.amps.shape[-6]
 
     # -- construction helpers -------------------------------------------------
 
@@ -188,19 +195,25 @@ class AmplitudeTensor:
 
     # -- evaluation ------------------------------------------------------------
 
-    def value_array(self, i, j, sector: str, x, y, m: MomentumPair) -> np.ndarray:
+    def value_array(self, i, j, sector: str, x, y, m: MomentumPair, phases=None) -> np.ndarray:
         """Evaluate at arrays of coordinates within quadrant (i, j), sector.
 
         ``i`` and ``j`` are ints, or int arrays that broadcast against ``x``
         and ``y`` to evaluate many quadrants in one call.  Off-diagonal
         quadrants ignore the sector tag, so one tag serves a line of
-        quadrants that crosses the diagonal.
+        quadrants that crosses the diagonal.  ``phases`` is the table
+        ``wave_phases`` gives for ``m`` at these points, when the caller
+        already has it.
         """
-        return plane_wave_sum(self.amps, *wave_momenta(m.k1, m.k2), i, j, sector, x, y)
+        return plane_wave_sum(self._waves(), *wave_momenta(m.k1, m.k2), i, j, sector, x, y, phases=phases)
 
-    def derivative_array(self, i, j, sector: str, x, y, m: MomentumPair, direction: str) -> np.ndarray:
+    def derivative_array(self, i, j, sector: str, x, y, m: MomentumPair, direction: str, phases=None) -> np.ndarray:
         """Exact analytic partial derivative, vectorised like value_array."""
-        return plane_wave_sum(self.amps, *wave_momenta(m.k1, m.k2), i, j, sector, x, y, direction)
+        return plane_wave_sum(self._waves(), *wave_momenta(m.k1, m.k2), i, j, sector, x, y, direction, phases)
+
+    def _waves(self) -> np.ndarray:
+        """The table with the eight waves of a quadrant/sector on one axis."""
+        return self.amps.reshape(self.amps.shape[:-3] + (8,))
 
 
 def _plane(i, j, sector: str):
@@ -222,6 +235,11 @@ def _entry_index(n: int, key: EntryKey) -> tuple:
     plane = slice(None) if i != j else int(_plane(i, j, sector))
     return (i - 1, j - 1, plane, (sig + 1) // 2, (tau + 1) // 2, slot - 1)
 
+
+# The most wave-point pairs (waves times sample points) one plane_wave_sum
+# call should take: callers with more split their waves, or their stack
+# of tables, into calls of about this size.
+WAVE_POINTS = 1 << 18
 
 # Signs and slots of the eight waves of one quadrant/sector, in the
 # (sig, tau, slot) order of the amplitude array's last three axes.
@@ -245,23 +263,33 @@ def wave_phases(kx: np.ndarray, ky: np.ndarray, x, y) -> np.ndarray:
     return np.exp(1j * (np.multiply.outer(kx, x) + np.multiply.outer(ky, y)))
 
 
-def plane_wave_sum(amps: np.ndarray, kx, ky, i, j, sector: str, x, y, direction: str | None = None) -> np.ndarray:
+def plane_wave_sum(
+    waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction: str | None = None, phases=None
+) -> np.ndarray:
     """Sum of the waves of quadrant (i, j), sector at the points (x, y), or
     its exact partial derivative along ``direction`` ("dx" or "dy").
 
-    ``amps`` is one amplitude array, or P of them side by side on one wave
-    axis, shape (n, n, 2, 8P), for P momentum pairs: one sum of 8P waves,
-    momenta ``kx, ky`` in the same order.  Rows of waves for many
-    quadrants broadcast against the points.
+    ``waves`` has shape (..., n, n, 2, W): the W waves of every quadrant
+    and sector plane, with momenta ``kx, ky`` in the same order.  That is
+    one amplitude table (W = 8), or P of them side by side for P momentum
+    pairs (W = 8P, one sum of 8P waves).  Rows of waves for many quadrants
+    broadcast against the points.  Leading axes stack tables evaluated
+    together; they lead the quadrant rows, and the points broadcast
+    against both, so points that differ per stacked table carry an axis
+    for the stack in front of their quadrant axes.  ``phases`` is
+    ``wave_phases(kx, ky, x, y)`` when the caller already has it; one
+    table then serves several sums at the same points.  Callers size
+    their calls by ``WAVE_POINTS``.
     """
     i, j = np.asarray(i), np.asarray(j)
-    n = amps.shape[0]
+    n = waves.shape[-3]
     if np.any((i < 1) | (i > n) | (j < 1) | (j > n)):
         raise IndexError(f"quadrant ({i}, {j}) outside an n = {n} star")
-    waves = amps[i - 1, j - 1, _plane(i, j, sector)]
-    waves = waves.reshape(waves.shape[: waves.ndim - amps.ndim + 3] + (-1,))
+    rows = waves[..., i - 1, j - 1, _plane(i, j, sector), :]
     if direction not in (None, "dx", "dy"):
         raise ValueError(f"direction must be 'dx' or 'dy', got {direction!r}")
     if direction is not None:
-        waves = waves * (1j * (kx if direction == "dx" else ky))
-    return np.einsum("...w,w...->...", waves, wave_phases(kx, ky, x, y))
+        rows = rows * (1j * (kx if direction == "dx" else ky))
+    if phases is None:
+        phases = wave_phases(kx, ky, x, y)
+    return np.einsum("...w,w...->...", rows, phases)

@@ -33,6 +33,7 @@ from .domain import (
     MARGIN,
     OFFDIAG,
     POLE,
+    WAVE_POINTS,
     StarConfig,
     check_fold,
     near_pole,
@@ -111,11 +112,6 @@ def _profile_on(profile: Callable, nodes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # synthesised solutions
 
-# wave-point pairs per plane_wave_sum call: at many points a stacked
-# solution sums a few nodes at a time, down to one node's eight waves
-_WAVE_POINTS = 1 << 18
-
-
 class SynthesizedSolution:
     """Quadrature superposition: one weighted amplitude table per node.
 
@@ -144,7 +140,8 @@ class SynthesizedSolution:
         self.node_count = node_count
 
     def _sum(self, i, j, sector, x, y, direction=None):
-        step = 8 * max(1, _WAVE_POINTS // (8 * np.broadcast(x, y).size))
+        # at many points, a few nodes per call, down to one node's eight waves
+        step = 8 * max(1, WAVE_POINTS // (8 * np.broadcast(x, y).size))
         # an empty stack still makes one call, which gives zeros of the right shape
         blocks = [slice(w, w + step) for w in range(0, max(self.kx.size, 1), step)]
         return sum(plane_wave_sum(self.amps[..., b], self.kx[b], self.ky[b], i, j, sector, x, y, direction)

@@ -105,18 +105,20 @@ def _conjugate(pairs: np.ndarray, n: int) -> np.ndarray:
 def _vertex_xi(S: np.ndarray, chi_hat: np.ndarray, tau_chi_check: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The xi the vertex equations assign: (-chi_hat S, -S tau chi_check).
 
-    The quadrant axes lead; trailing axes (slots, kernel columns) ride along.
+    Arrays are (..., n, n, m): stack axes, the quadrant axes, then one
+    axis (slots, kernel columns) that rides along.
     """
-    n = S.shape[0]
-    xi_hat = -(S.T @ chi_hat.reshape(n, n, -1)).reshape(chi_hat.shape)
-    xi_check = -(S @ tau_chi_check.reshape(n, -1)).reshape(tau_chi_check.shape)
+    shape = tau_chi_check.shape
+    xi_hat = -(S.T @ chi_hat)
+    xi_check = -(S @ tau_chi_check.reshape(shape[:-2] + (-1,))).reshape(shape)
     return xi_hat, xi_check
 
 
-def _offdiag_drift(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """Largest |hat - check| off the diagonal, where hat and check must agree."""
-    off = ~np.eye(pairs[0][0].shape[0], dtype=bool)
-    return max(_max_abs((hat - check)[off]) for hat, check in pairs)
+def _offdiag_drift(*pairs: tuple[np.ndarray, np.ndarray]):
+    """Largest |hat - check| off the diagonal, where hat and check must agree,
+    per stacked (..., n, n, m) array."""
+    off = ~np.eye(pairs[0][0].shape[-2], dtype=bool)
+    return np.maximum.reduce([_max_abs((hat - check)[..., off, :], 2) for hat, check in pairs])
 
 
 def _apply_q(S: np.ndarray, sign: int, cols: np.ndarray) -> np.ndarray:
@@ -194,8 +196,12 @@ def orthonormalize(cols: np.ndarray) -> np.ndarray:
     return u[:, :_rank(s, s[0])]
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.abs(a).max(initial=0.0))
+def _max_abs(a: np.ndarray, axes: int | None = None):
+    """Largest |a|; over the last ``axes`` axes only, when given, which leaves
+    one value per leading stack index."""
+    if axes is None:
+        return float(np.abs(a).max(initial=0.0))
+    return np.abs(a).max(axis=tuple(range(-axes, 0)), initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +348,8 @@ class TransformVectors4:
     Slot order for xi: (psi^{++} at k, psi^{++} at kappa,
     psi^{--} at k, psi^{--} at kappa), all weighted by kappa; chi uses
     the (+-, -+) channels in the same pattern.  k must lie in
-    [0, 1/sqrt(2)).
+    [0, 1/sqrt(2)).  Each array is (n, n, 4), or (E, n, n, 4) for a stack
+    of E tensors at one momentum pair.
 
     On weights: for square-integrable transform densities the folded
     variables carry kappa on the momentum-k slots and k on the
@@ -363,13 +370,13 @@ class TransformVectors4:
 
     def __post_init__(self):
         for arr in (self.hat_xi, self.hat_chi, self.check_xi, self.check_chi):
-            if arr.ndim != 3 or arr.shape[2] != 4 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"expected (n, n, 4) transform array, got {arr.shape}")
+            if arr.ndim not in (3, 4) or arr.shape[-1] != 4 or arr.shape[-3] != arr.shape[-2]:
+                raise ValueError(f"expected ([E,] n, n, 4) transform array, got {arr.shape}")
         check_fold(self.k)
 
     @property
     def n(self) -> int:
-        return self.hat_xi.shape[0]
+        return self.hat_xi.shape[-2]
 
 
 # The four (sig, tau) channels (++, --, +-, -+) as indices (sig+1)//2,
@@ -384,21 +391,21 @@ def extract_transforms(tensor: AmplitudeTensor, m: MomentumPair) -> TransformVec
     """Read a tensor built at the real pair ``m`` into folded transform vectors.
 
     The fold momentum is k = ``m.fold``; the assignment slot that carries
-    it is slot 1, or slot 2 when k2 < k1.
+    it is slot 1, or slot 2 when k2 < k1.  A stacked tensor gives stacked
+    transform vectors.
     """
     k = m.fold
     kappa = partner_momentum(k)
-    n = tensor.n
-    # one signed gather: (quadrant, quadrant, sector, channel, slot)
-    psi = tensor.amps[:, :, :, _CH_SIG, _CH_TAU] * (_CH_SIGN * kappa)
+    # one signed gather: ([E,] quadrant, quadrant, sector, channel, slot)
+    psi = tensor.amps[..., _CH_SIG, _CH_TAU, :] * (_CH_SIGN * kappa)
     if m.k2.real < m.k1.real:
         psi = psi[..., ::-1]
     # per sector: xi = (++ at k, ++ at kappa, -- at k, -- at kappa), chi likewise
-    psi = psi.reshape(n, n, 2, 8)
+    psi = psi.reshape(psi.shape[:-2] + (8,))
     return TransformVectors4(
         k=k,
-        hat_xi=psi[:, :, 0, :4], hat_chi=psi[:, :, 0, 4:],
-        check_xi=psi[:, :, 1, :4], check_chi=psi[:, :, 1, 4:],
+        hat_xi=psi[..., 0, :4], hat_chi=psi[..., 0, 4:],
+        check_xi=psi[..., 1, :4], check_chi=psi[..., 1, 4:],
     )
 
 
@@ -408,13 +415,15 @@ def extract_transforms(tensor: AmplitudeTensor, m: MomentumPair) -> TransformVec
 
 @dataclass(frozen=True)
 class KirchhoffResiduals:
+    """Worst defects: floats, or one per tensor of a stack."""
+
     row: float
     column: float
     hat_check_offdiag: float
 
     @property
     def max(self) -> float:
-        return max(self.row, self.column, self.hat_check_offdiag)
+        return np.maximum.reduce([self.row, self.column, self.hat_check_offdiag])
 
 
 def check_kirchhoff_transforms(tv: TransformVectors4) -> KirchhoffResiduals:
@@ -428,8 +437,8 @@ def check_kirchhoff_transforms(tv: TransformVectors4) -> KirchhoffResiduals:
     """
     xi_hat, xi_check = _vertex_xi(s_matrix(tv.n, EDGE), tv.hat_chi, tv.check_chi[..., _TAU4])
     return KirchhoffResiduals(
-        row=_max_abs(tv.hat_xi - xi_hat),
-        column=_max_abs(tv.check_xi - xi_check),
+        row=_max_abs(tv.hat_xi - xi_hat, 3),
+        column=_max_abs(tv.check_xi - xi_check, 3),
         hat_check_offdiag=_offdiag_drift((tv.hat_xi, tv.check_xi), (tv.hat_chi, tv.check_chi)),
     )
 
@@ -457,12 +466,14 @@ def diagonal_condition_matrices(k: float, c: float) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class DiagonalConditionResiduals:
+    """Worst residuals: floats, or one per tensor of a stack."""
+
     xi: float   # residual of xi_hat = M xi_check
     chi: float  # residual of chi_hat = N chi_check
 
     @property
     def max(self) -> float:
-        return max(self.xi, self.chi)
+        return np.maximum(self.xi, self.chi)
 
 
 def check_diagonal_conditions(tv: TransformVectors4, c: float) -> DiagonalConditionResiduals:
@@ -473,11 +484,14 @@ def check_diagonal_conditions(tv: TransformVectors4, c: float) -> DiagonalCondit
     combination (determinant 2) of these residuals, so both vanish together.
     """
     M, N = diagonal_condition_matrices(tv.k, c)
-    # slots on the first axis, the n diagonal quadrants on the second
     d = np.arange(tv.n)
+
+    def diagonal(a):  # slots, then the n diagonal quadrants
+        return a[..., d, d, :].swapaxes(-1, -2)
+
     return DiagonalConditionResiduals(
-        xi=_max_abs(tv.hat_xi[d, d].T - M @ tv.check_xi[d, d].T),
-        chi=_max_abs(tv.hat_chi[d, d].T - N @ tv.check_chi[d, d].T),
+        xi=_max_abs(diagonal(tv.hat_xi) - M @ diagonal(tv.check_xi), 2),
+        chi=_max_abs(diagonal(tv.hat_chi) - N @ diagonal(tv.check_chi), 2),
     )
 
 
@@ -507,6 +521,7 @@ def basic_solution_tensor(chi_hat: np.ndarray, chi_check: np.ndarray, tau_sign: 
     if tau_sign not in (1, -1):
         raise ValueError("tau_sign must be +1 or -1")
     n = chi_hat.shape[0]
+    chi_hat, chi_check = chi_hat[..., None], chi_check[..., None]
     xi_hat, xi_check = _vertex_xi(s_matrix(n, EDGE), chi_hat, tau_sign * chi_check)
     drift = _offdiag_drift((chi_hat, chi_check), (xi_hat, xi_check))
     if drift > 1e-9:
@@ -518,7 +533,7 @@ def basic_solution_tensor(chi_hat: np.ndarray, chi_check: np.ndarray, tau_sign: 
     sign = _CH_SIGN[:, 0] * np.array([1.0, tau_sign, 1.0, tau_sign])
     amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
     for plane, (xi, chi) in enumerate(((xi_hat, chi_hat), (xi_check, chi_check))):
-        amps[:, :, plane, _CH_SIG, _CH_TAU, 0] = sign * np.stack([xi, xi, chi, chi], axis=-1)
+        amps[:, :, plane, _CH_SIG, _CH_TAU, 0] = sign * np.concatenate([xi, xi, chi, chi], axis=-1)
     # off the diagonal, where hat = check, both planes hold the hat values
     off = ~np.eye(n, dtype=bool)
     amps[off, 1] = amps[off, 0]

@@ -3,7 +3,11 @@
 Checks operate on anything that can evaluate itself and its first
 derivatives on a quadrant/sector (amplitude tensors bound to a momentum
 pair, or quadrature-synthesised superpositions); each check evaluates a
-whole family of boundary lines per call.  All residuals are
+whole family of boundary lines per call.  A stack of amplitude tensors
+is checked in one pass: every family is evaluated for all of them at
+once, each at its own sample offset, and the whole-basis checks and the
+mutation sweep walk the basis in stacks sized by ``WAVE_POINTS``.
+Every stacked value is the one the tensor alone gives.  All residuals are
 exact analytic evaluations sampled at deterministic low-discrepancy
 points; one-sided limits at the diagonal evaluate the sector-tagged
 branches exactly at x = y, since each branch is an entire function.
@@ -26,6 +30,7 @@ from .domain import (
     ABOVE,
     BELOW,
     SCHEMA,
+    WAVE_POINTS,
     AmplitudeTensor,
     MomentumPair,
     StarConfig,
@@ -39,6 +44,7 @@ GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 100  # boundary samples per check family
+MUTATION_SAMPLES = 60  # boundary samples per check family of each mutant
 DEFAULT_REL = 1e-3  # mutation size, relative to the amplitude
 DEFAULT_DETECT_ABOVE = 1e-5  # worst residual that counts as a detected mutation
 TRANSFORM_TOL = 1e-10
@@ -81,25 +87,41 @@ class PointSolution(Protocol):
 
 
 class TensorSolution:
-    """An amplitude tensor bound to its momentum pair."""
+    """An amplitude tensor, or a stack of them, bound to its momentum pair.
+
+    Calls at the points of the previous call reuse its phase table, so
+    the value and derivative sums of one family of boundary lines build
+    it once.
+    """
 
     def __init__(self, tensor: AmplitudeTensor, momentum: MomentumPair):
         self.tensor = tensor
         self.momentum = momentum
+        self._last = None  # (x, y, phase table) of the previous call
 
     @classmethod
     def from_element(cls, el: BasisElement) -> "TensorSolution":
         return cls(el.tensor, el.momentum)
 
+    def _phases(self, x, y) -> np.ndarray:
+        last = self._last
+        if last is None or not (np.array_equal(x, last[0]) and np.array_equal(y, last[1])):
+            table = wave_phases(*wave_momenta(self.momentum.k1, self.momentum.k2), x, y)
+            self._last = last = (np.array(x), np.array(y), table)
+        return last[2]
+
     def value_array(self, i, j, sector, x, y):
-        return self.tensor.value_array(i, j, sector, x, y, self.momentum)
+        return self.tensor.value_array(i, j, sector, x, y, self.momentum, self._phases(x, y))
 
     def derivative_array(self, i, j, sector, x, y, direction):
-        return self.tensor.derivative_array(i, j, sector, x, y, self.momentum, direction)
+        return self.tensor.derivative_array(i, j, sector, x, y, self.momentum, direction, self._phases(x, y))
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's worst residual; on a stack of solutions, an array of one
+    worst residual per solution (``passed`` then is an array too)."""
+
     name: str
     max_abs_residual: float
     sample_count: int
@@ -144,7 +166,7 @@ def check_vertex_bc(
     n: int,
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
-    offset: int = 0,
+    offset: int | np.ndarray = 0,
 ) -> list[CheckResult]:
     """Continuity and derivative-sum residuals on the quadrant boundaries.
 
@@ -152,20 +174,27 @@ def check_vertex_bc(
     across the n quadrants meeting at the vertex edge, and the outgoing
     derivatives must sum to zero.  Each family of boundary lines (x = 0
     on edge j, y = 0 on edge i) is evaluated in one call, with the n
-    quadrants of a line on axis 0 and the lines on axis 1.
+    quadrants of a line on axis -3 and the lines on axis -2.  A stack of
+    solutions takes one offset for all or an array of one per solution,
+    and gives one worst residual per solution.
     """
-    per_line = max(1, samples // (2 * n))
+    per_line = _per_line(samples, 2 * n)
     edges = np.arange(1, n + 1)
     quad, line = edges[:, None, None], edges[None, :, None]
-    ts = kronecker_points(per_line, offset=offset + edges * per_line, hi=SPAN)
+
+    def points(first):  # per stacked offset, if any, and line: ([E,] 1, line, point)
+        ts = kronecker_points(per_line, offset=np.add.outer(offset, (first + edges) * per_line), hi=SPAN)
+        return ts[..., None, :, :]
+
+    ts = points(0)
     # the x = 0 edge of a diagonal quadrant lies in the x < y sector
     vals_x0 = sol.value_array(quad, line, BELOW, 0.0, ts)
-    dsum_x0 = sol.derivative_array(quad, line, BELOW, 0.0, ts, "dx").sum(axis=0)
-    ts = kronecker_points(per_line, offset=offset + (n + edges) * per_line, hi=SPAN)
+    dsum_x0 = sol.derivative_array(quad, line, BELOW, 0.0, ts, "dx").sum(axis=-3)
+    ts = points(n)
     vals_y0 = sol.value_array(line, quad, ABOVE, ts, 0.0)
-    dsum_y0 = sol.derivative_array(line, quad, ABOVE, ts, 0.0, "dy").sum(axis=0)
-    worst_match = max(float(np.max(np.abs(v - v[0]))) for v in (vals_x0, vals_y0))
-    worst_sum = max(float(np.max(np.abs(d))) for d in (dsum_x0, dsum_y0))
+    dsum_y0 = sol.derivative_array(line, quad, ABOVE, ts, 0.0, "dy").sum(axis=-3)
+    worst_match = np.maximum(*(np.abs(v - v[..., :1, :, :]).max(axis=(-3, -2, -1)) for v in (vals_x0, vals_y0)))
+    worst_sum = np.maximum(*(np.abs(d).max(axis=(-2, -1)) for d in (dsum_x0, dsum_y0)))
     used = 2 * n * per_line
     return [
         CheckResult("vertex_value_match", worst_match, used, tol),
@@ -179,22 +208,23 @@ def check_diagonal_bc(
     c: float,
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
-    offset: int = 0,
+    offset: int | np.ndarray = 0,
 ) -> list[CheckResult]:
     """Continuity and derivative-jump residuals across each diagonal.
 
     The jump condition ties the one-sided normal derivatives to c times
     the boundary value:
     (d/dx - d/dy)/2 from above minus the same from below = c * value.
-    All n diagonals are evaluated in one call per sector and derivative.
+    All n diagonals are evaluated in one call per sector and derivative;
+    a stack of solutions takes offsets as in :func:`check_vertex_bc`.
     """
-    per_line = max(1, samples // n)
+    per_line = _per_line(samples, n)
     edges = np.arange(1, n + 1)
-    ts = kronecker_points(per_line, offset=offset + edges * per_line, hi=SPAN)
+    ts = kronecker_points(per_line, offset=np.add.outer(offset, edges * per_line), hi=SPAN)
     quad = edges[:, None]
     v_above = sol.value_array(quad, quad, ABOVE, ts, ts)
     v_below = sol.value_array(quad, quad, BELOW, ts, ts)
-    worst_cont = float(np.max(np.abs(v_above - v_below)))
+    worst_cont = np.abs(v_above - v_below).max(axis=(-2, -1))
     d_above = 0.5 * (
         sol.derivative_array(quad, quad, ABOVE, ts, ts, "dx")
         - sol.derivative_array(quad, quad, ABOVE, ts, ts, "dy")
@@ -204,7 +234,7 @@ def check_diagonal_bc(
         - sol.derivative_array(quad, quad, BELOW, ts, ts, "dy")
     )
     jump = d_above - d_below - c * 0.5 * (v_above + v_below)
-    worst_jump = float(np.max(np.abs(jump)))
+    worst_jump = np.abs(jump).max(axis=(-2, -1))
     used = n * per_line
     return [
         CheckResult("diagonal_continuity", worst_cont, used, tol),
@@ -258,30 +288,54 @@ def basis_rank(elements: list[BasisElement], seed: int = 0) -> tuple[int, np.nda
 
 
 def verify_element(
-    el: BasisElement,
+    el: BasisElement | list[BasisElement],
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
-    offset: int = 0,
-) -> ResidualReport:
+    offset: int | np.ndarray = 0,
+) -> ResidualReport | list[ResidualReport]:
     """All per-element checks: pointwise boundary conditions + transforms.
 
-    The edge count, momentum pair and coupling are the element's own.
+    The edge count, momentum pair and coupling are the element's own.  A
+    list of consecutive elements of one basis, with an array of one sample
+    offset each, is checked as one stack, a view of their rows, and gives
+    one report per element.
     """
-    n = el.tensor.n
-    sol = TensorSolution.from_element(el)
+    if isinstance(el, BasisElement):
+        return verify_element([el], samples, tol, offset)[0]
+    first = el[0]
+    if any(e.stack is not first.stack or e.row != first.row + k for k, e in enumerate(el)):
+        raise ValueError("a stack of elements must be consecutive elements of one basis")
+    n, m, c = first.stack.n, first.momentum, first.coupling
+    tensor = AmplitudeTensor(first.stack.amps[first.row:first.row + len(el)])
+    sol = TensorSolution(tensor, m)
     checks = check_vertex_bc(sol, n, samples=samples, tol=tol, offset=offset)
-    checks += check_diagonal_bc(sol, n, el.coupling, samples=samples, tol=tol, offset=offset)
-    tv = tr.extract_transforms(el.tensor, el.momentum)
+    checks += check_diagonal_bc(sol, n, c, samples=samples, tol=tol, offset=offset)
+    tv = tr.extract_transforms(tensor, m)
     kir = tr.check_kirchhoff_transforms(tv)
-    diag = tr.check_diagonal_conditions(tv, el.coupling)
+    diag = tr.check_diagonal_conditions(tv, c)
     checks.append(CheckResult("transform_kirchhoff", kir.max, 4 * n * n, TRANSFORM_TOL))
     checks.append(CheckResult("transform_diagonal", diag.max, 8 * n, TRANSFORM_TOL))
-    pointwise_diag = [c for c in checks if c.name == "diagonal_jump"][0]
+    pointwise_diag = [ch for ch in checks if ch.name == "diagonal_jump"][0]
     agree = pointwise_diag.passed == (diag.max <= tol)
-    checks.append(
-        CheckResult("transform_pointwise_agreement", 0.0 if agree else 1.0, 1, 0.5)
-    )
-    return ResidualReport(solution_id=el.label, checks=checks)
+    checks.append(CheckResult("transform_pointwise_agreement", np.where(agree, 0.0, 1.0), 1, 0.5))
+    return [
+        ResidualReport(e.label, [CheckResult(ch.name, float(ch.max_abs_residual[k]), ch.sample_count, ch.tolerance)
+                                 for ch in checks])
+        for k, e in enumerate(el)
+    ]
+
+
+def _per_line(samples: int, lines: int) -> int:
+    """Sample points on each boundary line of a family of ``lines`` lines."""
+    return max(1, samples // lines)
+
+
+def _stacks(count: int, n: int, samples: int) -> list[slice]:
+    """Slices of a stack of ``count`` solutions whose boundary checks keep
+    every call under WAVE_POINTS wave-point pairs.  A vertex family is the
+    largest: 8 waves at n values per point of its n lines, per solution."""
+    size = max(1, WAVE_POINTS // (8 * n * n * _per_line(samples, 2 * n)))
+    return [slice(start, start + size) for start in range(0, count, size)]
 
 
 def verify_full_basis(
@@ -291,14 +345,19 @@ def verify_full_basis(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> ResidualReport:
-    """Verify every basis element and the joint rank at this momentum."""
+    """Verify every basis element and the joint rank at this momentum.
+
+    Element ``idx`` samples at offset ``7 * idx``; the elements are
+    checked in stacks, each stack in one pass.
+    """
     elements = build_basis(cfg, m)
     counts = family_counts(elements)
-    checks: list[CheckResult] = []
+    offsets = 7 * np.arange(len(elements))
     sub_reports = []
-    for idx, el in enumerate(elements):
-        rep = verify_element(el, samples=samples, tol=tol, offset=idx * 7)
-        sub_reports.append(rep)
+    for part in _stacks(len(elements), cfg.n, samples):
+        sub_reports += verify_element(elements[part], samples=samples, tol=tol, offset=offsets[part])
+    checks: list[CheckResult] = []
+    for el, rep in zip(elements, sub_reports):
         # aggregate row per element: worst residual normalised by each
         # sub-check's own tolerance, so <= 1 means the element passed
         worst_ratio = max(c.max_abs_residual / c.tolerance for c in rep.checks)
@@ -336,34 +395,38 @@ def mutation_sweep(
     """Perturb single amplitudes and record the worst triggered residual.
 
     Returns one record per mutation with the worst vertex or diagonal
-    residual at 60 samples and whether the perturbation was detected
-    (residual above ``detect_above``).  A healthy verifier detects every
-    mutation; silent records mean the checks are vacuous somewhere.
+    residual at ``MUTATION_SAMPLES`` samples and whether the perturbation
+    was detected (residual above ``detect_above``).  A healthy verifier
+    detects every mutation; silent records mean the checks are vacuous
+    somewhere.  The entries are drawn element by element; the mutants are
+    then checked in stacks, all at offset 0.
     """
     if per_element < 1:
         raise ValueError(f"need at least one mutation per element, got {per_element}")
     rng = np.random.default_rng(seed)
-    elements = build_basis(cfg, m)
-    out = []
-    for el in elements:
+    mutants = []  # (element, entry key) in draw order
+    for el in build_basis(cfg, m):
         keys = [key for key, _amp in el.tensor.items()]
         picks = rng.choice(len(keys), size=min(per_element, len(keys)), replace=False)
-        for pick in picks:
-            key = keys[int(pick)]
-            bad = el.tensor.with_scaled_entry(key, 1.0 + rel)
-            sol = TensorSolution(bad, el.momentum)
-            checks = check_vertex_bc(sol, cfg.n, samples=60)
-            checks += check_diagonal_bc(sol, cfg.n, el.coupling, samples=60)
-            worst = max(c.max_abs_residual for c in checks)
-            out.append(
-                {
-                    "element": el.label,
-                    "entry": list(key),
-                    "relative_change": rel,
-                    "max_residual": float(worst),
-                    "detected": bool(worst > detect_above),
-                }
-            )
+        mutants += [(el, keys[int(pick)]) for pick in picks]
+    out = []
+    for part in _stacks(len(mutants), cfg.n, MUTATION_SAMPLES):
+        batch = mutants[part]
+        bad = AmplitudeTensor([el.tensor.with_scaled_entry(key, 1.0 + rel).amps for el, key in batch])
+        sol = TensorSolution(bad, m)
+        checks = check_vertex_bc(sol, cfg.n, samples=MUTATION_SAMPLES)
+        checks += check_diagonal_bc(sol, cfg.n, cfg.c, samples=MUTATION_SAMPLES)
+        worst = np.maximum.reduce([c.max_abs_residual for c in checks])
+        out += [
+            {
+                "element": el.label,
+                "entry": list(key),
+                "relative_change": rel,
+                "max_residual": float(w),
+                "detected": bool(w > detect_above),
+            }
+            for (el, key), w in zip(batch, worst)
+        ]
     return out
 
 

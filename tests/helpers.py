@@ -4,7 +4,10 @@
 ``resynthesize_tensor`` rebuilds one from transform vectors key by key,
 independently of the array gather in ``extract_transforms``.
 ``single_slot_product`` is one unsymmetrised product in one momentum
-slot, the oracle of the exchange-symmetrised ``product_tensor``.  The
+slot, the oracle of the exchange-symmetrised ``product_tensor``.
+``verify_full_basis_oracle`` and ``mutation_sweep_oracle`` check one
+element or mutant at a time, each as an unstacked tensor; they are the
+oracles of the stacked whole-basis checks.  The
 closed-form kernel patterns are the cross-check of
 ``compute_kernel_decomposition``; they change basis through the dense
 ``kron(F, F)``, independently of the per-matrix conversion in the package.
@@ -14,6 +17,9 @@ from typing import Mapping
 
 import numpy as np
 
+from stardelta import transforms as tr
+from stardelta import verifier as vf
+from stardelta.basis import build_basis, family_counts
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, EntryKey, _entry_index
 from stardelta.oneparticle import EDGE, LARGER, SMALLER, SPECTRAL, OneParticleSolution
 from stardelta.transforms import TransformVectors4, change_of_basis
@@ -162,3 +168,74 @@ def k_minus_targets(n: int, basis: str = EDGE) -> np.ndarray:
         C = np.diag(c)
         vecs.append(_pair(C, -C))
     return _to_basis(vecs, n, EDGE, basis)
+
+
+# -- per-element whole-basis checks -------------------------------------------
+
+
+def _verify_one(el, samples, tol, offset) -> "vf.ResidualReport":
+    n = el.tensor.n
+    sol = vf.TensorSolution.from_element(el)
+    checks = vf.check_vertex_bc(sol, n, samples=samples, tol=tol, offset=offset)
+    checks += vf.check_diagonal_bc(sol, n, el.coupling, samples=samples, tol=tol, offset=offset)
+    tv = tr.extract_transforms(el.tensor, el.momentum)
+    kir = tr.check_kirchhoff_transforms(tv)
+    diag = tr.check_diagonal_conditions(tv, el.coupling)
+    checks.append(vf.CheckResult("transform_kirchhoff", kir.max, 4 * n * n, vf.TRANSFORM_TOL))
+    checks.append(vf.CheckResult("transform_diagonal", diag.max, 8 * n, vf.TRANSFORM_TOL))
+    pointwise_diag = [c for c in checks if c.name == "diagonal_jump"][0]
+    agree = pointwise_diag.passed == (diag.max <= tol)
+    checks.append(vf.CheckResult("transform_pointwise_agreement", 0.0 if agree else 1.0, 1, 0.5))
+    return vf.ResidualReport(solution_id=el.label, checks=checks)
+
+
+def verify_full_basis_oracle(cfg, m, samples=vf.DEFAULT_SAMPLES, tol=vf.DEFAULT_TOL, seed=0) -> "vf.ResidualReport":
+    """``verify_full_basis`` one element at a time, element idx at offset idx * 7."""
+    elements = build_basis(cfg, m)
+    checks = []
+    sub_reports = []
+    for idx, el in enumerate(elements):
+        rep = _verify_one(el, samples, tol, idx * 7)
+        sub_reports.append(rep)
+        worst_ratio = max(c.max_abs_residual / c.tolerance for c in rep.checks)
+        checks.append(vf.CheckResult(f"element:{el.label}", worst_ratio, samples, 1.0))
+    rank, svals = vf.basis_rank(elements, seed=seed)
+    rank_ok = rank == len(elements)
+    checks.append(vf.CheckResult("basis_rank", 0.0 if rank_ok else 1.0, len(svals), 0.5))
+    return vf.ResidualReport(
+        solution_id=f"basis(n={cfg.n}, c={cfg.c}, k1={m.k1.real})",
+        checks=checks,
+        extras={
+            "element_count": len(elements),
+            "family_counts": family_counts(elements),
+            "rank": rank,
+            "rank_expected": len(elements),
+            "singular_value_ratio": float(svals[-1] / svals[0]),
+            "elements": [rep.to_dict() for rep in sub_reports],
+        },
+    )
+
+
+def mutation_sweep_oracle(cfg, m, rel=vf.DEFAULT_REL, per_element=1, detect_above=vf.DEFAULT_DETECT_ABOVE, seed=0):
+    """``mutation_sweep`` one mutant at a time, each at offset 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for el in build_basis(cfg, m):
+        keys = [key for key, _amp in el.tensor.items()]
+        picks = rng.choice(len(keys), size=min(per_element, len(keys)), replace=False)
+        for pick in picks:
+            key = keys[int(pick)]
+            sol = vf.TensorSolution(el.tensor.with_scaled_entry(key, 1.0 + rel), el.momentum)
+            checks = vf.check_vertex_bc(sol, cfg.n, samples=vf.MUTATION_SAMPLES)
+            checks += vf.check_diagonal_bc(sol, cfg.n, el.coupling, samples=vf.MUTATION_SAMPLES)
+            worst = max(c.max_abs_residual for c in checks)
+            out.append(
+                {
+                    "element": el.label,
+                    "entry": list(key),
+                    "relative_change": rel,
+                    "max_residual": float(worst),
+                    "detected": bool(worst > detect_above),
+                }
+            )
+    return out

@@ -248,7 +248,7 @@ def test_node_blocks_match_one_wave_sum(monkeypatch):
     xs = np.linspace(0.0, 6.0, 40)
     args = (np.array([[1], [2], [3]]), 2, ABOVE, xs, 0.5 * xs)
     whole = [sol.value_array(*args), sol.derivative_array(*args, "dy")]
-    monkeypatch.setattr(syn, "_WAVE_POINTS", 8 * 3 * xs.size)
+    monkeypatch.setattr(syn, "WAVE_POINTS", 8 * 3 * xs.size)
     blocked = [sol.value_array(*args), sol.derivative_array(*args, "dy")]
     for got, want in zip(blocked, whole):
         assert got.shape == (3, 40)
