@@ -161,6 +161,12 @@ def basis_template(cfg: StarConfig) -> Iterator[tuple[str, tuple, tuple[np.ndarr
         )
 
 
+def check_coupling(c: float) -> None:
+    """Raise at c = 0, where the sym_diag elements' 1/c coefficients are undefined."""
+    if c == 0:
+        raise ValueError("sym_diag family undefined at c = 0 (1/c coefficients)")
+
+
 def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     """All 2n^2 - 2n basis elements at the given momentum pair.
 
@@ -170,8 +176,7 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     the c -> 0 limit changes the solution space and is not taken here.
     """
     c = cfg.c
-    if c == 0:
-        raise ValueError("sym_diag family undefined at c = 0 (1/c coefficients)")
+    check_coupling(c)
     if abs(m.k1 - m.k2) < 1e-12:
         warnings.warn(
             "degenerate momentum pair k1 = k2: basis may lose rank",

@@ -32,6 +32,7 @@ import numpy as np
 from . import synthesis as syn
 from . import transforms as tr
 from . import verifier as vf
+from .basis import check_coupling
 from .domain import SCHEMA, MomentumPair, check_pole, make_config, near_pole
 
 
@@ -90,6 +91,7 @@ def cmd_verify(args) -> int:
     cfg = make_config(args.n, args.c)
     m = MomentumPair.from_k1(args.k1)
     check_pole(m.fold, cfg.c)
+    check_coupling(cfg.c)
     prepare_outputs(args.out)
     report = vf.verify_full_basis(cfg, m, samples=args.samples, tol=args.tol, seed=args.seed)
     payload = report.to_dict()
@@ -190,8 +192,10 @@ def cmd_synthesize(args) -> int:
     values = syn._profile_on(profile, rule.nodes)
     if not np.all(np.isfinite(values)) or not np.any(values):
         raise ValueError(f"profile {args.profile!r} must be finite and not vanish at every quadrature node")
+    profiles = {args.element: profile}
+    syn.check_profiles(cfg, profiles)
     prepare_outputs(args.out, args.grid_out)
-    sol = syn.synthesize_eigensolution(cfg, {args.element: profile}, rule)
+    sol = syn.synthesize_eigensolution(cfg, profiles, rule)
     checks = vf.check_vertex_bc(sol, cfg.n, samples=args.samples, tol=args.tol)
     checks += vf.check_diagonal_bc(sol, cfg.n, cfg.c, samples=args.samples, tol=args.tol)
     record = syn.refine_quadrature(sol)
@@ -224,6 +228,8 @@ def cmd_mutate(args) -> int:
     cfg = make_config(args.n, args.c)
     m = MomentumPair.from_k1(args.k1)
     check_pole(m.fold, cfg.c)
+    vf.check_per_element(args.per_element)
+    check_coupling(cfg.c)
     prepare_outputs(args.out)
     records = vf.mutation_sweep(
         cfg, m, rel=args.rel, per_element=args.per_element,

@@ -42,7 +42,7 @@ from .domain import (
     wave_momenta,
 )
 from .transforms import basic_solution_tensor
-from .verifier import gauss_legendre, kronecker_points
+from .verifier import PhaseCache, gauss_legendre, kronecker_points
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +118,13 @@ class SynthesizedSolution:
     ``amps`` stacks the tables of P nodes, shape (P, n, n, 2, 2, 2, 2), and
     node p sits at the pair (k1[p], sqrt(1 - k1[p]^2)).  The stack is kept
     as one (n, n, 2, 8P) wave table and evaluated like AmplitudeTensor, as
-    one sum of 8P waves (a few nodes per call at many points), so all
-    verifier checks apply unchanged.  ``rebuild`` re-synthesises at a
-    different node count for refinement studies.
+    one sum of 8P waves, so all verifier checks apply unchanged.  When
+    the 8P waves at the call's points fit one ``WAVE_POINTS`` block, the
+    phase table is kept for the next sum at the same points
+    (:class:`~stardelta.verifier.PhaseCache`), so one point set builds one
+    table.  At more points the sum streams a few nodes per block and
+    keeps none of the blocks' tables, which bounds its memory.  ``rebuild`` re-synthesises
+    at a different node count for refinement studies.
     """
 
     def __init__(
@@ -138,13 +142,16 @@ class SynthesizedSolution:
         self.n = self.amps.shape[0]
         self.rebuild = rebuild
         self.node_count = node_count
+        self._phases = PhaseCache()
 
     def _sum(self, i, j, sector, x, y, direction=None):
         # at many points, a few nodes per call, down to one node's eight waves
         step = 8 * max(1, WAVE_POINTS // (8 * np.broadcast(x, y).size))
         # an empty stack still makes one call, which gives zeros of the right shape
         blocks = [slice(w, w + step) for w in range(0, max(self.kx.size, 1), step)]
-        return sum(plane_wave_sum(self.amps[..., b], self.kx[b], self.ky[b], i, j, sector, x, y, direction)
+        # only a single block, which spans every wave, shares its table
+        phases = self._phases.table(self.kx, self.ky, x, y) if len(blocks) == 1 else None
+        return sum(plane_wave_sum(self.amps[..., b], self.kx[b], self.ky[b], i, j, sector, x, y, direction, phases)
                    for b in blocks)
 
     def value_array(self, i, j, sector, x, y):
@@ -181,6 +188,19 @@ class SynthesizedSolution:
         return rows
 
 
+def check_profiles(cfg: StarConfig, profiles: Mapping[int, Callable]) -> None:
+    """Raise unless c != 0 and ``profiles`` names at least one basis
+    element, each by a position in 0..2n^2 - 2n - 1."""
+    if cfg.c == 0:
+        raise ValueError("eigensolution synthesis needs c != 0")
+    if not profiles:
+        raise ValueError("need at least one coefficient profile")
+    size = cfg.basis_size
+    for idx in profiles:
+        if not 0 <= idx < size:
+            raise ValueError(f"basis index {idx} out of range 0..{size - 1}")
+
+
 def synthesize_eigensolution(
     cfg: StarConfig,
     profiles: Mapping[int, Callable],
@@ -193,15 +213,7 @@ def synthesize_eigensolution(
     exactly at any node count; refinement only tightens the distance to
     the true integral.
     """
-    if cfg.c == 0:
-        raise ValueError("eigensolution synthesis needs c != 0")
-    if not profiles:
-        raise ValueError("need at least one coefficient profile")
-    size = cfg.basis_size
-    for idx in profiles:
-        if not 0 <= idx < size:
-            raise ValueError(f"basis index {idx} out of range 0..{size - 1}")
-
+    check_profiles(cfg, profiles)
     # (profiled element, T0/T1/T2, table), in element order
     template = np.array([tables for idx, (_, _, tables) in enumerate(basis_template(cfg)) if idx in profiles])
 

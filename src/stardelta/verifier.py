@@ -19,6 +19,7 @@ generator, both driven by a single integer seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol
@@ -63,12 +64,25 @@ def kronecker_points(count: int, offset: int | np.ndarray = 0, hi: float = 1.0) 
     return hi * u
 
 
+@functools.lru_cache(maxsize=32)
+def _leggauss(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(count)`` on [-1, 1], solved once per count and shared
+    read-only by every later rule of that count."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre(count: int, lo=0.0, hi=1.0) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of ``count`` points on [lo, hi].
 
-    Arrays of ends give one rule per interval, on a new last axis.
+    Arrays of ends give one rule per interval, on a new last axis.  The
+    rule on [-1, 1] is solved once per count (the 32 counts used last are
+    kept); the map to [lo, hi] runs on every call, so each call returns
+    arrays of its own.
     """
-    x, w = np.polynomial.legendre.leggauss(count)
+    x, w = _leggauss(count)
     lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
@@ -86,35 +100,54 @@ class PointSolution(Protocol):
     def derivative_array(self, i, j, sector: str, x, y, direction: str) -> np.ndarray: ...
 
 
+class PhaseCache:
+    """The phase table of the previous call, served again while its waves
+    and points repeat.
+
+    ``table(kx, ky, x, y)`` is ``wave_phases(kx, ky, x, y)``.  A call whose
+    wave momenta and points are bit for bit those of the previous call
+    gets the table that call built; any other call builds a new one, which
+    replaces it.  So the value and derivative sums of one family of points
+    build one table, and no table serves waves or points it was not built
+    for.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._table = None
+
+    def table(self, kx, ky, x, y) -> np.ndarray:
+        key = tuple((a.shape, a.dtype.str, a.tobytes()) for a in map(np.asarray, (kx, ky, x, y)))
+        if key != self._key:
+            self._key, self._table = key, wave_phases(kx, ky, x, y)
+        return self._table
+
+
 class TensorSolution:
     """An amplitude tensor, or a stack of them, bound to its momentum pair.
 
-    Calls at the points of the previous call reuse its phase table, so
-    the value and derivative sums of one family of boundary lines build
-    it once.
+    Calls at the points of the previous call reuse its phase table
+    (:class:`PhaseCache`), so the value and derivative sums of one family
+    of boundary lines build it once.
     """
 
     def __init__(self, tensor: AmplitudeTensor, momentum: MomentumPair):
         self.tensor = tensor
         self.momentum = momentum
-        self._last = None  # (x, y, phase table) of the previous call
+        self._waves = wave_momenta(momentum.k1, momentum.k2)
+        self._phases = PhaseCache()
 
     @classmethod
     def from_element(cls, el: BasisElement) -> "TensorSolution":
         return cls(el.tensor, el.momentum)
 
-    def _phases(self, x, y) -> np.ndarray:
-        last = self._last
-        if last is None or not (np.array_equal(x, last[0]) and np.array_equal(y, last[1])):
-            table = wave_phases(*wave_momenta(self.momentum.k1, self.momentum.k2), x, y)
-            self._last = last = (np.array(x), np.array(y), table)
-        return last[2]
-
     def value_array(self, i, j, sector, x, y):
-        return self.tensor.value_array(i, j, sector, x, y, self.momentum, self._phases(x, y))
+        phases = self._phases.table(*self._waves, x, y)
+        return self.tensor.value_array(i, j, sector, x, y, self.momentum, phases)
 
     def derivative_array(self, i, j, sector, x, y, direction):
-        return self.tensor.derivative_array(i, j, sector, x, y, self.momentum, direction, self._phases(x, y))
+        phases = self._phases.table(*self._waves, x, y)
+        return self.tensor.derivative_array(i, j, sector, x, y, self.momentum, direction, phases)
 
 
 @dataclass(frozen=True)
@@ -384,6 +417,12 @@ def verify_full_basis(
 # mutation sweeps (negative controls as first-class operations)
 
 
+def check_per_element(per_element: int) -> None:
+    """Raise unless a mutation sweep draws at least one entry per element."""
+    if per_element < 1:
+        raise ValueError(f"need at least one mutation per element, got {per_element}")
+
+
 def mutation_sweep(
     cfg: StarConfig,
     m: MomentumPair,
@@ -401,8 +440,7 @@ def mutation_sweep(
     somewhere.  The entries are drawn element by element; the mutants are
     then checked in stacks, all at offset 0.
     """
-    if per_element < 1:
-        raise ValueError(f"need at least one mutation per element, got {per_element}")
+    check_per_element(per_element)
     rng = np.random.default_rng(seed)
     mutants = []  # (element, entry key) in draw order
     for el in build_basis(cfg, m):
@@ -482,7 +520,10 @@ def check_norm_limit(profiles: Mapping[tuple[int, int], Callable], R: float) -> 
     composite 8-point Gauss panels of width 1.4 in x and y, and a
     Gauss rule of max(256, 3.2 R) nodes in momentum; a refined pass
     (panels of width 1.4/1.5) estimates the remaining quadrature error,
-    exposed as ``quadrature_change`` and the ``converged`` flag.
+    exposed as ``quadrature_change`` and the ``converged`` flag.  Every
+    rule comes from :func:`gauss_legendre`, which solves each node count
+    once: both passes, and later calls, share the 8-point, momentum and
+    400-point rules.
     """
     if R <= 0:
         raise ValueError("R must be positive")

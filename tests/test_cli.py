@@ -284,6 +284,30 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--n", "3", "--c", "0", "--k1", "0.6"], "sym_diag family undefined at c = 0 (1/c coefficients)"),
+        (["mutate", "--n", "3", "--c", "0", "--k1", "0.6"], "sym_diag family undefined at c = 0 (1/c coefficients)"),
+        (MUTATE3 + ["--per-element", "0"], "need at least one mutation per element, got 0"),
+        (["synthesize", "--n", "3", "--c", "0"], "eigensolution synthesis needs c != 0"),
+        (["synthesize", "--n", "3", "--c", "1", "--element", "12"], "basis index 12 out of range 0..11"),
+        (["synthesize", "--n", "3", "--c", "1", "--element", "-1"], "basis index -1 out of range 0..11"),
+    ],
+    ids=["verify-c-0", "mutate-c-0", "mutate-per-element-0", "synthesize-c-0", "synthesize-element-12",
+         "synthesize-element-minus-1"],
+)
+def test_refused_configuration_creates_no_directory(tmp_path, capsys, argv, message):
+    # refused before the output paths are prepared, so no parent directory
+    # of --out or --grid-out is left behind
+    extra = ["--out", str(tmp_path / "d" / "sub" / "r.json")]
+    if argv[0] == "synthesize":
+        extra += ["--grid-out", str(tmp_path / "g" / "grid.csv")]
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "grid",
     [("12,2", "1.0", "0.6"), ("3", "1.0", "0.6,1.5"), ("3", "1.0,nan", "0.6"), ("3", "0.0", "-0.1")],
     ids=["late-n-below-3", "late-k1-above-1", "late-c-not-finite", "k1-below-0-at-c-0"],

@@ -43,6 +43,17 @@ def test_gauss_rule_is_the_affine_map_of_leggauss():
         assert np.array_equal(rule.weights, half * w), m
 
 
+def test_gauss_rule_arrays_are_each_rules_own():
+    # the solved rule of a count is shared; the mapped nodes and weights
+    # are not, so writing into one rule leaves a later one as it was
+    first = syn.gauss_rule(16)
+    nodes, weights = first.nodes.copy(), first.weights.copy()
+    first.nodes[:] = 0.5
+    first.weights[:] = 0.0
+    again = syn.gauss_rule(16)
+    assert np.array_equal(again.nodes, nodes) and np.array_equal(again.weights, weights)
+
+
 def test_zero_profile_gives_zero_function():
     sol = syn.synthesize_eigensolution(
         CFG3, {0: lambda k: np.zeros_like(np.asarray(k))}, syn.gauss_rule(16)
@@ -253,3 +264,30 @@ def test_node_blocks_match_one_wave_sum(monkeypatch):
     for got, want in zip(blocked, whole):
         assert got.shape == (3, 40)
         assert got == pytest.approx(want, abs=1e-14)
+
+
+def test_one_phase_table_per_boundary_family_of_a_synthesized_solution(monkeypatch):
+    # 32 nodes fit one block at every family's points, so the value and
+    # derivative sums of a family share a table: vertex x = 0, vertex
+    # y = 0 and the diagonals
+    tables = []
+    build = vf.wave_phases
+    monkeypatch.setattr(vf, "wave_phases", lambda *args: tables.append(args) or build(*args))
+    sol = syn.synthesize_eigensolution(CFG3, {9: syn.gaussian_bump(0.35, 0.08)}, syn.gauss_rule(32))
+    checks = vf.check_vertex_bc(sol, 3) + vf.check_diagonal_bc(sol, 3, CFG3.c)
+    assert len(tables) == 3 and all(ch.passed for ch in checks)
+
+
+def test_a_kept_phase_table_serves_only_its_own_points():
+    # points A, B, A again on one solution give what a fresh solution gives
+    def make():
+        return syn.synthesize_eigensolution(CFG3, {10: syn.gaussian_bump(0.3, 0.1)}, syn.gauss_rule(7))
+
+    xs = np.linspace(0.0, 6.0, 40)
+    quads = (np.array([[1], [2], [3]]), 2, ABOVE)
+    a = (*quads, xs, 0.5 * xs)
+    b = (*quads, xs, 0.5 * xs + 0.25)
+    sol = make()
+    for args in (a, b, a):
+        assert np.array_equal(sol.value_array(*args), make().value_array(*args))
+        assert np.array_equal(sol.derivative_array(*args, "dy"), make().derivative_array(*args, "dy"))

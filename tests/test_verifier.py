@@ -311,6 +311,18 @@ def test_norm_limit_channels_additive():
     assert r12.rhs == pytest.approx(r1.rhs + r2.rhs, rel=1e-12)
 
 
+def test_norm_limit_solves_each_rule_once(monkeypatch):
+    # R = 40 and 80 share the 256-node momentum rule, the 8-point panel
+    # rule and the 400-node rule of the right-hand side
+    counts = []
+    solve = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda m: counts.append(m) or solve(m))
+    vf._leggauss.cache_clear()
+    for R in (40.0, 80.0):
+        vf.check_norm_limit({(1, 1): _bump(0.33, 0.12)}, R)
+    assert sorted(counts) == [8, 256, 400]
+
+
 def test_norm_limit_rejects_bad_radius():
     with pytest.raises(ValueError):
         vf.check_norm_limit({(1, 1): _bump(0.3, 0.1)}, R=0.0)
