@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import cmath
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .domain import AmplitudeTensor, MomentumPair, StarConfig
+from .domain import AmplitudeTensor, MomentumPair, StarConfig, check_pole
 from .oneparticle import (
     LARGER,
     SMALLER,
@@ -161,12 +160,6 @@ def basis_template(cfg: StarConfig) -> Iterator[tuple[str, tuple, tuple[np.ndarr
         )
 
 
-def check_coupling(c: float) -> None:
-    """Raise at c = 0, where the sym_diag elements' 1/c coefficients are undefined."""
-    if c == 0:
-        raise ValueError("sym_diag family undefined at c = 0 (1/c coefficients)")
-
-
 def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     """All 2n^2 - 2n basis elements at the given momentum pair.
 
@@ -174,14 +167,12 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     order.  Family cardinalities are n^2, n^2 - 3n and n.  Each element is
     T0 + (k1/c) T1 + (k2/c) T2 from :func:`basis_template`, so c != 0;
     the c -> 0 limit changes the solution space and is not taken here.
+    A fold momentum in the pole zone is refused like everywhere else.
     """
     c = cfg.c
-    check_coupling(c)
-    if abs(m.k1 - m.k2) < 1e-12:
-        warnings.warn(
-            "degenerate momentum pair k1 = k2: basis may lose rank",
-            stacklevel=2,
-        )
+    if c == 0:
+        raise ValueError("sym_diag family undefined at c = 0 (1/c coefficients)")
+    check_pole(m.fold, c)
     s1, s2 = m.k1 / c, m.k2 / c
     n = cfg.n
     amps = np.empty((cfg.basis_size, n, n, 2, 2, 2, 2), dtype=complex)

@@ -32,8 +32,7 @@ import numpy as np
 from . import synthesis as syn
 from . import transforms as tr
 from . import verifier as vf
-from .basis import check_coupling
-from .domain import SCHEMA, MomentumPair, check_pole, make_config, near_pole
+from .domain import SCHEMA, MomentumPair, make_config, near_pole
 
 
 def _nonempty(grid: list, text: str) -> list:
@@ -60,23 +59,33 @@ def parse_float_grid(text: str) -> list[float]:
     return _nonempty([float(p) for p in text.split(",") if p != ""], text)
 
 
-def prepare_outputs(*paths) -> None:
-    """Create the parent directories of every output path before any work.
+def check_outputs(*paths) -> None:
+    """Refuse, before any work, an output path that cannot be written.
 
-    A path that is an existing directory is refused, and a parent that is
-    a file fails here, so a run that exits 2 leaves no report behind.
+    A path that is an existing directory is refused, and so is one whose
+    nearest existing ancestor is not a writable directory, so a run that
+    exits 2 leaves no report beside an unwritable second output.  Nothing
+    is created here: the writers make the parent directories.
     """
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        path.parent.mkdir(parents=True, exist_ok=True)
+        ancestor = path.parent
+        while not ancestor.exists():
+            ancestor = ancestor.parent
+        if not ancestor.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+        if not os.access(ancestor, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 
 def write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -90,9 +99,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def cmd_verify(args) -> int:
     cfg = make_config(args.n, args.c)
     m = MomentumPair.from_k1(args.k1)
-    check_pole(m.fold, cfg.c)
-    check_coupling(cfg.c)
-    prepare_outputs(args.out)
+    check_outputs(args.out)
     report = vf.verify_full_basis(cfg, m, samples=args.samples, tol=args.tol, seed=args.seed)
     payload = report.to_dict()
     payload["seed"] = args.seed
@@ -116,7 +123,7 @@ def cmd_kernels(args) -> int:
     if min(ns) < 3:
         raise ValueError(f"kernel decomposition needs n >= 3, got {min(ns)}")
     outs = [Path(args.out) / f"kernels_n{n}.json" if args.out else None for n in ns]
-    prepare_outputs(*outs)
+    check_outputs(*outs)
     for n, out in zip(ns, outs):
         report = tr.compute_kernel_decomposition(n, basis=args.basis)
         payload = report.to_dict(include_bases=args.include_bases)
@@ -135,7 +142,7 @@ def cmd_sweep(args) -> int:
     ns, cs, k1s = parse_int_grid(args.n), parse_float_grid(args.c), parse_float_grid(args.k1)
     # every grid point is validated before the first verify
     points = [(make_config(n, c), k1, MomentumPair.from_k1(k1)) for n in ns for c in cs for k1 in k1s]
-    prepare_outputs(args.out)
+    check_outputs(args.out)
     rows = []
     for cfg, k1, m in points:
         head = [cfg.n, repr(cfg.c), repr(k1)]
@@ -192,10 +199,8 @@ def cmd_synthesize(args) -> int:
     values = syn._profile_on(profile, rule.nodes)
     if not np.all(np.isfinite(values)) or not np.any(values):
         raise ValueError(f"profile {args.profile!r} must be finite and not vanish at every quadrature node")
-    profiles = {args.element: profile}
-    syn.check_profiles(cfg, profiles)
-    prepare_outputs(args.out, args.grid_out)
-    sol = syn.synthesize_eigensolution(cfg, profiles, rule)
+    check_outputs(args.out, args.grid_out)
+    sol = syn.synthesize_eigensolution(cfg, {args.element: profile}, rule)
     checks = vf.check_vertex_bc(sol, cfg.n, samples=args.samples, tol=args.tol)
     checks += vf.check_diagonal_bc(sol, cfg.n, cfg.c, samples=args.samples, tol=args.tol)
     record = syn.refine_quadrature(sol)
@@ -227,10 +232,7 @@ def cmd_mutate(args) -> int:
         raise ValueError(f"--detect-above must be positive and finite, got {args.detect_above}")
     cfg = make_config(args.n, args.c)
     m = MomentumPair.from_k1(args.k1)
-    check_pole(m.fold, cfg.c)
-    vf.check_per_element(args.per_element)
-    check_coupling(cfg.c)
-    prepare_outputs(args.out)
+    check_outputs(args.out)
     records = vf.mutation_sweep(
         cfg, m, rel=args.rel, per_element=args.per_element,
         detect_above=args.detect_above, seed=args.seed,

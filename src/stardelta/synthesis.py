@@ -163,16 +163,24 @@ class SynthesizedSolution:
     # -- export ---------------------------------------------------------------
 
     def grid_rows(self, span: float, step: float) -> list[dict]:
-        """Gridded values over every quadrant and sector for external plotting."""
+        """Gridded values over every quadrant and sector for external plotting.
+
+        Two sums give every value: the above plane of all quadrants and
+        the below plane of the diagonal ones, at the same grid points.
+        """
         coords = np.arange(0.0, span + 1e-12, step)
         rows = []
         xs, ys = np.meshgrid(coords, coords, indexing="ij")
         flat_x, flat_y = xs.reshape(-1), ys.reshape(-1)
+        edges = np.arange(1, self.n + 1)
+        above = self.value_array(edges[:, None, None], edges[None, :, None], ABOVE, flat_x, flat_y)
+        below = self.value_array(edges[:, None], edges[:, None], BELOW, flat_x, flat_y)
         for i in range(1, self.n + 1):
             for j in range(1, self.n + 1):
-                sectors = (ABOVE, BELOW) if i == j else (OFFDIAG,)
-                for sector in sectors:
-                    vals = self.value_array(i, j, sector, flat_x, flat_y)
+                planes = [(ABOVE if i == j else OFFDIAG, above[i - 1, j - 1])]
+                if i == j:
+                    planes.append((BELOW, below[i - 1]))
+                for sector, vals in planes:
                     for x, y, v in zip(flat_x, flat_y, vals):
                         rows.append(
                             {
@@ -188,19 +196,6 @@ class SynthesizedSolution:
         return rows
 
 
-def check_profiles(cfg: StarConfig, profiles: Mapping[int, Callable]) -> None:
-    """Raise unless c != 0 and ``profiles`` names at least one basis
-    element, each by a position in 0..2n^2 - 2n - 1."""
-    if cfg.c == 0:
-        raise ValueError("eigensolution synthesis needs c != 0")
-    if not profiles:
-        raise ValueError("need at least one coefficient profile")
-    size = cfg.basis_size
-    for idx in profiles:
-        if not 0 <= idx < size:
-            raise ValueError(f"basis index {idx} out of range 0..{size - 1}")
-
-
 def synthesize_eigensolution(
     cfg: StarConfig,
     profiles: Mapping[int, Callable],
@@ -213,7 +208,14 @@ def synthesize_eigensolution(
     exactly at any node count; refinement only tightens the distance to
     the true integral.
     """
-    check_profiles(cfg, profiles)
+    if cfg.c == 0:
+        raise ValueError("eigensolution synthesis needs c != 0")
+    if not profiles:
+        raise ValueError("need at least one coefficient profile")
+    size = cfg.basis_size
+    for idx in profiles:
+        if not 0 <= idx < size:
+            raise ValueError(f"basis index {idx} out of range 0..{size - 1}")
     # (profiled element, T0/T1/T2, table), in element order
     template = np.array([tables for idx, (_, _, tables) in enumerate(basis_template(cfg)) if idx in profiles])
 

@@ -417,12 +417,6 @@ def verify_full_basis(
 # mutation sweeps (negative controls as first-class operations)
 
 
-def check_per_element(per_element: int) -> None:
-    """Raise unless a mutation sweep draws at least one entry per element."""
-    if per_element < 1:
-        raise ValueError(f"need at least one mutation per element, got {per_element}")
-
-
 def mutation_sweep(
     cfg: StarConfig,
     m: MomentumPair,
@@ -440,7 +434,8 @@ def mutation_sweep(
     somewhere.  The entries are drawn element by element; the mutants are
     then checked in stacks, all at offset 0.
     """
-    check_per_element(per_element)
+    if per_element < 1:
+        raise ValueError(f"need at least one mutation per element, got {per_element}")
     rng = np.random.default_rng(seed)
     mutants = []  # (element, entry key) in draw order
     for el in build_basis(cfg, m):

@@ -15,7 +15,7 @@ from stardelta.basis import (
     family_counts,
     product_tensor,
 )
-from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, make_config
+from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, check_pole, make_config
 from stardelta.oneparticle import LARGER, NEUTRAL, SMALLER, phi, scattering_wave, xi_solution
 from stardelta.verifier import basis_rank
 
@@ -119,10 +119,14 @@ def test_build_basis_rejects_zero_coupling():
         build_basis(make_config(3, 0.0), M68)
 
 
-def test_build_basis_warns_at_degenerate_momentum():
+def test_build_basis_refuses_degenerate_momentum():
+    # k1 = k2 lies in the pole zone, refused with the one pole message
     m_eq = MomentumPair.from_k1(1.0 / np.sqrt(2.0))
-    with pytest.warns(UserWarning):
+    with pytest.raises(ValueError) as pole:
+        check_pole(m_eq.fold, CFG3.c)
+    with pytest.raises(ValueError) as refusal:
         build_basis(CFG3, m_eq)
+    assert str(refusal.value) == str(pole.value)
 
 
 def _oracle_terms(cfg):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -268,9 +269,10 @@ def test_bad_input_refused_with_exit_2(tmp_path, capsys, argv):
         ["kernels", "--n", "3", "--out", "{file}"],
         SYN3 + ["--grid-out", "{file}/g.csv"],
         SYN3 + ["--out", "{dir}/ok.json", "--grid-out", "{file}/g.csv"],
+        VERIFY3 + ["--out", "{file}/sub/r.json"],
     ],
     ids=["verify-out-is-a-directory", "kernels-out-is-a-file", "synthesize-grid-out-under-a-file",
-         "synthesize-out-beside-an-unwritable-grid-out"],
+         "synthesize-out-beside-an-unwritable-grid-out", "verify-out-two-levels-under-a-file"],
 )
 def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     # found before any work: an error line and exit 2, not a traceback
@@ -283,22 +285,38 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "ok.json").exists()
 
 
+def test_output_under_an_unwritable_directory_exits_2(tmp_path, capsys, monkeypatch):
+    # the nearest existing ancestor must be writable; permission bits do
+    # not bind a superuser, so the access check is stubbed
+    calls = []
+    monkeypatch.setattr(vf, "verify_full_basis", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    out = tmp_path / "d" / "r.json"
+    assert main(VERIFY3 + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: {str(out)!r}\n"
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["verify", "--n", "3", "--c", "0", "--k1", "0.6"], "sym_diag family undefined at c = 0 (1/c coefficients)"),
         (["mutate", "--n", "3", "--c", "0", "--k1", "0.6"], "sym_diag family undefined at c = 0 (1/c coefficients)"),
         (MUTATE3 + ["--per-element", "0"], "need at least one mutation per element, got 0"),
+        (["verify", "--n", "3", "--c", "1", "--k1", "0.7071065"],
+         "fold momentum k = 0.7071065 is inside the exclusion zone around 1/sqrt(2) for c != 0"),
+        (["mutate", "--n", "3", "--c", "1", "--k1", "0.7071065"],
+         "fold momentum k = 0.7071065 is inside the exclusion zone around 1/sqrt(2) for c != 0"),
         (["synthesize", "--n", "3", "--c", "0"], "eigensolution synthesis needs c != 0"),
         (["synthesize", "--n", "3", "--c", "1", "--element", "12"], "basis index 12 out of range 0..11"),
         (["synthesize", "--n", "3", "--c", "1", "--element", "-1"], "basis index -1 out of range 0..11"),
     ],
-    ids=["verify-c-0", "mutate-c-0", "mutate-per-element-0", "synthesize-c-0", "synthesize-element-12",
-         "synthesize-element-minus-1"],
+    ids=["verify-c-0", "mutate-c-0", "mutate-per-element-0", "verify-pole", "mutate-pole", "synthesize-c-0",
+         "synthesize-element-12", "synthesize-element-minus-1"],
 )
 def test_refused_configuration_creates_no_directory(tmp_path, capsys, argv, message):
-    # refused before the output paths are prepared, so no parent directory
-    # of --out or --grid-out is left behind
+    # refused by the library before any write, so no parent directory of
+    # --out or --grid-out is left behind
     extra = ["--out", str(tmp_path / "d" / "sub" / "r.json")]
     if argv[0] == "synthesize":
         extra += ["--grid-out", str(tmp_path / "g" / "grid.csv")]

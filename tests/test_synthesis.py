@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stardelta.domain import ABOVE, BELOW, MARGIN, OFFDIAG, POLE, MomentumPair, make_config
+from stardelta import domain
 from stardelta import synthesis as syn
 from stardelta import transforms as tr
 from stardelta import verifier as vf
@@ -250,6 +251,29 @@ def test_grid_rows_export():
     # 9 points per patch, 6 off-diagonal quadrants + 3 diagonal with 2 sectors
     assert len(rows) == 9 * (6 + 3 * 2)
     assert {"quadrant_i", "quadrant_j", "sector", "x", "y", "re", "im"} == set(rows[0])
+
+
+def test_grid_rows_match_a_per_quadrant_loop(monkeypatch):
+    # the above plane of every quadrant and the below plane of the diagonal
+    # ones, here three nodes per block, give the values of one sum per
+    # quadrant and sector; each block builds one phase table per plane
+    sol = syn.synthesize_eigensolution(CFG3, {9: syn.gaussian_bump(0.35, 0.08)}, syn.gauss_rule(8))
+    coords = np.arange(0.0, 2.0 + 1e-12, 0.5)
+    xs, ys = (a.reshape(-1) for a in np.meshgrid(coords, coords, indexing="ij"))
+    monkeypatch.setattr(syn, "WAVE_POINTS", 8 * 3 * xs.size)
+    tables = []
+    build = domain.wave_phases
+    monkeypatch.setattr(domain, "wave_phases", lambda *args: tables.append(args) or build(*args))
+    rows = sol.grid_rows(span=2.0, step=0.5)
+    assert len(tables) == 2 * 3
+    want = []
+    for i in range(1, 4):
+        for j in range(1, 4):
+            for sector in (ABOVE, BELOW) if i == j else (OFFDIAG,):
+                vals = sol.value_array(i, j, sector, xs, ys)
+                want += [(i, j, sector, x, y, v) for x, y, v in zip(xs, ys, vals)]
+    got = [(r["quadrant_i"], r["quadrant_j"], r["sector"], r["x"], r["y"], complex(r["re"], r["im"])) for r in rows]
+    assert got == want
 
 
 def test_node_blocks_match_one_wave_sum(monkeypatch):

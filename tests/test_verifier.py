@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stardelta.basis import build_basis
-from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, make_config
+from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, check_pole, make_config
 from stardelta import synthesis as syn
 from stardelta import verifier as vf
 from helpers import from_entries
@@ -165,13 +165,16 @@ def test_sample_matrix_refuses_mixed_momenta():
         vf.basis_rank(elements)
 
 
-def test_basis_rank_degrades_at_equal_momenta():
-    # k1 = k2 degenerates the antisymmetrised parts; rank is reported,
-    # not asserted, at that point
-    with pytest.warns(UserWarning):
-        elements = build_basis(CFG3, MomentumPair.from_k1(1.0 / np.sqrt(2.0)))
-    rank, _ = vf.basis_rank(elements, seed=2)
-    assert rank < len(elements)
+def test_equal_momenta_are_refused_before_the_rank():
+    # k1 = k2 would degenerate the antisymmetrised parts, but it lies in
+    # the pole zone, so no basis is built there and nothing is checked
+    m_eq = MomentumPair.from_k1(1.0 / np.sqrt(2.0))
+    with pytest.raises(ValueError) as pole:
+        check_pole(m_eq.fold, CFG3.c)
+    for build in (build_basis, vf.verify_full_basis, vf.mutation_sweep):
+        with pytest.raises(ValueError) as refusal:
+            build(CFG3, m_eq)
+        assert str(refusal.value) == str(pole.value)
 
 
 # -- batched boundary checks against a per-quadrant loop ---------------------------
