@@ -153,7 +153,7 @@ def basis_template(cfg: StarConfig) -> Iterator[tuple[str, tuple, tuple[np.ndarr
         # equals c times the boundary value (and for which the element
         # matches diagonal_closed_form on Q_ii).
         yield "sym_diag", (i,), (
-            (product_tensor(phis[i], xi, 1) - product_tensor(xi, phis[i], 1)).amps
+            product_tensor(phis[i], xi, 1).amps - product_tensor(xi, phis[i], 1).amps
             + (1.0 / n) * completer.amps,
             -n * product_tensor(phis[0], phis[i], 1).amps,
             n * product_tensor(phis[i], phis[0], 1).amps,

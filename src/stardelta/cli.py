@@ -32,7 +32,7 @@ import numpy as np
 from . import synthesis as syn
 from . import transforms as tr
 from . import verifier as vf
-from .domain import SCHEMA, MomentumPair, make_config, near_pole
+from .domain import SCHEMA, MomentumPair, check_edge_count, make_config, near_pole
 
 
 def _nonempty(grid: list, text: str) -> list:
@@ -120,8 +120,7 @@ def cmd_verify(args) -> int:
 def cmd_kernels(args) -> int:
     ok = True
     ns = parse_int_grid(args.n)
-    if min(ns) < 3:
-        raise ValueError(f"kernel decomposition needs n >= 3, got {min(ns)}")
+    check_edge_count(min(ns))
     outs = [Path(args.out) / f"kernels_n{n}.json" if args.out else None for n in ns]
     check_outputs(*outs)
     for n, out in zip(ns, outs):
@@ -196,9 +195,6 @@ def cmd_synthesize(args) -> int:
     if not (args.grid_step > 0 and 0.0 <= args.grid_span < math.inf):
         raise ValueError("--grid-step must be positive and --grid-span non-negative and finite")
     rule = syn.gauss_rule(args.nodes)
-    values = syn._profile_on(profile, rule.nodes)
-    if not np.all(np.isfinite(values)) or not np.any(values):
-        raise ValueError(f"profile {args.profile!r} must be finite and not vanish at every quadrature node")
     check_outputs(args.out, args.grid_out)
     sol = syn.synthesize_eigensolution(cfg, {args.element: profile}, rule)
     checks = vf.check_vertex_bc(sol, cfg.n, samples=args.samples, tol=args.tol)
@@ -217,9 +213,7 @@ def cmd_synthesize(args) -> int:
     if args.out:
         write_json(Path(args.out), payload)
     if args.grid_out:
-        rows = sol.grid_rows(span=args.grid_span, step=args.grid_step)
-        header = ["quadrant_i", "quadrant_j", "sector", "x", "y", "re", "im"]
-        write_csv(Path(args.grid_out), header, [[r[h] for h in header] for r in rows])
+        write_csv(Path(args.grid_out), syn.GRID_HEADER, sol.grid_rows(span=args.grid_span, step=args.grid_step))
     worst = max(ch.max_abs_residual for ch in checks)
     print(f"synthesize: worst residual {worst:.3e}, refinement change {record.max_change:.3e}")
     return 0 if all(ch.passed for ch in checks) else 1

@@ -51,6 +51,12 @@ MARGIN = 1e-6
 EntryKey = tuple[int, int, str, int, int, int]
 
 
+def check_edge_count(n: int) -> None:
+    """Raise unless the star has at least 3 edges, the least the basis needs."""
+    if n < 3:
+        raise ValueError(f"need at least 3 edges, got n={n}")
+
+
 @dataclass(frozen=True)
 class StarConfig:
     """Problem instance: edge count n >= 3, coupling c, energy fixed to 1."""
@@ -59,8 +65,7 @@ class StarConfig:
     c: float
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"need at least 3 edges, got n={self.n}")
+        check_edge_count(self.n)
         if not math.isfinite(self.c):
             raise ValueError(f"coupling must be finite, got c={self.c}")
 
@@ -170,9 +175,6 @@ class AmplitudeTensor:
     def combine(cls, terms: Iterable[tuple[complex, "AmplitudeTensor"]]) -> "AmplitudeTensor":
         """Linear combination sum(coeff * tensor), summed in term order."""
         return cls(functools.reduce(operator.add, (coeff * tensor.amps for coeff, tensor in terms)))
-
-    def __sub__(self, other: "AmplitudeTensor") -> "AmplitudeTensor":
-        return AmplitudeTensor(self.amps - other.amps)
 
     def with_scaled_entry(self, key: EntryKey, factor: complex) -> "AmplitudeTensor":
         """Copy with a single amplitude multiplied by ``factor`` (mutation tests)."""

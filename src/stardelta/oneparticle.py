@@ -9,10 +9,10 @@ pairs (a_l, b_l) for exp(-1j*k*x) and exp(+1j*k*x):
   vertex matrix S = 2P - I with P the rank-one projection onto
   (1, ..., 1)^t; this is the unique vertex-compatible solution with
   unit incoming amplitude,
-* phi_zero = (1/2) * sum_j psi^j, which collapses to cos(k x) on every
-  edge,
-* phi_j = (1/(2i)) * (psi^j - psi^{j+1}) (indices wrap mod n), equal to
-  -sin on edge j and +sin on edge j+1,
+* phi^0 = (1/2) * sum_j psi^j, which collapses to cos(k x) on every
+  edge, and phi^j = (1/(2i)) * (psi^j - psi^{j+1}) for j = 1..n
+  (indices wrap mod n), equal to -sin on edge j and +sin on edge j+1;
+  :func:`phi` builds both,
 * xi, a sine wave whose amplitude jumps across the diagonal of the
   two-particle configuration space.
 
@@ -120,24 +120,6 @@ def scattering_wave(cfg: StarConfig, i: int) -> OneParticleSolution:
     return OneParticleSolution(coeff)
 
 
-def phi_zero(cfg: StarConfig) -> OneParticleSolution:
-    """Half the sum of all scattering waves; equals cos(kx) on every edge."""
-    coeff = np.tile(np.array(_COS, dtype=complex), (cfg.n, 1))
-    return OneParticleSolution(coeff)
-
-
-def phi_j(cfg: StarConfig, j: int) -> OneParticleSolution:
-    """(1/2i)(psi^j - psi^{j+1}): -sin on edge j, +sin on edge j+1 (wrapping)."""
-    n = cfg.n
-    if not 1 <= j <= n:
-        raise ValueError(f"edge index {j} out of range 1..{n}")
-    succ = 1 if j == n else j + 1
-    coeff = np.zeros((n, 2), dtype=complex)
-    coeff[j - 1] = (-_SIN[0], -_SIN[1])
-    coeff[succ - 1] = _SIN
-    return OneParticleSolution(coeff)
-
-
 def xi_solution(cfg: StarConfig) -> OneParticleSolution:
     """Sine wave with amplitude (1 - n) on the branch whose variable is smaller."""
     coeff = np.tile(np.array(_SIN, dtype=complex), (cfg.n, 1))
@@ -145,7 +127,15 @@ def xi_solution(cfg: StarConfig) -> OneParticleSolution:
 
 
 def phi(cfg: StarConfig, i: int) -> OneParticleSolution:
-    """phi^i for i in 0..n (0 is the cosine solution)."""
+    """phi^i for i in 0..n: phi^0 is half the sum of all scattering waves,
+    cos(kx) on every edge; phi^j is (1/2i)(psi^j - psi^{j+1}), -sin on
+    edge j and +sin on edge j+1 (wrapping)."""
+    n = cfg.n
+    if not 0 <= i <= n:
+        raise ValueError(f"phi index {i} out of range 0..{n}")
     if i == 0:
-        return phi_zero(cfg)
-    return phi_j(cfg, i)
+        return OneParticleSolution(np.tile(np.array(_COS, dtype=complex), (n, 1)))
+    coeff = np.zeros((n, 2), dtype=complex)
+    coeff[i - 1] = (-_SIN[0], -_SIN[1])
+    coeff[i % n] = _SIN
+    return OneParticleSolution(coeff)

@@ -102,15 +102,22 @@ def gauss_rule(count: int) -> QuadratureRule:
 
 
 def _profile_on(profile: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate a coefficient profile on a node grid, one value per node."""
+    """Evaluate a coefficient profile on a node grid, one value per node;
+    refuses a profile that is not finite, or vanishes at every node."""
     values = np.atleast_1d(np.asarray(profile(nodes)))
     if values.shape != nodes.shape:
         raise ValueError("profile must return one coefficient per quadrature node")
+    if not np.all(np.isfinite(values)) or not np.any(values):
+        raise ValueError("profile must be finite and not vanish at every quadrature node")
     return values.astype(complex)
 
 
 # ---------------------------------------------------------------------------
 # synthesised solutions
+
+# the columns of SynthesizedSolution.grid_rows
+GRID_HEADER = ["quadrant_i", "quadrant_j", "sector", "x", "y", "re", "im"]
+
 
 class SynthesizedSolution:
     """Quadrature superposition: one weighted amplitude table per node.
@@ -162,8 +169,9 @@ class SynthesizedSolution:
 
     # -- export ---------------------------------------------------------------
 
-    def grid_rows(self, span: float, step: float) -> list[dict]:
-        """Gridded values over every quadrant and sector for external plotting.
+    def grid_rows(self, span: float, step: float) -> list[list]:
+        """Gridded values over every quadrant and sector for external
+        plotting, one row per point in the column order of ``GRID_HEADER``.
 
         Two sums give every value: the above plane of all quadrants and
         the below plane of the diagonal ones, at the same grid points.
@@ -181,18 +189,8 @@ class SynthesizedSolution:
                 if i == j:
                     planes.append((BELOW, below[i - 1]))
                 for sector, vals in planes:
-                    for x, y, v in zip(flat_x, flat_y, vals):
-                        rows.append(
-                            {
-                                "quadrant_i": i,
-                                "quadrant_j": j,
-                                "sector": sector,
-                                "x": float(x),
-                                "y": float(y),
-                                "re": float(v.real),
-                                "im": float(v.imag),
-                            }
-                        )
+                    rows += [[i, j, sector, float(x), float(y), float(v.real), float(v.imag)]
+                             for x, y, v in zip(flat_x, flat_y, vals)]
         return rows
 
 
@@ -206,7 +204,8 @@ def synthesize_eigensolution(
     ``profiles`` maps basis-element positions (index into build_basis
     output) to coefficient functions g_i(k).  Boundary conditions hold
     exactly at any node count; refinement only tightens the distance to
-    the true integral.
+    the true integral.  A profile that is not finite, or vanishes at every
+    node of a rule, is refused at that rule.
     """
     if cfg.c == 0:
         raise ValueError("eigensolution synthesis needs c != 0")

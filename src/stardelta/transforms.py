@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import SCHEMA, AmplitudeTensor, MomentumPair, check_fold, check_pole, partner_momentum
+from .domain import SCHEMA, AmplitudeTensor, MomentumPair, check_edge_count, check_fold, check_pole, partner_momentum
 from .oneparticle import EDGE, SPECTRAL, s_matrix
 
 RANK_RTOL = 1e-10
@@ -144,8 +144,7 @@ def build_q_operator(n: int, sign: int, basis: str = SPECTRAL) -> np.ndarray:
     """Dense (2n^2) x (2n^2) matrix of (A, B) -> (A S + sign * S B, A - B)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if n < 3:
-        raise ValueError("need n >= 3")
+    check_edge_count(n)
     S = s_matrix(n, basis)
     eye = np.eye(n)
     eye2 = np.eye(n * n)
@@ -267,6 +266,7 @@ def compute_kernel_decomposition(n: int, basis: str = SPECTRAL) -> KernelReport:
     targets less the rank of their preimage.  The independent comparison,
     with a dense null space of PI_perp o Q_pm, is in the tests.
     """
+    check_edge_count(n)
     if basis not in (EDGE, SPECTRAL):
         raise ValueError(f"unknown basis {basis!r}")
     dims: dict[str, int] = {}

@@ -50,6 +50,7 @@ DEFAULT_REL = 1e-3  # mutation size, relative to the amplitude
 DEFAULT_DETECT_ABOVE = 1e-5  # worst residual that counts as a detected mutation
 TRANSFORM_TOL = 1e-10
 GRAM_GAP = 1e-8
+SUM_FLOOR = 64 * np.finfo(float).eps  # a row sum this small, relative to its terms, is zero
 SPAN = 10.0
 
 
@@ -296,17 +297,31 @@ def sample_matrix(elements: list[BasisElement], count: int, seed: int) -> np.nda
     """Rows of element values at shared random points, row-normalised.
 
     All elements must be built at one momentum pair, which the points share.
+    Before normalisation the last ``sym_diag`` row is replaced by the sum
+    of the family's rows, when the family holds exactly n of them.  Their
+    O(1/c) coupling parts cancel in that sum, which leaves the O(1)
+    cycle-completing solution, so the rank stays resolvable at small |c|;
+    the row operation is unimodular and keeps the exact rank.  A sum no
+    larger than ``SUM_FLOOR`` times its largest term is rounding noise
+    and becomes a zero row.
     """
-    m = elements[0].momentum
+    m, n = elements[0].momentum, elements[0].tensor.n
     if any(el.momentum != m for el in elements):
         raise ValueError("sample_matrix needs elements built at one momentum pair")
-    quads, planes, xy = sample_points(elements[0].tensor.n, count, seed)
+    quads, planes, xy = sample_points(n, count, seed)
     phases = wave_phases(*wave_momenta(m.k1, m.k2), xy[:, 0], xy[:, 1])
     i, j = quads[:, 0] - 1, quads[:, 1] - 1
     mat = np.stack([
         np.einsum("pw,wp->p", el.tensor.amps[i, j, planes].reshape(count, 8), phases)
         for el in elements
     ])
+    diag = [row for row, el in enumerate(elements) if el.family == "sym_diag"]
+    if len(diag) == n:
+        total = mat[diag].sum(axis=0)
+        # a sum at the rounding level of its largest term is zero, so
+        # normalisation cannot make a lost direction out of noise
+        resolved = np.linalg.norm(total) > SUM_FLOOR * np.linalg.norm(mat[diag], axis=1).max()
+        mat[diag[-1]] = total if resolved else 0.0
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     return mat / np.where(norms > 0, norms, 1.0)
 
@@ -321,25 +336,23 @@ def basis_rank(elements: list[BasisElement], seed: int = 0) -> tuple[int, np.nda
 
 
 def verify_element(
-    el: BasisElement | list[BasisElement],
+    elements: list[BasisElement],
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
     offset: int | np.ndarray = 0,
-) -> ResidualReport | list[ResidualReport]:
+) -> list[ResidualReport]:
     """All per-element checks: pointwise boundary conditions + transforms.
 
-    The edge count, momentum pair and coupling are the element's own.  A
-    list of consecutive elements of one basis, with an array of one sample
-    offset each, is checked as one stack, a view of their rows, and gives
-    one report per element.
+    The edge count, momentum pair and coupling are the elements' own.  The
+    list holds consecutive elements of one basis, with one sample offset
+    for all or an array of one each; it is checked as one stack, a view of
+    their rows, and gives one report per element.
     """
-    if isinstance(el, BasisElement):
-        return verify_element([el], samples, tol, offset)[0]
-    first = el[0]
-    if any(e.stack is not first.stack or e.row != first.row + k for k, e in enumerate(el)):
+    first = elements[0]
+    if any(e.stack is not first.stack or e.row != first.row + k for k, e in enumerate(elements)):
         raise ValueError("a stack of elements must be consecutive elements of one basis")
     n, m, c = first.stack.n, first.momentum, first.coupling
-    tensor = AmplitudeTensor(first.stack.amps[first.row:first.row + len(el)])
+    tensor = AmplitudeTensor(first.stack.amps[first.row:first.row + len(elements)])
     sol = TensorSolution(tensor, m)
     checks = check_vertex_bc(sol, n, samples=samples, tol=tol, offset=offset)
     checks += check_diagonal_bc(sol, n, c, samples=samples, tol=tol, offset=offset)
@@ -354,7 +367,7 @@ def verify_element(
     return [
         ResidualReport(e.label, [CheckResult(ch.name, float(ch.max_abs_residual[k]), ch.sample_count, ch.tolerance)
                                  for ch in checks])
-        for k, e in enumerate(el)
+        for k, e in enumerate(elements)
     ]
 
 

@@ -1,5 +1,7 @@
 """Two-particle products, the full basis, and the diagonal closed form."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,57 @@ def test_basis_rank_full(n):
     rank, svals = basis_rank(elements, seed=17)
     assert rank == len(elements)
     assert svals[-1] / svals[0] > 1e-8
+
+
+SMALL_C = (1e-8, 1e-10, 1e-12)
+
+
+@pytest.mark.parametrize("c", SMALL_C)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_basis_rank_full_at_small_coupling(n, c):
+    # the sym_diag elements' O(1/c) coupling parts cancel in their sum, the
+    # O(1) cycle-completing solution, which the sample matrix's last
+    # sym_diag row holds, so that direction stays above the rank gap
+    elements = build_basis(make_config(n, c), M68)
+    rank, _ = basis_rank(elements, seed=17)
+    assert rank == len(elements)
+
+
+@pytest.mark.parametrize("c", (1.0,) + SMALL_C)
+@pytest.mark.parametrize("n", [3, 5])
+def test_duplicated_sym_diag_row_stays_rank_deficient(n, c):
+    # the row sum keeps the exact rank: a last sym_diag that repeats the
+    # first still loses one direction
+    elements = build_basis(make_config(n, c), M68)
+    diag = [k for k, el in enumerate(elements) if el.family == "sym_diag"]
+    elements[diag[-1]] = dataclasses.replace(elements[diag[-1]], row=elements[diag[0]].row)
+    rank, _ = basis_rank(elements, seed=17)
+    assert rank == len(elements) - 1
+
+
+@pytest.mark.parametrize("c", (1.0, -2.0) + SMALL_C)
+@pytest.mark.parametrize("n", [3, 6])
+def test_sym_diag_without_the_cycle_completer_stays_rank_deficient(n, c):
+    # without the completer the n sym_diag elements sum to zero, so their
+    # sampled sum is rounding noise, which must not count as a direction
+    cfg = make_config(n, c)
+    elements = build_basis(cfg, M68)
+    amps = elements[0].stack.amps.copy()
+    diag = [k for k, el in enumerate(elements) if el.family == "sym_diag"]
+    amps[diag] -= cycle_completing_tensor(cfg).amps / n
+    stack = AmplitudeTensor(amps)
+    rank, _ = basis_rank([dataclasses.replace(el, stack=stack) for el in elements], seed=17)
+    assert rank == len(elements) - 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rank_ratio_does_not_depend_on_small_coupling(n):
+    ratios = []
+    for c in (1e-2, 1e-4) + SMALL_C:
+        _, svals = basis_rank(build_basis(make_config(n, c), M68), seed=17)
+        ratios.append(svals[-1] / svals[0])
+    assert ratios == pytest.approx([ratios[-1]] * len(ratios), rel=5e-3)
+    assert ratios[-1] > 0.1
 
 
 def test_eigen_equation_per_entry():

@@ -310,9 +310,12 @@ def test_output_under_an_unwritable_directory_exits_2(tmp_path, capsys, monkeypa
         (["synthesize", "--n", "3", "--c", "0"], "eigensolution synthesis needs c != 0"),
         (["synthesize", "--n", "3", "--c", "1", "--element", "12"], "basis index 12 out of range 0..11"),
         (["synthesize", "--n", "3", "--c", "1", "--element", "-1"], "basis index -1 out of range 0..11"),
+        (["synthesize", "--n", "3", "--c", "1", "--nodes", "8", "--profile", "indicator:0.9,1.0"],
+         "profile must be finite and not vanish at every quadrature node"),
+        (["kernels", "--n", "3,2"], "need at least 3 edges, got n=2"),
     ],
     ids=["verify-c-0", "mutate-c-0", "mutate-per-element-0", "verify-pole", "mutate-pole", "synthesize-c-0",
-         "synthesize-element-12", "synthesize-element-minus-1"],
+         "synthesize-element-12", "synthesize-element-minus-1", "synthesize-vanishing-profile", "kernels-n-2"],
 )
 def test_refused_configuration_creates_no_directory(tmp_path, capsys, argv, message):
     # refused by the library before any write, so no parent directory of

@@ -9,8 +9,6 @@ from stardelta.oneparticle import (
     NEUTRAL,
     SMALLER,
     phi,
-    phi_j,
-    phi_zero,
     s_matrix,
     scattering_wave,
     xi_solution,
@@ -85,7 +83,7 @@ def test_phi_zero_is_cosine_and_matches_scattering_sum():
     rng = np.random.default_rng(5)
     for n in (3, 4):
         cfg = make_config(n, 1.0)
-        p0 = phi_zero(cfg)
+        p0 = phi(cfg, 0)
         waves = [scattering_wave(cfg, j) for j in range(1, n + 1)]
         for _ in range(25):
             k = rng.uniform(0.05, 1.0)
@@ -99,7 +97,7 @@ def test_phi_zero_is_cosine_and_matches_scattering_sum():
 
 def test_phi_zero_vertex():
     cfg = make_config(4, 1.0)
-    p0 = phi_zero(cfg)
+    p0 = phi(cfg, 0)
     for edge in range(1, 5):
         assert p0.value(edge, 0.0, 0.9) == pytest.approx(1.0)
         assert p0.derivative(edge, 0.0, 0.9) == pytest.approx(0.0, abs=1e-15)
@@ -107,7 +105,7 @@ def test_phi_zero_vertex():
 
 def test_phi_j_support_and_signs():
     cfg = make_config(4, 1.0)
-    p = phi_j(cfg, 2)
+    p = phi(cfg, 2)
     k, x = 1.0, np.pi / 2
     assert p.value(2, x, k) == pytest.approx(-1.0)
     assert p.value(3, x, k) == pytest.approx(1.0)
@@ -117,7 +115,7 @@ def test_phi_j_support_and_signs():
 
 def test_phi_j_matches_scattering_difference():
     cfg = make_config(4, 1.0)
-    p = phi_j(cfg, 2)
+    p = phi(cfg, 2)
     w2, w3 = scattering_wave(cfg, 2), scattering_wave(cfg, 3)
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -130,7 +128,7 @@ def test_phi_j_matches_scattering_difference():
 
 def test_phi_j_wraparound():
     cfg = make_config(3, 1.0)
-    p = phi_j(cfg, 3)  # supported on edges 3 and 1
+    p = phi(cfg, 3)  # supported on edges 3 and 1
     k, x = 0.8, 1.7
     assert p.value(3, x, k) == pytest.approx(-np.sin(k * x))
     assert p.value(1, x, k) == pytest.approx(np.sin(k * x))
@@ -144,7 +142,7 @@ def test_phi_family_telescopes_to_zero():
         k = rng.uniform(0.1, 1.0)
         edge = int(rng.integers(1, 6))
         x = rng.uniform(0, 10)
-        total = sum(phi_j(cfg, j).value(edge, x, k) for j in range(1, 6))
+        total = sum(phi(cfg, j).value(edge, x, k) for j in range(1, 6))
         assert abs(total) <= 1e-13
 
 
@@ -161,8 +159,8 @@ def test_xi_branches():
 
 @pytest.mark.parametrize("builder,args", [
     (scattering_wave, (2,)),
-    (phi_zero, ()),
-    (phi_j, (1,)),
+    (phi, (0,)),
+    (phi, (1,)),
     (xi_solution, ()),
 ])
 def test_eigen_equation(builder, args):
@@ -190,5 +188,5 @@ def test_eigen_equation(builder, args):
 
 def test_zero_momentum_degenerates_gracefully():
     cfg = make_config(3, 1.0)
-    assert phi_j(cfg, 1).value(1, 2.0, 0.0) == pytest.approx(0.0)
-    assert phi_zero(cfg).value(1, 2.0, 0.0) == pytest.approx(1.0)
+    assert phi(cfg, 1).value(1, 2.0, 0.0) == pytest.approx(0.0)
+    assert phi(cfg, 0).value(1, 2.0, 0.0) == pytest.approx(1.0)

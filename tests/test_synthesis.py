@@ -55,12 +55,33 @@ def test_gauss_rule_arrays_are_each_rules_own():
     assert np.array_equal(again.nodes, nodes) and np.array_equal(again.weights, weights)
 
 
-def test_zero_profile_gives_zero_function():
-    sol = syn.synthesize_eigensolution(
-        CFG3, {0: lambda k: np.zeros_like(np.asarray(k))}, syn.gauss_rule(16)
-    )
-    assert sol.value_array(1, 2, OFFDIAG, [1.0, 3.0], [2.0, 4.0])[0] == 0
-    zeros = sol.derivative_array(np.array([[1], [2]]), 3, ABOVE, [1.0, 3.0, 5.0], 2.0, "dx")
+VANISHING = "profile must be finite and not vanish at every quadrature node"
+
+
+def test_zero_profile_is_refused():
+    # a profile that vanishes at every node would give the zero function,
+    # which passes every boundary check; an indicator off the fold
+    # interval vanishes at every node too, and one profile of several is
+    # enough for a refusal
+    rule = syn.gauss_rule(8)
+    for profiles in (
+        {0: lambda k: np.zeros_like(np.asarray(k))},
+        {0: syn.indicator_profile(0.9, 1.0)},
+        {0: syn.gaussian_bump(0.3, 0.1), 5: syn.indicator_profile(0.9, 1.0)},
+        {0: lambda k: np.where(np.asarray(k) > 0.5, np.nan, 1.0)},
+        {0: lambda k: np.full_like(np.asarray(k), np.inf)},
+    ):
+        with pytest.raises(ValueError, match=VANISHING):
+            syn.synthesize_eigensolution(CFG3, profiles, rule)
+    # the doubled rule of a refinement is held to the same rule: this
+    # indicator holds one node of the 8-point rule and none of the 16
+    narrow = syn.synthesize_eigensolution(CFG3, {9: syn.indicator_profile(0.285, 0.292)}, rule)
+    with pytest.raises(ValueError, match=VANISHING):
+        syn.refine_quadrature(narrow)
+    # the zero table itself still evaluates to zeros of the right shape
+    zero = syn.SynthesizedSolution(np.zeros((8, 3, 3, 2, 2, 2, 2)), rule.nodes)
+    assert zero.value_array(1, 2, OFFDIAG, [1.0, 3.0], [2.0, 4.0])[0] == 0
+    zeros = zero.derivative_array(np.array([[1], [2]]), 3, ABOVE, [1.0, 3.0, 5.0], 2.0, "dx")
     assert zeros.shape == (2, 3) and not np.any(zeros)
 
 
@@ -202,13 +223,17 @@ def test_k_plus_element_passes_vertex_checks():
         assert check.max_abs_residual <= 1e-8
 
 
-def test_zero_profile_basic_solution():
+def test_zero_profile_basic_solution_is_refused():
     chi_hat, chi_check = _kernel_element()
-    sol = syn.synthesize_basic_solution(
-        CFG3, chi_hat, chi_check, tau_sign=1,
-        profile=lambda k: np.zeros_like(np.asarray(k)), rule=syn.gauss_rule(16),
-    )
-    assert sol.value_array(2, 2, ABOVE, [1.0], [0.5])[0] == 0
+    for profile in (
+        lambda k: np.zeros_like(np.asarray(k)),
+        syn.indicator_profile(0.9, 1.0),
+        lambda k: np.full_like(np.asarray(k), np.nan),
+    ):
+        with pytest.raises(ValueError, match=VANISHING):
+            syn.synthesize_basic_solution(
+                CFG3, chi_hat, chi_check, tau_sign=1, profile=profile, rule=syn.gauss_rule(16),
+            )
 
 
 def test_full_interval_equals_folded_half_interval():
@@ -250,7 +275,8 @@ def test_grid_rows_export():
     rows = sol.grid_rows(span=2.0, step=1.0)
     # 9 points per patch, 6 off-diagonal quadrants + 3 diagonal with 2 sectors
     assert len(rows) == 9 * (6 + 3 * 2)
-    assert {"quadrant_i", "quadrant_j", "sector", "x", "y", "re", "im"} == set(rows[0])
+    assert syn.GRID_HEADER == ["quadrant_i", "quadrant_j", "sector", "x", "y", "re", "im"]
+    assert all(len(r) == len(syn.GRID_HEADER) for r in rows)
 
 
 def test_grid_rows_match_a_per_quadrant_loop(monkeypatch):
@@ -272,7 +298,7 @@ def test_grid_rows_match_a_per_quadrant_loop(monkeypatch):
             for sector in (ABOVE, BELOW) if i == j else (OFFDIAG,):
                 vals = sol.value_array(i, j, sector, xs, ys)
                 want += [(i, j, sector, x, y, v) for x, y, v in zip(xs, ys, vals)]
-    got = [(r["quadrant_i"], r["quadrant_j"], r["sector"], r["x"], r["y"], complex(r["re"], r["im"])) for r in rows]
+    got = [(i, j, sector, x, y, complex(re, im)) for i, j, sector, x, y, re, im in rows]
     assert got == want
 
 

@@ -95,6 +95,15 @@ def test_kernel_decomposition_dimensions(n):
     assert max(report.residuals.values()) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 1, 0])
+def test_kernel_decomposition_refuses_fewer_than_3_edges(n):
+    # the one edge-count rule of a problem instance, not a FAIL report
+    with pytest.raises(ValueError, match=f"need at least 3 edges, got n={n}"):
+        tr.compute_kernel_decomposition(n)
+    with pytest.raises(ValueError, match=f"need at least 3 edges, got n={n}"):
+        tr.build_q_operator(n, 1)
+
+
 def test_kernel_decomposition_closed_form_cross_checks():
     for n in range(3, 13):
         for basis in (tr.EDGE, tr.SPECTRAL):

@@ -91,7 +91,7 @@ def test_one_sided_derivatives_match_finite_differences():
 
 def test_verify_element_report_shape():
     el = build_basis(CFG3, M68)[0]
-    report = vf.verify_element(el)
+    [report] = vf.verify_element([el])
     names = {c.name for c in report.checks}
     assert {
         "vertex_value_match",
