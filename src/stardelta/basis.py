@@ -47,6 +47,8 @@ from .oneparticle import (
 )
 
 FAMILIES = ("antisym", "sym_offdiag", "sym_diag")
+# each family's sign under particle exchange: psi(y, x) = sign * psi(x, y)
+EXCHANGE_SIGN = {"antisym": -1.0, "sym_offdiag": 1.0, "sym_diag": 1.0}
 
 
 def circular_distance(i: int, j: int, n: int) -> int:

@@ -238,6 +238,22 @@ def _entry_index(n: int, key: EntryKey) -> tuple:
     return (i - 1, j - 1, plane, (sig + 1) // 2, (tau + 1) // 2, slot - 1)
 
 
+def exchange_image(amps: np.ndarray) -> np.ndarray:
+    """Table of the exchanged wavefunction psi(y, x), given the table of
+    psi(x, y), with any leading stack axes kept.
+
+    Exchange maps quadrant (a, b) to (b, a) and the wave of signs
+    (sig, tau) to the wave of signs (tau, sig) in the other slot, since x
+    now carries the other momentum.  On a diagonal quadrant the above
+    sector becomes the below one.  An exchange-symmetric table equals its
+    image, an antisymmetric one minus it.
+    """
+    image = amps.swapaxes(-6, -5).swapaxes(-3, -2)[..., ::-1].copy()
+    d = np.arange(amps.shape[-6])
+    image[..., d, d, :, :, :, :] = image[..., d, d, ::-1, :, :, :]
+    return image
+
+
 # The most wave-point pairs (waves times sample points) one plane_wave_sum
 # call should take: callers with more split their waves, or their stack
 # of tables, into calls of about this size.

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Protocol
 
 import numpy as np
 
-from .basis import BasisElement, build_basis, family_counts
+from .basis import EXCHANGE_SIGN, BasisElement, build_basis, family_counts
 from .domain import (
     ABOVE,
     BELOW,
@@ -35,6 +35,7 @@ from .domain import (
     AmplitudeTensor,
     MomentumPair,
     StarConfig,
+    exchange_image,
     partner_momentum,
     wave_momenta,
     wave_phases,
@@ -51,6 +52,7 @@ DEFAULT_DETECT_ABOVE = 1e-5  # worst residual that counts as a detected mutation
 TRANSFORM_TOL = 1e-10
 GRAM_GAP = 1e-8
 SUM_FLOOR = 64 * np.finfo(float).eps  # a row sum this small, relative to its terms, is zero
+PARITY_CHUNK = 1 << 15  # table entries per step of the parity check (512 KiB)
 SPAN = 10.0
 
 
@@ -293,29 +295,88 @@ def sample_points(n: int, count: int, seed: int):
     return quads, planes, xy
 
 
+def _one_basis(elements: list[BasisElement]) -> tuple[AmplitudeTensor, MomentumPair]:
+    """The stacked table and momentum pair that all the elements share."""
+    stack, m = elements[0].stack, elements[0].momentum
+    if any(el.stack is not stack or el.momentum != m for el in elements):
+        raise ValueError("the rank needs elements of one basis, built at one momentum pair")
+    return stack, m
+
+
+def parity_defect(elements: list[BasisElement]) -> np.ndarray:
+    """Per element, the largest |exchange image - sign * table| relative to
+    the largest |table|, with the sign its family claims.
+
+    The rows are compared ``PARITY_CHUNK`` entries at a time, so the copies
+    stay small and in cache at any n.
+    """
+    stack, _m = _one_basis(elements)
+    rows = np.array([el.row for el in elements])
+    signs = np.array([EXCHANGE_SIGN[el.family] for el in elements])
+    size = max(1, PARITY_CHUNK // stack.amps[0].size)
+    out = []
+    for start in range(0, len(rows), size):
+        part = slice(start, start + size)
+        table = stack.amps[rows[part]]
+        image = exchange_image(table).reshape(len(table), -1)
+        flat = table.reshape(len(table), -1)
+        top = np.abs(flat).max(axis=1)
+        flat *= signs[part, None]
+        image -= flat
+        out.append(np.abs(image).max(axis=1) / np.where(top > 0, top, 1.0))
+    return np.concatenate(out)
+
+
+def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
+    """The elements split by exchange parity, odd block first.
+
+    The split is checked, not assumed: every element's table must be
+    exactly its family's sign times its exchange image.  Then the odd and
+    the even elements span independent spaces of functions, so the rank is
+    the sum of the blocks' ranks.  If any table fails, all the elements
+    form one block.
+    """
+    if np.any(parity_defect(elements) != 0):
+        return [elements]
+    blocks = ([el for el in elements if EXCHANGE_SIGN[el.family] < 0],
+              [el for el in elements if EXCHANGE_SIGN[el.family] > 0])
+    return [block for block in blocks if block]
+
+
 def sample_matrix(elements: list[BasisElement], count: int, seed: int) -> np.ndarray:
     """Rows of element values at shared random points, row-normalised.
 
-    All elements must be built at one momentum pair, which the points share.
-    Before normalisation the last ``sym_diag`` row is replaced by the sum
-    of the family's rows, when the family holds exactly n of them.  Their
-    O(1/c) coupling parts cancel in that sum, which leaves the O(1)
-    cycle-completing solution, so the rank stays resolvable at small |c|;
-    the row operation is unimodular and keeps the exact rank.  A sum no
-    larger than ``SUM_FLOOR`` times its largest term is rounding noise
-    and becomes a zero row.
+    All elements must be rows of one stacked table, built at one momentum
+    pair, which the points share.  Before normalisation the last
+    ``sym_diag`` row is replaced by the sum of the family's rows, when the
+    family holds exactly n of them.  Their O(1/c) coupling parts cancel in
+    that sum, which leaves the O(1) cycle-completing solution, so the rank
+    stays resolvable at small |c|; the row operation is unimodular and
+    keeps the exact rank.  A sum no larger than ``SUM_FLOOR`` times its
+    largest term is rounding noise and becomes a zero row.  Each row is
+    first divided by its largest |value|, the family's rows by one common
+    factor, which keeps their sum and the norms finite at any c.
     """
-    m, n = elements[0].momentum, elements[0].tensor.n
-    if any(el.momentum != m for el in elements):
-        raise ValueError("sample_matrix needs elements built at one momentum pair")
+    stack, m = _one_basis(elements)
+    n = stack.n
     quads, planes, xy = sample_points(n, count, seed)
     phases = wave_phases(*wave_momenta(m.k1, m.k2), xy[:, 0], xy[:, 1])
-    i, j = quads[:, 0] - 1, quads[:, 1] - 1
-    mat = np.stack([
-        np.einsum("pw,wp->p", el.tensor.amps[i, j, planes].reshape(count, 8), phases)
-        for el in elements
-    ])
+    # row of ``waves`` holding the eight waves of each (element, point)'s
+    # quadrant and sector; a few elements are gathered at a time, at most
+    # WAVE_POINTS wave-point pairs per step
+    rows = np.array([el.row for el in elements])[:, None]
+    at = 2 * n * n * rows + 2 * n * (quads[:, 0] - 1) + 2 * (quads[:, 1] - 1) + planes
+    waves = stack.amps.reshape(-1, 8)
+    mat = np.empty((len(elements), count), dtype=complex)
+    size = max(1, WAVE_POINTS // (8 * count))
+    for start in range(0, len(elements), size):
+        part = slice(start, start + size)
+        mat[part] = np.einsum("epw,wp->ep", waves[at[part]], phases)
+    scale = np.abs(mat).max(axis=1)
     diag = [row for row, el in enumerate(elements) if el.family == "sym_diag"]
+    if len(diag) == n:
+        scale[diag] = scale[diag].max()
+    mat /= np.where(scale > 0, scale, 1.0)[:, None]
     if len(diag) == n:
         total = mat[diag].sum(axis=0)
         # a sum at the rounding level of its largest term is zero, so
@@ -323,16 +384,27 @@ def sample_matrix(elements: list[BasisElement], count: int, seed: int) -> np.nda
         resolved = np.linalg.norm(total) > SUM_FLOOR * np.linalg.norm(mat[diag], axis=1).max()
         mat[diag[-1]] = total if resolved else 0.0
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    return mat / np.where(norms > 0, norms, 1.0)
+    mat /= np.where(norms > 0, norms, 1.0)
+    return mat
 
 
 def basis_rank(elements: list[BasisElement], seed: int = 0) -> tuple[int, np.ndarray]:
-    """Numerical rank of the sampled basis (singular values attached)."""
-    need = len(elements)
-    mat = sample_matrix(elements, max(4 * need, 2 * need + 16), seed)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(svals > GRAM_GAP * svals[0]))
-    return rank, svals
+    """Numerical rank of the sampled basis, with its singular values.
+
+    Each exchange-parity block (:func:`exchange_blocks`) of B elements is
+    sampled at ``max(4B, 2B + 16)`` points and takes one values-only SVD;
+    its rank counts the singular values above ``GRAM_GAP`` times its
+    largest.  The rank is the sum over the blocks.  The singular values
+    are each block's own, divided by its largest, in descending order, so
+    the smallest is the smallest block ratio.
+    """
+    rank, svals = 0, []
+    for block in exchange_blocks(elements):
+        size = len(block)
+        s = np.linalg.svd(sample_matrix(block, max(4 * size, 2 * size + 16), seed), compute_uv=False)
+        rank += int(np.sum(s > GRAM_GAP * s[0]))
+        svals.append(s / s[0])
+    return rank, np.sort(np.concatenate(svals))[::-1]
 
 
 def verify_element(
@@ -391,7 +463,7 @@ def verify_full_basis(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> ResidualReport:
-    """Verify every basis element and the joint rank at this momentum.
+    """Verify every basis element and the basis rank at this momentum.
 
     Element ``idx`` samples at offset ``7 * idx``; the elements are
     checked in stacks, each stack in one pass.

@@ -7,7 +7,9 @@ independently of the array gather in ``extract_transforms``.
 slot, the oracle of the exchange-symmetrised ``product_tensor``.
 ``verify_full_basis_oracle`` and ``mutation_sweep_oracle`` check one
 element or mutant at a time, each as an unstacked tensor; they are the
-oracles of the stacked whole-basis checks.  The
+oracles of the stacked whole-basis checks.  ``basis_rank_oracle`` takes
+one SVD of every element's samples, without the exchange-parity split; it
+is the oracle of ``basis_rank``.  The
 closed-form kernel patterns are the cross-check of
 ``compute_kernel_decomposition``; they change basis through the dense
 ``kron(F, F)``, independently of the per-matrix conversion in the package.
@@ -20,7 +22,16 @@ import numpy as np
 from stardelta import transforms as tr
 from stardelta import verifier as vf
 from stardelta.basis import build_basis, family_counts
-from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, EntryKey, _entry_index
+from stardelta.domain import (
+    ABOVE,
+    BELOW,
+    OFFDIAG,
+    AmplitudeTensor,
+    EntryKey,
+    _entry_index,
+    wave_momenta,
+    wave_phases,
+)
 from stardelta.oneparticle import EDGE, LARGER, SMALLER, SPECTRAL, OneParticleSolution
 from stardelta.transforms import TransformVectors4, change_of_basis
 
@@ -168,6 +179,37 @@ def k_minus_targets(n: int, basis: str = EDGE) -> np.ndarray:
         C = np.diag(c)
         vecs.append(_pair(C, -C))
     return _to_basis(vecs, n, EDGE, basis)
+
+
+# -- the joint rank ------------------------------------------------------------
+
+
+def basis_rank_oracle(elements, seed=0) -> tuple[int, np.ndarray]:
+    """``basis_rank`` as one values-only SVD of all elements' rows.
+
+    Each element is sampled on its own table at the points and count
+    ``basis_rank`` gives the whole basis; the last ``sym_diag`` row is
+    replaced by the family's row sum, or by zero where that sum is within
+    ``SUM_FLOOR`` of its largest term, and the rows are normalised.
+    """
+    m, n = elements[0].momentum, elements[0].tensor.n
+    need = len(elements)
+    count = max(4 * need, 2 * need + 16)
+    quads, planes, xy = vf.sample_points(n, count, seed)
+    phases = wave_phases(*wave_momenta(m.k1, m.k2), xy[:, 0], xy[:, 1])
+    i, j = quads[:, 0] - 1, quads[:, 1] - 1
+    mat = np.stack([
+        np.einsum("pw,wp->p", el.tensor.amps[i, j, planes].reshape(count, 8), phases)
+        for el in elements
+    ])
+    diag = [row for row, el in enumerate(elements) if el.family == "sym_diag"]
+    if len(diag) == n:
+        total = mat[diag].sum(axis=0)
+        resolved = np.linalg.norm(total) > vf.SUM_FLOOR * np.linalg.norm(mat[diag], axis=1).max()
+        mat[diag[-1]] = total if resolved else 0.0
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    svals = np.linalg.svd(mat / np.where(norms > 0, norms, 1.0), compute_uv=False)
+    return int(np.sum(svals > vf.GRAM_GAP * svals[0])), svals
 
 
 # -- per-element whole-basis checks -------------------------------------------
