@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .domain import AmplitudeTensor, MomentumPair, StarConfig, check_pole
+from .domain import AmplitudeTensor, MomentumPair, StarConfig, check_pole, exchange_image
 from .oneparticle import (
     LARGER,
     SMALLER,
@@ -61,21 +61,21 @@ def product_tensor(f: OneParticleSolution, g: OneParticleSolution, sign: float) 
     """Expand f(x) g(y) + sign * g(x) f(y) into sector-tagged plane waves.
 
     Slot 1 holds f(x, k1) g(y, k2), the product with x carrying k1; slot 2
-    holds its exchange image g(x, k2) f(y, k1), times ``sign``.  On a
-    diagonal quadrant the branch of each factor follows its own variable:
-    in the "above" sector x is the larger coordinate, so the factor of x
-    takes its larger-branch scale and the factor of y its smaller-branch
-    scale.  The edge count is the factors' own.
+    holds its exchange image g(x, k2) f(y, k1), times ``sign``, written by
+    :func:`~stardelta.domain.exchange_image`, the map the rank checks
+    parity with.  On a diagonal quadrant the branch of each factor follows
+    its own variable: in the "above" sector x is the larger coordinate,
+    so the factor of x takes its larger-branch scale and the factor of y
+    its smaller-branch scale.  The edge count is the factors' own.
     """
     n = f.n
-    amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
+    half = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
+    waves = np.einsum("as,bt->abst", f.coeff, g.coeff)  # edge a, edge b, sig, tau
+    half[..., 0] = waves[:, :, None]
     d = np.arange(n)
-    for slot, (fx, gy, s) in enumerate(((f, g, 1.0), (g, f, sign))):
-        waves = s * np.einsum("as,bt->abst", fx.coeff, gy.coeff)  # edge a, edge b, sig, tau
-        amps[..., slot] = waves[:, :, None]
-        amps[d, d, 0, ..., slot] = fx.branch_scale(LARGER) * gy.branch_scale(SMALLER) * waves[d, d]
-        amps[d, d, 1, ..., slot] = fx.branch_scale(SMALLER) * gy.branch_scale(LARGER) * waves[d, d]
-    return AmplitudeTensor(amps)
+    half[d, d, 0, ..., 0] = f.branch_scale(LARGER) * g.branch_scale(SMALLER) * waves[d, d]
+    half[d, d, 1, ..., 0] = f.branch_scale(SMALLER) * g.branch_scale(LARGER) * waves[d, d]
+    return AmplitudeTensor(half + sign * exchange_image(half))
 
 
 @dataclass(frozen=True)
@@ -162,18 +162,35 @@ def basis_template(cfg: StarConfig) -> Iterator[tuple[str, tuple, tuple[np.ndarr
         )
 
 
+def coupling_overflows(cfg: StarConfig) -> bool:
+    """True when c != 0 is so small that the 1/c terms of the tables
+    overflow: their entries reach n/(4|c|) (n times a product of phi^0 and
+    phi^i), and the jump check adds two values of eight waves each, so
+    16n/(4|c|) must stay below the largest float."""
+    return cfg.c != 0 and abs(cfg.c) < 4 * cfg.n / np.finfo(float).max
+
+
+def check_coupling_scale(cfg: StarConfig) -> None:
+    """Raise where :func:`coupling_overflows`."""
+    if coupling_overflows(cfg):
+        raise ValueError(f"coupling c = {cfg.c} is too small at n = {cfg.n}: the 1/c terms of the basis "
+                         f"tables would overflow (need |c| >= {4 * cfg.n / np.finfo(float).max:.3g})")
+
+
 def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     """All 2n^2 - 2n basis elements at the given momentum pair.
 
     The elements' tables are the rows of one stacked table, in basis
     order.  Family cardinalities are n^2, n^2 - 3n and n.  Each element is
     T0 + (k1/c) T1 + (k2/c) T2 from :func:`basis_template`, so c != 0;
-    the c -> 0 limit changes the solution space and is not taken here.
+    the c -> 0 limit changes the solution space and is not taken here,
+    and a |c| at which those terms overflow is refused.
     A fold momentum in the pole zone is refused like everywhere else.
     """
     c = cfg.c
     if c == 0:
         raise ValueError("sym_diag family undefined at c = 0 (1/c coefficients)")
+    check_coupling_scale(cfg)
     check_pole(m.fold, c)
     s1, s2 = m.k1 / c, m.k2 / c
     n = cfg.n
@@ -189,10 +206,7 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
 
 
 def family_counts(elements: list[BasisElement]) -> dict[str, int]:
-    counts = {name: 0 for name in FAMILIES}
-    for el in elements:
-        counts[el.family] += 1
-    return counts
+    return {name: sum(el.family == name for el in elements) for name in FAMILIES}
 
 
 def closed_form(cfg: StarConfig, k: complex, kprime: complex, x, y):

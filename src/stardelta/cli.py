@@ -22,7 +22,6 @@ import argparse
 import csv
 import errno
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -32,6 +31,7 @@ import numpy as np
 from . import synthesis as syn
 from . import transforms as tr
 from . import verifier as vf
+from .basis import coupling_overflows
 from .domain import SCHEMA, MomentumPair, check_edge_count, make_config, near_pole
 
 
@@ -141,15 +141,15 @@ def cmd_sweep(args) -> int:
     ns, cs, k1s = parse_int_grid(args.n), parse_float_grid(args.c), parse_float_grid(args.k1)
     # every grid point is validated before the first verify
     points = [(make_config(n, c), k1, MomentumPair.from_k1(k1)) for n in ns for c in cs for k1 in k1s]
+    vf.check_sampling(args.samples, args.tol)
     check_outputs(args.out)
     rows = []
     for cfg, k1, m in points:
         head = [cfg.n, repr(cfg.c), repr(k1)]
-        if cfg.c == 0.0:
-            rows.append(head + ["-", "-", "", "", "SKIPPED(c=0)"])
-            continue
-        if near_pole(m.fold):
-            rows.append(head + ["-", "-", "", "", "SKIPPED(singularity)"])
+        skip = ("c=0" if cfg.c == 0.0 else "overflow" if coupling_overflows(cfg)
+                else "singularity" if near_pole(m.fold) else "")
+        if skip:
+            rows.append(head + ["-", "-", "", "", f"SKIPPED({skip})"])
             continue
         report = vf.verify_full_basis(cfg, m, samples=args.samples, tol=args.tol, seed=args.seed)
         # (family, check) -> worst residual, tolerance, every element passed
@@ -192,8 +192,8 @@ def _parse_profile(text: str):
 def cmd_synthesize(args) -> int:
     cfg = make_config(args.n, args.c)
     profile = _parse_profile(args.profile)
-    if not (args.grid_step > 0 and 0.0 <= args.grid_span < math.inf):
-        raise ValueError("--grid-step must be positive and --grid-span non-negative and finite")
+    vf.check_sampling(args.samples, args.tol)
+    syn.check_grid(args.grid_span, args.grid_step)
     rule = syn.gauss_rule(args.nodes)
     check_outputs(args.out, args.grid_out)
     sol = syn.synthesize_eigensolution(cfg, {args.element: profile}, rule)
@@ -220,10 +220,6 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    if args.rel == 0 or not math.isfinite(args.rel):
-        raise ValueError(f"--rel must be non-zero and finite, got {args.rel}")
-    if not 0.0 < args.detect_above < math.inf:
-        raise ValueError(f"--detect-above must be positive and finite, got {args.detect_above}")
     cfg = make_config(args.n, args.c)
     m = MomentumPair.from_k1(args.k1)
     check_outputs(args.out)
@@ -315,10 +311,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "tol" in args and not 0.0 < args.tol < math.inf:
-            raise ValueError(f"--tol must be positive and finite, got {args.tol}")
-        if "samples" in args and args.samples < 1:
-            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

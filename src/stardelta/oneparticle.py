@@ -92,21 +92,6 @@ class OneParticleSolution:
             return 1.0
         raise ValueError(f"unknown branch {branch!r}")
 
-    def value(self, edge: int, x, k: complex, branch: str = NEUTRAL):
-        a, b = self.coeff[edge - 1]
-        s = self.branch_scale(branch)
-        x = np.asarray(x, dtype=float)
-        return s * (a * np.exp(-1j * k * x) + b * np.exp(1j * k * x))
-
-    def derivative(self, edge: int, x, k: complex, branch: str = NEUTRAL, order: int = 1):
-        a, b = self.coeff[edge - 1]
-        s = self.branch_scale(branch)
-        x = np.asarray(x, dtype=float)
-        return s * (
-            a * (-1j * k) ** order * np.exp(-1j * k * x)
-            + b * (1j * k) ** order * np.exp(1j * k * x)
-        )
-
 
 def scattering_wave(cfg: StarConfig, i: int) -> OneParticleSolution:
     """Unit incoming wave on edge i plus outgoing S_{il} e^{ikx} on edge l."""

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .basis import basis_template
+from .basis import basis_template, check_coupling_scale
 from .domain import (
     ABOVE,
     BELOW,
@@ -119,6 +119,13 @@ def _profile_on(profile: Callable, nodes: np.ndarray) -> np.ndarray:
 GRID_HEADER = ["quadrant_i", "quadrant_j", "sector", "x", "y", "re", "im"]
 
 
+def check_grid(span: float, step: float) -> None:
+    """Raise unless a grid of ``grid_rows`` has a positive step and a
+    non-negative, finite span."""
+    if not (step > 0 and 0.0 <= span < np.inf):
+        raise ValueError(f"grid step must be positive and span non-negative and finite, got step={step}, span={span}")
+
+
 class SynthesizedSolution:
     """Quadrature superposition: one weighted amplitude table per node.
 
@@ -176,6 +183,7 @@ class SynthesizedSolution:
         Two sums give every value: the above plane of all quadrants and
         the below plane of the diagonal ones, at the same grid points.
         """
+        check_grid(span, step)
         coords = np.arange(0.0, span + 1e-12, step)
         rows = []
         xs, ys = np.meshgrid(coords, coords, indexing="ij")
@@ -205,10 +213,12 @@ def synthesize_eigensolution(
     output) to coefficient functions g_i(k).  Boundary conditions hold
     exactly at any node count; refinement only tightens the distance to
     the true integral.  A profile that is not finite, or vanishes at every
-    node of a rule, is refused at that rule.
+    node of a rule, is refused at that rule, and so is a c whose tables
+    overflow, as in ``build_basis``.
     """
     if cfg.c == 0:
         raise ValueError("eigensolution synthesis needs c != 0")
+    check_coupling_scale(cfg)
     if not profiles:
         raise ValueError("need at least one coefficient profile")
     size = cfg.basis_size
@@ -243,8 +253,11 @@ def synthesize_basic_solution(
     The plane-wave pattern is momentum-independent, so the stack is one
     tensor scaled by each node's quadrature and profile weight.  The
     result passes the vertex checks and, for a generic kernel element
-    with c != 0, fails the diagonal jump check.
+    with c != 0, fails the diagonal jump check.  The pair must be n x n
+    for the config's n.
     """
+    if np.shape(chi_hat) != (cfg.n, cfg.n) or np.shape(chi_check) != (cfg.n, cfg.n):
+        raise ValueError(f"need a {cfg.n} x {cfg.n} kernel pair, got {np.shape(chi_hat)} and {np.shape(chi_check)}")
     base = basic_solution_tensor(chi_hat, chi_check, tau_sign)
 
     def assemble(count: int) -> SynthesizedSolution:

@@ -59,6 +59,7 @@ from .domain import SCHEMA, AmplitudeTensor, MomentumPair, check_edge_count, che
 from .oneparticle import EDGE, SPECTRAL, s_matrix
 
 RANK_RTOL = 1e-10
+TRANSFORM_TOL = 1e-10  # the largest residual a transform-side check passes
 
 _TAU4 = (2, 3, 0, 1)  # the permutation (13)(24) on the folded slots
 
@@ -330,7 +331,7 @@ def compute_kernel_decomposition(n: int, basis: str = SPECTRAL) -> KernelReport:
         bases[f"ker_Q_{tag}"], bases[f"K_{tag}"] = (ker_e, K_e) if basis == EDGE else (ker, K)
 
     predicted = {key: fn(n) for key, fn in PREDICTED_DIMS.items()}
-    passed = dims == predicted and all(v <= 1e-10 for v in residuals.values())
+    passed = dims == predicted and all(v <= TRANSFORM_TOL for v in residuals.values())
     return KernelReport(
         n=n, basis=basis, dims=dims, predicted=predicted, residuals=residuals,
         passed=passed, bases=bases,

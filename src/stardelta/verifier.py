@@ -41,6 +41,7 @@ from .domain import (
     wave_phases,
 )
 from . import transforms as tr
+from .transforms import TRANSFORM_TOL
 
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -49,7 +50,6 @@ DEFAULT_SAMPLES = 100  # boundary samples per check family
 MUTATION_SAMPLES = 60  # boundary samples per check family of each mutant
 DEFAULT_REL = 1e-3  # mutation size, relative to the amplitude
 DEFAULT_DETECT_ABOVE = 1e-5  # worst residual that counts as a detected mutation
-TRANSFORM_TOL = 1e-10
 GRAM_GAP = 1e-8
 SUM_FLOOR = 64 * np.finfo(float).eps  # a row sum this small, relative to its terms, is zero
 PARITY_CHUNK = 1 << 15  # table entries per step of the parity check (512 KiB)
@@ -89,6 +89,14 @@ def gauss_legendre(count: int, lo=0.0, hi=1.0) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
+
+
+def check_sampling(samples: int, tol: float) -> None:
+    """Raise unless a check gets a positive, finite tolerance and at least one sample."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got tol={tol}")
+    if samples < 1:
+        raise ValueError(f"need at least one sample per check, got samples={samples}")
 
 
 class PointSolution(Protocol):
@@ -214,6 +222,7 @@ def check_vertex_bc(
     solutions takes one offset for all or an array of one per solution,
     and gives one worst residual per solution.
     """
+    check_sampling(samples, tol)
     per_line = _per_line(samples, 2 * n)
     edges = np.arange(1, n + 1)
     quad, line = edges[:, None, None], edges[None, :, None]
@@ -254,6 +263,7 @@ def check_diagonal_bc(
     All n diagonals are evaluated in one call per sector and derivative;
     a stack of solutions takes offsets as in :func:`check_vertex_bc`.
     """
+    check_sampling(samples, tol)
     per_line = _per_line(samples, n)
     edges = np.arange(1, n + 1)
     ts = kronecker_points(per_line, offset=np.add.outer(offset, edges * per_line), hi=SPAN)
@@ -261,15 +271,12 @@ def check_diagonal_bc(
     v_above = sol.value_array(quad, quad, ABOVE, ts, ts)
     v_below = sol.value_array(quad, quad, BELOW, ts, ts)
     worst_cont = np.abs(v_above - v_below).max(axis=(-2, -1))
-    d_above = 0.5 * (
-        sol.derivative_array(quad, quad, ABOVE, ts, ts, "dx")
-        - sol.derivative_array(quad, quad, ABOVE, ts, ts, "dy")
-    )
-    d_below = 0.5 * (
-        sol.derivative_array(quad, quad, BELOW, ts, ts, "dx")
-        - sol.derivative_array(quad, quad, BELOW, ts, ts, "dy")
-    )
-    jump = d_above - d_below - c * 0.5 * (v_above + v_below)
+
+    def normal(sector):  # (d/dx - d/dy)/2 on one side of the diagonals
+        return 0.5 * (sol.derivative_array(quad, quad, sector, ts, ts, "dx")
+                      - sol.derivative_array(quad, quad, sector, ts, ts, "dy"))
+
+    jump = normal(ABOVE) - normal(BELOW) - c * 0.5 * (v_above + v_below)
     worst_jump = np.abs(jump).max(axis=(-2, -1))
     used = n * per_line
     return [
@@ -303,41 +310,27 @@ def _one_basis(elements: list[BasisElement]) -> tuple[AmplitudeTensor, MomentumP
     return stack, m
 
 
-def parity_defect(elements: list[BasisElement]) -> np.ndarray:
-    """Per element, the largest |exchange image - sign * table| relative to
-    the largest |table|, with the sign its family claims.
-
-    The rows are compared ``PARITY_CHUNK`` entries at a time, so the copies
-    stay small and in cache at any n.
-    """
-    stack, _m = _one_basis(elements)
-    rows = np.array([el.row for el in elements])
-    signs = np.array([EXCHANGE_SIGN[el.family] for el in elements])
-    size = max(1, PARITY_CHUNK // stack.amps[0].size)
-    out = []
-    for start in range(0, len(rows), size):
-        part = slice(start, start + size)
-        table = stack.amps[rows[part]]
-        image = exchange_image(table).reshape(len(table), -1)
-        flat = table.reshape(len(table), -1)
-        top = np.abs(flat).max(axis=1)
-        flat *= signs[part, None]
-        image -= flat
-        out.append(np.abs(image).max(axis=1) / np.where(top > 0, top, 1.0))
-    return np.concatenate(out)
-
-
 def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
     """The elements split by exchange parity, odd block first.
 
-    The split is checked, not assumed: every element's table must be
-    exactly its family's sign times its exchange image.  Then the odd and
-    the even elements span independent spaces of functions, so the rank is
-    the sum of the blocks' ranks.  If any table fails, all the elements
+    The split is checked, not assumed: every element's table must equal
+    its family's sign times its exchange image exactly, which one pass of
+    ``PARITY_CHUNK`` entries per step decides.  Then the odd and the even
+    elements span independent spaces of functions, so the rank is the sum
+    of the blocks' ranks.  At the first table that fails, all the elements
     form one block.
     """
-    if np.any(parity_defect(elements) != 0):
-        return [elements]
+    stack, _m = _one_basis(elements)
+    rows = np.array([el.row for el in elements])
+    signs = np.array([EXCHANGE_SIGN[el.family] for el in elements]).reshape((-1,) + (1,) * 6)
+    size = max(1, PARITY_CHUNK // stack.amps[0].size)
+    for start in range(0, len(rows), size):
+        part = slice(start, start + size)
+        table = stack.amps[rows[part]]
+        image = exchange_image(table)
+        image *= signs[part]  # in place, on the image's own copy
+        if not np.array_equal(image, table):
+            return [elements]
     blocks = ([el for el in elements if EXCHANGE_SIGN[el.family] < 0],
               [el for el in elements if EXCHANGE_SIGN[el.family] > 0])
     return [block for block in blocks if block]
@@ -361,17 +354,15 @@ def sample_matrix(elements: list[BasisElement], count: int, seed: int) -> np.nda
     n = stack.n
     quads, planes, xy = sample_points(n, count, seed)
     phases = wave_phases(*wave_momenta(m.k1, m.k2), xy[:, 0], xy[:, 1])
-    # row of ``waves`` holding the eight waves of each (element, point)'s
-    # quadrant and sector; a few elements are gathered at a time, at most
-    # WAVE_POINTS wave-point pairs per step
+    # the eight waves of each (element, point)'s quadrant and sector, for a
+    # few elements at a time: at most WAVE_POINTS wave-point pairs per step
     rows = np.array([el.row for el in elements])[:, None]
-    at = 2 * n * n * rows + 2 * n * (quads[:, 0] - 1) + 2 * (quads[:, 1] - 1) + planes
-    waves = stack.amps.reshape(-1, 8)
+    i, j = quads[:, 0] - 1, quads[:, 1] - 1
     mat = np.empty((len(elements), count), dtype=complex)
     size = max(1, WAVE_POINTS // (8 * count))
     for start in range(0, len(elements), size):
         part = slice(start, start + size)
-        mat[part] = np.einsum("epw,wp->ep", waves[at[part]], phases)
+        mat[part] = np.einsum("epw,wp->ep", stack.amps[rows[part], i, j, planes].reshape(-1, count, 8), phases)
     scale = np.abs(mat).max(axis=1)
     diag = [row for row, el in enumerate(elements) if el.family == "sym_diag"]
     if len(diag) == n:
@@ -468,8 +459,8 @@ def verify_full_basis(
     Element ``idx`` samples at offset ``7 * idx``; the elements are
     checked in stacks, each stack in one pass.
     """
+    check_sampling(samples, tol)
     elements = build_basis(cfg, m)
-    counts = family_counts(elements)
     offsets = 7 * np.arange(len(elements))
     sub_reports = []
     for part in _stacks(len(elements), cfg.n, samples):
@@ -481,21 +472,19 @@ def verify_full_basis(
         worst_ratio = max(c.max_abs_residual / c.tolerance for c in rep.checks)
         checks.append(CheckResult(f"element:{el.label}", worst_ratio, samples, 1.0))
     rank, svals = basis_rank(elements, seed=seed)
-    rank_ok = rank == len(elements)
-    checks.append(CheckResult("basis_rank", 0.0 if rank_ok else 1.0, len(svals), 0.5))
-    report = ResidualReport(
+    checks.append(CheckResult("basis_rank", 0.0 if rank == len(elements) else 1.0, len(svals), 0.5))
+    return ResidualReport(
         solution_id=f"basis(n={cfg.n}, c={cfg.c}, k1={m.k1.real})",
         checks=checks,
         extras={
             "element_count": len(elements),
-            "family_counts": counts,
+            "family_counts": family_counts(elements),
             "rank": rank,
             "rank_expected": len(elements),
             "singular_value_ratio": float(svals[-1] / svals[0]),
             "elements": [rep.to_dict() for rep in sub_reports],
         },
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +508,10 @@ def mutation_sweep(
     somewhere.  The entries are drawn element by element; the mutants are
     then checked in stacks, all at offset 0.
     """
+    if rel == 0 or not math.isfinite(rel):
+        raise ValueError(f"mutation size must be non-zero and finite, got rel={rel}")
+    if not 0.0 < detect_above < math.inf:
+        raise ValueError(f"detection threshold must be positive and finite, got detect_above={detect_above}")
     if per_element < 1:
         raise ValueError(f"need at least one mutation per element, got {per_element}")
     rng = np.random.default_rng(seed)

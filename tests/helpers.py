@@ -1,5 +1,7 @@
 """Test-side constructors and oracles for amplitude tensors and kernels.
 
+``edge_wave`` evaluates a one-particle solution on one edge from its
+coefficients, the oracle the one-particle tests read them with.
 ``from_entries`` builds a tensor from keyed amplitudes, and
 ``resynthesize_tensor`` rebuilds one from transform vectors key by key,
 independently of the array gather in ``extract_transforms``.
@@ -9,7 +11,8 @@ slot, the oracle of the exchange-symmetrised ``product_tensor``.
 element or mutant at a time, each as an unstacked tensor; they are the
 oracles of the stacked whole-basis checks.  ``basis_rank_oracle`` takes
 one SVD of every element's samples, without the exchange-parity split; it
-is the oracle of ``basis_rank``.  The
+is the oracle of ``basis_rank``, and ``sampled_values``, its per-element
+gather, that of ``sample_matrix``.  The
 closed-form kernel patterns are the cross-check of
 ``compute_kernel_decomposition``; they change basis through the dense
 ``kron(F, F)``, independently of the per-matrix conversion in the package.
@@ -32,7 +35,7 @@ from stardelta.domain import (
     wave_momenta,
     wave_phases,
 )
-from stardelta.oneparticle import EDGE, LARGER, SMALLER, SPECTRAL, OneParticleSolution
+from stardelta.oneparticle import EDGE, LARGER, NEUTRAL, SMALLER, SPECTRAL, OneParticleSolution
 from stardelta.transforms import TransformVectors4, change_of_basis
 
 # the (sig, tau) channel of each slot pair of xi, then chi
@@ -69,6 +72,16 @@ def resynthesize_tensor(tv: TransformVectors4) -> AmplitudeTensor:
                     for s in (0, 1):
                         entries[(i, j, sector, sig, tau, s + 1)] = -sig * tau * psi[2 * c + s] / kappa
     return from_entries(tv.n, entries)
+
+
+def edge_wave(sol: OneParticleSolution, edge: int, x, k, branch: str = NEUTRAL, order: int = 0):
+    """The ``order``-th x-derivative of a one-particle solution on one edge
+    at momentum k, on the given branch: its coefficients read as waves."""
+    a, b = sol.coeff[edge - 1]
+    x = np.asarray(x, dtype=float)
+    return sol.branch_scale(branch) * (
+        a * (-1j * k) ** order * np.exp(-1j * k * x) + b * (1j * k) ** order * np.exp(1j * k * x)
+    )
 
 
 def single_slot_product(
@@ -184,6 +197,19 @@ def k_minus_targets(n: int, basis: str = EDGE) -> np.ndarray:
 # -- the joint rank ------------------------------------------------------------
 
 
+def sampled_values(elements, count, seed) -> np.ndarray:
+    """Each element's values at the ``sample_points`` of (count, seed),
+    unscaled, one row per element, each gathered from its own table."""
+    m, n = elements[0].momentum, elements[0].tensor.n
+    quads, planes, xy = vf.sample_points(n, count, seed)
+    phases = wave_phases(*wave_momenta(m.k1, m.k2), xy[:, 0], xy[:, 1])
+    i, j = quads[:, 0] - 1, quads[:, 1] - 1
+    return np.stack([
+        np.einsum("pw,wp->p", el.tensor.amps[i, j, planes].reshape(count, 8), phases)
+        for el in elements
+    ])
+
+
 def basis_rank_oracle(elements, seed=0) -> tuple[int, np.ndarray]:
     """``basis_rank`` as one values-only SVD of all elements' rows.
 
@@ -192,16 +218,8 @@ def basis_rank_oracle(elements, seed=0) -> tuple[int, np.ndarray]:
     replaced by the family's row sum, or by zero where that sum is within
     ``SUM_FLOOR`` of its largest term, and the rows are normalised.
     """
-    m, n = elements[0].momentum, elements[0].tensor.n
-    need = len(elements)
-    count = max(4 * need, 2 * need + 16)
-    quads, planes, xy = vf.sample_points(n, count, seed)
-    phases = wave_phases(*wave_momenta(m.k1, m.k2), xy[:, 0], xy[:, 1])
-    i, j = quads[:, 0] - 1, quads[:, 1] - 1
-    mat = np.stack([
-        np.einsum("pw,wp->p", el.tensor.amps[i, j, planes].reshape(count, 8), phases)
-        for el in elements
-    ])
+    n, need = elements[0].tensor.n, len(elements)
+    mat = sampled_values(elements, max(4 * need, 2 * need + 16), seed)
     diag = [row for row, el in enumerate(elements) if el.family == "sym_diag"]
     if len(diag) == n:
         total = mat[diag].sum(axis=0)

@@ -1,17 +1,19 @@
 """Two-particle products, the full basis, and the diagonal closed form."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import single_slot_product
+from helpers import edge_wave, single_slot_product
 from stardelta.basis import (
     basis_template,
     build_basis,
     circular_distance,
     closed_form,
     complex_momentum_profile,
+    coupling_overflows,
     cycle_completing_tensor,
     diagonal_closed_form,
     family_counts,
@@ -19,6 +21,7 @@ from stardelta.basis import (
 )
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, check_pole, make_config
 from stardelta.oneparticle import LARGER, NEUTRAL, SMALLER, phi, scattering_wave, xi_solution
+from stardelta import verifier as vf
 from stardelta.verifier import basis_rank
 
 CFG3 = make_config(3, 1.0)
@@ -54,7 +57,8 @@ def test_psi_psi_matches_factorwise_oracle():
     psi1, psi2 = scattering_wave(CFG3, 1), scattering_wave(CFG3, 2)
     state = product_tensor(psi1, psi2, -1)
     got = state.value_array(1, 3, OFFDIAG, 1.0, 2.0, M68)[0]
-    oracle = psi1.value(1, 1.0, 0.6) * psi2.value(3, 2.0, 0.8) - psi2.value(1, 1.0, 0.8) * psi1.value(3, 2.0, 0.6)
+    oracle = (edge_wave(psi1, 1, 1.0, 0.6) * edge_wave(psi2, 3, 2.0, 0.8)
+              - edge_wave(psi2, 1, 1.0, 0.8) * edge_wave(psi1, 3, 2.0, 0.6))
     assert got == pytest.approx(oracle, abs=1e-12)
 
 
@@ -77,9 +81,8 @@ def test_product_matches_factorwise_oracle_all_quadrants():
                         bx, by = _branches(i, j, sector)
                         x, y = rng.uniform(0, 9, size=2)
                         got = state.value_array(i, j, sector, x, y, M68)[0]
-                        oracle = f.value(i, x, k1, bx) * g.value(j, y, k2, by) + sign * g.value(
-                            i, x, k2, bx
-                        ) * f.value(j, y, k1, by)
+                        oracle = (edge_wave(f, i, x, k1, bx) * edge_wave(g, j, y, k2, by)
+                                  + sign * edge_wave(g, i, x, k2, bx) * edge_wave(f, j, y, k1, by))
                         assert got == pytest.approx(oracle, abs=1e-12), (i, j, sector, sign)
 
 
@@ -129,6 +132,28 @@ def test_build_basis_refuses_degenerate_momentum():
     with pytest.raises(ValueError) as refusal:
         build_basis(CFG3, m_eq)
     assert str(refusal.value) == str(pole.value)
+
+
+@pytest.mark.parametrize("c", [1e-308, -1e-308, 3e-308, 1e-310, 5e-324])
+def test_build_basis_refuses_a_coupling_whose_tables_overflow(c):
+    with pytest.raises(ValueError, match="would overflow"):
+        build_basis(make_config(3, c), M68)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_couplings_just_above_the_overflow_bound_check_cleanly(n):
+    # the bound is 4n over the largest float; just above it the basis, every
+    # check, the rank and the mutation sweep run without a RuntimeWarning
+    bound = 4 * n / np.finfo(float).max
+    assert coupling_overflows(make_config(n, 0.99 * bound)) and coupling_overflows(make_config(n, -0.99 * bound))
+    for c in (1.01 * bound, -1.01 * bound):
+        cfg = make_config(n, c)
+        assert not coupling_overflows(cfg)
+        for k1 in (0.2, 0.6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vf.verify_full_basis(cfg, MomentumPair.from_k1(k1), samples=60)
+                vf.mutation_sweep(cfg, MomentumPair.from_k1(k1))
 
 
 def _oracle_terms(cfg):

@@ -152,6 +152,13 @@ def test_sweep_skips_singular_momentum(tmp_path):
     assert statuses == ["SKIPPED(singularity)", "SKIPPED(c=0)"]
 
 
+def test_sweep_skips_a_coupling_whose_tables_overflow(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--n", "3", "--c", "1e-310,1e-307", "--k1", "0.6", "--out", str(out)]) == 1
+    statuses = [row.split(",")[-1] for row in out.read_text().splitlines()[1:]]
+    assert statuses[0] == "SKIPPED(overflow)" and "SKIPPED(overflow)" not in statuses[1:]
+
+
 def test_sweep_json_format(tmp_path):
     out = tmp_path / "s.json"
     code = main(["sweep", "--n", "3", "--c", "1.0", "--k1", "0.6", "--format", "json", "--out", str(out)])
@@ -197,6 +204,8 @@ def test_mutate_deterministic(tmp_path):
 SYN3 = ["synthesize", "--n", "3", "--c", "1.0", "--nodes", "8"]
 VERIFY3 = ["verify", "--n", "3", "--c", "1.0", "--k1", "0.6"]
 MUTATE3 = ["mutate", "--n", "3", "--c", "1.0", "--k1", "0.6"]
+TINY_C = ("coupling c = 1e-310 is too small at n = 3: the 1/c terms of the basis tables would overflow "
+          "(need |c| >= 6.68e-308)")
 
 
 @pytest.mark.parametrize(
@@ -238,6 +247,8 @@ def test_every_report_carries_the_one_schema(tmp_path, argv):
         SYN3 + ["--tol=-1e-9"],
         SYN3 + ["--samples", "0"],
         ["sweep", "--n", "3", "--c", "1.0", "--k1", "0.6", "--tol", "-1"],
+        ["sweep", "--n", "3", "--c", "0", "--k1", "0.6", "--tol", "-1"],
+        ["sweep", "--n", "3", "--c", "0", "--k1", "0.6", "--samples", "0"],
         ["sweep", "--n", "3", "--c", "1.0", "--k1", "0.2..0.4:0"],
         ["sweep", "--n", "3", "--c", ",", "--k1", "0.6"],
         ["sweep", "--n", ",", "--c", "1.0", "--k1", "0.6"],
@@ -313,9 +324,17 @@ def test_output_under_an_unwritable_directory_exits_2(tmp_path, capsys, monkeypa
         (["synthesize", "--n", "3", "--c", "1", "--nodes", "8", "--profile", "indicator:0.9,1.0"],
          "profile must be finite and not vanish at every quadrature node"),
         (["kernels", "--n", "3,2"], "need at least 3 edges, got n=2"),
+        (["verify", "--n", "3", "--c", "1e-310", "--k1", "0.6"], TINY_C),
+        (["mutate", "--n", "3", "--c", "1e-310", "--k1", "0.6"], TINY_C),
+        (["synthesize", "--n", "3", "--c", "1e-310"], TINY_C),
+        (SYN3 + ["--grid-step", "0"], "grid step must be positive and span non-negative and finite, got step=0.0, span=5.0"),
+        (VERIFY3 + ["--tol", "-1"], "tolerance must be positive and finite, got tol=-1.0"),
+        (MUTATE3 + ["--detect-above", "-1"], "detection threshold must be positive and finite, got detect_above=-1.0"),
     ],
     ids=["verify-c-0", "mutate-c-0", "mutate-per-element-0", "verify-pole", "mutate-pole", "synthesize-c-0",
-         "synthesize-element-12", "synthesize-element-minus-1", "synthesize-vanishing-profile", "kernels-n-2"],
+         "synthesize-element-12", "synthesize-element-minus-1", "synthesize-vanishing-profile", "kernels-n-2",
+         "verify-c-tiny", "mutate-c-tiny", "synthesize-c-tiny", "synthesize-grid-step-0", "verify-tol-negative",
+         "mutate-detect-above-negative"],
 )
 def test_refused_configuration_creates_no_directory(tmp_path, capsys, argv, message):
     # refused by the library before any write, so no parent directory of
@@ -342,6 +361,16 @@ def test_sweep_refuses_a_bad_grid_before_any_verify(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert calls == [] and not out.exists()
+
+
+def test_synthesize_refuses_a_bad_grid_without_a_grid_output(tmp_path, capsys, monkeypatch):
+    # the grid rule is the library's, applied before the synthesis, so the
+    # refusal needs no --grid-out and writes no report
+    monkeypatch.setattr(syn, "synthesize_eigensolution", lambda *a: pytest.fail("synthesized"))
+    out = tmp_path / "r.json"
+    assert main(SYN3 + ["--grid-step", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: grid step must be positive")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("nodes", ["0", "-3"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import edge_wave
 from stardelta.domain import make_config
 from stardelta.oneparticle import (
     LARGER,
@@ -43,7 +44,7 @@ def test_scattering_wave_vertex_value():
     cfg = make_config(3, 1.0)
     psi = scattering_wave(cfg, 1)
     for edge in range(1, 4):
-        assert psi.value(edge, 0.0, 0.5) == pytest.approx(2.0 / 3.0)
+        assert edge_wave(psi, edge, 0.0, 0.5) == pytest.approx(2.0 / 3.0)
 
 
 def test_scattering_wave_kirchhoff_sum():
@@ -51,7 +52,7 @@ def test_scattering_wave_kirchhoff_sum():
         cfg = make_config(n, 1.0)
         for i in range(1, n + 1):
             psi = scattering_wave(cfg, i)
-            total = sum(psi.derivative(edge, 0.0, 0.7) for edge in range(1, n + 1))
+            total = sum(edge_wave(psi, edge, 0.0, 0.7, order=1) for edge in range(1, n + 1))
             assert abs(total) <= 1e-14
 
 
@@ -60,7 +61,7 @@ def test_scattering_wave_direct_formula():
     cfg = make_config(4, 1.0)
     psi = scattering_wave(cfg, 2)
     expected = 0.5 * np.exp(0.91j)
-    assert psi.value(3, 1.3, 0.7) == pytest.approx(expected, abs=1e-14)
+    assert edge_wave(psi, 3, 1.3, 0.7) == pytest.approx(expected, abs=1e-14)
 
 
 def test_scattering_wave_index_guard():
@@ -89,9 +90,9 @@ def test_phi_zero_is_cosine_and_matches_scattering_sum():
             k = rng.uniform(0.05, 1.0)
             edge = rng.integers(1, n + 1)
             x = rng.uniform(0, 10)
-            direct = p0.value(int(edge), x, k)
+            direct = edge_wave(p0, int(edge), x, k)
             assert direct == pytest.approx(np.cos(k * x), abs=1e-13)
-            oracle = 0.5 * sum(w.value(int(edge), x, k) for w in waves)
+            oracle = 0.5 * sum(edge_wave(w, int(edge), x, k) for w in waves)
             assert direct == pytest.approx(oracle, abs=1e-13)
 
 
@@ -99,18 +100,18 @@ def test_phi_zero_vertex():
     cfg = make_config(4, 1.0)
     p0 = phi(cfg, 0)
     for edge in range(1, 5):
-        assert p0.value(edge, 0.0, 0.9) == pytest.approx(1.0)
-        assert p0.derivative(edge, 0.0, 0.9) == pytest.approx(0.0, abs=1e-15)
+        assert edge_wave(p0, edge, 0.0, 0.9) == pytest.approx(1.0)
+        assert edge_wave(p0, edge, 0.0, 0.9, order=1) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_phi_j_support_and_signs():
     cfg = make_config(4, 1.0)
     p = phi(cfg, 2)
     k, x = 1.0, np.pi / 2
-    assert p.value(2, x, k) == pytest.approx(-1.0)
-    assert p.value(3, x, k) == pytest.approx(1.0)
-    assert p.value(1, x, k) == pytest.approx(0.0, abs=1e-15)
-    assert p.value(4, x, k) == pytest.approx(0.0, abs=1e-15)
+    assert edge_wave(p, 2, x, k) == pytest.approx(-1.0)
+    assert edge_wave(p, 3, x, k) == pytest.approx(1.0)
+    assert edge_wave(p, 1, x, k) == pytest.approx(0.0, abs=1e-15)
+    assert edge_wave(p, 4, x, k) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_phi_j_matches_scattering_difference():
@@ -122,17 +123,17 @@ def test_phi_j_matches_scattering_difference():
         k = rng.uniform(0.1, 1.0)
         edge = int(rng.integers(1, 5))
         x = rng.uniform(0, 8)
-        oracle = (w2.value(edge, x, k) - w3.value(edge, x, k)) / 2j
-        assert p.value(edge, x, k) == pytest.approx(oracle, abs=1e-13)
+        oracle = (edge_wave(w2, edge, x, k) - edge_wave(w3, edge, x, k)) / 2j
+        assert edge_wave(p, edge, x, k) == pytest.approx(oracle, abs=1e-13)
 
 
 def test_phi_j_wraparound():
     cfg = make_config(3, 1.0)
     p = phi(cfg, 3)  # supported on edges 3 and 1
     k, x = 0.8, 1.7
-    assert p.value(3, x, k) == pytest.approx(-np.sin(k * x))
-    assert p.value(1, x, k) == pytest.approx(np.sin(k * x))
-    assert p.value(2, x, k) == pytest.approx(0.0, abs=1e-15)
+    assert edge_wave(p, 3, x, k) == pytest.approx(-np.sin(k * x))
+    assert edge_wave(p, 1, x, k) == pytest.approx(np.sin(k * x))
+    assert edge_wave(p, 2, x, k) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_phi_family_telescopes_to_zero():
@@ -142,7 +143,7 @@ def test_phi_family_telescopes_to_zero():
         k = rng.uniform(0.1, 1.0)
         edge = int(rng.integers(1, 6))
         x = rng.uniform(0, 10)
-        total = sum(phi(cfg, j).value(edge, x, k) for j in range(1, 6))
+        total = sum(edge_wave(phi(cfg, j), edge, x, k) for j in range(1, 6))
         assert abs(total) <= 1e-13
 
 
@@ -150,11 +151,11 @@ def test_xi_branches():
     cfg = make_config(3, 1.0)
     xi = xi_solution(cfg)
     k, x = 0.5, 1.0
-    assert xi.value(1, x, k, LARGER) == pytest.approx(np.sin(0.5))
-    assert xi.value(1, x, k, SMALLER) == pytest.approx(-2.0 * np.sin(0.5))
-    assert xi.value(2, x, k, NEUTRAL) == pytest.approx(np.sin(0.5))
+    assert edge_wave(xi, 1, x, k, LARGER) == pytest.approx(np.sin(0.5))
+    assert edge_wave(xi, 1, x, k, SMALLER) == pytest.approx(-2.0 * np.sin(0.5))
+    assert edge_wave(xi, 2, x, k, NEUTRAL) == pytest.approx(np.sin(0.5))
     for branch in (LARGER, SMALLER, NEUTRAL):
-        assert xi.value(1, 0.0, k, branch) == pytest.approx(0.0, abs=1e-15)
+        assert edge_wave(xi, 1, 0.0, k, branch) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("builder,args", [
@@ -174,19 +175,19 @@ def test_eigen_equation(builder, args):
         k = rng.uniform(0.2, 1.0)
         edge = int(rng.integers(1, 5))
         x = rng.uniform(0.5, 8.0)
-        f = sol.value(edge, x, k)
-        second = sol.derivative(edge, x, k, order=2)
+        f = edge_wave(sol, edge, x, k)
+        second = edge_wave(sol, edge, x, k, order=2)
         assert second == pytest.approx(-k * k * f, abs=1e-13)
         h = 1e-4
-        fd2 = (sol.value(edge, x + h, k) - 2 * f + sol.value(edge, x - h, k)) / h**2
+        fd2 = (edge_wave(sol, edge, x + h, k) - 2 * f + edge_wave(sol, edge, x - h, k)) / h**2
         assert abs(fd2 + k * k * f) <= 5e-7 * max(1.0, abs(f))
         h = 1e-5
-        fd1 = (sol.value(edge, x + h, k) - sol.value(edge, x - h, k)) / (2 * h)
-        exact1 = sol.derivative(edge, x, k)
+        fd1 = (edge_wave(sol, edge, x + h, k) - edge_wave(sol, edge, x - h, k)) / (2 * h)
+        exact1 = edge_wave(sol, edge, x, k, order=1)
         assert abs(fd1 - exact1) <= 1e-7 * max(1.0, abs(exact1))
 
 
 def test_zero_momentum_degenerates_gracefully():
     cfg = make_config(3, 1.0)
-    assert phi(cfg, 1).value(1, 2.0, 0.0) == pytest.approx(0.0)
-    assert phi(cfg, 0).value(1, 2.0, 0.0) == pytest.approx(1.0)
+    assert edge_wave(phi(cfg, 1), 1, 2.0, 0.0) == pytest.approx(0.0)
+    assert edge_wave(phi(cfg, 0), 1, 2.0, 0.0) == pytest.approx(1.0)

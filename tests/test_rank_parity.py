@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import basis_rank_oracle
+from helpers import basis_rank_oracle, sampled_values
 from stardelta import verifier as vf
-from stardelta.basis import EXCHANGE_SIGN, build_basis
+from stardelta.basis import EXCHANGE_SIGN, build_basis, product_tensor
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, exchange_image, make_config
+from stardelta.oneparticle import phi, scattering_wave, xi_solution
 
 M68 = MomentumPair.from_k1(0.6)
 
@@ -29,7 +30,6 @@ def test_every_family_is_exactly_even_or_odd(n, c, k1):
     elements = build_basis(make_config(n, c), MomentumPair.from_k1(k1))
     for el in elements:
         assert np.array_equal(exchange_image(el.tensor.amps), EXCHANGE_SIGN[el.family] * el.tensor.amps), el.label
-    assert not np.any(vf.parity_defect(elements))
     odd, even = vf.exchange_blocks(elements)
     assert {el.family for el in odd} == {"antisym"}
     assert len(odd) == n * n and len(even) == n * n - 2 * n
@@ -62,12 +62,43 @@ def test_an_antisym_row_with_an_even_part_fails_the_check(family):
     amps[0] += 1e-3 * np.abs(amps[0]).max() / np.abs(amps[even]).max() * amps[even]
     stack = AmplitudeTensor(amps)
     mixed = [dataclasses.replace(el, stack=stack) for el in elements]
-    defect = vf.parity_defect(mixed)
-    assert defect[0] >= 5e-4
-    assert not np.any(defect[1:])
     blocks = vf.exchange_blocks(mixed)
     assert len(blocks) == 1 and blocks[0] is mixed
     assert vf.basis_rank(mixed, seed=17)[0] == basis_rank_oracle(mixed, seed=17)[0] == len(mixed)
+
+
+@pytest.mark.parametrize("row", [0, 40, -1])
+def test_a_broken_row_in_any_parity_step_gives_one_block(row):
+    # at n = 8 the check reads 32 rows per step; a row of either parity
+    # that carries 1e-3 of a row of the other parity is found in any step
+    elements = build_basis(make_config(8, 1.0), M68)
+    amps = elements[0].stack.amps.copy()
+    other = len(elements) - 1 if elements[row].family == "antisym" else 0
+    amps[row] += 1e-3 * amps[other]
+    stack = AmplitudeTensor(amps)
+    broken = [dataclasses.replace(el, stack=stack) for el in elements]
+    assert vf.exchange_blocks(broken) == [broken]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_product_tensor_is_its_signed_exchange_image(sign):
+    # exactly, for products outside the three families too
+    cfg = make_config(4, 1.0)
+    for f, g in ((scattering_wave(cfg, 2), xi_solution(cfg)), (xi_solution(cfg), phi(cfg, 0))):
+        amps = product_tensor(f, g, sign).amps
+        assert np.array_equal(exchange_image(amps), sign * amps)
+
+
+@pytest.mark.parametrize("n, c, k1, count", [(4, -1.5, 0.28, 40), (4, -1.5, 0.28, 4000), (3, 1e-200, 0.6, 50)])
+def test_sample_matrix_gathers_the_values_of_each_table(n, c, k1, count):
+    # without the whole sym_diag family the rows are only scaled, by their
+    # largest |value| and then to unit length; at 4000 points the gather
+    # takes several steps
+    elements = build_basis(make_config(n, c), MomentumPair.from_k1(k1))[:-1]
+    want = sampled_values(elements, count, 5)
+    want /= np.abs(want).max(axis=1, keepdims=True)
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    assert np.array_equal(vf.sample_matrix(elements, count, 5), want)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -77,7 +108,7 @@ def test_an_even_row_labelled_antisym_keeps_the_rank_deficit(n):
     elements = build_basis(make_config(n, 1.0), M68)
     copied = next(el for el in elements if el.family == "sym_offdiag")
     elements[0] = dataclasses.replace(elements[0], row=copied.row)
-    assert vf.parity_defect(elements)[0] == pytest.approx(2.0)
+    assert vf.exchange_blocks(elements) == [elements]
     assert vf.basis_rank(elements, seed=17)[0] == len(elements) - 1
     # split by the labels alone, the copy is independent of the odd rows
     # beside it, and the rank would read full
@@ -107,18 +138,19 @@ def test_singular_values_are_the_block_ratios():
 
 def test_rank_at_tiny_coupling_does_not_overflow():
     # the sym_diag values are of size 1/c; scaled before their norms are
-    # taken, c = 1e-200 loses the same one direction as c = 1e-20
+    # taken, c = 1e-200, and c = 1e-307 just above the overflow bound, lose
+    # the same one direction as c = 1e-20
     ranks = []
-    for c in (1e-20, 1e-200):
+    for c in (1e-20, 1e-200, 1e-307):
         with np.errstate(over="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             ranks.append(vf.basis_rank(build_basis(make_config(3, c), M68), seed=0)[0])
-    assert ranks == [11, 11]
+    assert ranks == [11, 11, 11]
 
 
 def test_rank_refuses_elements_of_two_bases():
     cfg = make_config(3, 1.0)
     elements = build_basis(cfg, M68)[:6] + build_basis(cfg, M68)[6:]
-    for check in (vf.basis_rank, vf.parity_defect, lambda els: vf.sample_matrix(els, 20, 0)):
+    for check in (vf.basis_rank, vf.exchange_blocks, lambda els: vf.sample_matrix(els, 20, 0)):
         with pytest.raises(ValueError):
             check(elements)

@@ -199,6 +199,19 @@ def test_synthesis_guards():
         syn.synthesize_eigensolution(CFG3, {99: syn.gaussian_bump(0.3, 0.1)}, syn.gauss_rule(4))
 
 
+def test_eigensolution_synthesis_refuses_a_coupling_whose_tables_overflow():
+    with pytest.raises(ValueError, match="would overflow"):
+        syn.synthesize_eigensolution(make_config(3, 1e-310), {0: syn.gaussian_bump(0.3, 0.1)}, syn.gauss_rule(4))
+
+
+def test_basic_solution_refuses_a_pair_of_another_edge_count():
+    # a 4 x 4 pair is an n = 4 solution, which an n = 3 config must not take
+    chi_hat, chi_check = _kernel_element(n=4)
+    with pytest.raises(ValueError, match="need a 3 x 3 kernel pair"):
+        syn.synthesize_basic_solution(CFG3, chi_hat, chi_check, tau_sign=1,
+                                      profile=syn.gaussian_bump(0.3, 0.1), rule=syn.gauss_rule(8))
+
+
 def test_basic_solution_passes_vertex_fails_diagonal():
     chi_hat, chi_check = _kernel_element()
     sol = syn.synthesize_basic_solution(
@@ -277,6 +290,13 @@ def test_grid_rows_export():
     assert len(rows) == 9 * (6 + 3 * 2)
     assert syn.GRID_HEADER == ["quadrant_i", "quadrant_j", "sector", "x", "y", "re", "im"]
     assert all(len(r) == len(syn.GRID_HEADER) for r in rows)
+
+
+@pytest.mark.parametrize("span, step", [(2.0, 0.0), (2.0, -1.0), (2.0, np.nan), (-1.0, 1.0), (np.inf, 1.0), (np.nan, 1.0)])
+def test_grid_rows_refuses_a_bad_grid(span, step):
+    sol = syn.synthesize_eigensolution(CFG3, {0: syn.gaussian_bump(0.3, 0.1)}, syn.gauss_rule(4))
+    with pytest.raises(ValueError, match="grid step must be positive"):
+        sol.grid_rows(span=span, step=step)
 
 
 def test_grid_rows_match_a_per_quadrant_loop(monkeypatch):

@@ -156,6 +156,30 @@ def test_mutation_sweep_entry_order():
     assert all(r["detected"] for r in records)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(tol=-1.0), dict(tol=0.0), dict(tol=np.inf), dict(tol=np.nan), dict(samples=0), dict(samples=-5),
+])
+def test_checks_refuse_a_bad_tolerance_or_sample_count(monkeypatch, kwargs):
+    sol = vf.TensorSolution.from_element(build_basis(CFG3, M68)[0])
+    for check in (lambda: vf.check_vertex_bc(sol, 3, **kwargs), lambda: vf.check_diagonal_bc(sol, 3, 1.0, **kwargs)):
+        with pytest.raises(ValueError):
+            check()
+    # the whole-basis check refuses before it builds the basis
+    monkeypatch.setattr(vf, "build_basis", lambda *a: pytest.fail("basis built"))
+    with pytest.raises(ValueError):
+        vf.verify_full_basis(CFG3, M68, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(rel=0.0), dict(rel=np.nan), dict(rel=np.inf),
+    dict(detect_above=-1.0), dict(detect_above=0.0), dict(detect_above=np.nan), dict(detect_above=np.inf),
+])
+def test_mutation_sweep_refuses_a_bad_size_or_threshold(monkeypatch, kwargs):
+    monkeypatch.setattr(vf, "build_basis", lambda *a: pytest.fail("basis built"))
+    with pytest.raises(ValueError):
+        vf.mutation_sweep(CFG3, M68, **kwargs)
+
+
 def test_sample_matrix_refuses_mixed_momenta():
     # every element is evaluated at one shared momentum pair
     elements = build_basis(CFG3, M68)[:2] + build_basis(CFG3, MomentumPair.from_k1(0.3))[:2]
