@@ -171,7 +171,10 @@ def coupling_overflows(cfg: StarConfig) -> bool:
 
 
 def check_coupling_scale(cfg: StarConfig) -> None:
-    """Raise where :func:`coupling_overflows`."""
+    """Raise at c = 0, where the 1/c terms of the tables are undefined, and
+    where :func:`coupling_overflows`."""
+    if cfg.c == 0:
+        raise ValueError("sym_diag family undefined at c = 0 (1/c coefficients)")
     if coupling_overflows(cfg):
         raise ValueError(f"coupling c = {cfg.c} is too small at n = {cfg.n}: the 1/c terms of the basis "
                          f"tables would overflow (need |c| >= {4 * cfg.n / np.finfo(float).max:.3g})")
@@ -188,8 +191,6 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     A fold momentum in the pole zone is refused like everywhere else.
     """
     c = cfg.c
-    if c == 0:
-        raise ValueError("sym_diag family undefined at c = 0 (1/c coefficients)")
     check_coupling_scale(cfg)
     check_pole(m.fold, c)
     s1, s2 = m.k1 / c, m.k2 / c

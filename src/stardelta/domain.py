@@ -197,21 +197,19 @@ class AmplitudeTensor:
 
     # -- evaluation ------------------------------------------------------------
 
-    def value_array(self, i, j, sector: str, x, y, m: MomentumPair, phases=None) -> np.ndarray:
+    def value_array(self, i, j, sector: str, x, y, m: MomentumPair) -> np.ndarray:
         """Evaluate at arrays of coordinates within quadrant (i, j), sector.
 
         ``i`` and ``j`` are ints, or int arrays that broadcast against ``x``
         and ``y`` to evaluate many quadrants in one call.  Off-diagonal
         quadrants ignore the sector tag, so one tag serves a line of
-        quadrants that crosses the diagonal.  ``phases`` is the table
-        ``wave_phases`` gives for ``m`` at these points, when the caller
-        already has it.
+        quadrants that crosses the diagonal.
         """
-        return plane_wave_sum(self._waves(), *wave_momenta(m.k1, m.k2), i, j, sector, x, y, phases=phases)
+        return plane_wave_sum(self._waves(), *wave_momenta(m.k1, m.k2), i, j, sector, x, y)
 
-    def derivative_array(self, i, j, sector: str, x, y, m: MomentumPair, direction: str, phases=None) -> np.ndarray:
+    def derivative_array(self, i, j, sector: str, x, y, m: MomentumPair, direction: str) -> np.ndarray:
         """Exact analytic partial derivative, vectorised like value_array."""
-        return plane_wave_sum(self._waves(), *wave_momenta(m.k1, m.k2), i, j, sector, x, y, direction, phases)
+        return plane_wave_sum(self._waves(), *wave_momenta(m.k1, m.k2), i, j, sector, x, y, direction)
 
     def _waves(self) -> np.ndarray:
         """The table with the eight waves of a quadrant/sector on one axis."""
@@ -254,9 +252,9 @@ def exchange_image(amps: np.ndarray) -> np.ndarray:
     return image
 
 
-# The most wave-point pairs (waves times sample points) one plane_wave_sum
-# call should take: callers with more split their waves, or their stack
-# of tables, into calls of about this size.
+# The most wave-point pairs (waves times sample points) one block of a
+# plane_wave_sum takes: a sum over more waves streams them in blocks of
+# about this size, and callers split stacks of tables into calls of it.
 WAVE_POINTS = 1 << 18
 
 # Signs and slots of the eight waves of one quadrant/sector, in the
@@ -274,16 +272,35 @@ def wave_momenta(k1, k2) -> tuple[np.ndarray, np.ndarray]:
     return kx, ky
 
 
+def _phase_table(kx, ky, x, y) -> np.ndarray:
+    """A new read-only table of :func:`wave_phases`."""
+    x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)), np.asarray(y, dtype=float))
+    table = np.exp(1j * (np.multiply.outer(kx, x) + np.multiply.outer(ky, y)))
+    table.setflags(write=False)
+    return table
+
+
+_kept: dict = {}  # the key and table of the last wave_phases call
+
+
 def wave_phases(kx: np.ndarray, ky: np.ndarray, x, y) -> np.ndarray:
     """exp(1j(k_x x + k_y y)) per wave (first axis) and point (the
-    broadcast shape of ``x`` and ``y``, at least 1-d)."""
-    x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)), np.asarray(y, dtype=float))
-    return np.exp(1j * (np.multiply.outer(kx, x) + np.multiply.outer(ky, y)))
+    broadcast shape of ``x`` and ``y``, at least 1-d), read-only.
+
+    The table of the previous call is kept: a call whose wave momenta and
+    points are bit for bit those of that call gets the kept table, so the
+    value and derivative sums of one family of points build one table.
+    Any other call drops the kept table before it builds its own, so at
+    most one table stays alive between calls.
+    """
+    key = tuple((a.shape, a.dtype.str, a.tobytes()) for a in map(np.asarray, (kx, ky, x, y)))
+    if _kept.get("key") != key:
+        _kept.clear()
+        _kept.update(key=key, table=_phase_table(kx, ky, x, y))
+    return _kept["table"]
 
 
-def plane_wave_sum(
-    waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction: str | None = None, phases=None
-) -> np.ndarray:
+def plane_wave_sum(waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction: str | None = None) -> np.ndarray:
     """Sum of the waves of quadrant (i, j), sector at the points (x, y), or
     its exact partial derivative along ``direction`` ("dx" or "dy").
 
@@ -294,10 +311,11 @@ def plane_wave_sum(
     broadcast against the points.  Leading axes stack tables evaluated
     together; they lead the quadrant rows, and the points broadcast
     against both, so points that differ per stacked table carry an axis
-    for the stack in front of their quadrant axes.  ``phases`` is
-    ``wave_phases(kx, ky, x, y)`` when the caller already has it; one
-    table then serves several sums at the same points.  Callers size
-    their calls by ``WAVE_POINTS``.
+    for the stack in front of their quadrant axes.  The wave axis is
+    summed in blocks of at most ``WAVE_POINTS`` wave-point pairs, down to
+    one table's eight waves, so a single table is always one block; each
+    block's phases come from :func:`wave_phases`.  Callers size stacks of
+    tables by ``WAVE_POINTS``.
     """
     i, j = np.asarray(i), np.asarray(j)
     n = waves.shape[-3]
@@ -308,6 +326,8 @@ def plane_wave_sum(
         raise ValueError(f"direction must be 'dx' or 'dy', got {direction!r}")
     if direction is not None:
         rows = rows * (1j * (kx if direction == "dx" else ky))
-    if phases is None:
-        phases = wave_phases(kx, ky, x, y)
-    return np.einsum("...w,w...->...", rows, phases)
+    step = 8 * max(1, WAVE_POINTS // max(8 * np.broadcast(x, y).size, 1))
+    # an empty wave axis still makes one block, which gives zeros of the right shape
+    blocks = [slice(w, w + step) for w in range(0, max(len(kx), 1), step)]
+    return functools.reduce(operator.add, (
+        np.einsum("...w,w...->...", rows[..., b], wave_phases(kx[b], ky[b], x, y)) for b in blocks))

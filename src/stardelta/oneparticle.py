@@ -23,8 +23,9 @@ quadrants it is plain sin(k x).  (The mirrored rule for the second
 particle is what makes the vertex derivative sums cancel: at x = 0 the
 diagonal quadrant is always in the "smaller" branch, contributing
 (1 - n) k against k from each of the n - 1 off-diagonal quadrants.)
-This is applied at evaluation time through a branch tag, so products of
-these factors can be expanded into sector-tagged plane waves uniformly.
+A solution carries the rule as two branch scales, and
+:func:`~stardelta.basis.product_tensor` applies them when it expands a
+product of two factors into sector-tagged plane waves.
 """
 
 from __future__ import annotations

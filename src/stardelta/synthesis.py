@@ -11,7 +11,9 @@ refinement study measures).
 Every basis element is T0 + (k1/c) T1 + (k2/c) T2 over momentum-free
 tables, so the superposition is one contraction of profile times weight
 with those tables: one amplitude table per node, P tables evaluated as
-one sum of 8P plane waves.
+one sum of 8P plane waves by :func:`~stardelta.domain.plane_wave_sum`,
+which streams the waves in blocks at many points and shares a phase
+table between sums at the same points.
 
 Basic solutions work the same way from a kernel element of the vertex
 condition system: those satisfy the vertex matching at every momentum
@@ -33,7 +35,6 @@ from .domain import (
     MARGIN,
     OFFDIAG,
     POLE,
-    WAVE_POINTS,
     StarConfig,
     check_fold,
     near_pole,
@@ -42,7 +43,7 @@ from .domain import (
     wave_momenta,
 )
 from .transforms import basic_solution_tensor
-from .verifier import PhaseCache, gauss_legendre, kronecker_points
+from .verifier import gauss_legendre, kronecker_points
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +133,9 @@ class SynthesizedSolution:
     ``amps`` stacks the tables of P nodes, shape (P, n, n, 2, 2, 2, 2), and
     node p sits at the pair (k1[p], sqrt(1 - k1[p]^2)).  The stack is kept
     as one (n, n, 2, 8P) wave table and evaluated like AmplitudeTensor, as
-    one sum of 8P waves, so all verifier checks apply unchanged.  When
-    the 8P waves at the call's points fit one ``WAVE_POINTS`` block, the
-    phase table is kept for the next sum at the same points
-    (:class:`~stardelta.verifier.PhaseCache`), so one point set builds one
-    table.  At more points the sum streams a few nodes per block and
-    keeps none of the blocks' tables, which bounds its memory.  ``rebuild`` re-synthesises
-    at a different node count for refinement studies.
+    one sum of 8P waves, so all verifier checks apply unchanged.
+    ``rebuild`` re-synthesises at a different node count for refinement
+    studies.
     """
 
     def __init__(
@@ -156,23 +153,12 @@ class SynthesizedSolution:
         self.n = self.amps.shape[0]
         self.rebuild = rebuild
         self.node_count = node_count
-        self._phases = PhaseCache()
-
-    def _sum(self, i, j, sector, x, y, direction=None):
-        # at many points, a few nodes per call, down to one node's eight waves
-        step = 8 * max(1, WAVE_POINTS // (8 * np.broadcast(x, y).size))
-        # an empty stack still makes one call, which gives zeros of the right shape
-        blocks = [slice(w, w + step) for w in range(0, max(self.kx.size, 1), step)]
-        # only a single block, which spans every wave, shares its table
-        phases = self._phases.table(self.kx, self.ky, x, y) if len(blocks) == 1 else None
-        return sum(plane_wave_sum(self.amps[..., b], self.kx[b], self.ky[b], i, j, sector, x, y, direction, phases)
-                   for b in blocks)
 
     def value_array(self, i, j, sector, x, y):
-        return self._sum(i, j, sector, x, y)
+        return plane_wave_sum(self.amps, self.kx, self.ky, i, j, sector, x, y)
 
     def derivative_array(self, i, j, sector, x, y, direction):
-        return self._sum(i, j, sector, x, y, direction)
+        return plane_wave_sum(self.amps, self.kx, self.ky, i, j, sector, x, y, direction)
 
     # -- export ---------------------------------------------------------------
 
@@ -213,11 +199,9 @@ def synthesize_eigensolution(
     output) to coefficient functions g_i(k).  Boundary conditions hold
     exactly at any node count; refinement only tightens the distance to
     the true integral.  A profile that is not finite, or vanishes at every
-    node of a rule, is refused at that rule, and so is a c whose tables
-    overflow, as in ``build_basis``.
+    node of a rule, is refused at that rule, and so are c = 0 and a c whose
+    tables overflow, as in ``build_basis``.
     """
-    if cfg.c == 0:
-        raise ValueError("eigensolution synthesis needs c != 0")
     check_coupling_scale(cfg)
     if not profiles:
         raise ValueError("need at least one coefficient profile")

@@ -7,7 +7,9 @@ whole family of boundary lines per call.  A stack of amplitude tensors
 is checked in one pass: every family is evaluated for all of them at
 once, each at its own sample offset, and the whole-basis checks and the
 mutation sweep walk the basis in stacks sized by ``WAVE_POINTS``.
-Every stacked value is the one the tensor alone gives.  All residuals are
+Every stacked value is the one the tensor alone gives.  The value and
+derivative sums of one family share its phase table, which
+:func:`~stardelta.domain.wave_phases` keeps between calls.  All residuals are
 exact analytic evaluations sampled at deterministic low-discrepancy
 points; one-sided limits at the diagonal evaluate the sector-tagged
 branches exactly at x = y, since each branch is an entire function.
@@ -103,62 +105,40 @@ class PointSolution(Protocol):
     """Anything evaluable with one-sided analytic derivatives per sector.
 
     Quadrant indices ``i, j`` are ints or int arrays that broadcast against
-    ``x, y``; off-diagonal quadrants ignore the sector tag.
+    ``x, y``; off-diagonal quadrants ignore the sector tag.  ``n`` is the
+    solution's edge count.
     """
+
+    n: int
 
     def value_array(self, i, j, sector: str, x, y) -> np.ndarray: ...
 
     def derivative_array(self, i, j, sector: str, x, y, direction: str) -> np.ndarray: ...
 
 
-class PhaseCache:
-    """The phase table of the previous call, served again while its waves
-    and points repeat.
-
-    ``table(kx, ky, x, y)`` is ``wave_phases(kx, ky, x, y)``.  A call whose
-    wave momenta and points are bit for bit those of the previous call
-    gets the table that call built; any other call builds a new one, which
-    replaces it.  So the value and derivative sums of one family of points
-    build one table, and no table serves waves or points it was not built
-    for.
-    """
-
-    def __init__(self):
-        self._key = None
-        self._table = None
-
-    def table(self, kx, ky, x, y) -> np.ndarray:
-        key = tuple((a.shape, a.dtype.str, a.tobytes()) for a in map(np.asarray, (kx, ky, x, y)))
-        if key != self._key:
-            self._key, self._table = key, wave_phases(kx, ky, x, y)
-        return self._table
+def check_edges(sol: PointSolution, n: int) -> None:
+    """Raise unless a boundary check's edge count is the solution's own."""
+    if sol.n != n:
+        raise ValueError(f"an n = {sol.n} solution cannot be checked with n = {n} edges")
 
 
 class TensorSolution:
-    """An amplitude tensor, or a stack of them, bound to its momentum pair.
-
-    Calls at the points of the previous call reuse its phase table
-    (:class:`PhaseCache`), so the value and derivative sums of one family
-    of boundary lines build it once.
-    """
+    """An amplitude tensor, or a stack of them, bound to its momentum pair."""
 
     def __init__(self, tensor: AmplitudeTensor, momentum: MomentumPair):
         self.tensor = tensor
         self.momentum = momentum
-        self._waves = wave_momenta(momentum.k1, momentum.k2)
-        self._phases = PhaseCache()
+        self.n = tensor.n
 
     @classmethod
     def from_element(cls, el: BasisElement) -> "TensorSolution":
         return cls(el.tensor, el.momentum)
 
     def value_array(self, i, j, sector, x, y):
-        phases = self._phases.table(*self._waves, x, y)
-        return self.tensor.value_array(i, j, sector, x, y, self.momentum, phases)
+        return self.tensor.value_array(i, j, sector, x, y, self.momentum)
 
     def derivative_array(self, i, j, sector, x, y, direction):
-        phases = self._phases.table(*self._waves, x, y)
-        return self.tensor.derivative_array(i, j, sector, x, y, self.momentum, direction, phases)
+        return self.tensor.derivative_array(i, j, sector, x, y, self.momentum, direction)
 
 
 @dataclass(frozen=True)
@@ -222,6 +202,7 @@ def check_vertex_bc(
     solutions takes one offset for all or an array of one per solution,
     and gives one worst residual per solution.
     """
+    check_edges(sol, n)
     check_sampling(samples, tol)
     per_line = _per_line(samples, 2 * n)
     edges = np.arange(1, n + 1)
@@ -263,6 +244,7 @@ def check_diagonal_bc(
     All n diagonals are evaluated in one call per sector and derivative;
     a stack of solutions takes offsets as in :func:`check_vertex_bc`.
     """
+    check_edges(sol, n)
     check_sampling(samples, tol)
     per_line = _per_line(samples, n)
     edges = np.arange(1, n + 1)

@@ -318,7 +318,7 @@ def test_output_under_an_unwritable_directory_exits_2(tmp_path, capsys, monkeypa
          "fold momentum k = 0.7071065 is inside the exclusion zone around 1/sqrt(2) for c != 0"),
         (["mutate", "--n", "3", "--c", "1", "--k1", "0.7071065"],
          "fold momentum k = 0.7071065 is inside the exclusion zone around 1/sqrt(2) for c != 0"),
-        (["synthesize", "--n", "3", "--c", "0"], "eigensolution synthesis needs c != 0"),
+        (["synthesize", "--n", "3", "--c", "0"], "sym_diag family undefined at c = 0 (1/c coefficients)"),
         (["synthesize", "--n", "3", "--c", "1", "--element", "12"], "basis index 12 out of range 0..11"),
         (["synthesize", "--n", "3", "--c", "1", "--element", "-1"], "basis index -1 out of range 0..11"),
         (["synthesize", "--n", "3", "--c", "1", "--nodes", "8", "--profile", "indicator:0.9,1.0"],

@@ -14,6 +14,8 @@ from stardelta.domain import (
     AmplitudeTensor,
     MomentumPair,
     make_config,
+    wave_momenta,
+    wave_phases,
 )
 from helpers import from_entries
 
@@ -215,3 +217,14 @@ def test_with_scaled_entry():
     assert dict(t.items()) == {(1, 2, OFFDIAG, 1, 1, 1): 2.0}
     with pytest.raises(KeyError):
         t.with_scaled_entry((2, 2, ABOVE, 1, 1, 1), 2.0)
+
+
+def test_phase_tables_are_read_only_and_kept_for_a_repeat_call():
+    kx, ky = wave_momenta(0.6, 0.8)
+    xs = np.linspace(0.0, 1.0, 5)
+    table = wave_phases(kx, ky, xs, 0.5)
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    assert wave_phases(kx, ky, xs.copy(), 0.5) is table
+    assert wave_phases(-kx, ky, xs, 0.5) is not table
+    assert wave_phases(kx, ky, xs, 0.25) is not table

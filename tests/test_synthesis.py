@@ -306,10 +306,10 @@ def test_grid_rows_match_a_per_quadrant_loop(monkeypatch):
     sol = syn.synthesize_eigensolution(CFG3, {9: syn.gaussian_bump(0.35, 0.08)}, syn.gauss_rule(8))
     coords = np.arange(0.0, 2.0 + 1e-12, 0.5)
     xs, ys = (a.reshape(-1) for a in np.meshgrid(coords, coords, indexing="ij"))
-    monkeypatch.setattr(syn, "WAVE_POINTS", 8 * 3 * xs.size)
+    monkeypatch.setattr(domain, "WAVE_POINTS", 8 * 3 * xs.size)
     tables = []
-    build = domain.wave_phases
-    monkeypatch.setattr(domain, "wave_phases", lambda *args: tables.append(args) or build(*args))
+    build = domain._phase_table
+    monkeypatch.setattr(domain, "_phase_table", lambda *args: tables.append(args) or build(*args))
     rows = sol.grid_rows(span=2.0, step=0.5)
     assert len(tables) == 2 * 3
     want = []
@@ -329,7 +329,7 @@ def test_node_blocks_match_one_wave_sum(monkeypatch):
     xs = np.linspace(0.0, 6.0, 40)
     args = (np.array([[1], [2], [3]]), 2, ABOVE, xs, 0.5 * xs)
     whole = [sol.value_array(*args), sol.derivative_array(*args, "dy")]
-    monkeypatch.setattr(syn, "WAVE_POINTS", 8 * 3 * xs.size)
+    monkeypatch.setattr(domain, "WAVE_POINTS", 8 * 3 * xs.size)
     blocked = [sol.value_array(*args), sol.derivative_array(*args, "dy")]
     for got, want in zip(blocked, whole):
         assert got.shape == (3, 40)
@@ -341,8 +341,8 @@ def test_one_phase_table_per_boundary_family_of_a_synthesized_solution(monkeypat
     # derivative sums of a family share a table: vertex x = 0, vertex
     # y = 0 and the diagonals
     tables = []
-    build = vf.wave_phases
-    monkeypatch.setattr(vf, "wave_phases", lambda *args: tables.append(args) or build(*args))
+    build = domain._phase_table
+    monkeypatch.setattr(domain, "_phase_table", lambda *args: tables.append(args) or build(*args))
     sol = syn.synthesize_eigensolution(CFG3, {9: syn.gaussian_bump(0.35, 0.08)}, syn.gauss_rule(32))
     checks = vf.check_vertex_bc(sol, 3) + vf.check_diagonal_bc(sol, 3, CFG3.c)
     assert len(tables) == 3 and all(ch.passed for ch in checks)
@@ -361,3 +361,21 @@ def test_a_kept_phase_table_serves_only_its_own_points():
     for args in (a, b, a):
         assert np.array_equal(sol.value_array(*args), make().value_array(*args))
         assert np.array_equal(sol.derivative_array(*args, "dy"), make().derivative_array(*args, "dy"))
+
+
+def test_synthesis_checks_and_grid_do_not_depend_on_earlier_evaluations():
+    # A, then B, whose last sum is at A's first points with other waves,
+    # then A again
+    def checks(sol):
+        return [ch.to_dict() for ch in vf.check_vertex_bc(sol, sol.n) + vf.check_diagonal_bc(sol, sol.n, CFG3.c)]
+
+    def run(sol):
+        return sol.grid_rows(span=2.0, step=0.5), checks(sol)
+
+    a = syn.synthesize_eigensolution(CFG3, {9: syn.gaussian_bump(0.35, 0.08)}, syn.gauss_rule(16))
+    b = syn.synthesize_eigensolution(CFG3, {10: syn.gaussian_bump(0.3, 0.1)}, syn.gauss_rule(7))
+    first = run(a)
+    b.value_array(1, 2, ABOVE, np.linspace(0.0, 6.0, 40), 0.5)
+    checks(b)
+    b.grid_rows(span=2.0, step=0.5)
+    assert run(a) == first

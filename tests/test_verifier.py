@@ -29,6 +29,21 @@ def test_vertex_checks_pass_for_basis():
             assert check.max_abs_residual <= 1e-11, (el.label, check.name)
 
 
+@pytest.mark.parametrize("checked_n", [3, 5])
+@pytest.mark.parametrize("kind", ["table", "synthesis"])
+@pytest.mark.parametrize("family", ["vertex", "diagonal"])
+def test_boundary_checks_refuse_an_edge_count_not_the_solutions(checked_n, kind, family):
+    cfg = make_config(4, -1.5)
+    if kind == "table":
+        sol = vf.TensorSolution.from_element(build_basis(cfg, MomentumPair.from_k1(0.28))[0])
+    else:
+        sol = syn.synthesize_eigensolution(cfg, {14: syn.gaussian_bump(0.3, 0.1)}, syn.gauss_rule(8))
+    check = vf.check_vertex_bc if family == "vertex" else lambda s, n: vf.check_diagonal_bc(s, n, cfg.c)
+    with pytest.raises(ValueError, match=f"an n = 4 solution cannot be checked with n = {checked_n} edges"):
+        check(sol, checked_n)
+    assert all(ch.passed for ch in check(sol, 4))
+
+
 def test_vertex_check_negative_control():
     # a single raw plane wave on one quadrant is discontinuous at the vertex
     t = from_entries(3, {(1, 2, OFFDIAG, 1, 1, 1): 1.0})

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stardelta import domain
 from stardelta import transforms as tr
 from stardelta import verifier as vf
 from stardelta.basis import build_basis
@@ -84,11 +85,40 @@ def test_one_phase_table_per_boundary_family(monkeypatch):
     # the value and derivative sums of a family share one table: vertex
     # x = 0, vertex y = 0 and the diagonals, for the whole stack
     tables = []
-    build = vf.wave_phases
-    monkeypatch.setattr(vf, "wave_phases", lambda *args: tables.append(args) or build(*args))
+    build = domain._phase_table
+    monkeypatch.setattr(domain, "_phase_table", lambda *args: tables.append(args) or build(*args))
     elements = build_basis(CFG4, M3)
     reports = vf.verify_element(elements[:10], offset=7 * np.arange(10))
     assert len(tables) == 3 and len(reports) == 10
+
+
+def test_a_stacked_table_is_one_block(monkeypatch):
+    # eight waves are the least a block takes, so a stack of tables sums in
+    # one block with one phase table, at any WAVE_POINTS
+    elements = build_basis(CFG4, M3)
+    sol = vf.TensorSolution(elements[0].stack, M3)
+    xs = np.linspace(0.0, 5.0, 50)
+    args = (np.array([[1], [2]]), 3, ABOVE, xs, xs + 1.0)
+    whole = sol.value_array(*args)
+    monkeypatch.setattr(domain, "WAVE_POINTS", 8)
+    monkeypatch.setattr(domain, "_kept", {})
+    tables = []
+    build = domain._phase_table
+    monkeypatch.setattr(domain, "_phase_table", lambda *args: tables.append(args) or build(*args))
+    got = sol.value_array(*args)
+    assert len(tables) == 1 and got.shape == (24, 2, 50) and np.array_equal(got, whole)
+
+
+def test_reports_do_not_depend_on_earlier_evaluations():
+    # A, then B, then A again in one process: the phase table kept between
+    # calls serves only the waves and points it was built for
+    def report(cfg, m):
+        return json.dumps(vf.verify_full_basis(cfg, m, samples=60).to_dict())
+
+    first = report(CFG4, M3)
+    report(CFG4, MomentumPair.from_k1(0.45))
+    vf.TensorSolution.from_element(build_basis(CFG4, M3)[3]).value_array(1, 2, ABOVE, np.linspace(0, 3, 7), 1.0)
+    assert report(CFG4, M3) == first
 
 
 def test_stacked_element_reports_match_single_elements():
