@@ -32,11 +32,10 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .domain import AmplitudeTensor, MomentumPair, StarConfig, check_pole, exchange_image
+from .domain import TABLE_CHUNK, AmplitudeTensor, MomentumPair, StarConfig, check_pole, exchange_image
 from .oneparticle import (
     LARGER,
     SMALLER,
@@ -66,16 +65,23 @@ def product_tensor(f: OneParticleSolution, g: OneParticleSolution, sign: float) 
     parity with.  On a diagonal quadrant the branch of each factor follows
     its own variable: in the "above" sector x is the larger coordinate,
     so the factor of x takes its larger-branch scale and the factor of y
-    its smaller-branch scale.  The edge count is the factors' own.
+    its smaller-branch scale.  The edge count is the factors' own.  Stacked
+    factors give a stack of products, row by row; a single factor pairs
+    with every row of a stacked one.
     """
     n = f.n
-    half = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
-    waves = np.einsum("as,bt->abst", f.coeff, g.coeff)  # edge a, edge b, sig, tau
-    half[..., 0] = waves[:, :, None]
+    waves = np.einsum("...as,...bt->...abst", f.coeff, g.coeff)  # edge a, edge b, sig, tau
+    half = np.zeros(waves.shape[:-4] + (n, n, 2, 2, 2, 2), dtype=complex)
+    slot1 = half[..., 0]  # a view
+    slot1[...] = np.expand_dims(waves, -3)
     d = np.arange(n)
-    half[d, d, 0, ..., 0] = f.branch_scale(LARGER) * g.branch_scale(SMALLER) * waves[d, d]
-    half[d, d, 1, ..., 0] = f.branch_scale(SMALLER) * g.branch_scale(LARGER) * waves[d, d]
-    return AmplitudeTensor(half + sign * exchange_image(half))
+    slot1[..., d, d, 0, :, :] = f.branch_scale(LARGER) * g.branch_scale(SMALLER) * waves[..., d, d, :, :]
+    slot1[..., d, d, 1, :, :] = f.branch_scale(SMALLER) * g.branch_scale(LARGER) * waves[..., d, d, :, :]
+    amps = exchange_image(half)  # a new array: sign times it, plus slot 1, in place
+    amps *= sign
+    amps += half
+    amps.setflags(write=False)
+    return AmplitudeTensor(amps)
 
 
 @dataclass(frozen=True)
@@ -111,22 +117,38 @@ def cycle_completing_tensor(cfg: StarConfig) -> AmplitudeTensor:
     any coupling.  It is independent of both the distance->=2 products
     and the diagonal family, and it is exactly the direction lost to the
     telescoping identity sum_j phi^j = 0; folding it into the diagonal
-    family restores the full 2n^2 - 2n span.
+    family restores the full 2n^2 - 2n span.  Each orientation is one
+    stacked product; the terms are summed in the order of the sum above.
     """
-    phis = [phi(cfg, i) for i in range(1, cfg.n + 1)]
-    terms = []
-    for f, g in zip(phis, phis[1:] + phis[:1]):
-        terms += [(1.0, product_tensor(f, g, 1)), (-1.0, product_tensor(g, f, 1))]
-    return AmplitudeTensor.combine(terms)
+    phis = np.stack([phi(cfg, i).coeff for i in range(1, cfg.n + 1)])
+    ahead = np.roll(phis, -1, axis=0)
+    forward = product_tensor(OneParticleSolution(phis), OneParticleSolution(ahead), 1).amps
+    backward = product_tensor(OneParticleSolution(ahead), OneParticleSolution(phis), 1).amps
+    return AmplitudeTensor.combine(
+        (coeff, AmplitudeTensor(table)) for pair in zip(forward, backward) for coeff, table in zip((1.0, -1.0), pair))
 
 
-def basis_template(cfg: StarConfig) -> Iterator[tuple[str, tuple, tuple[np.ndarray, ...]]]:
-    """Family, indices and tables (T0, T1, T2) of every basis element, in
-    basis order.  The element at (k1, k2) is T0 + (k1/c) T1 + (k2/c) T2;
-    no table depends on k or c, and T1 and T2 vanish outside ``sym_diag``,
-    whose coupling terms are the only momentum-dependent ones.
+def _write_rows(out: np.ndarray, rows) -> None:
+    """Fill ``out`` with ``rows(part)`` over consecutive slices of its
+    leading axis, ``TABLE_CHUNK`` table entries at a time, so no temporary
+    of a family's build outgrows one chunk."""
+    size = max(1, TABLE_CHUNK // max(1, out[:1].size))
+    for start in range(0, len(out), size):
+        part = slice(start, start + size)
+        out[part] = rows(part)
 
-    Each one-particle factor is built once.  ``sym_diag(i)`` has
+
+def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray, np.ndarray, np.ndarray]:
+    """Family and indices of every basis element, in basis order, with the
+    tables (T0, T1, T2) the elements are built from.  The element at
+    (k1, k2) is T0 + (k1/c) T1 + (k2/c) T2; no table depends on k or c,
+    and T1 and T2 vanish outside ``sym_diag``, whose coupling terms are
+    the only momentum-dependent ones.  So T0 is one stacked table of every
+    element, while T1 and T2 hold the n ``sym_diag`` rows only, which are
+    the last n rows of T0.
+
+    Each one-particle factor is built once, and each family is one stacked
+    product written into T0 a chunk of rows at a time.  ``sym_diag(i)`` has
     T0 = S+(phi^i, xi) - S+(xi, phi^i) plus 1/n of the cycle-completing
     solution, T1 = -n S+(phi^0, phi^i) and T2 = n S+(phi^i, phi^0).
     Without the cycle-completing term the n elements sum to zero
@@ -136,30 +158,39 @@ def basis_template(cfg: StarConfig) -> Iterator[tuple[str, tuple, tuple[np.ndarr
     including the closed form on Q_ii, is untouched.
     """
     n = cfg.n
-    zero = np.broadcast_to(0j, (n, n, 2, 2, 2, 2))
-    psis = [scattering_wave(cfg, i) for i in range(1, n + 1)]
-    phis = [phi(cfg, i) for i in range(n + 1)]
+    psis = np.stack([scattering_wave(cfg, i).coeff for i in range(1, n + 1)])
+    phis = np.stack([phi(cfg, i).coeff for i in range(n + 1)])
     xi = xi_solution(cfg)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    far = [(i, j) for i, j in pairs if circular_distance(i, j, n) >= 2]
+    heads = ([("antisym", ij) for ij in pairs] + [("sym_offdiag", ij) for ij in far]
+             + [("sym_diag", (i,)) for i in range(1, n + 1)])
+    t0 = np.empty((len(heads), n, n, 2, 2, 2, 2), dtype=complex)
 
-    for i, f in enumerate(psis, 1):
-        for j, g in enumerate(psis, 1):
-            yield "antisym", (i, j), (product_tensor(f, g, -1).amps, zero, zero)
-    for i, f in enumerate(phis[1:], 1):
-        for j, g in enumerate(phis[1:], 1):
-            if circular_distance(i, j, n) >= 2:
-                yield "sym_offdiag", (i, j), (product_tensor(f, g, 1).amps, zero, zero)
-    completer = cycle_completing_tensor(cfg)
-    for i in range(1, n + 1):
-        # Coupling coefficients -n*k1/c and +n*k2/c: this is the unique
-        # sign choice for which the derivative jump across the diagonal
-        # equals c times the boundary value (and for which the element
-        # matches diagonal_closed_form on Q_ii).
-        yield "sym_diag", (i,), (
-            product_tensor(phis[i], xi, 1).amps - product_tensor(xi, phis[i], 1).amps
-            + (1.0 / n) * completer.amps,
-            -n * product_tensor(phis[0], phis[i], 1).amps,
-            n * product_tensor(phis[i], phis[0], 1).amps,
-        )
+    def family(factors, rows, sign):  # the products of factors[i] and factors[j] over rows (i, j)
+        ij = np.array(rows, dtype=int).reshape(-1, 2)
+        return lambda part: product_tensor(OneParticleSolution(factors[ij[part, 0]]),
+                                           OneParticleSolution(factors[ij[part, 1]]), sign).amps
+
+    # psis[0] is psi^1, phis[0] is phi^0
+    _write_rows(t0[:len(pairs)], family(psis, np.subtract(pairs, 1), -1))
+    _write_rows(t0[len(pairs):len(pairs) + len(far)], family(phis, far, 1))
+    completer = (1.0 / n) * cycle_completing_tensor(cfg).amps
+    diag = np.arange(1, n + 1)
+
+    def sym_diag(part):
+        f = OneParticleSolution(phis[diag[part]])
+        return product_tensor(f, xi, 1).amps - product_tensor(xi, f, 1).amps + completer
+
+    _write_rows(t0[len(pairs) + len(far):], sym_diag)
+    # Coupling coefficients -n*k1/c and +n*k2/c: this is the unique
+    # sign choice for which the derivative jump across the diagonal
+    # equals c times the boundary value (and for which the element
+    # matches diagonal_closed_form on Q_ii).
+    phi0, rest = OneParticleSolution(phis[0]), OneParticleSolution(phis[1:])
+    t1 = -n * product_tensor(phi0, rest, 1).amps
+    t2 = n * product_tensor(rest, phi0, 1).amps
+    return heads, t0, t1, t2
 
 
 def coupling_overflows(cfg: StarConfig) -> bool:
@@ -193,14 +224,11 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     c = cfg.c
     check_coupling_scale(cfg)
     check_pole(m.fold, c)
-    s1, s2 = m.k1 / c, m.k2 / c
-    n = cfg.n
-    amps = np.empty((cfg.basis_size, n, n, 2, 2, 2, 2), dtype=complex)
-    heads = []
-    for row, (family, indices, (t0, t1, t2)) in enumerate(basis_template(cfg)):
-        amps[row] = t0 + s1 * t1 + s2 * t2
-        heads.append((family, indices))
-    assert len(heads) == cfg.basis_size, len(heads)
+    heads, amps, t1, t2 = basis_template(cfg)
+    # only the sym_diag rows, the last n, have coupling terms
+    diag = amps[len(heads) - cfg.n:]
+    diag += (m.k1 / c) * t1
+    diag += (m.k2 / c) * t2
     amps.setflags(write=False)
     stack = AmplitudeTensor(amps)
     return [BasisElement(family, indices, stack, row, m, c) for row, (family, indices) in enumerate(heads)]

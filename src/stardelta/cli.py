@@ -21,9 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
-import json
+import functools
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +81,61 @@ def check_outputs(*paths) -> None:
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 
+def _json_float(value: float) -> str:
+    if -math.inf < value < math.inf:
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+# the text of each scalar type a report holds, looked up by exact type
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+                 bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
+
+    Reports hold dicts with str keys, lists, tuples, str, int, bool, None
+    and float (NaN and the infinities as the stdlib writes them).  The
+    stdlib encodes with its pure-Python encoder at any indent; this is the
+    same rules without its options.  Any other type, a non-str key
+    included, raises TypeError.
+    """
+    heads: dict[str, str] = {}  # the encoded '"key": ' of each key seen
+
+    def encode(value, indent: str) -> str:
+        scalar = _JSON_SCALARS.get(type(value))
+        if scalar is not None:
+            return scalar(value)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            parts = []
+            for key in sorted(value):
+                head = heads.get(key)
+                if head is None:  # a key that is not a str raises TypeError here
+                    head = heads[key] = encode_basestring_ascii(key) + ": "
+                item = value[key]
+                scalar = _JSON_SCALARS.get(type(item))
+                parts.append(head + (scalar(item) if scalar else encode(item, inner)))
+            brackets = "{}"
+        elif isinstance(value, (list, tuple)):
+            parts = [encode(item, inner) for item in value]
+            brackets = "[]"
+        else:  # a subclass of a scalar type, such as numpy.float64 of float
+            scalar = next((_JSON_SCALARS[t] for t in (str, int, float) if isinstance(value, t)), None)
+            if scalar is None:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            return scalar(value)
+        if not parts:
+            return brackets
+        return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}{brackets[1]}"
+
+    return encode(payload, "")
+
+
 def write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(_json_text(payload) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -240,7 +294,10 @@ def cmd_mutate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged and gives each call a namespace of its own."""
     parser = argparse.ArgumentParser(
         prog="stardelta",
         description="Eigenbasis construction and verification for two "

@@ -189,11 +189,9 @@ class AmplitudeTensor:
 
     def items(self) -> Iterator[tuple[EntryKey, complex]]:
         """Nonzero entries sorted by key; off-diagonal quadrants once, tagged OFFDIAG."""
-        keep = self.amps != 0
-        keep[~np.eye(self.n, dtype=bool), 1] = False
-        for (a, b, s, p, q, r), amp in zip(np.argwhere(keep).tolist(), self.amps[keep].tolist()):
-            sector = SECTORS[s] if a == b else OFFDIAG
-            yield (a + 1, b + 1, sector, 2 * p - 1, 2 * q - 1, r + 1), amp
+        keep = entry_mask(self.amps)
+        for index, amp in zip(np.argwhere(keep).tolist(), self.amps[keep].tolist()):
+            yield entry_key(index), amp
 
     # -- evaluation ------------------------------------------------------------
 
@@ -227,6 +225,22 @@ def _plane(i, j, sector: str):
     return 0
 
 
+def entry_mask(amps: np.ndarray) -> np.ndarray:
+    """Where the entries that ``items`` lists sit, per stacked table: the
+    nonzero amplitudes, with an off-diagonal quadrant's below plane left
+    out, since it repeats the above one."""
+    keep = amps != 0
+    keep[..., 1, :, :, :] &= np.eye(amps.shape[-6], dtype=bool)[:, :, None, None, None]
+    return keep
+
+
+def entry_key(index) -> EntryKey:
+    """The key of a single table's array index (a, b, s, p, q, r)."""
+    a, b, s, p, q, r = index
+    sector = SECTORS[s] if a == b else OFFDIAG
+    return (a + 1, b + 1, sector, 2 * p - 1, 2 * q - 1, r + 1)
+
+
 def _entry_index(n: int, key: EntryKey) -> tuple:
     """Array index of a key; an off-diagonal key selects both sector planes."""
     i, j, sector, sig, tau, slot = key
@@ -251,6 +265,11 @@ def exchange_image(amps: np.ndarray) -> np.ndarray:
     image[..., d, d, :, :, :, :] = image[..., d, d, ::-1, :, :, :]
     return image
 
+
+# Table entries per step of a pass over a stacked table (512 KiB of
+# complex entries): the basis build writes its rows, and the parity check
+# reads them, this many entries at a time.
+TABLE_CHUNK = 1 << 15
 
 # The most wave-point pairs (waves times sample points) one block of a
 # plane_wave_sum takes: a sum over more waves streams them in blocks of

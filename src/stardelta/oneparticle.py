@@ -69,7 +69,8 @@ class OneParticleSolution:
     ``coeff[l] = (a_l, b_l)`` are the amplitudes of exp(-1j k x) and
     exp(+1j k x) on edge l+1.  ``scale_larger`` / ``scale_smaller``
     multiply the whole solution depending on the branch tag; both are 1
-    except for xi.
+    except for xi.  A leading axis, shape (B, n, 2), stacks B solutions
+    that share the branch scales, for products built B at a time.
     """
 
     coeff: np.ndarray
@@ -82,7 +83,7 @@ class OneParticleSolution:
 
     @property
     def n(self) -> int:
-        return self.coeff.shape[0]
+        return self.coeff.shape[-2]
 
     def branch_scale(self, branch: str) -> float:
         if branch == LARGER:

@@ -209,8 +209,15 @@ def synthesize_eigensolution(
     for idx in profiles:
         if not 0 <= idx < size:
             raise ValueError(f"basis index {idx} out of range 0..{size - 1}")
+    heads, t0, t1, t2 = basis_template(cfg)
+    rows = np.array(sorted(profiles))
+    diag = rows - (len(heads) - cfg.n)  # the row in T1, T2 of a sym_diag element, < 0 elsewhere
+    coupled = diag >= 0
     # (profiled element, T0/T1/T2, table), in element order
-    template = np.array([tables for idx, (_, _, tables) in enumerate(basis_template(cfg)) if idx in profiles])
+    template = np.zeros((len(rows), 3) + t0.shape[1:], dtype=complex)
+    template[:, 0] = t0[rows]
+    template[coupled, 1] = t1[diag[coupled]]
+    template[coupled, 2] = t2[diag[coupled]]
 
     def assemble(count: int) -> SynthesizedSolution:
         r = rule if count == rule.count else gauss_rule(count)

@@ -33,10 +33,13 @@ from .domain import (
     ABOVE,
     BELOW,
     SCHEMA,
+    TABLE_CHUNK,
     WAVE_POINTS,
     AmplitudeTensor,
     MomentumPair,
     StarConfig,
+    entry_key,
+    entry_mask,
     exchange_image,
     partner_momentum,
     wave_momenta,
@@ -54,7 +57,6 @@ DEFAULT_REL = 1e-3  # mutation size, relative to the amplitude
 DEFAULT_DETECT_ABOVE = 1e-5  # worst residual that counts as a detected mutation
 GRAM_GAP = 1e-8
 SUM_FLOOR = 64 * np.finfo(float).eps  # a row sum this small, relative to its terms, is zero
-PARITY_CHUNK = 1 << 15  # table entries per step of the parity check (512 KiB)
 SPAN = 10.0
 
 
@@ -297,7 +299,7 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
 
     The split is checked, not assumed: every element's table must equal
     its family's sign times its exchange image exactly, which one pass of
-    ``PARITY_CHUNK`` entries per step decides.  Then the odd and the even
+    ``TABLE_CHUNK`` entries per step decides.  Then the odd and the even
     elements span independent spaces of functions, so the rank is the sum
     of the blocks' ranks.  At the first table that fails, all the elements
     form one block.
@@ -305,7 +307,7 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
     stack, _m = _one_basis(elements)
     rows = np.array([el.row for el in elements])
     signs = np.array([EXCHANGE_SIGN[el.family] for el in elements]).reshape((-1,) + (1,) * 6)
-    size = max(1, PARITY_CHUNK // stack.amps[0].size)
+    size = max(1, TABLE_CHUNK // stack.amps[0].size)
     for start in range(0, len(rows), size):
         part = slice(start, start + size)
         table = stack.amps[rows[part]]
@@ -487,8 +489,9 @@ def mutation_sweep(
     residual at ``MUTATION_SAMPLES`` samples and whether the perturbation
     was detected (residual above ``detect_above``).  A healthy verifier
     detects every mutation; silent records mean the checks are vacuous
-    somewhere.  The entries are drawn element by element; the mutants are
-    then checked in stacks, all at offset 0.
+    somewhere.  The entries are drawn element by element, each among the
+    entries ``items`` lists, in its order; the mutants are then checked in
+    stacks, all at offset 0.
     """
     if rel == 0 or not math.isfinite(rel):
         raise ValueError(f"mutation size must be non-zero and finite, got rel={rel}")
@@ -499,9 +502,11 @@ def mutation_sweep(
     rng = np.random.default_rng(seed)
     mutants = []  # (element, entry key) in draw order
     for el in build_basis(cfg, m):
-        keys = [key for key, _amp in el.tensor.items()]
-        picks = rng.choice(len(keys), size=min(per_element, len(keys)), replace=False)
-        mutants += [(el, keys[int(pick)]) for pick in picks]
+        # the element's entries in the order of its items(); only the picked become keys
+        keep = entry_mask(el.tensor.amps)
+        where = np.flatnonzero(keep)
+        picks = where[rng.choice(len(where), size=min(per_element, len(where)), replace=False)]
+        mutants += [(el, entry_key(index)) for index in np.transpose(np.unravel_index(picks, keep.shape)).tolist()]
     out = []
     for part in _stacks(len(mutants), cfg.n, MUTATION_SAMPLES):
         batch = mutants[part]

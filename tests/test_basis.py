@@ -1,6 +1,7 @@
 """Two-particle products, the full basis, and the diagonal closed form."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from stardelta.basis import (
     product_tensor,
 )
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, check_pole, make_config
-from stardelta.oneparticle import LARGER, NEUTRAL, SMALLER, phi, scattering_wave, xi_solution
+from stardelta.oneparticle import LARGER, NEUTRAL, SMALLER, OneParticleSolution, phi, scattering_wave, xi_solution
 from stardelta import verifier as vf
 from stardelta.verifier import basis_rank
 
@@ -228,21 +229,26 @@ def test_template_tables_equal_single_slot_oracle(n):
     # products in the same order as the single-slot construction
     cfg = make_config(n, 1.0)
     oracle = _oracle_terms(cfg)
-    template = list(basis_template(cfg))
-    assert len(template) == len(oracle)
-    for (family, indices, tables), terms in zip(template, oracle):
-        for t, (table, table_terms) in enumerate(zip(tables, terms)):
+    heads, t0, t1, t2 = basis_template(cfg)
+    assert len(heads) == len(t0) == len(oracle)
+    first, zero = len(heads) - n, np.zeros_like(t0[0])  # T1 and T2 hold the last n rows
+    for row, ((family, indices), terms) in enumerate(zip(heads, oracle)):
+        coupled = (t1[row - first], t2[row - first]) if row >= first else (zero, zero)
+        for t, (table, table_terms) in enumerate(zip((t0[row],) + coupled, terms)):
             expected = AmplitudeTensor.combine(table_terms).amps if table_terms else 0
-            assert np.array_equal(table, np.broadcast_to(expected, table.shape)), (family, indices, t)
+            assert np.array_equal(table, np.broadcast_to(expected, t0.shape[1:])), (family, indices, t)
 
 
 def test_template_is_coupling_free_with_momentum_parts_only_in_sym_diag():
-    # the tables of one n serve every coupling; T1, T2 vanish outside sym_diag
-    other = basis_template(make_config(4, -3.0))
-    for (family, _indices, tables), (_f, _i, same) in zip(basis_template(make_config(4, 1.0)), other):
-        assert all(np.array_equal(t, u) for t, u in zip(tables, same))
-        assert np.any(tables[0])
-        assert (family == "sym_diag") == bool(np.any(tables[1])) == bool(np.any(tables[2]))
+    # the tables of one n serve every coupling; T1, T2 are the sym_diag rows' only
+    heads, *tables = basis_template(make_config(4, 1.0))
+    other_heads, *other = basis_template(make_config(4, -3.0))
+    assert heads == other_heads
+    assert all(np.array_equal(t, u) for t, u in zip(tables, other))
+    t0, t1, t2 = tables
+    assert all(np.any(table) for table in t0)
+    assert [family for family, _ in heads[len(heads) - len(t1):]] == ["sym_diag"] * len(t1) == ["sym_diag"] * 4
+    assert all(np.any(a) and np.any(b) for a, b in zip(t1, t2))
 
 
 def test_exchange_symmetry():
@@ -464,3 +470,61 @@ def test_complex_momentum_tensor_matches_profile():
         got = el.tensor.value_array(1, 1, sector, x, y, m)[0]
         (sample,) = complex_momentum_profile(cfg, kp, [(x, y)])
         assert got == pytest.approx(sample.total, rel=1e-12, abs=1e-12)
+
+
+def _per_element_basis(cfg, m):
+    """Every element's table from products of single factors, one element
+    at a time, as T0 + (k1/c) T1 + (k2/c) T2."""
+    n = cfg.n
+    psis = [scattering_wave(cfg, i) for i in range(1, n + 1)]
+    phis = [phi(cfg, i) for i in range(n + 1)]
+    xi = xi_solution(cfg)
+    s1, s2 = m.k1 / cfg.c, m.k2 / cfg.c
+    zero = np.zeros_like(product_tensor(xi, xi, 1).amps)
+    completer = AmplitudeTensor.combine(
+        term for i in range(1, n + 1) for term in (
+            (1.0, product_tensor(phis[i], phis[i % n + 1], 1)), (-1.0, product_tensor(phis[i % n + 1], phis[i], 1)))).amps
+    tables = [(product_tensor(f, g, -1).amps, zero, zero) for f in psis for g in psis]
+    tables += [(product_tensor(phis[i], phis[j], 1).amps, zero, zero)
+               for i in range(1, n + 1) for j in range(1, n + 1) if circular_distance(i, j, n) >= 2]
+    tables += [(product_tensor(phis[i], xi, 1).amps - product_tensor(xi, phis[i], 1).amps + (1.0 / n) * completer,
+                -n * product_tensor(phis[0], phis[i], 1).amps, n * product_tensor(phis[i], phis[0], 1).amps)
+               for i in range(1, n + 1)]
+    return np.array([t0 + s1 * t1 + s2 * t2 for t0, t1, t2 in tables])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("c", [1.7, -0.4])
+def test_stacked_build_equals_the_per_element_products(n, c):
+    cfg, m = make_config(n, c), MomentumPair.from_k1(0.3)
+    elements = build_basis(cfg, m)
+    assert np.array_equal(elements[0].stack.amps, _per_element_basis(cfg, m))
+
+
+def test_stacked_factors_give_the_products_row_by_row():
+    cfg = make_config(4, 1.0)
+    phis = [phi(cfg, i) for i in range(1, 5)]
+    stacked = OneParticleSolution(np.stack([f.coeff for f in phis]))
+    xi = xi_solution(cfg)
+    assert stacked.n == 4
+    for sign in (1, -1):
+        rows = product_tensor(stacked, xi, sign).amps
+        assert rows.shape == (4, 4, 4, 2, 2, 2, 2)
+        for f, row in zip(phis, rows):
+            assert np.array_equal(row, product_tensor(f, xi, sign).amps)
+        pairs = product_tensor(stacked, OneParticleSolution(np.roll(stacked.coeff, 1, axis=0)), sign).amps
+        for f, g, row in zip(phis, phis[-1:] + phis[:-1], pairs):
+            assert np.array_equal(row, product_tensor(f, g, sign).amps)
+
+
+def test_build_basis_peak_memory_stays_near_its_table():
+    # the families are written into the stacked table a chunk at a time
+    cfg, m = make_config(12, 1.3), MomentumPair.from_k1(0.3)
+    build_basis(cfg, m)
+    tracemalloc.start()
+    try:
+        elements = build_basis(cfg, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * elements[0].stack.amps.nbytes

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from stardelta import cli
 from stardelta import synthesis as syn
 from stardelta import transforms as tr
 from stardelta import verifier as vf
@@ -404,3 +405,78 @@ def test_options_a_subcommand_ignores_are_not_accepted(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "4", "--c", "-2.0", "--k1", "0.3", "--out", "{d}/r.json"],
+        ["mutate", "--n", "3", "--c", "1.0", "--k1", "0.6", "--per-element", "2", "--out", "{d}/r.json"],
+        ["synthesize", "--n", "3", "--c", "1.0", "--element", "9", "--nodes", "8", "--out", "{d}/r.json"],
+        ["kernels", "--n", "3,4", "--basis", "edge", "--include-bases", "--out", "{d}"],
+        ["sweep", "--n", "3", "--c", "1.0,1e-10", "--k1", "0.6,0.7071067811865476", "--format", "json",
+         "--out", "{d}/r.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_reports_are_the_stdlib_encoding_byte_for_byte(tmp_path, monkeypatch, capsys, argv):
+    # every payload the CLI hands to write_json is written as json.dumps writes it
+    written = []
+    write = cli.write_json
+
+    def record(path, payload):
+        write(path, payload)
+        written.append((path, payload))
+
+    monkeypatch.setattr(cli, "write_json", record)
+    assert main([a.format(d=tmp_path) for a in argv]) in (0, 1)
+    assert written
+    for path, payload in written:
+        assert path.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_report_writer_matches_the_stdlib_on_every_value_it_takes(tmp_path):
+    payload = {
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, -2.5e-17, np.float64(1 / 3)],
+        "ints": [0, -1, 10 ** 40, -(10 ** 25)],
+        "flags": [True, False, None],
+        "empty": {"dict": {}, "list": [], "nested": [{}, [[]], {"a": []}]},
+        "tuples": (1, (2.0, "x"), ()),
+        "text": ["é", " ", "\U0001d11e", 'quote " and \\ back', "tab\tnew\nline\x00\x1f", ""],
+        "kéy\twith\nescapes\"": {"z": 1, "a": 2, "": 3, "Z": 4},
+    }
+    out = tmp_path / "nested" / "p.json"
+    cli.write_json(out, payload)
+    assert out.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for top in (payload["tuples"], [], {}):
+        cli.write_json(out, top)
+        assert out.read_text() == json.dumps(top, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1, 2}, {"a": [np.int64(1)]}, {1: "int key"}, object()],
+                         ids=["int64", "set", "nested-int64", "int-key", "object"])
+def test_report_writer_refuses_what_json_cannot_write(tmp_path, value):
+    with pytest.raises(TypeError):
+        cli.write_json(tmp_path / "r.json", value)
+
+
+def test_parser_is_built_once_and_each_call_gets_its_own_options(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    seeded, default = tmp_path / "seeded.json", tmp_path / "default.json"
+    assert main(VERIFY3 + ["--seed", "5", "--out", str(seeded)]) == 0
+    assert main(VERIFY3 + ["--out", str(default)]) == 0
+    assert json.loads(seeded.read_text())["seed"] == 5
+    assert json.loads(default.read_text())["seed"] == 0
+
+
+def test_a_call_argparse_refuses_leaves_later_calls_working(tmp_path, capsys):
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert main(VERIFY3 + ["--out", str(before)]) == 0
+    with pytest.raises(SystemExit) as refused:
+        main(["verify", "--n", "3", "--c", "1.0", "--k1", "0.6", "--bogus", "1"])
+    assert refused.value.code == 2
+    with pytest.raises(SystemExit) as missing:
+        main(["verify", "--n", "3"])
+    assert missing.value.code == 2
+    assert main(VERIFY3 + ["--out", str(after)]) == 0
+    assert before.read_bytes() == after.read_bytes()
