@@ -14,9 +14,9 @@ exact analytic evaluations sampled at deterministic low-discrepancy
 points; one-sided limits at the diagonal evaluate the sector-tagged
 branches exactly at x = y, since each branch is an entire function.
 
-Sampling is reproducible: quasi-random coordinates come from the golden
-ratio Kronecker sequence, genuinely random draws from NumPy's PCG64
-generator, both driven by a single integer seed.
+The basis rank is read from the tables, unsampled.  Boundary coordinates
+come from the golden ratio Kronecker sequence; NumPy's PCG64 generator,
+seeded by an integer, draws only the entries :func:`mutation_sweep` perturbs.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .domain import (
     exchange_image,
     partner_momentum,
     wave_momenta,
-    wave_phases,
 )
 from . import transforms as tr
 from .transforms import TRANSFORM_TOL
@@ -273,25 +272,17 @@ def check_diagonal_bc(
 # whole-basis checks
 
 
-def sample_points(n: int, count: int, seed: int):
-    """Random evaluation points spread over all quadrants and sectors.
-
-    Returns 1-based quadrants (count, 2), sector planes (1 for the below
-    sector of a diagonal quadrant, else 0) and coordinates (count, 2).
-    """
-    rng = np.random.default_rng(seed)
-    quads = rng.integers(1, n + 1, size=(count, 2))
-    xy = rng.uniform(0.05, SPAN, size=(count, 2))
-    planes = ((quads[:, 0] == quads[:, 1]) & (rng.random(count) >= 0.5)).astype(int)
-    return quads, planes, xy
-
-
 def _one_basis(elements: list[BasisElement]) -> tuple[AmplitudeTensor, MomentumPair]:
     """The stacked table and momentum pair that all the elements share."""
     stack, m = elements[0].stack, elements[0].momentum
     if any(el.stack is not stack or el.momentum != m for el in elements):
         raise ValueError("the rank needs elements of one basis, built at one momentum pair")
     return stack, m
+
+
+class ParityBlock(list):
+    """Elements of one exchange sign whose tables :func:`exchange_blocks`
+    has checked to be that sign times their exchange images."""
 
 
 def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
@@ -301,8 +292,8 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
     its family's sign times its exchange image exactly, which one pass of
     ``TABLE_CHUNK`` entries per step decides.  Then the odd and the even
     elements span independent spaces of functions, so the rank is the sum
-    of the blocks' ranks.  At the first table that fails, all the elements
-    form one block.
+    of the blocks' ranks, each block a :class:`ParityBlock`.  At the first
+    table that fails, the list itself is the one block.
     """
     stack, _m = _one_basis(elements)
     rows = np.array([el.row for el in elements])
@@ -315,38 +306,45 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
         image *= signs[part]  # in place, on the image's own copy
         if not np.array_equal(image, table):
             return [elements]
-    blocks = ([el for el in elements if EXCHANGE_SIGN[el.family] < 0],
-              [el for el in elements if EXCHANGE_SIGN[el.family] > 0])
+    blocks = (ParityBlock(el for el in elements if EXCHANGE_SIGN[el.family] < 0),
+              ParityBlock(el for el in elements if EXCHANGE_SIGN[el.family] > 0))
     return [block for block in blocks if block]
 
 
-def sample_matrix(elements: list[BasisElement], count: int, seed: int) -> np.ndarray:
-    """Rows of element values at shared random points, row-normalised.
+def sample_matrix(elements: list[BasisElement]) -> np.ndarray:
+    """Rows of the elements' plane-wave coefficients, row-normalised.
 
     All elements must be rows of one stacked table, built at one momentum
-    pair, which the points share.  Before normalisation the last
-    ``sym_diag`` row is replaced by the sum of the family's rows, when the
-    family holds exactly n of them.  Their O(1/c) coupling parts cancel in
-    that sum, which leaves the O(1) cycle-completing solution, so the rank
-    stays resolvable at small |c|; the row operation is unimodular and
-    keeps the exact rank.  A sum no larger than ``SUM_FLOOR`` times its
-    largest term is rounding noise and becomes a zero row.  Each row is
-    first divided by its largest |value|, the family's rows by one common
-    factor, which keeps their sum and the norms finite at any c.
+    pair.  Waves of distinct frequency vectors are independent functions,
+    so the coefficients decide the rank exactly: per quadrant and sector
+    plane read, a row holds the summed amplitudes of each distinct wave
+    momentum (waves coincide where k1 or k2 is 0).  A :class:`ParityBlock`
+    is read on quadrants a <= b of plane 0 (4n^2 + 4n columns), which fix
+    the rest of its tables; any other list, such as the one-block fallback
+    of :func:`exchange_blocks`, on every quadrant and both diagonal planes
+    (8n^2 + 8n columns).  Before normalisation the last ``sym_diag`` row
+    is replaced by the sum of the family's rows, when the family holds
+    exactly n of them.  Their O(1/c) coupling parts cancel in that sum,
+    which leaves the O(1) cycle-completing solution, so the rank stays
+    resolvable at small |c|; the row operation is unimodular and keeps the
+    exact rank.  A sum no larger than ``SUM_FLOOR`` times its largest term
+    is rounding noise and becomes a zero row.  Each row is first divided
+    by its largest |coefficient|, the family's rows by one common factor,
+    which keeps their sum and the norms finite at any c.
     """
     stack, m = _one_basis(elements)
     n = stack.n
-    quads, planes, xy = sample_points(n, count, seed)
-    phases = wave_phases(*wave_momenta(m.k1, m.k2), xy[:, 0], xy[:, 1])
-    # the eight waves of each (element, point)'s quadrant and sector, for a
-    # few elements at a time: at most WAVE_POINTS wave-point pairs per step
+    kx, ky = wave_momenta(m.k1, m.k2)
+    same = (kx[:, None] == kx) & (ky[:, None] == ky)
+    # column w of ``merge`` adds the waves that share the momenta of wave w,
+    # for each w whose momenta no earlier wave has
+    merge = same[:, ~np.tril(same, -1).any(axis=1)].astype(float)
+    plane0 = np.arange(2) == 0  # the (quadrant, quadrant, sector plane) cells read
+    cells = (np.triu(np.ones((n, n), dtype=bool))[..., None] & plane0 if isinstance(elements, ParityBlock)
+             else np.eye(n, dtype=bool)[..., None] | plane0)
+    a, b, s = np.nonzero(cells)
     rows = np.array([el.row for el in elements])[:, None]
-    i, j = quads[:, 0] - 1, quads[:, 1] - 1
-    mat = np.empty((len(elements), count), dtype=complex)
-    size = max(1, WAVE_POINTS // (8 * count))
-    for start in range(0, len(elements), size):
-        part = slice(start, start + size)
-        mat[part] = np.einsum("epw,wp->ep", stack.amps[rows[part], i, j, planes].reshape(-1, count, 8), phases)
+    mat = (stack.amps[rows, a, b, s].reshape(-1, 8) @ merge).reshape(len(elements), -1)
     scale = np.abs(mat).max(axis=1)
     diag = [row for row, el in enumerate(elements) if el.family == "sym_diag"]
     if len(diag) == n:
@@ -363,22 +361,22 @@ def sample_matrix(elements: list[BasisElement], count: int, seed: int) -> np.nda
     return mat
 
 
-def basis_rank(elements: list[BasisElement], seed: int = 0) -> tuple[int, np.ndarray]:
-    """Numerical rank of the sampled basis, with its singular values.
+def basis_rank(elements: list[BasisElement]) -> tuple[int, np.ndarray]:
+    """Exact numerical rank of the basis, with its singular values.
 
-    Each exchange-parity block (:func:`exchange_blocks`) of B elements is
-    sampled at ``max(4B, 2B + 16)`` points and takes one values-only SVD;
-    its rank counts the singular values above ``GRAM_GAP`` times its
-    largest.  The rank is the sum over the blocks.  The singular values
-    are each block's own, divided by its largest, in descending order, so
-    the smallest is the smallest block ratio.
+    Each exchange-parity block (:func:`exchange_blocks`) takes one SVD of
+    its coefficient rows (:func:`sample_matrix`); its rank counts the
+    singular values above ``GRAM_GAP`` times its largest, and a block
+    whose rows are all zero has rank 0.  The rank is the sum over the
+    blocks.  The singular values are each block's own, divided by its
+    largest (all zero for a zero block), in descending order, so the
+    smallest is the smallest block ratio.
     """
     rank, svals = 0, []
     for block in exchange_blocks(elements):
-        size = len(block)
-        s = np.linalg.svd(sample_matrix(block, max(4 * size, 2 * size + 16), seed), compute_uv=False)
+        s = np.linalg.svd(sample_matrix(block), compute_uv=False)
         rank += int(np.sum(s > GRAM_GAP * s[0]))
-        svals.append(s / s[0])
+        svals.append(s / (s[0] or 1.0))  # a zero block: rank 0, ratios 0
     return rank, np.sort(np.concatenate(svals))[::-1]
 
 
@@ -436,7 +434,6 @@ def verify_full_basis(
     m: MomentumPair,
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
-    seed: int = 0,
 ) -> ResidualReport:
     """Verify every basis element and the basis rank at this momentum.
 
@@ -455,7 +452,7 @@ def verify_full_basis(
         # sub-check's own tolerance, so <= 1 means the element passed
         worst_ratio = max(c.max_abs_residual / c.tolerance for c in rep.checks)
         checks.append(CheckResult(f"element:{el.label}", worst_ratio, samples, 1.0))
-    rank, svals = basis_rank(elements, seed=seed)
+    rank, svals = basis_rank(elements)
     checks.append(CheckResult("basis_rank", 0.0 if rank == len(elements) else 1.0, len(svals), 0.5))
     return ResidualReport(
         solution_id=f"basis(n={cfg.n}, c={cfg.c}, k1={m.k1.real})",

@@ -10,10 +10,11 @@ slot, the oracle of the exchange-symmetrised ``product_tensor``.
 ``verify_full_basis_oracle`` and ``mutation_sweep_oracle`` check one
 element or mutant at a time, each as an unstacked tensor; they are the
 oracles of the stacked whole-basis checks.  ``basis_rank_oracle`` takes
-one SVD of every element's samples, without the exchange-parity split; it
-is the oracle of ``basis_rank``, and ``sampled_values``, its per-element
-gather, that of ``sample_matrix``.  The
-closed-form kernel patterns are the cross-check of
+one SVD of every element's values at random points (``sample_points``),
+without the exchange-parity split and without the tables' coefficients;
+it is the reference of ``basis_rank``.  ``table_coefficients`` reads one
+element's table cell by cell, the oracle of ``sample_matrix``'s gather.
+The closed-form kernel patterns are the cross-check of
 ``compute_kernel_decomposition``; they change basis through the dense
 ``kron(F, F)``, independently of the per-matrix conversion in the package.
 """
@@ -197,11 +198,24 @@ def k_minus_targets(n: int, basis: str = EDGE) -> np.ndarray:
 # -- the joint rank ------------------------------------------------------------
 
 
+def sample_points(n: int, count: int, seed: int):
+    """Random evaluation points spread over all quadrants and sectors.
+
+    Returns 1-based quadrants (count, 2), sector planes (1 for the below
+    sector of a diagonal quadrant, else 0) and coordinates (count, 2).
+    """
+    rng = np.random.default_rng(seed)
+    quads = rng.integers(1, n + 1, size=(count, 2))
+    xy = rng.uniform(0.05, vf.SPAN, size=(count, 2))
+    planes = ((quads[:, 0] == quads[:, 1]) & (rng.random(count) >= 0.5)).astype(int)
+    return quads, planes, xy
+
+
 def sampled_values(elements, count, seed) -> np.ndarray:
     """Each element's values at the ``sample_points`` of (count, seed),
     unscaled, one row per element, each gathered from its own table."""
     m, n = elements[0].momentum, elements[0].tensor.n
-    quads, planes, xy = vf.sample_points(n, count, seed)
+    quads, planes, xy = sample_points(n, count, seed)
     phases = wave_phases(*wave_momenta(m.k1, m.k2), xy[:, 0], xy[:, 1])
     i, j = quads[:, 0] - 1, quads[:, 1] - 1
     return np.stack([
@@ -211,16 +225,22 @@ def sampled_values(elements, count, seed) -> np.ndarray:
 
 
 def basis_rank_oracle(elements, seed=0) -> tuple[int, np.ndarray]:
-    """``basis_rank`` as one values-only SVD of all elements' rows.
+    """The basis rank as one values-only SVD of all elements' rows.
 
-    Each element is sampled on its own table at the points and count
-    ``basis_rank`` gives the whole basis; the last ``sym_diag`` row is
-    replaced by the family's row sum, or by zero where that sum is within
-    ``SUM_FLOOR`` of its largest term, and the rows are normalised.
+    Each element is sampled on its own table at ``max(4E, 2E + 16)``
+    random points for E elements.  Each row is divided by its largest
+    |value|, the ``sym_diag`` rows by one common factor; the last
+    ``sym_diag`` row is replaced by the family's row sum, or by zero
+    where that sum is within ``SUM_FLOOR`` of its largest term, and the
+    rows are normalised.
     """
     n, need = elements[0].tensor.n, len(elements)
     mat = sampled_values(elements, max(4 * need, 2 * need + 16), seed)
+    scale = np.abs(mat).max(axis=1)
     diag = [row for row, el in enumerate(elements) if el.family == "sym_diag"]
+    if len(diag) == n:
+        scale[diag] = scale[diag].max()
+    mat /= np.where(scale > 0, scale, 1.0)[:, None]
     if len(diag) == n:
         total = mat[diag].sum(axis=0)
         resolved = np.linalg.norm(total) > vf.SUM_FLOOR * np.linalg.norm(mat[diag], axis=1).max()
@@ -228,6 +248,27 @@ def basis_rank_oracle(elements, seed=0) -> tuple[int, np.ndarray]:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     svals = np.linalg.svd(mat / np.where(norms > 0, norms, 1.0), compute_uv=False)
     return int(np.sum(svals > vf.GRAM_GAP * svals[0])), svals
+
+
+def table_coefficients(el, half: bool) -> np.ndarray:
+    """One element's plane-wave coefficients, read cell by cell: per
+    quadrant (a, b) and sector plane in index order, the summed amplitudes
+    of each distinct wave momentum, in order of first appearance.  The
+    half table reads quadrants a <= b on plane 0, the full one every
+    quadrant on plane 0 and the diagonal ones on plane 1 too."""
+    n = el.tensor.n
+    kx, ky = wave_momenta(el.momentum.k1, el.momentum.k2)
+    momenta = list(dict.fromkeys(zip(kx.tolist(), ky.tolist())))
+    out = []
+    for a in range(n):
+        for b in range(n):
+            for s in (0, 1):
+                if (half and (b < a or s == 1)) or (s == 1 and a != b):
+                    continue
+                waves = el.tensor.amps[a, b, s].reshape(8)
+                for k in momenta:
+                    out.append(sum(w for w, q in zip(waves, zip(kx.tolist(), ky.tolist())) if q == k))
+    return np.array(out, dtype=complex)
 
 
 # -- per-element whole-basis checks -------------------------------------------
@@ -249,7 +290,7 @@ def _verify_one(el, samples, tol, offset) -> "vf.ResidualReport":
     return vf.ResidualReport(solution_id=el.label, checks=checks)
 
 
-def verify_full_basis_oracle(cfg, m, samples=vf.DEFAULT_SAMPLES, tol=vf.DEFAULT_TOL, seed=0) -> "vf.ResidualReport":
+def verify_full_basis_oracle(cfg, m, samples=vf.DEFAULT_SAMPLES, tol=vf.DEFAULT_TOL) -> "vf.ResidualReport":
     """``verify_full_basis`` one element at a time, element idx at offset idx * 7."""
     elements = build_basis(cfg, m)
     checks = []
@@ -259,7 +300,7 @@ def verify_full_basis_oracle(cfg, m, samples=vf.DEFAULT_SAMPLES, tol=vf.DEFAULT_
         sub_reports.append(rep)
         worst_ratio = max(c.max_abs_residual / c.tolerance for c in rep.checks)
         checks.append(vf.CheckResult(f"element:{el.label}", worst_ratio, samples, 1.0))
-    rank, svals = vf.basis_rank(elements, seed=seed)
+    rank, svals = vf.basis_rank(elements)
     rank_ok = rank == len(elements)
     checks.append(vf.CheckResult("basis_rank", 0.0 if rank_ok else 1.0, len(svals), 0.5))
     return vf.ResidualReport(

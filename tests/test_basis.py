@@ -294,7 +294,7 @@ def test_cycle_completer_vanishes_on_diagonal_quadrants():
 def test_basis_rank_full(n):
     cfg = make_config(n, 1.0)
     elements = build_basis(cfg, M68)
-    rank, svals = basis_rank(elements, seed=17)
+    rank, svals = basis_rank(elements)
     assert rank == len(elements)
     assert svals[-1] / svals[0] > 1e-8
 
@@ -309,7 +309,7 @@ def test_basis_rank_full_at_small_coupling(n, c):
     # O(1) cycle-completing solution, which the sample matrix's last
     # sym_diag row holds, so that direction stays above the rank gap
     elements = build_basis(make_config(n, c), M68)
-    rank, _ = basis_rank(elements, seed=17)
+    rank, _ = basis_rank(elements)
     assert rank == len(elements)
 
 
@@ -321,7 +321,7 @@ def test_duplicated_sym_diag_row_stays_rank_deficient(n, c):
     elements = build_basis(make_config(n, c), M68)
     diag = [k for k, el in enumerate(elements) if el.family == "sym_diag"]
     elements[diag[-1]] = dataclasses.replace(elements[diag[-1]], row=elements[diag[0]].row)
-    rank, _ = basis_rank(elements, seed=17)
+    rank, _ = basis_rank(elements)
     assert rank == len(elements) - 1
 
 
@@ -336,7 +336,7 @@ def test_sym_diag_without_the_cycle_completer_stays_rank_deficient(n, c):
     diag = [k for k, el in enumerate(elements) if el.family == "sym_diag"]
     amps[diag] -= cycle_completing_tensor(cfg).amps / n
     stack = AmplitudeTensor(amps)
-    rank, _ = basis_rank([dataclasses.replace(el, stack=stack) for el in elements], seed=17)
+    rank, _ = basis_rank([dataclasses.replace(el, stack=stack) for el in elements])
     assert rank == len(elements) - 1
 
 
@@ -344,9 +344,12 @@ def test_sym_diag_without_the_cycle_completer_stays_rank_deficient(n, c):
 def test_rank_ratio_does_not_depend_on_small_coupling(n):
     ratios = []
     for c in (1e-2, 1e-4) + SMALL_C:
-        _, svals = basis_rank(build_basis(make_config(n, c), M68), seed=17)
+        _, svals = basis_rank(build_basis(make_config(n, c), M68))
         ratios.append(svals[-1] / svals[0])
     assert ratios == pytest.approx([ratios[-1]] * len(ratios), rel=5e-3)
+    # the floor is 1e7 times GRAM_GAP, so the cycle-completing direction is
+    # well resolved at every small c, not just above the rank gap; the
+    # table ratios clear it twice over (0.207 at n = 6)
     assert ratios[-1] > 0.1
 
 

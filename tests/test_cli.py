@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -465,8 +466,24 @@ def test_parser_is_built_once_and_each_call_gets_its_own_options(tmp_path, capsy
     seeded, default = tmp_path / "seeded.json", tmp_path / "default.json"
     assert main(VERIFY3 + ["--seed", "5", "--out", str(seeded)]) == 0
     assert main(VERIFY3 + ["--out", str(default)]) == 0
-    assert json.loads(seeded.read_text())["seed"] == 5
-    assert json.loads(default.read_text())["seed"] == 0
+    seeded_report, default_report = json.loads(seeded.read_text()), json.loads(default.read_text())
+    assert seeded_report.pop("seed") == 5
+    assert default_report.pop("seed") == 0
+    # the seed feeds no check of verify: the rank is read from the tables
+    assert seeded_report == default_report
+
+
+@pytest.mark.parametrize("k1", [0.0, 1.0])
+def test_verify_at_an_endpoint_reports_the_function_rank(tmp_path, k1, capsys):
+    # at k1 = 0 or 1 the even block's coefficients are all zero, so the
+    # basis spans n functions; the zero block adds rank 0 and ratio 0
+    out = tmp_path / "endpoint.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--n", "3", "--c", "1.0", "--k1", str(k1), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["rank"] == 3
+    assert math.isfinite(report["singular_value_ratio"])
 
 
 def test_a_call_argparse_refuses_leaves_later_calls_working(tmp_path, capsys):

@@ -199,7 +199,7 @@ def test_sample_matrix_refuses_mixed_momenta():
     # every element is evaluated at one shared momentum pair
     elements = build_basis(CFG3, M68)[:2] + build_basis(CFG3, MomentumPair.from_k1(0.3))[:2]
     with pytest.raises(ValueError):
-        vf.sample_matrix(elements, 20, 0)
+        vf.sample_matrix(elements)
     with pytest.raises(ValueError):
         vf.basis_rank(elements)
 
