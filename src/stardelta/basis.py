@@ -138,6 +138,16 @@ def _write_rows(out: np.ndarray, rows) -> None:
         out[part] = rows(part)
 
 
+def basis_heads(n: int) -> list[tuple[str, tuple]]:
+    """Family and indices of every basis element of an n-edge star, in
+    basis order: ``antisym`` (i, j) for every index pair, ``sym_offdiag``
+    (i, j) for the pairs at circular distance >= 2, ``sym_diag`` (i,)."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return ([("antisym", ij) for ij in pairs]
+            + [("sym_offdiag", ij) for ij in pairs if circular_distance(*ij, n) >= 2]
+            + [("sym_diag", (i,)) for i in range(1, n + 1)])
+
+
 def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray, np.ndarray, np.ndarray]:
     """Family and indices of every basis element, in basis order, with the
     tables (T0, T1, T2) the elements are built from.  The element at
@@ -161,10 +171,9 @@ def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray
     psis = np.stack([scattering_wave(cfg, i).coeff for i in range(1, n + 1)])
     phis = np.stack([phi(cfg, i).coeff for i in range(n + 1)])
     xi = xi_solution(cfg)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    far = [(i, j) for i, j in pairs if circular_distance(i, j, n) >= 2]
-    heads = ([("antisym", ij) for ij in pairs] + [("sym_offdiag", ij) for ij in far]
-             + [("sym_diag", (i,)) for i in range(1, n + 1)])
+    heads = basis_heads(n)
+    pairs = [ij for family, ij in heads if family == "antisym"]
+    far = [ij for family, ij in heads if family == "sym_offdiag"]
     t0 = np.empty((len(heads), n, n, 2, 2, 2, 2), dtype=complex)
 
     def family(factors, rows, sign):  # the products of factors[i] and factors[j] over rows (i, j)

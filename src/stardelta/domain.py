@@ -310,13 +310,20 @@ def wave_phases(kx: np.ndarray, ky: np.ndarray, x, y) -> np.ndarray:
     points are bit for bit those of that call gets the kept table, so the
     value and derivative sums of one family of points build one table.
     Any other call drops the kept table before it builds its own, so at
-    most one table stays alive between calls.
+    most one table stays alive between calls, and :func:`drop_phases`
+    frees it.
     """
     key = tuple((a.shape, a.dtype.str, a.tobytes()) for a in map(np.asarray, (kx, ky, x, y)))
     if _kept.get("key") != key:
         _kept.clear()
         _kept.update(key=key, table=_phase_table(kx, ky, x, y))
     return _kept["table"]
+
+
+def drop_phases() -> None:
+    """Free the table :func:`wave_phases` keeps; a family of sums that is
+    done with its points calls this, so no table outlives it."""
+    _kept.clear()
 
 
 def plane_wave_sum(waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction: str | None = None) -> np.ndarray:

@@ -117,9 +117,26 @@ def _vertex_xi(S: np.ndarray, chi_hat: np.ndarray, tau_chi_check: np.ndarray) ->
 
 def _offdiag_drift(*pairs: tuple[np.ndarray, np.ndarray]):
     """Largest |hat - check| off the diagonal, where hat and check must agree,
-    per stacked (..., n, n, m) array."""
-    off = ~np.eye(pairs[0][0].shape[-2], dtype=bool)
-    return np.maximum.reduce([_max_abs((hat - check)[..., off, :], 2) for hat, check in pairs])
+    per stacked (..., n, n, m) array.
+
+    Where the two agree bit for bit off the diagonal, as every amplitude
+    table's two sector planes do, the drift is 0.0, which one exact
+    comparison decides; only the other stacked arrays take the differences
+    and their masked gathers.
+    """
+    n = pairs[0][0].shape[-2]
+    d = np.arange(n)
+    same = True
+    for hat, check in pairs:
+        equal = hat == check
+        equal[..., d, d, :] = True
+        same = same & equal.all(axis=(-3, -2, -1))
+    drift = np.zeros(np.shape(same))
+    rest = ~same
+    if np.any(rest):
+        off = ~np.eye(n, dtype=bool)
+        drift[rest] = np.maximum.reduce([_max_abs((hat[rest] - check[rest])[..., off, :], 2) for hat, check in pairs])
+    return drift
 
 
 def _apply_q(S: np.ndarray, sign: int, cols: np.ndarray) -> np.ndarray:
@@ -397,10 +414,9 @@ def extract_transforms(tensor: AmplitudeTensor, m: MomentumPair) -> TransformVec
     """
     k = m.fold
     kappa = partner_momentum(k)
-    # one signed gather: ([E,] quadrant, quadrant, sector, channel, slot)
-    psi = tensor.amps[..., _CH_SIG, _CH_TAU, :] * (_CH_SIGN * kappa)
-    if m.k2.real < m.k1.real:
-        psi = psi[..., ::-1]
+    # one gather, the fold slot first: ([E,] quadrant, quadrant, sector, channel, slot)
+    psi = tensor.amps[..., _CH_SIG, _CH_TAU, ::-1 if m.k2.real < m.k1.real else 1]
+    psi *= _CH_SIGN * kappa  # signed in place, on the gather's own copy
     # per sector: xi = (++ at k, ++ at kappa, -- at k, -- at kappa), chi likewise
     psi = psi.reshape(psi.shape[:-2] + (8,))
     return TransformVectors4(

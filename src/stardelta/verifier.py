@@ -9,14 +9,20 @@ once, each at its own sample offset, and the whole-basis checks and the
 mutation sweep walk the basis in stacks sized by ``WAVE_POINTS``.
 Every stacked value is the one the tensor alone gives.  The value and
 derivative sums of one family share its phase table, which
-:func:`~stardelta.domain.wave_phases` keeps between calls.  All residuals are
-exact analytic evaluations sampled at deterministic low-discrepancy
-points; one-sided limits at the diagonal evaluate the sector-tagged
-branches exactly at x = y, since each branch is an entire function.
+:func:`~stardelta.domain.wave_phases` keeps until the check is done with
+the family's points.  All residuals are exact analytic evaluations
+sampled at deterministic low-discrepancy points; one-sided limits at the
+diagonal evaluate the sector-tagged branches exactly at x = y, since each
+branch is an entire function.
 
-The basis rank is read from the tables, unsampled.  Boundary coordinates
-come from the golden ratio Kronecker sequence; NumPy's PCG64 generator,
-seeded by an integer, draws only the entries :func:`mutation_sweep` perturbs.
+The basis rank is read from the tables, unsampled: from the product
+structure of the ``antisym`` and ``sym_offdiag`` rows wherever an exact
+check on the tables shows it (:func:`exchange_blocks`), from small SVDs
+of their one-particle factors and of the ``sym_diag`` rows on the
+diagonal quadrants; else from one SVD of each parity block's plane-wave
+coefficients.  Boundary coordinates come from the golden ratio Kronecker
+sequence; NumPy's PCG64 generator, seeded by an integer, draws only the
+entries :func:`mutation_sweep` perturbs.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable, Mapping, Protocol
 
 import numpy as np
 
-from .basis import EXCHANGE_SIGN, BasisElement, build_basis, family_counts
+from .basis import EXCHANGE_SIGN, BasisElement, basis_heads, build_basis, family_counts, product_tensor
 from .domain import (
     ABOVE,
     BELOW,
@@ -38,12 +44,14 @@ from .domain import (
     AmplitudeTensor,
     MomentumPair,
     StarConfig,
+    drop_phases,
     entry_key,
     entry_mask,
     exchange_image,
     partner_momentum,
     wave_momenta,
 )
+from .oneparticle import OneParticleSolution
 from . import transforms as tr
 from .transforms import TRANSFORM_TOL
 
@@ -222,6 +230,7 @@ def check_vertex_bc(
     dsum_y0 = sol.derivative_array(line, quad, ABOVE, ts, 0.0, "dy").sum(axis=-3)
     worst_match = np.maximum(*(np.abs(v - v[..., :1, :, :]).max(axis=(-3, -2, -1)) for v in (vals_x0, vals_y0)))
     worst_sum = np.maximum(*(np.abs(d).max(axis=(-2, -1)) for d in (dsum_x0, dsum_y0)))
+    drop_phases()
     used = 2 * n * per_line
     return [
         CheckResult("vertex_value_match", worst_match, used, tol),
@@ -261,6 +270,7 @@ def check_diagonal_bc(
 
     jump = normal(ABOVE) - normal(BELOW) - c * 0.5 * (v_above + v_below)
     worst_jump = np.abs(jump).max(axis=(-2, -1))
+    drop_phases()
     used = n * per_line
     return [
         CheckResult("diagonal_continuity", worst_cont, used, tol),
@@ -275,7 +285,7 @@ def check_diagonal_bc(
 def _one_basis(elements: list[BasisElement]) -> tuple[AmplitudeTensor, MomentumPair]:
     """The stacked table and momentum pair that all the elements share."""
     stack, m = elements[0].stack, elements[0].momentum
-    if any(el.stack is not stack or el.momentum != m for el in elements):
+    if any(el.stack is not stack or (el.momentum is not m and el.momentum != m) for el in elements):
         raise ValueError("the rank needs elements of one basis, built at one momentum pair")
     return stack, m
 
@@ -285,19 +295,101 @@ class ParityBlock(list):
     has checked to be that sign times their exchange images."""
 
 
+class ProductBlock(ParityBlock):
+    """A parity block of a whole basis whose ``family`` rows are exactly
+    S+-(f^i, f^j) of the one-particle ``factors`` f^1..f^n, per edge the
+    coefficients of exp(-ikx) and exp(ikx) (shape (n, n, 2)), read off
+    their tables."""
+
+    def __init__(self, elements, family: str, factors: np.ndarray):
+        super().__init__(elements)
+        self.family = family
+        self.factors = factors
+
+
+# The families whose rows are products of one factor family, odd first.
+PRODUCT_FAMILIES = ("antisym", "sym_offdiag")
+# The incoming coefficient, on its own edge j, of the factor of each
+# product family: 1 for the scattering wave psi^j, 1/(2i) for
+# phi^j = (psi^j - psi^{j+1})/(2i).  Dividing by either is exact.
+INCOMING = {"antisym": 1.0, "sym_offdiag": 0.5 / 1j}
+# A small SVD, or the sym_diag sum, decides the rank only this far from
+# GRAM_GAP or SUM_FLOOR; nearer, the block takes its table SVD.
+RANK_MARGIN = 16.0
+# The product structure gives the rank from this many edges on.  Below,
+# the table SVDs (at most 40 x 120 at n = 5) cost less than the checks the
+# structure needs: basis_rank took 0.26 ms by the tables against 0.63 ms by
+# the structure at n = 3, 1.04 against 1.12 ms at n = 5 and 1.68 against
+# 1.51 ms at n = 6 (one thread, 2-vCPU Xeon VM).
+PRODUCT_RANK_EDGES = 6
+
+
+def _whole_basis(elements: list[BasisElement], n: int) -> bool:
+    """True when the elements are every element of an n-edge basis once,
+    each on a row of its own."""
+    heads = basis_heads(n)
+    return (len(elements) == len(heads) and {(el.family, el.indices) for el in elements} == set(heads)
+            and len({el.row for el in elements}) == len(elements))
+
+
+def _product_factors(elements: list[BasisElement], family: str, stack: AmplitudeTensor) -> np.ndarray | None:
+    """The factors f^1..f^n of a product family read off its tables, or
+    None unless every row of the family is exactly S+-(f^i, f^j).
+
+    Factor i is read from the family's first row (i, j): slot 1 of its
+    above plane on the quadrants (a, j) holds f^i times the partner's
+    incoming wave on edge j, whose coefficient is ``INCOMING[family]``.
+    The products are rebuilt by :func:`~stardelta.basis.product_tensor`,
+    ``TABLE_CHUNK`` entries at a time, and compared bit for bit; a row
+    that passes is its family's sign times its exchange image by
+    construction.  Every index must lead some row of the family.
+    """
+    rows = [el for el in elements if el.family == family]
+    first: dict[int, BasisElement] = {}
+    for el in rows:
+        first.setdefault(el.indices[0], el)
+    lead = [first[i] for i in range(1, stack.n + 1)]
+    partner = np.array([el.indices[1] for el in lead]) - 1
+    factors = stack.amps[[el.row for el in lead], :, partner, 0, :, 0, 0] / INCOMING[family]
+    ij = np.array([el.indices for el in rows]) - 1
+    table_rows = np.array([el.row for el in rows])
+    size = max(1, TABLE_CHUNK // stack.amps[0].size)
+    for start in range(0, len(rows), size):
+        part = slice(start, start + size)
+        built = product_tensor(OneParticleSolution(factors[ij[part, 0]]), OneParticleSolution(factors[ij[part, 1]]),
+                               EXCHANGE_SIGN[family]).amps
+        if not np.array_equal(built, stack.amps[table_rows[part]]):
+            return None
+    return factors
+
+
 def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
     """The elements split by exchange parity, odd block first.
 
-    The split is checked, not assumed: every element's table must equal
-    its family's sign times its exchange image exactly, which one pass of
-    ``TABLE_CHUNK`` entries per step decides.  Then the odd and the even
-    elements span independent spaces of functions, so the rank is the sum
-    of the blocks' ranks, each block a :class:`ParityBlock`.  At the first
-    table that fails, the list itself is the one block.
+    The split is checked, not assumed.  In a whole basis of at least
+    ``PRODUCT_RANK_EDGES`` edges the ``antisym`` and ``sym_offdiag`` rows
+    are first checked to be the products
+    S-(psi^i, psi^j) and S+(phi^i, phi^j) of factors read off the tables
+    (:func:`_product_factors`); a family that passes has its parity by
+    construction, and its block is a :class:`ProductBlock`.  Every other
+    element's table must equal its family's sign times its exchange image
+    exactly, which one pass of ``TABLE_CHUNK`` entries per step decides;
+    a block whose product check failed is then a plain
+    :class:`ParityBlock`.  The odd and the even elements span independent
+    spaces of functions, so the rank is the sum of the blocks' ranks.  At
+    the first table that fails the parity pass, the list itself is the
+    one block.
     """
     stack, _m = _one_basis(elements)
-    rows = np.array([el.row for el in elements])
-    signs = np.array([EXCHANGE_SIGN[el.family] for el in elements]).reshape((-1,) + (1,) * 6)
+    factors = {}
+    if stack.n >= PRODUCT_RANK_EDGES and _whole_basis(elements, stack.n):
+        for family in PRODUCT_FAMILIES:
+            found = _product_factors(elements, family, stack)
+            if found is not None:
+                factors[family] = found
+    rest = [el for el in elements if el.family not in factors]
+    rows = np.array([el.row for el in rest], dtype=int)
+    signs = np.array([EXCHANGE_SIGN[el.family] for el in rest]).reshape((-1,) + (1,) * 6)
     size = max(1, TABLE_CHUNK // stack.amps[0].size)
     for start in range(0, len(rows), size):
         part = slice(start, start + size)
@@ -306,13 +398,127 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
         image *= signs[part]  # in place, on the image's own copy
         if not np.array_equal(image, table):
             return [elements]
-    blocks = (ParityBlock(el for el in elements if EXCHANGE_SIGN[el.family] < 0),
-              ParityBlock(el for el in elements if EXCHANGE_SIGN[el.family] > 0))
-    return [block for block in blocks if block]
+    blocks = []
+    for family in PRODUCT_FAMILIES:
+        block = [el for el in elements if EXCHANGE_SIGN[el.family] == EXCHANGE_SIGN[family]]
+        if block:
+            blocks.append(ProductBlock(block, family, factors[family]) if family in factors else ParityBlock(block))
+    return blocks
+
+
+def _coefficients(elements: list[BasisElement], half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the elements' plane-wave coefficients, unscaled, with the
+    diagonal-quadrant mask of the columns: per cell read, the summed
+    amplitudes of each distinct wave momentum.  The half table reads
+    quadrants a <= b of plane 0, the full one every quadrant of plane 0 and
+    the diagonal quadrants of plane 1 too."""
+    stack, m = _one_basis(elements)
+    n = stack.n
+    kx, ky = wave_momenta(m.k1, m.k2)
+    same = (kx[:, None] == kx) & (ky[:, None] == ky)
+    # column w of ``merge`` adds the waves that share the momenta of wave w,
+    # for each w whose momenta no earlier wave has
+    merge = same[:, ~np.tril(same, -1).any(axis=1)].astype(float)
+    plane0 = np.arange(2) == 0  # the (quadrant, quadrant, sector plane) cells read
+    cells = (np.triu(np.ones((n, n), dtype=bool))[..., None] & plane0 if half
+             else np.eye(n, dtype=bool)[..., None] | plane0)
+    a, b, s = np.nonzero(cells)
+    rows = np.array([el.row for el in elements])[:, None]
+    mat = (stack.amps[rows, a, b, s].reshape(-1, 8) @ merge).reshape(len(elements), -1)
+    return mat, np.repeat(a == b, merge.shape[1])
+
+
+def _normalise(mat: np.ndarray, elements: list[BasisElement], n: int) -> float:
+    """Scale the coefficient rows in place as the rank reads them; return
+    the ``sym_diag`` sum's size over ``SUM_FLOOR`` times its largest term
+    (0 when the family does not hold exactly n rows)."""
+    scale = np.abs(mat).max(axis=1)
+    diag = [row for row, el in enumerate(elements) if el.family == "sym_diag"]
+    if len(diag) == n:
+        scale[diag] = scale[diag].max()
+    mat /= np.where(scale > 0, scale, 1.0)[:, None]
+    size = 0.0
+    if len(diag) == n:
+        total = mat[diag].sum(axis=0)
+        # a sum at the rounding level of its largest term is zero, so
+        # normalisation cannot make a lost direction out of noise
+        floor = SUM_FLOOR * np.linalg.norm(mat[diag], axis=1).max()
+        mat[diag[-1]] = total if np.linalg.norm(total) > floor else 0.0
+        size = np.linalg.norm(total) / floor if floor > 0 else 0.0
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    mat /= np.where(norms > 0, norms, 1.0)
+    return size
+
+
+def _factor_matrix(factors: np.ndarray, k: float, width: int) -> np.ndarray:
+    """The factors as functions at momentum k: per edge, the coefficients
+    of exp(-ikx) and exp(ikx), added where k = 0, when the two coincide;
+    zero columns pad the rows to ``width``."""
+    merged = (factors.sum(axis=-1) if k == 0 else factors).reshape(len(factors), -1)
+    out = np.zeros((len(factors), width), dtype=complex)
+    out[:, :merged.shape[1]] = merged
+    return out
+
+
+def _cycle_functional(factors: np.ndarray) -> np.ndarray:
+    """Weights on the half-table columns of a functional that reads
+    sum_i X_{i,i+1} - X_{i+1,i} on every even table that vanishes on the
+    diagonal quadrants and whose slot 1 is sum_ij X_ij f^i(x) f^j(y), so
+    that it vanishes where X is zero off the pairs at distance >= 2.
+
+    ``Z`` holds the cycle pattern, whose rows and columns sum to zero, so
+    it vanishes on the relations X = u 1^T + 1 w^T of the factors
+    (sum_i f^i = 0); pinv(F) reads X back from slot 1 up to them.  On the
+    half table the slot-1 values of quadrant (b, a), b > a, stand in slot 2
+    of (a, b) with the signs swapped; diagonal quadrants get no weight.
+    """
+    n = len(factors)
+    i = np.arange(n)
+    Z = np.zeros((n, n))
+    Z[i, (i + 1) % n], Z[(i + 1) % n, i] = 1.0, -1.0
+    P = np.linalg.pinv(factors.reshape(n, -1), rcond=GRAM_GAP)  # without the relation's direction
+    W = (P @ Z @ P.T).reshape(n, 2, n, 2)
+    a, b = np.nonzero(np.triu(np.ones((n, n), dtype=bool)))  # the half table's quadrants
+    weights = np.stack([W[a, :, b, :], W[b, :, a, :].swapaxes(-1, -2)], axis=-1).reshape(len(a), 8)
+    weights[a == b] = 0.0
+    return weights.reshape(-1)
+
+
+def _product_matrices(block: ProductBlock) -> np.ndarray | None:
+    """The small matrices whose ranks give a product block's rank, stacked,
+    or None where the sym_diag sum decides nothing by ``RANK_MARGIN``."""
+    stack, m = _one_basis(block)
+    n = stack.n
+    if block.family == "antisym":  # the factor matrices at k1 and at k2
+        return np.stack([_factor_matrix(block.factors, k, 2 * n) for k in (m.k1.real, m.k2.real)])
+    diag = [el for el in block if el.family == "sym_diag"]
+    mat, on_diag = _coefficients(diag, half=True)
+    if mat.shape[1] != 8 * n * (n + 1) // 2:  # waves coincide: k1 or k2 is 0
+        return None
+    size = _normalise(mat, diag, n)
+    if 1.0 / RANK_MARGIN < size < RANK_MARGIN:
+        return None
+    factors = block.factors
+    support = (factors != 0).any(axis=-1)  # factor, edge
+    far = np.array([el.indices for el in block if el.family == "sym_offdiag"]) - 1
+    if np.any(factors.sum(axis=0) != 0) or np.any(support[far[:, 0]] & support[far[:, 1]]):
+        return None
+    cycle = 0.0  # the distance of the normalised sum from the sym_offdiag rows, at least
+    if size > 1.0:
+        if np.any(mat[-1, on_diag] != 0):
+            return None
+        weights = _cycle_functional(factors)
+        cycle = abs(weights @ mat[-1]) / np.linalg.norm(weights)
+    small = np.zeros((2, n, 8 * n + 1), dtype=complex)
+    small[0] = _factor_matrix(factors, m.k1.real, 8 * n + 1)
+    small[1, :-1, :-1] = mat[:-1][:, on_diag]
+    small[1, -1, -1] = cycle
+    return small
 
 
 def sample_matrix(elements: list[BasisElement]) -> np.ndarray:
-    """Rows of the elements' plane-wave coefficients, row-normalised.
+    """The matrix whose SVD gives the elements' rank: small matrices of a
+    product block, else the rows of the elements' plane-wave coefficients.
 
     All elements must be rows of one stacked table, built at one momentum
     pair.  Waves of distinct frequency vectors are independent functions,
@@ -331,53 +537,89 @@ def sample_matrix(elements: list[BasisElement]) -> np.ndarray:
     is rounding noise and becomes a zero row.  Each row is first divided
     by its largest |coefficient|, the family's rows by one common factor,
     which keeps their sum and the norms finite at any c.
+
+    A :class:`ProductBlock` gives a stack of small matrices instead.  The
+    odd block: its factors psi^i as functions at k1 and at k2 (n x 2n),
+    whose ranks multiply, since its rows are their Kronecker products.
+    The even block: its factors phi^i at k1 (k1 and k2 are interior
+    there, so the same matrix serves k2; its rank is n - 1, since they sum
+    to zero), and a matrix whose first n - 1 rows are the ``sym_diag``
+    rows, read as above, on the n diagonal quadrants (8n columns), and
+    whose last row holds only the cycle test, in one more column: a lower
+    bound on the distance of the normalised ``sym_diag`` sum from the
+    ``sym_offdiag`` rows (:func:`_cycle_functional`), 0 for a sum at
+    rounding level; both are n x (8n + 1).  Where the sum lies within ``RANK_MARGIN`` of
+    ``SUM_FLOOR``, or the structure the rank needs is missing (the sum
+    reaches a diagonal quadrant, the factors do not sum to zero, a product
+    row reaches a diagonal quadrant, or waves coincide), the block is read
+    on its half table as a :class:`ParityBlock`.
     """
-    stack, m = _one_basis(elements)
-    n = stack.n
-    kx, ky = wave_momenta(m.k1, m.k2)
-    same = (kx[:, None] == kx) & (ky[:, None] == ky)
-    # column w of ``merge`` adds the waves that share the momenta of wave w,
-    # for each w whose momenta no earlier wave has
-    merge = same[:, ~np.tril(same, -1).any(axis=1)].astype(float)
-    plane0 = np.arange(2) == 0  # the (quadrant, quadrant, sector plane) cells read
-    cells = (np.triu(np.ones((n, n), dtype=bool))[..., None] & plane0 if isinstance(elements, ParityBlock)
-             else np.eye(n, dtype=bool)[..., None] | plane0)
-    a, b, s = np.nonzero(cells)
-    rows = np.array([el.row for el in elements])[:, None]
-    mat = (stack.amps[rows, a, b, s].reshape(-1, 8) @ merge).reshape(len(elements), -1)
-    scale = np.abs(mat).max(axis=1)
-    diag = [row for row, el in enumerate(elements) if el.family == "sym_diag"]
-    if len(diag) == n:
-        scale[diag] = scale[diag].max()
-    mat /= np.where(scale > 0, scale, 1.0)[:, None]
-    if len(diag) == n:
-        total = mat[diag].sum(axis=0)
-        # a sum at the rounding level of its largest term is zero, so
-        # normalisation cannot make a lost direction out of noise
-        resolved = np.linalg.norm(total) > SUM_FLOOR * np.linalg.norm(mat[diag], axis=1).max()
-        mat[diag[-1]] = total if resolved else 0.0
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    mat /= np.where(norms > 0, norms, 1.0)
+    if isinstance(elements, ProductBlock):
+        small = _product_matrices(elements)
+        if small is not None:
+            return small
+    mat, _on_diag = _coefficients(elements, half=isinstance(elements, ParityBlock))
+    _normalise(mat, elements, elements[0].stack.n)
     return mat
+
+
+def _product_rank(block: ProductBlock, small: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """A product block's rank from the SVDs of its small matrices, with
+    their ratios, or None where a ratio lies within ``RANK_MARGIN`` of
+    ``GRAM_GAP``.
+
+    The odd block's rows are the Kronecker products of its factors at k1
+    and at k2, so its rank is the product of their ranks.  The even
+    block's ``sym_offdiag`` rows, the products of pairs at distance >= 2,
+    are independent when the factors' one relation is sum_i phi^i = 0
+    (rank n - 1); they vanish on every diagonal quadrant, where the first
+    n - 1 ``sym_diag`` rows must be independent and their sum vanishes; so
+    the rank is the number of ``sym_offdiag`` rows, plus n - 1, plus 1 when
+    the cycle test finds the sum outside the ``sym_offdiag`` span.
+    """
+    s = np.linalg.svd(small, compute_uv=False)
+    ratio = s / np.where(s[:, :1] > 0, s[:, :1], 1.0)
+    live = ratio > GRAM_GAP
+    if np.any(np.where(live, ratio < RANK_MARGIN * GRAM_GAP, ratio > GRAM_GAP / RANK_MARGIN)):
+        return None
+    count = live.sum(axis=1)
+    if block.family == "antisym":
+        weakest = ratio[0, count[0] - 1] * ratio[1, count[1] - 1]
+        if count.min() and weakest < RANK_MARGIN * GRAM_GAP:
+            return None
+        return int(count[0] * count[1]), ratio.reshape(-1)
+    n = small.shape[1]
+    if count[0] != n - 1 or count[1] < n - 1:
+        return None
+    # the factors' last singular value is their relation, not a ratio
+    return len(block) - n + int(count[1]), np.concatenate([ratio[0, :n - 1], ratio[1]])
 
 
 def basis_rank(elements: list[BasisElement]) -> tuple[int, np.ndarray]:
     """Exact numerical rank of the basis, with its singular values.
 
-    Each exchange-parity block (:func:`exchange_blocks`) takes one SVD of
-    its coefficient rows (:func:`sample_matrix`); its rank counts the
-    singular values above ``GRAM_GAP`` times its largest, and a block
-    whose rows are all zero has rank 0.  The rank is the sum over the
-    blocks.  The singular values are each block's own, divided by its
-    largest (all zero for a zero block), in descending order, so the
-    smallest is the smallest block ratio.
+    Each exchange-parity block (:func:`exchange_blocks`) takes the SVDs of
+    its :func:`sample_matrix`.  A product block's small matrices give its
+    rank by :func:`_product_rank`; where they decide nothing by
+    ``RANK_MARGIN``, and for every other block, one SVD of the block's
+    coefficient rows does: its rank counts the singular values above
+    ``GRAM_GAP`` times its largest, and a block whose rows are all zero has
+    rank 0.  The rank is the sum over the blocks.  The singular values are
+    each SVD's own, divided by its largest (all zero for a zero matrix), in
+    descending order, so the smallest is the smallest ratio of any of them.
     """
-    rank, svals = 0, []
+    rank, ratios = 0, []
     for block in exchange_blocks(elements):
-        s = np.linalg.svd(sample_matrix(block), compute_uv=False)
-        rank += int(np.sum(s > GRAM_GAP * s[0]))
-        svals.append(s / (s[0] or 1.0))  # a zero block: rank 0, ratios 0
-    return rank, np.sort(np.concatenate(svals))[::-1]
+        mat = sample_matrix(block)
+        got = _product_rank(block, mat) if mat.ndim == 3 else None
+        if got is None:
+            if mat.ndim == 3:  # the small SVDs decide nothing: the block's table does
+                mat = sample_matrix(ParityBlock(block))
+            s = np.linalg.svd(mat, compute_uv=False)
+            got = int(np.sum(s > GRAM_GAP * s[0])), s / (s[0] or 1.0)  # a zero block: rank 0, ratios 0
+        rank += got[0]
+        ratios.append(got[1])
+    return rank, np.sort(np.concatenate(ratios))[::-1]
 
 
 def verify_element(
@@ -453,7 +695,7 @@ def verify_full_basis(
         worst_ratio = max(c.max_abs_residual / c.tolerance for c in rep.checks)
         checks.append(CheckResult(f"element:{el.label}", worst_ratio, samples, 1.0))
     rank, svals = basis_rank(elements)
-    checks.append(CheckResult("basis_rank", 0.0 if rank == len(elements) else 1.0, len(svals), 0.5))
+    checks.append(CheckResult("basis_rank", 0.0 if rank == len(elements) else 1.0, len(elements), 0.5))
     return ResidualReport(
         solution_id=f"basis(n={cfg.n}, c={cfg.c}, k1={m.k1.real})",
         checks=checks,

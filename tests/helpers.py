@@ -13,7 +13,12 @@ oracles of the stacked whole-basis checks.  ``basis_rank_oracle`` takes
 one SVD of every element's values at random points (``sample_points``),
 without the exchange-parity split and without the tables' coefficients;
 it is the reference of ``basis_rank``.  ``table_coefficients`` reads one
-element's table cell by cell, the oracle of ``sample_matrix``'s gather.
+element's table cell by cell, the oracle of ``sample_matrix``'s gather,
+and ``table_rank`` takes one SVD of each parity block's coefficient rows,
+the reference of the rank that ``basis_rank`` reads from the product
+structure.  ``offdiag_drift_masked`` is the hat/check drift taken by
+boolean-mask gathers on every stacked array, the oracle of
+``check_kirchhoff_transforms``' exact plane comparison.
 The closed-form kernel patterns are the cross-check of
 ``compute_kernel_decomposition``; they change basis through the dense
 ``kron(F, F)``, independently of the per-matrix conversion in the package.
@@ -271,6 +276,27 @@ def table_coefficients(el, half: bool) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
+def table_rank(elements) -> int:
+    """The rank read from the coefficient tables alone: one SVD of each
+    checked parity block's half-table rows, or of the one-block fallback's
+    full-table rows, each counting the singular values above ``GRAM_GAP``
+    times its largest; no product structure is used."""
+    rank = 0
+    for block in vf.exchange_blocks(elements):
+        rows = vf.ParityBlock(block) if isinstance(block, vf.ParityBlock) else block
+        s = np.linalg.svd(vf.sample_matrix(rows), compute_uv=False)
+        rank += int(np.sum(s > vf.GRAM_GAP * s[0]))
+    return rank
+
+
+def offdiag_drift_masked(*pairs):
+    """Largest |hat - check| off the diagonal, per stacked (..., n, n, m)
+    array, by a boolean-mask gather of every array."""
+    off = ~np.eye(pairs[0][0].shape[-2], dtype=bool)
+    return np.maximum.reduce([np.abs((hat - check)[..., off, :]).max(axis=(-2, -1), initial=0.0)
+                              for hat, check in pairs])
+
+
 # -- per-element whole-basis checks -------------------------------------------
 
 
@@ -302,7 +328,7 @@ def verify_full_basis_oracle(cfg, m, samples=vf.DEFAULT_SAMPLES, tol=vf.DEFAULT_
         checks.append(vf.CheckResult(f"element:{el.label}", worst_ratio, samples, 1.0))
     rank, svals = vf.basis_rank(elements)
     rank_ok = rank == len(elements)
-    checks.append(vf.CheckResult("basis_rank", 0.0 if rank_ok else 1.0, len(svals), 0.5))
+    checks.append(vf.CheckResult("basis_rank", 0.0 if rank_ok else 1.0, len(elements), 0.5))
     return vf.ResidualReport(
         solution_id=f"basis(n={cfg.n}, c={cfg.c}, k1={m.k1.real})",
         checks=checks,

@@ -1,5 +1,6 @@
 """The rank by exchange parity: its premise, checked on the tables, and
-its agreement with one SVD of all the rows."""
+its agreement with one SVD of all the rows; the rank read from the product
+structure, and its agreement with the tables' own SVDs."""
 
 import dataclasses
 import warnings
@@ -7,9 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import basis_rank_oracle, table_coefficients
+from helpers import basis_rank_oracle, table_coefficients, table_rank
 from stardelta import verifier as vf
-from stardelta.basis import EXCHANGE_SIGN, build_basis, product_tensor
+from stardelta.basis import EXCHANGE_SIGN, build_basis, cycle_completing_tensor, product_tensor
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, exchange_image, make_config
 from stardelta.oneparticle import phi, scattering_wave, xi_solution
 
@@ -140,13 +141,27 @@ def test_split_rank_equals_the_joint_rank(n):
 
 
 def test_singular_values_are_the_block_ratios():
-    elements = build_basis(make_config(5, 1.3), M68)
+    # on the structure path they are the ratios of the small SVDs: the odd
+    # block's factors at k1 and k2, the even block's factors (without the
+    # zero of their relation sum_i phi^i = 0) and its diagonal-quadrant
+    # matrix with the cycle test
+    n = 6
+    elements = build_basis(make_config(n, 1.3), M68)
     rank, svals = vf.basis_rank(elements)
-    per_block = [_block_rank(block) for block in vf.exchange_blocks(elements)]
-    assert rank == sum(r for r, _s in per_block) == len(elements)
-    assert len(svals) == len(elements) and svals[0] == 1.0
-    assert np.all(np.diff(svals) <= 0)
-    assert svals[-1] / svals[0] == pytest.approx(min(s[-1] / s[0] for _r, s in per_block), rel=1e-12)
+    odd, even = (np.linalg.svd(vf.sample_matrix(block), compute_uv=False) for block in vf.exchange_blocks(elements))
+    odd, even = odd / odd[:, :1], even / even[:, :1]
+    want = np.concatenate([odd.ravel(), even[0, :n - 1], even[1]])
+    assert rank == len(elements)
+    assert svals[0] == 1.0 and np.all(np.diff(svals) <= 0)
+    assert np.array_equal(svals, np.sort(want)[::-1])
+    assert svals[-1] == pytest.approx(0.2679, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_below_six_edges_the_tables_give_the_rank(n):
+    # there the table SVDs cost less than the product checks
+    elements = build_basis(make_config(n, 1.3), M68)
+    assert [type(block) for block in vf.exchange_blocks(elements)] == [vf.ParityBlock, vf.ParityBlock]
 
 
 def test_rank_at_tiny_coupling_does_not_overflow():
@@ -167,3 +182,137 @@ def test_rank_refuses_elements_of_two_bases():
     for check in (vf.basis_rank, vf.exchange_blocks, vf.sample_matrix):
         with pytest.raises(ValueError):
             check(elements)
+
+
+def _paths(elements):
+    """Per parity block, "structure" where the product structure gives its
+    rank, else "table"."""
+    out = []
+    for block in vf.exchange_blocks(elements):
+        small = vf.sample_matrix(block) if isinstance(block, vf.ProductBlock) else None
+        structure = small is not None and small.ndim == 3 and vf._product_rank(block, small) is not None
+        out.append("structure" if structure else "table")
+    return out
+
+
+@pytest.mark.parametrize("n, c, k1", [(6, 1.0, 0.6), (7, -1.5, 0.28), (10, 2.1, 0.2), (12, 1e-6, 0.9)])
+def test_a_fresh_basis_takes_the_structure_path(n, c, k1):
+    elements = build_basis(make_config(n, c), MomentumPair.from_k1(k1))
+    assert [type(block) for block in vf.exchange_blocks(elements)] == [vf.ProductBlock, vf.ProductBlock]
+    assert _paths(elements) == ["structure", "structure"]
+    small = vf.sample_matrix(vf.exchange_blocks(elements)[0])
+    assert small.shape == (2, n, 2 * n)
+
+
+@pytest.mark.parametrize("k1", [0.0, 1.0])
+def test_at_the_endpoints_only_the_even_block_reads_its_table(k1):
+    # the odd factors at momentum 0 have rank 1, which gives n; the even
+    # block is exactly zero there and has no interior momenta
+    elements = build_basis(make_config(6, 1.0), MomentumPair.from_k1(k1))
+    assert _paths(elements) == ["structure", "table"]
+    assert vf.basis_rank(elements)[0] == table_rank(elements) == 6
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_structure_rank_equals_the_table_rank(n):
+    for c in (1.0, -2.0, 1e-3, 1e-8, 1e-12, 1e6, -1e6, 1e-200):
+        for k1 in (0.0, 0.05, 0.3, 0.6, 0.9, 1.0):
+            elements = build_basis(make_config(n, c), MomentumPair.from_k1(k1))
+            assert vf.basis_rank(elements)[0] == table_rank(elements), (c, k1)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("c", [2.1, -0.7, 1e-6])
+def test_structure_rank_equals_the_table_rank_at_large_n(n, c):
+    elements = build_basis(make_config(n, c), MomentumPair.from_k1(0.3))
+    assert _paths(elements) == ["structure", "structure"]
+    assert vf.basis_rank(elements)[0] == table_rank(elements) == len(elements)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_structure_rank_equals_the_table_rank_at_tiny_coupling(n):
+    # near the threshold where the sym_diag sum sinks into rounding, the
+    # even block reads its table, so the threshold stays where it is
+    for c in np.logspace(-16, -10, 25):
+        for k1 in (0.3, 0.6, 0.9):
+            elements = build_basis(make_config(n, c), MomentumPair.from_k1(k1))
+            assert vf.basis_rank(elements)[0] == table_rank(elements), (c, k1)
+
+
+def _with_table(elements, amps):
+    stack = AmplitudeTensor(amps)
+    return [dataclasses.replace(el, stack=stack) for el in elements]
+
+
+def _one_ulp(elements, family):
+    # the real part of the largest entry of the family's first row, one ulp up
+    row = next(el.row for el in elements if el.family == family)
+    amps = elements[0].stack.amps.copy()
+    idx = (row,) + np.unravel_index(np.argmax(np.abs(amps[row].real)), amps[row].shape)
+    amps[idx] = complex(np.nextafter(amps[idx].real, np.inf), amps[idx].imag)
+    return _with_table(elements, amps)
+
+
+@pytest.mark.parametrize("family", ["antisym", "sym_offdiag"])
+def test_a_one_ulp_change_to_a_product_row_reads_the_tables(family):
+    elements = _one_ulp(build_basis(make_config(6, 1.3), M68), family)
+    assert "structure" not in _paths(elements)
+    assert vf.basis_rank(elements)[0] == table_rank(elements) == len(elements)
+
+
+@pytest.mark.parametrize("family", ["antisym", "sym_offdiag"])
+def test_a_product_row_changed_with_its_exchange_partner_reads_its_table(family):
+    # the parity holds, so only the product check sees the change
+    elements = build_basis(make_config(6, 1.3), M68)
+    row = next(el.row for el in elements if el.family == family)
+    amps = elements[0].stack.amps.copy()
+    amps[row] *= 1.0 + 1e-12
+    changed = _with_table(elements, amps)
+    blocks = vf.exchange_blocks(changed)
+    assert [type(block) for block in blocks].count(vf.ProductBlock) == 1
+    assert vf.basis_rank(changed)[0] == table_rank(changed) == len(elements)
+
+
+def _duplicated(elements):
+    diag = [k for k, el in enumerate(elements) if el.family == "sym_diag"]
+    elements[diag[-1]] = dataclasses.replace(elements[diag[-1]], row=elements[diag[0]].row)
+    return elements
+
+
+def _dropped(elements, family):
+    return [el for el in elements if el is not next(e for e in elements if e.family == family)]
+
+
+def _without_completer(elements, cfg):
+    amps = elements[0].stack.amps.copy()
+    diag = [k for k, el in enumerate(elements) if el.family == "sym_diag"]
+    amps[diag] -= cycle_completing_tensor(cfg).amps / cfg.n
+    return _with_table(elements, amps)
+
+
+def _even_row_labelled_antisym(elements):
+    copied = next(el for el in elements if el.family == "sym_offdiag")
+    elements[0] = dataclasses.replace(elements[0], row=copied.row)
+    return elements
+
+
+@pytest.mark.parametrize("n, c", [(6, 1.0), (7, -2.0), (8, 1e-8)])
+@pytest.mark.parametrize("control", ["duplicated", "antisym", "sym_offdiag", "sym_diag", "no_completer", "mislabelled"])
+def test_the_structural_controls_keep_their_deficit(n, c, control):
+    # each reads E - 1 for the E elements of a whole basis, as the tables
+    # read it; a list that is not a whole basis takes no product structure,
+    # and without the completer the sym_diag sum is far below SUM_FLOOR,
+    # where the structure reads the lost direction itself
+    cfg = make_config(n, c)
+    elements = build_basis(cfg, M68)
+    size = len(elements)
+    changed = {
+        "duplicated": lambda: _duplicated(elements),
+        "no_completer": lambda: _without_completer(elements, cfg),
+        "mislabelled": lambda: _even_row_labelled_antisym(elements),
+    }.get(control, lambda: _dropped(elements, control))()
+    if control == "no_completer":
+        assert _paths(changed) == ["structure", "structure"]
+    else:
+        assert all(type(block) is not vf.ProductBlock for block in vf.exchange_blocks(changed))
+    assert vf.basis_rank(changed)[0] == table_rank(changed) == size - 1

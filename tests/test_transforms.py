@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from stardelta.basis import build_basis
-from stardelta.domain import ABOVE, MomentumPair, make_config
+from stardelta.domain import ABOVE, AmplitudeTensor, MomentumPair, make_config
 from stardelta import transforms as tr
 from helpers import (
     from_entries,
     k_minus_patterns,
     k_minus_targets,
     k_plus_patterns,
+    offdiag_drift_masked,
     projection_defect,
     q_minus_kernel_patterns,
     q_plus_kernel_patterns,
@@ -539,6 +540,32 @@ def test_basic_solution_tensor_rejects_incompatible_pair():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
         tr.basic_solution_tensor(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), 1)
+
+
+def test_offdiag_drift_matches_the_masked_gathers_on_a_mixed_stack():
+    # rows 1 and 4 get below planes that differ off the diagonal, row 6
+    # only on a diagonal quadrant; the other rows keep equal planes, which
+    # give 0.0 without a gather, and every row's value is the masked one
+    elements = build_basis(make_config(4, 1.3), M68)
+    amps = elements[0].stack.amps[:8].copy()
+    amps[1, 0, 2, 1] *= 1.0 + 1e-9  # quadrant (1, 3), its below plane
+    amps[4, 3, 1, 1, 0, 1, 0] += 1e-7
+    amps[6, 2, 2, 1] *= 2.0
+    tv = tr.extract_transforms(AmplitudeTensor(amps), M68)
+    got = tr.check_kirchhoff_transforms(tv).hat_check_offdiag
+    want = offdiag_drift_masked((tv.hat_xi, tv.check_xi), (tv.hat_chi, tv.check_chi))
+    assert got.shape == (8,) and np.array_equal(got, want)
+    assert np.flatnonzero(got).tolist() == [1, 4]
+
+
+def test_basic_solution_tensor_refuses_one_drifting_entry():
+    report = tr.compute_kernel_decomposition(4, basis=tr.EDGE)
+    chi_hat, chi_check = tr.kernel_pair_matrices(report.bases["ker_Q_minus"][:, 0], 4, tr.EDGE)
+    tr.basic_solution_tensor(chi_hat, chi_check, tau_sign=1)
+    chi_check = chi_check.copy()
+    chi_check[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not vertex-compatible"):
+        tr.basic_solution_tensor(chi_hat, chi_check, tau_sign=1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

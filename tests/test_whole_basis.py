@@ -92,6 +92,15 @@ def test_one_phase_table_per_boundary_family(monkeypatch):
     assert len(tables) == 3 and len(reports) == 10
 
 
+def test_no_phase_table_is_kept_after_the_checks_return():
+    # each boundary family frees its table when the check is done with it,
+    # so none outlives a verify or a mutation sweep
+    vf.verify_full_basis(CFG4, M3, samples=60)
+    assert domain._kept == {}
+    vf.mutation_sweep(CFG4, M3)
+    assert domain._kept == {}
+
+
 def test_a_stacked_table_is_one_block(monkeypatch):
     # eight waves are the least a block takes, so a stack of tables sums in
     # one block with one phase table, at any WAVE_POINTS
