@@ -15,14 +15,14 @@ sampled at deterministic low-discrepancy points; one-sided limits at the
 diagonal evaluate the sector-tagged branches exactly at x = y, since each
 branch is an entire function.
 
-The basis rank is read from the tables, unsampled: from the product
-structure of the ``antisym`` and ``sym_offdiag`` rows wherever an exact
-check on the tables shows it (:func:`exchange_blocks`), from small SVDs
-of their one-particle factors and of the ``sym_diag`` rows on the
-diagonal quadrants; else from one SVD of each parity block's plane-wave
-coefficients.  Boundary coordinates come from the golden ratio Kronecker
-sequence; NumPy's PCG64 generator, seeded by an integer, draws only the
-entries :func:`mutation_sweep` perturbs.
+The basis rank is read from the tables, unsampled: a parity block whose
+product structure an exact check shows (:func:`exchange_blocks`) takes
+it from small SVDs of its one-particle factors and diagonal-quadrant
+rows (:func:`_product_rank`), any other block from one SVD of its
+plane-wave coefficients (:func:`sample_matrix`).  Boundary coordinates
+come from the golden ratio Kronecker sequence; NumPy's PCG64 generator,
+seeded by an integer, draws only the entries :func:`mutation_sweep`
+perturbs.
 """
 
 from __future__ import annotations
@@ -484,99 +484,85 @@ def _cycle_functional(factors: np.ndarray) -> np.ndarray:
     return weights.reshape(-1)
 
 
-def _product_matrices(block: ProductBlock) -> np.ndarray | None:
-    """The small matrices whose ranks give a product block's rank, stacked,
-    or None where the sym_diag sum decides nothing by ``RANK_MARGIN``."""
-    stack, m = _one_basis(block)
-    n = stack.n
-    if block.family == "antisym":  # the factor matrices at k1 and at k2
-        return np.stack([_factor_matrix(block.factors, k, 2 * n) for k in (m.k1.real, m.k2.real)])
-    diag = [el for el in block if el.family == "sym_diag"]
-    mat, on_diag = _coefficients(diag, half=True)
-    if mat.shape[1] != 8 * n * (n + 1) // 2:  # waves coincide: k1 or k2 is 0
-        return None
-    size = _normalise(mat, diag, n)
-    if 1.0 / RANK_MARGIN < size < RANK_MARGIN:
-        return None
-    factors = block.factors
-    support = (factors != 0).any(axis=-1)  # factor, edge
-    far = np.array([el.indices for el in block if el.family == "sym_offdiag"]) - 1
-    if np.any(factors.sum(axis=0) != 0) or np.any(support[far[:, 0]] & support[far[:, 1]]):
-        return None
-    cycle = 0.0  # the distance of the normalised sum from the sym_offdiag rows, at least
-    if size > 1.0:
-        if np.any(mat[-1, on_diag] != 0):
-            return None
-        weights = _cycle_functional(factors)
-        cycle = abs(weights @ mat[-1]) / np.linalg.norm(weights)
-    small = np.zeros((2, n, 8 * n + 1), dtype=complex)
-    small[0] = _factor_matrix(factors, m.k1.real, 8 * n + 1)
-    small[1, :-1, :-1] = mat[:-1][:, on_diag]
-    small[1, -1, -1] = cycle
-    return small
-
-
 def sample_matrix(elements: list[BasisElement]) -> np.ndarray:
-    """The matrix whose SVD gives the elements' rank: small matrices of a
-    product block, else the rows of the elements' plane-wave coefficients.
+    """The normalised rows of the elements' plane-wave coefficients, whose
+    SVD gives their rank.
 
     All elements must be rows of one stacked table, built at one momentum
     pair.  Waves of distinct frequency vectors are independent functions,
     so the coefficients decide the rank exactly: per quadrant and sector
     plane read, a row holds the summed amplitudes of each distinct wave
-    momentum (waves coincide where k1 or k2 is 0).  A :class:`ParityBlock`
-    is read on quadrants a <= b of plane 0 (4n^2 + 4n columns), which fix
-    the rest of its tables; any other list, such as the one-block fallback
-    of :func:`exchange_blocks`, on every quadrant and both diagonal planes
-    (8n^2 + 8n columns).  Before normalisation the last ``sym_diag`` row
-    is replaced by the sum of the family's rows, when the family holds
-    exactly n of them.  Their O(1/c) coupling parts cancel in that sum,
-    which leaves the O(1) cycle-completing solution, so the rank stays
-    resolvable at small |c|; the row operation is unimodular and keeps the
-    exact rank.  A sum no larger than ``SUM_FLOOR`` times its largest term
-    is rounding noise and becomes a zero row.  Each row is first divided
-    by its largest |coefficient|, the family's rows by one common factor,
-    which keeps their sum and the norms finite at any c.
-
-    A :class:`ProductBlock` gives a stack of small matrices instead.  The
-    odd block: its factors psi^i as functions at k1 and at k2 (n x 2n),
-    whose ranks multiply, since its rows are their Kronecker products.
-    The even block: its factors phi^i at k1 (k1 and k2 are interior
-    there, so the same matrix serves k2; its rank is n - 1, since they sum
-    to zero), and a matrix whose first n - 1 rows are the ``sym_diag``
-    rows, read as above, on the n diagonal quadrants (8n columns), and
-    whose last row holds only the cycle test, in one more column: a lower
-    bound on the distance of the normalised ``sym_diag`` sum from the
-    ``sym_offdiag`` rows (:func:`_cycle_functional`), 0 for a sum at
-    rounding level; both are n x (8n + 1).  Where the sum lies within ``RANK_MARGIN`` of
-    ``SUM_FLOOR``, or the structure the rank needs is missing (the sum
-    reaches a diagonal quadrant, the factors do not sum to zero, a product
-    row reaches a diagonal quadrant, or waves coincide), the block is read
-    on its half table as a :class:`ParityBlock`.
+    momentum (waves coincide where k1 or k2 is 0).  A :class:`ParityBlock`,
+    a :class:`ProductBlock` too, is read on quadrants a <= b of plane 0
+    (4n^2 + 4n columns), which fix the rest of its tables; any other list,
+    such as the one-block fallback of :func:`exchange_blocks`, on every
+    quadrant and both diagonal planes (8n^2 + 8n columns).  Before
+    normalisation the last ``sym_diag`` row is replaced by the sum of the
+    family's rows, when the family holds exactly n of them.  Their O(1/c)
+    coupling parts cancel in that sum, which leaves the O(1)
+    cycle-completing solution, so the rank stays resolvable at small |c|;
+    the row operation is unimodular and keeps the exact rank.  A sum no
+    larger than ``SUM_FLOOR`` times its largest term is rounding noise and
+    becomes a zero row.  Each row is first divided by its largest
+    |coefficient|, the family's rows by one common factor, which keeps
+    their sum and the norms finite at any c.
     """
-    if isinstance(elements, ProductBlock):
-        small = _product_matrices(elements)
-        if small is not None:
-            return small
     mat, _on_diag = _coefficients(elements, half=isinstance(elements, ParityBlock))
     _normalise(mat, elements, elements[0].stack.n)
     return mat
 
 
-def _product_rank(block: ProductBlock, small: np.ndarray) -> tuple[int, np.ndarray] | None:
-    """A product block's rank from the SVDs of its small matrices, with
-    their ratios, or None where a ratio lies within ``RANK_MARGIN`` of
-    ``GRAM_GAP``.
+def _product_rank(block: ProductBlock) -> tuple[int, np.ndarray] | None:
+    """A product block's rank from the SVDs of two small matrices, with
+    their ratios, or None where they decide nothing.
 
-    The odd block's rows are the Kronecker products of its factors at k1
-    and at k2, so its rank is the product of their ranks.  The even
-    block's ``sym_offdiag`` rows, the products of pairs at distance >= 2,
-    are independent when the factors' one relation is sum_i phi^i = 0
-    (rank n - 1); they vanish on every diagonal quadrant, where the first
-    n - 1 ``sym_diag`` rows must be independent and their sum vanishes; so
-    the rank is the number of ``sym_offdiag`` rows, plus n - 1, plus 1 when
-    the cycle test finds the sum outside the ``sym_offdiag`` span.
+    The odd block's rows are the Kronecker products of its factors psi^i
+    at k1 and at k2, so its rank is the product of the ranks of the two
+    n x 2n factor matrices.  The even block's ``sym_offdiag`` rows, the
+    products of pairs at distance >= 2, are independent when the factors'
+    one relation is sum_i phi^i = 0 (rank n - 1; k1 and k2 are interior,
+    so the matrix at k1 serves k2), and they vanish on every diagonal
+    quadrant, where the first n - 1 ``sym_diag`` rows, read as by
+    :func:`sample_matrix`, must be independent and their sum vanishes.  So
+    the rank is the number of ``sym_offdiag`` rows, plus n - 1, plus 1
+    when the cycle test (:func:`_cycle_functional`), a lower bound on the
+    normalised sum's distance from the ``sym_offdiag`` span (0 for a sum
+    at rounding level), finds it outside.  Both even matrices are
+    n x (8n + 1); the second holds the n - 1 rows on the diagonal quadrants
+    (8n columns) and, in a row and column of its own, that bound.  The
+    factors' relation is left out of the ratios.  None where waves coincide, the sum lies within
+    ``RANK_MARGIN`` of ``SUM_FLOOR``, the factors do not sum to zero or a
+    far pair's share an edge, the sum reaches a diagonal quadrant, a ratio
+    or the odd block's weakest product of ratios lies within
+    ``RANK_MARGIN`` of ``GRAM_GAP``, or the even counts fall short.
     """
+    stack, m = _one_basis(block)
+    n = stack.n
+    factors = block.factors
+    if block.family == "antisym":
+        small = np.stack([_factor_matrix(factors, k, 2 * n) for k in (m.k1.real, m.k2.real)])
+    else:
+        diag = [el for el in block if el.family == "sym_diag"]
+        mat, on_diag = _coefficients(diag, half=True)
+        if mat.shape[1] != 8 * n * (n + 1) // 2:  # waves coincide: k1 or k2 is 0
+            return None
+        size = _normalise(mat, diag, n)
+        if 1.0 / RANK_MARGIN < size < RANK_MARGIN:
+            return None
+        support = (factors != 0).any(axis=-1)  # factor, edge
+        far = np.array([el.indices for el in block if el.family == "sym_offdiag"]) - 1
+        if np.any(factors.sum(axis=0) != 0) or np.any(support[far[:, 0]] & support[far[:, 1]]):
+            return None
+        cycle = 0.0
+        if size > 1.0:
+            if np.any(mat[-1, on_diag] != 0):
+                return None
+            weights = _cycle_functional(factors)
+            cycle = abs(weights @ mat[-1]) / np.linalg.norm(weights)
+        small = np.zeros((2, n, 8 * n + 1), dtype=complex)
+        small[0] = _factor_matrix(factors, m.k1.real, 8 * n + 1)
+        small[1, :-1, :-1] = mat[:-1][:, on_diag]
+        small[1, -1, -1] = cycle
     s = np.linalg.svd(small, compute_uv=False)
     ratio = s / np.where(s[:, :1] > 0, s[:, :1], 1.0)
     live = ratio > GRAM_GAP
@@ -588,34 +574,28 @@ def _product_rank(block: ProductBlock, small: np.ndarray) -> tuple[int, np.ndarr
         if count.min() and weakest < RANK_MARGIN * GRAM_GAP:
             return None
         return int(count[0] * count[1]), ratio.reshape(-1)
-    n = small.shape[1]
     if count[0] != n - 1 or count[1] < n - 1:
         return None
-    # the factors' last singular value is their relation, not a ratio
     return len(block) - n + int(count[1]), np.concatenate([ratio[0, :n - 1], ratio[1]])
 
 
 def basis_rank(elements: list[BasisElement]) -> tuple[int, np.ndarray]:
     """Exact numerical rank of the basis, with its singular values.
 
-    Each exchange-parity block (:func:`exchange_blocks`) takes the SVDs of
-    its :func:`sample_matrix`.  A product block's small matrices give its
-    rank by :func:`_product_rank`; where they decide nothing by
-    ``RANK_MARGIN``, and for every other block, one SVD of the block's
-    coefficient rows does: its rank counts the singular values above
-    ``GRAM_GAP`` times its largest, and a block whose rows are all zero has
-    rank 0.  The rank is the sum over the blocks.  The singular values are
-    each SVD's own, divided by its largest (all zero for a zero matrix), in
-    descending order, so the smallest is the smallest ratio of any of them.
+    A :class:`ProductBlock` of :func:`exchange_blocks` takes its rank from
+    :func:`_product_rank`; every other block, and a product block whose
+    structure decides nothing, from one SVD of its :func:`sample_matrix`:
+    its rank counts the singular values above ``GRAM_GAP`` times its
+    largest, and a block whose rows are all zero has rank 0.  The rank is
+    the sum over the blocks.  The singular values are each SVD's own,
+    divided by its largest (all zero for a zero matrix), in descending
+    order, so the smallest is the smallest ratio of any of them.
     """
     rank, ratios = 0, []
     for block in exchange_blocks(elements):
-        mat = sample_matrix(block)
-        got = _product_rank(block, mat) if mat.ndim == 3 else None
+        got = _product_rank(block) if isinstance(block, ProductBlock) else None
         if got is None:
-            if mat.ndim == 3:  # the small SVDs decide nothing: the block's table does
-                mat = sample_matrix(ParityBlock(block))
-            s = np.linalg.svd(mat, compute_uv=False)
+            s = np.linalg.svd(sample_matrix(block), compute_uv=False)
             got = int(np.sum(s > GRAM_GAP * s[0])), s / (s[0] or 1.0)  # a zero block: rank 0, ratios 0
         rank += got[0]
         ratios.append(got[1])

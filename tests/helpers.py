@@ -283,8 +283,7 @@ def table_rank(elements) -> int:
     times its largest; no product structure is used."""
     rank = 0
     for block in vf.exchange_blocks(elements):
-        rows = vf.ParityBlock(block) if isinstance(block, vf.ParityBlock) else block
-        s = np.linalg.svd(vf.sample_matrix(rows), compute_uv=False)
+        s = np.linalg.svd(vf.sample_matrix(block), compute_uv=False)
         rank += int(np.sum(s > vf.GRAM_GAP * s[0]))
     return rank
 

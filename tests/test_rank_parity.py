@@ -12,7 +12,7 @@ from helpers import basis_rank_oracle, table_coefficients, table_rank
 from stardelta import verifier as vf
 from stardelta.basis import EXCHANGE_SIGN, build_basis, cycle_completing_tensor, product_tensor
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, exchange_image, make_config
-from stardelta.oneparticle import phi, scattering_wave, xi_solution
+from stardelta.oneparticle import OneParticleSolution, phi, scattering_wave, xi_solution
 
 M68 = MomentumPair.from_k1(0.6)
 
@@ -140,28 +140,53 @@ def test_split_rank_equals_the_joint_rank(n):
                 assert rank == basis_rank_oracle(elements, seed)[0], (c, k1, seed)
 
 
+def _factor_ratios(factors):
+    """The singular values of the factors as n x 2n rows at an interior
+    momentum, each divided by the largest."""
+    s = np.linalg.svd(factors.reshape(len(factors), -1), compute_uv=False)
+    return s / s[0]
+
+
 def test_singular_values_are_the_block_ratios():
     # on the structure path they are the ratios of the small SVDs: the odd
-    # block's factors at k1 and k2, the even block's factors (without the
-    # zero of their relation sum_i phi^i = 0) and its diagonal-quadrant
-    # matrix with the cycle test
+    # block's factors at k1 and k2 (one matrix at interior momenta), the
+    # even block's factors (without the zero of their relation
+    # sum_i phi^i = 0) and its diagonal-quadrant matrix with the cycle test
     n = 6
     elements = build_basis(make_config(n, 1.3), M68)
     rank, svals = vf.basis_rank(elements)
-    odd, even = (np.linalg.svd(vf.sample_matrix(block), compute_uv=False) for block in vf.exchange_blocks(elements))
-    odd, even = odd / odd[:, :1], even / even[:, :1]
-    want = np.concatenate([odd.ravel(), even[0, :n - 1], even[1]])
-    assert rank == len(elements)
+    odd, even = vf.exchange_blocks(elements)
+    odd_ratios = _factor_ratios(odd.factors)
+    even_rank, even_ratios = vf._product_rank(even)
+    assert vf._product_rank(odd)[0] + even_rank == rank == len(elements)
+    assert even_ratios[:n - 1] == pytest.approx(_factor_ratios(even.factors)[:n - 1], rel=1e-12)
+    want = np.concatenate([odd_ratios, odd_ratios, even_ratios])
     assert svals[0] == 1.0 and np.all(np.diff(svals) <= 0)
     assert np.array_equal(svals, np.sort(want)[::-1])
     assert svals[-1] == pytest.approx(0.2679, abs=1e-4)
 
 
+def _counting_sample_matrix(monkeypatch):
+    calls = []
+    table = vf.sample_matrix
+
+    def counted(elements):
+        calls.append(len(elements))
+        return table(elements)
+
+    monkeypatch.setattr(vf, "sample_matrix", counted)
+    return calls
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_below_six_edges_the_tables_give_the_rank(n):
-    # there the table SVDs cost less than the product checks
+def test_below_six_edges_the_tables_give_the_rank(n, monkeypatch):
+    # there the table SVDs cost less than the product checks; the rank
+    # reads each block through sample_matrix
     elements = build_basis(make_config(n, 1.3), M68)
     assert [type(block) for block in vf.exchange_blocks(elements)] == [vf.ParityBlock, vf.ParityBlock]
+    calls = _counting_sample_matrix(monkeypatch)
+    assert vf.basis_rank(elements)[0] == len(elements)
+    assert calls == [n * n, n * n - 2 * n]
 
 
 def test_rank_at_tiny_coupling_does_not_overflow():
@@ -187,21 +212,27 @@ def test_rank_refuses_elements_of_two_bases():
 def _paths(elements):
     """Per parity block, "structure" where the product structure gives its
     rank, else "table"."""
-    out = []
-    for block in vf.exchange_blocks(elements):
-        small = vf.sample_matrix(block) if isinstance(block, vf.ProductBlock) else None
-        structure = small is not None and small.ndim == 3 and vf._product_rank(block, small) is not None
-        out.append("structure" if structure else "table")
-    return out
+    return ["structure" if isinstance(block, vf.ProductBlock) and vf._product_rank(block) is not None else "table"
+            for block in vf.exchange_blocks(elements)]
 
 
 @pytest.mark.parametrize("n, c, k1", [(6, 1.0, 0.6), (7, -1.5, 0.28), (10, 2.1, 0.2), (12, 1e-6, 0.9)])
-def test_a_fresh_basis_takes_the_structure_path(n, c, k1):
+def test_a_fresh_basis_takes_the_structure_path(n, c, k1, monkeypatch):
+    # the rank never reads a table matrix; the odd block's rank is that of
+    # two n x 2n factor matrices, and its table matrix is its half table,
+    # as for any parity block
     elements = build_basis(make_config(n, c), MomentumPair.from_k1(k1))
-    assert [type(block) for block in vf.exchange_blocks(elements)] == [vf.ProductBlock, vf.ProductBlock]
+    calls = _counting_sample_matrix(monkeypatch)
+    assert vf.basis_rank(elements)[0] == len(elements)
+    assert calls == []
+    odd, even = vf.exchange_blocks(elements)
+    assert [type(odd), type(even)] == [vf.ProductBlock, vf.ProductBlock]
     assert _paths(elements) == ["structure", "structure"]
-    small = vf.sample_matrix(vf.exchange_blocks(elements)[0])
-    assert small.shape == (2, n, 2 * n)
+    rank, ratios = vf._product_rank(odd)
+    assert rank == n * n and ratios.shape == (2 * n,)
+    table = vf.sample_matrix(odd)
+    assert table.shape == (n * n, 4 * n * n + 4 * n)
+    assert np.array_equal(table, vf.sample_matrix(vf.ParityBlock(odd)))
 
 
 @pytest.mark.parametrize("k1", [0.0, 1.0])
@@ -316,3 +347,88 @@ def test_the_structural_controls_keep_their_deficit(n, c, control):
     else:
         assert all(type(block) is not vf.ProductBlock for block in vf.exchange_blocks(changed))
     assert vf.basis_rank(changed)[0] == table_rank(changed) == size - 1
+
+
+def _rebuilt(elements, family, factors):
+    """The family's rows rewritten as the products of ``factors``, exactly
+    as the basis builds them, on a table of their own."""
+    rows = [el for el in elements if el.family == family]
+    ij = np.array([el.indices for el in rows]) - 1
+    amps = elements[0].stack.amps.copy()
+    amps[[el.row for el in rows]] = product_tensor(OneParticleSolution(factors[ij[:, 0]]),
+                                                   OneParticleSolution(factors[ij[:, 1]]), EXCHANGE_SIGN[family]).amps
+    return _with_table(elements, amps)
+
+
+def _near_the_gap(ratios):
+    return np.any((vf.GRAM_GAP / vf.RANK_MARGIN < ratios) & (ratios < vf.RANK_MARGIN * vf.GRAM_GAP))
+
+
+def _ratio_near_the_gap(f):
+    # psi^2 := psi^3 + 1e-8 psi^2: a ratio lies within RANK_MARGIN of GRAM_GAP
+    f[1] = f[2] + 1e-8 * f[1]
+    return _near_the_gap(_factor_ratios(f))
+
+
+def _weak_product(f):
+    # psi^2 := psi^3 + 1e-4 psi^2: each ratio is clear of GRAM_GAP, their
+    # product at k1 and k2 is not
+    f[1] = f[2] + 1e-4 * f[1]
+    ratios = _factor_ratios(f)
+    return not _near_the_gap(ratios) and _near_the_gap(ratios[-1] ** 2)
+
+
+def _sum_not_zero(f):
+    f[5] *= 2.0
+    return np.any(f.sum(axis=0) != 0)
+
+
+def _far_pair_shares_an_edge(f):
+    # phi^5 += phi^1, phi^6 -= phi^1: the sum stays zero, and the far pair
+    # (5, 1) shares edges 1 and 2
+    f[4] += f[0]
+    f[5] -= f[0]
+    return not np.any(f.sum(axis=0)) and np.any((f[4] != 0).any(axis=-1) & (f[0] != 0).any(axis=-1))
+
+
+def _factor_rank_short(f):
+    # phi^5 and phi^6 scaled by 1e12 on their shared edge 6: the sum and
+    # the supports stay, but the factors read rank 1, not n - 1
+    f[4:, 5] *= 1e12
+    return not np.any(f.sum(axis=0)) and np.sum(_factor_ratios(f) > vf.GRAM_GAP) == 1
+
+
+@pytest.mark.parametrize("family, craft", [
+    ("antisym", _ratio_near_the_gap), ("antisym", _weak_product), ("sym_offdiag", _sum_not_zero),
+    ("sym_offdiag", _far_pair_shares_an_edge), ("sym_offdiag", _factor_rank_short),
+])
+def test_every_exit_of_the_structure_rank_reads_the_table(family, craft):
+    # each craft changes, in place, only factors that no product row is
+    # read against (psi^2, phi^5 and phi^6 at n = 6), so both families
+    # pass their product checks, and confirms the flaw that its exit of
+    # _product_rank finds; that block then reads its table
+    n = 6
+    cfg = make_config(n, 1.3)
+    one = scattering_wave if family == "antisym" else phi
+    factors = np.stack([one(cfg, i).coeff for i in range(1, n + 1)])
+    assert craft(factors)
+    changed = _rebuilt(build_basis(cfg, M68), family, factors)
+    blocks = vf.exchange_blocks(changed)
+    assert [type(block) for block in blocks] == [vf.ProductBlock, vf.ProductBlock]
+    assert np.array_equal(blocks[family == "sym_offdiag"].factors, factors)
+    assert _paths(changed) == (["table", "structure"] if family == "antisym" else ["structure", "table"])
+    assert vf.basis_rank(changed)[0] == table_rank(changed)
+
+
+def test_a_sym_diag_sum_on_a_diagonal_quadrant_reads_the_table():
+    # sym_diag(1)'s table in sym_diag(2)'s row: every row passes the
+    # parity and product checks, but the family's sum no longer vanishes
+    # on the diagonal quadrants, so the even block reads its table
+    elements = build_basis(make_config(6, 1.3), M68)
+    diag = [el.row for el in elements if el.family == "sym_diag"]
+    amps = elements[0].stack.amps.copy()
+    amps[diag[1]] = amps[diag[0]]
+    changed = _with_table(elements, amps)
+    assert [type(b) for b in vf.exchange_blocks(changed)] == [vf.ProductBlock, vf.ProductBlock]
+    assert _paths(changed) == ["structure", "table"]
+    assert vf.basis_rank(changed)[0] == table_rank(changed) == len(elements) - 1 == 59
