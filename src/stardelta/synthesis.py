@@ -43,7 +43,7 @@ from .domain import (
     wave_momenta,
 )
 from .transforms import basic_solution_tensor
-from .verifier import gauss_legendre, kronecker_points
+from .verifier import gauss_legendre, kronecker_points, profile_values
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +105,10 @@ def gauss_rule(count: int) -> QuadratureRule:
 def _profile_on(profile: Callable, nodes: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient profile on a node grid, one value per node;
     refuses a profile that is not finite, or vanishes at every node."""
-    values = np.atleast_1d(np.asarray(profile(nodes)))
-    if values.shape != nodes.shape:
-        raise ValueError("profile must return one coefficient per quadrature node")
+    values = profile_values(profile, nodes)
     if not np.all(np.isfinite(values)) or not np.any(values):
         raise ValueError("profile must be finite and not vanish at every quadrature node")
-    return values.astype(complex)
+    return values
 
 
 # ---------------------------------------------------------------------------

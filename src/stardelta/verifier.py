@@ -65,6 +65,7 @@ DEFAULT_DETECT_ABOVE = 1e-5  # worst residual that counts as a detected mutation
 GRAM_GAP = 1e-8
 SUM_FLOOR = 64 * np.finfo(float).eps  # a row sum this small, relative to its terms, is zero
 SPAN = 10.0
+SIGN_PAIRS = {(sig, tau) for sig in (-1, 1) for tau in (-1, 1)}  # the channels of the norm limit
 
 
 def kronecker_points(count: int, offset: int | np.ndarray = 0, hi: float = 1.0) -> np.ndarray:
@@ -770,50 +771,110 @@ class NormLimitResult:
         return self.quadrature_change <= 0.02 * scale
 
 
-def _norm_lhs(profiles: Mapping[tuple[int, int], Callable], R: float, panel: float, k_count: int) -> float:
-    knots, kweights = gauss_legendre(k_count)
-    kappa = partner_momentum(knots)
-    # composite 8-point Gauss panels of width at most ``panel`` on [0, R]
-    edges = np.linspace(0.0, R, max(1, int(math.ceil(R / panel))) + 1)
-    xs, ws = (a.reshape(-1) for a in gauss_legendre(8, edges[:-1], edges[1:]))
-    psi = np.zeros((xs.size, xs.size), dtype=complex)
-    for (sig, tau), g in profiles.items():
-        gv = np.asarray(g(knots), dtype=complex)
-        if not np.any(gv):
-            continue
-        coeff = (-sig * tau) * kweights * gv
-        ex = np.exp(1j * sig * np.outer(xs, knots))
-        ey = np.exp(1j * tau * np.outer(kappa, xs))
-        psi += ex @ (coeff[:, None] * ey)
-    dens = np.abs(psi) ** 2
-    return float(ws @ dens @ ws) / R
+def profile_values(profile: Callable, nodes: np.ndarray) -> np.ndarray:
+    """A coefficient profile on a node grid, one complex value per node;
+    refuses a profile that gives any other shape."""
+    values = np.atleast_1d(np.asarray(profile(nodes)))
+    if values.shape != nodes.shape:
+        raise ValueError("profile must return one coefficient per quadrature node")
+    return values.astype(complex)
+
+
+def _wave_gram(q: np.ndarray, starts: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """G[a, b] = sum over the nodes x = start + t of w * exp(i (q_a - q_b) x),
+    as a Gram over the panel starts times a Gram over the one-panel rule."""
+    shift = np.exp(1j * np.outer(starts, q))
+    local = np.exp(1j * np.outer(t, q))
+    gram = shift.T @ shift.conj()
+    gram *= (local.T * w) @ local.conj()
+    return gram
+
+
+def _norm_lhs(
+    values: Mapping[tuple[int, int], np.ndarray], knots: np.ndarray, kweights: np.ndarray, R: float, panel: float
+) -> float:
+    # channels and knots that vanish add nothing to the form
+    live = {key: v for key, v in values.items() if np.any(v)}
+    if not live:
+        return 0.0
+    keep = np.any(list(live.values()), axis=0)
+    k, kappa = knots[keep], partner_momentum(knots[keep])
+    # composite 8-point Gauss panels of equal width at most ``panel`` on [0, R]
+    count = max(1, math.ceil(R / panel))
+    starts = np.arange(count) * (R / count)
+    t, w = gauss_legendre(8, 0.0, R / count)
+    # one Gram per axis over the signed wave numbers of the channels present
+    sx, sy = sorted({sig for sig, _ in live}), sorted({tau for _, tau in live})
+    m = k.size
+    gx = _wave_gram(np.outer(sx, k).ravel(), starts, t, w).reshape(len(sx), m, len(sx), m)
+    gy = _wave_gram(np.outer(sy, kappa).ravel(), starts, t, w).reshape(len(sy), m, len(sy), m)
+    coeff = {(sig, tau): (-sig * tau) * kweights[keep] * v[keep] for (sig, tau), v in live.items()}
+    total = 0.0
+    for (sig, tau), c in coeff.items():
+        for (sig2, tau2), d in coeff.items():
+            block = gx[sx.index(sig), :, sx.index(sig2)] * gy[sy.index(tau), :, sy.index(tau2)]
+            total += c @ block @ d.conj()
+    return float(total.real) / R
 
 
 def check_norm_limit(profiles: Mapping[tuple[int, int], Callable], R: float) -> NormLimitResult:
     """Compare (1/R) * integral of |psi|^2 over [0, R]^2 against the channel sum.
 
-    ``profiles`` maps sign pairs (sig, tau) to square-integrable
-    transform functions on [0, 1]; psi is the plane-wave superposition
-    they generate on one quadrant.  The right-hand side is
-    2*pi * sum of the channel L2 norms.  The left-hand side uses
-    composite 8-point Gauss panels of width 1.4 in x and y, and a
-    Gauss rule of max(256, 3.2 R) nodes in momentum; a refined pass
-    (panels of width 1.4/1.5) estimates the remaining quadrature error,
-    exposed as ``quadrature_change`` and the ``converged`` flag.  Every
+    ``profiles`` maps sign pairs (sig, tau) in {-1, 1}^2 to
+    square-integrable transform functions g on [0, 1]; psi is the
+    plane-wave superposition they generate on one quadrant,
+
+        psi(x, y) = sum over channels and momentum knots k of
+                    c * exp(i (sig k x + tau kappa(k) y)),
+        c = -sig tau w_k g(k),  kappa(k) = sqrt(1 - k^2).
+
+    The right-hand side is 2*pi * sum of the channel L2 norms, on a
+    400-node Gauss rule.  The left-hand side takes a Gauss rule of
+    max(256, 3.2 R) momentum knots and composite 8-point Gauss panels of
+    width 1.4 in x and y; a refined pass (panels of width 1.4/1.5)
+    estimates the remaining quadrature error, exposed as
+    ``quadrature_change`` and the ``converged`` flag.
+
+    No grid of psi is built.  Indexing the non-vanishing (channel, knot)
+    pairs by a, with wave numbers p_a = sig k and q_a = tau kappa(k),
+
+        sum over x, y of w_x w_y |psi|^2 = sum over a, b of
+            c_a conj(c_b) Gx[a, b] Gy[a, b],
+        Gx[a, b] = sum over x of w_x exp(i (p_a - p_b) x),
+
+    and Gy likewise with q.  Every panel has the same width, so each node
+    is start + t for one 8-point rule t, and Gx is the elementwise
+    product of a Gram over the panel starts and one over the panel rule.
+    Each axis takes one Gram over the signed wave numbers of the channels
+    present: with K knots and s signs per axis, about 2 (s K)^2 (panels
+    + 8) complex multiply-adds and (panels + 8) s K exponentials per
+    axis, and a few (s K)^2 arrays, where the X x X grid (X = 8 panels)
+    of C channels took C X^2 K multiply-adds and 2 C X K exponentials
+    and held X^2 values.  Every
     rule comes from :func:`gauss_legendre`, which solves each node count
     once: both passes, and later calls, share the 8-point, momentum and
     400-point rules.
+
+    Raises ``ValueError`` before any sum for an R that is not positive
+    and finite, a key outside {-1, 1}^2, or a profile that does not give
+    one finite value per node; a profile that is zero everywhere is
+    allowed.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    k_count = max(256, int(3.2 * R))
-    # right-hand side: 2 pi * sum of channel norms
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got R={R}")
+    for key in profiles:
+        if key not in SIGN_PAIRS:
+            raise ValueError(f"channel key must be a sign pair (sig, tau) in {{-1, 1}}^2, got {key!r}")
+    knots, kweights = gauss_legendre(max(256, int(3.2 * R)))
     qx, qw = gauss_legendre(400)
-    rhs = 0.0
-    for g in profiles.values():
-        gv = np.asarray(g(qx), dtype=complex)
-        rhs += float(qw @ (np.abs(gv) ** 2))
-    rhs *= 2.0 * math.pi
-    lhs = _norm_lhs(profiles, R, 1.4, k_count)
-    lhs_fine = _norm_lhs(profiles, R, 1.4 / 1.5, k_count)
+    on_knots, on_rhs = {}, []
+    for key, g in profiles.items():
+        on_knots[key], gv = profile_values(g, knots), profile_values(g, qx)
+        if not (np.all(np.isfinite(on_knots[key])) and np.all(np.isfinite(gv))):
+            raise ValueError("profile must be finite at every quadrature node")
+        on_rhs.append(gv)
+    # right-hand side: 2 pi * sum of channel norms
+    rhs = 2.0 * math.pi * sum(float(qw @ (np.abs(gv) ** 2)) for gv in on_rhs)
+    lhs = _norm_lhs(on_knots, knots, kweights, R, 1.4)
+    lhs_fine = _norm_lhs(on_knots, knots, kweights, R, 1.4 / 1.5)
     return NormLimitResult(R=R, lhs=lhs, rhs=rhs, quadrature_change=abs(lhs - lhs_fine))

@@ -19,12 +19,16 @@ the reference of the rank that ``basis_rank`` reads from the product
 structure.  ``offdiag_drift_masked`` is the hat/check drift taken by
 boolean-mask gathers on every stacked array, the oracle of
 ``check_kirchhoff_transforms``' exact plane comparison.
+``norm_lhs_dense`` builds psi on the whole X x X composite-Gauss grid
+and sums its weighted density, the oracle of the Hermitian form of
+``verifier._norm_lhs``.
 The closed-form kernel patterns are the cross-check of
 ``compute_kernel_decomposition``; they change basis through the dense
 ``kron(F, F)``, independently of the per-matrix conversion in the package.
 """
 
-from typing import Mapping
+import math
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from stardelta.domain import (
     AmplitudeTensor,
     EntryKey,
     _entry_index,
+    partner_momentum,
     wave_momenta,
     wave_phases,
 )
@@ -365,3 +370,20 @@ def mutation_sweep_oracle(cfg, m, rel=vf.DEFAULT_REL, per_element=1, detect_abov
                 }
             )
     return out
+
+
+def norm_lhs_dense(profiles: Mapping[tuple[int, int], Callable], R: float, panel: float, k_count: int) -> float:
+    """(1/R) * the weighted sum of |psi|^2 over the X x X grid of composite
+    8-point Gauss panels of width at most ``panel`` on [0, R], psi built
+    channel by channel as one X x K x X product on a ``k_count``-knot rule."""
+    knots, kweights = vf.gauss_legendre(k_count)
+    kappa = partner_momentum(knots)
+    edges = np.linspace(0.0, R, max(1, int(math.ceil(R / panel))) + 1)
+    xs, ws = (a.reshape(-1) for a in vf.gauss_legendre(8, edges[:-1], edges[1:]))
+    psi = np.zeros((xs.size, xs.size), dtype=complex)
+    for (sig, tau), g in profiles.items():
+        coeff = (-sig * tau) * kweights * np.asarray(g(knots), dtype=complex)
+        ex = np.exp(1j * sig * np.outer(xs, knots))
+        ey = np.exp(1j * tau * np.outer(kappa, xs))
+        psi += ex @ (coeff[:, None] * ey)
+    return float(ws @ (np.abs(psi) ** 2) @ ws) / R

@@ -1,5 +1,7 @@
 """Residual checks: positive paths, negative controls, the norm-limit identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from stardelta.basis import build_basis
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, check_pole, make_config
 from stardelta import synthesis as syn
 from stardelta import verifier as vf
-from helpers import from_entries
+from helpers import from_entries, norm_lhs_dense
 
 CFG3 = make_config(3, 1.0)
 M68 = MomentumPair.from_k1(0.6)
@@ -368,3 +370,74 @@ def test_norm_limit_solves_each_rule_once(monkeypatch):
 def test_norm_limit_rejects_bad_radius():
     with pytest.raises(ValueError):
         vf.check_norm_limit({(1, 1): _bump(0.3, 0.1)}, R=0.0)
+
+
+# the channel sets of the dense-oracle comparison
+NORM_CHANNELS = {
+    "one": {(1, 1): _bump(0.33, 0.12)},
+    "four": {(1, 1): _bump(0.2, 0.08), (1, -1): _bump(0.4, 0.1), (-1, 1): _bump(0.55, 0.05), (-1, -1): _bump(0.8, 0.12)},
+    "zero_among": {(1, 1): _bump(0.3, 0.1), (-1, 1): lambda k: np.zeros_like(np.asarray(k)), (1, -1): _bump(0.5, 0.07)},
+    "complex": {(-1, 1): lambda k: _bump(0.4, 0.1)(k) * np.exp(3j * np.asarray(k))},
+}
+
+
+@pytest.mark.parametrize("channels", sorted(NORM_CHANNELS))
+@pytest.mark.parametrize("panel", [1.4, 1.4 / 1.5], ids=["coarse", "fine"])
+@pytest.mark.parametrize("R", [0.5, 10.0, 40.0, 80.0, 200.0])
+def test_norm_lhs_matches_dense_grid(R, panel, channels):
+    # the Hermitian form over the knots against psi built on the X x X grid
+    profiles = NORM_CHANNELS[channels]
+    k_count = max(256, int(3.2 * R))
+    knots, kweights = vf.gauss_legendre(k_count)
+    values = {key: vf.profile_values(g, knots) for key, g in profiles.items()}
+    got = vf._norm_lhs(values, knots, kweights, R, panel)
+    want = norm_lhs_dense(profiles, R, panel, k_count)
+    assert want > 0 and got == pytest.approx(want, rel=1e-12)
+
+
+def _refused_before_quadrature(monkeypatch, profiles, R, match):
+    def unreachable(*args):
+        raise AssertionError("the norm-limit sums ran on refused input")
+
+    monkeypatch.setattr(vf, "_norm_lhs", unreachable)
+    with pytest.raises(ValueError, match=match):
+        vf.check_norm_limit(profiles, R)
+
+
+@pytest.mark.parametrize("R", [np.inf, -np.inf, np.nan, -1.0])
+def test_norm_limit_rejects_radius_that_is_not_positive_and_finite(monkeypatch, R):
+    _refused_before_quadrature(monkeypatch, {(1, 1): _bump(0.3, 0.1)}, R, "R must be positive and finite")
+
+
+@pytest.mark.parametrize("key", [(2, 1), (0, 1), (1, -2), (1,), (1, 1, 1)], ids=str)
+def test_norm_limit_rejects_channel_key_outside_sign_pairs(monkeypatch, key):
+    profiles = {(1, 1): _bump(0.3, 0.1), key: _bump(0.5, 0.1)}
+    _refused_before_quadrature(monkeypatch, profiles, 40.0, "channel key must be a sign pair")
+
+
+@pytest.mark.parametrize(
+    "profile, match",
+    [
+        (lambda k: 1.0, "one coefficient per quadrature node"),
+        (lambda k: np.ones((2, np.size(k))), "one coefficient per quadrature node"),
+        (lambda k: np.where(np.asarray(k) > 0.5, np.nan, 1.0), "finite at every quadrature node"),
+        (lambda k: np.full_like(np.asarray(k), np.inf), "finite at every quadrature node"),
+    ],
+    ids=["scalar", "two_rows", "nan", "inf"],
+)
+def test_norm_limit_rejects_profile_without_one_finite_value_per_node(monkeypatch, profile, match):
+    profiles = {(1, 1): _bump(0.3, 0.1), (-1, 1): profile}
+    _refused_before_quadrature(monkeypatch, profiles, 40.0, match)
+
+
+def test_norm_limit_builds_no_grid_of_psi():
+    # psi on the X x X grid of the refined pass at R = 200 needs 141 MiB
+    profiles = {(1, 1): _bump(0.33, 0.12)}
+    tracemalloc.start()
+    try:
+        res = vf.check_norm_limit(profiles, 200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
