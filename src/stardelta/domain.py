@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -274,6 +275,7 @@ TABLE_CHUNK = 1 << 15
 # The most wave-point pairs (waves times sample points) one block of a
 # plane_wave_sum takes: a sum over more waves streams them in blocks of
 # about this size, and callers split stacks of tables into calls of it.
+# Where two threads check one basis at once, they share this budget.
 WAVE_POINTS = 1 << 18
 
 # Signs and slots of the eight waves of one quadrant/sector, in the
@@ -299,31 +301,41 @@ def _phase_table(kx, ky, x, y) -> np.ndarray:
     return table
 
 
-_kept: dict = {}  # the key and table of the last wave_phases call
+class _Kept(threading.local):
+    """The key and table of the last wave_phases call, one pair per thread."""
+
+    key = None
+    table = None
+
+
+_kept = _Kept()
 
 
 def wave_phases(kx: np.ndarray, ky: np.ndarray, x, y) -> np.ndarray:
     """exp(1j(k_x x + k_y y)) per wave (first axis) and point (the
     broadcast shape of ``x`` and ``y``, at least 1-d), read-only.
 
-    The table of the previous call is kept: a call whose wave momenta and
-    points are bit for bit those of that call gets the kept table, so the
-    value and derivative sums of one family of points build one table.
-    Any other call drops the kept table before it builds its own, so at
-    most one table stays alive between calls, and :func:`drop_phases`
-    frees it.
+    The table of the thread's previous call is kept: a call whose wave
+    momenta and points are bit for bit those of that call gets the kept
+    table, so the value and derivative sums of one family of points build
+    one table.  Any other call drops the kept table before it builds its
+    own, so at most one table per thread stays alive between calls, and
+    :func:`drop_phases` frees it.  Each thread keeps its own table, so
+    threads that evaluate at once never read each other's.
     """
     key = tuple((a.shape, a.dtype.str, a.tobytes()) for a in map(np.asarray, (kx, ky, x, y)))
-    if _kept.get("key") != key:
-        _kept.clear()
-        _kept.update(key=key, table=_phase_table(kx, ky, x, y))
-    return _kept["table"]
+    if _kept.key != key:
+        drop_phases()
+        _kept.table = _phase_table(kx, ky, x, y)
+        _kept.key = key
+    return _kept.table
 
 
 def drop_phases() -> None:
-    """Free the table :func:`wave_phases` keeps; a family of sums that is
-    done with its points calls this, so no table outlives it."""
-    _kept.clear()
+    """Free the table :func:`wave_phases` keeps for this thread; a family
+    of sums that is done with its points calls this, so no table outlives
+    it."""
+    _kept.key = _kept.table = None
 
 
 def plane_wave_sum(waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction: str | None = None) -> np.ndarray:

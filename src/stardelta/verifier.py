@@ -6,14 +6,18 @@ pair, or quadrature-synthesised superpositions); each check evaluates a
 whole family of boundary lines per call.  A stack of amplitude tensors
 is checked in one pass: every family is evaluated for all of them at
 once, each at its own sample offset, and the whole-basis checks and the
-mutation sweep walk the basis in stacks sized by ``WAVE_POINTS``.
-Every stacked value is the one the tensor alone gives.  The value and
-derivative sums of one family share its phase table, which
-:func:`~stardelta.domain.wave_phases` keeps until the check is done with
-the family's points.  All residuals are exact analytic evaluations
-sampled at deterministic low-discrepancy points; one-sided limits at the
-diagonal evaluate the sector-tagged branches exactly at x = y, since each
-branch is an entire function.
+mutation sweep walk the basis in stacks sized by ``WAVE_POINTS``.  A
+basis of more than one stack, up to ``SHARED_STACKS``, is checked by the
+calling thread and one worker at once, each taking the next unchecked
+stack (:func:`_each_stack`); every result is stored by stack index, so
+no report depends on which thread checked what.  Every stacked value is
+the one the tensor alone gives.  The value and derivative sums of one
+family share its phase table, which :func:`~stardelta.domain.wave_phases`
+keeps, per thread, until the check is done with the family's points.
+All residuals are exact analytic evaluations sampled at deterministic
+low-discrepancy points; one-sided limits at the diagonal evaluate the
+sector-tagged branches exactly at x = y, since each branch is an entire
+function.
 
 The basis rank is read from the tables, unsampled: a parity block whose
 product structure an exact check shows (:func:`exchange_blocks`) takes
@@ -29,6 +33,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol
 
@@ -639,6 +645,13 @@ def verify_element(
     ]
 
 
+# The most stacks a basis may take and still be checked on two threads.  A
+# basis of more (n >= 26 at 60 samples) has transform checks whose matrix
+# products BLAS already runs on its own threads; a second thread of ours on
+# top of them made verify slower at n = 26 and 30 on two CPUs.
+SHARED_STACKS = 48
+
+
 def _per_line(samples: int, lines: int) -> int:
     """Sample points on each boundary line of a family of ``lines`` lines."""
     return max(1, samples // lines)
@@ -647,9 +660,58 @@ def _per_line(samples: int, lines: int) -> int:
 def _stacks(count: int, n: int, samples: int) -> list[slice]:
     """Slices of a stack of ``count`` solutions whose boundary checks keep
     every call under WAVE_POINTS wave-point pairs.  A vertex family is the
-    largest: 8 waves at n values per point of its n lines, per solution."""
+    largest: 8 waves at n values per point of its n lines, per solution.
+    When the solutions need more than one such call, the slices take half
+    that size, so that two threads checking them at once
+    (:func:`_each_stack`) share the budget."""
     size = max(1, WAVE_POINTS // (8 * n * n * _per_line(samples, 2 * n)))
+    if count > size:
+        size = max(1, size // 2)
     return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _each_stack(check: Callable[[slice], list], parts: list[slice]) -> list:
+    """``check(part)`` for every part, the lists it returns joined in part
+    order.
+
+    With more than one part, but no more than ``SHARED_STACKS``, and at
+    least two CPUs to run on, the calling thread and one worker thread
+    each take the next unchecked part until none is left; the checks
+    spend their time in NumPy kernels that release the interpreter lock.
+    Each result is stored under its part's index, so the output does not
+    depend on which thread checked which part.  An error in either thread
+    stops the handing out of parts and is raised here once the worker has
+    finished.
+    """
+    done: list = [None] * len(parts)
+    todo = list(range(len(parts) - 1, -1, -1))  # popped from the end: part 0 first
+    lock = threading.Lock()
+    failed: list[BaseException] = []
+
+    def drain():
+        try:
+            while True:
+                with lock:
+                    if not todo:
+                        return
+                    k = todo.pop()
+                done[k] = check(parts[k])
+        except BaseException as exc:  # the calling thread raises it below
+            with lock:
+                todo.clear()
+            failed.append(exc)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    worker = None
+    if 1 < len(parts) <= SHARED_STACKS and cpus > 1:
+        worker = threading.Thread(target=drain, name="stardelta-stacks")
+        worker.start()
+    drain()
+    if worker is not None:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return [item for part in done for item in part]
 
 
 def verify_full_basis(
@@ -661,14 +723,15 @@ def verify_full_basis(
     """Verify every basis element and the basis rank at this momentum.
 
     Element ``idx`` samples at offset ``7 * idx``; the elements are
-    checked in stacks, each stack in one pass.
+    checked in stacks, each stack in one pass, two stacks at a time when
+    there are several (:func:`_each_stack`).
     """
     check_sampling(samples, tol)
     elements = build_basis(cfg, m)
     offsets = 7 * np.arange(len(elements))
-    sub_reports = []
-    for part in _stacks(len(elements), cfg.n, samples):
-        sub_reports += verify_element(elements[part], samples=samples, tol=tol, offset=offsets[part])
+    sub_reports = _each_stack(
+        lambda part: verify_element(elements[part], samples=samples, tol=tol, offset=offsets[part]),
+        _stacks(len(elements), cfg.n, samples))
     checks: list[CheckResult] = []
     for el, rep in zip(elements, sub_reports):
         # aggregate row per element: worst residual normalised by each
@@ -711,7 +774,8 @@ def mutation_sweep(
     detects every mutation; silent records mean the checks are vacuous
     somewhere.  The entries are drawn element by element, each among the
     entries ``items`` lists, in its order; the mutants are then checked in
-    stacks, all at offset 0.
+    stacks, all at offset 0, two stacks at a time when there are several
+    (:func:`_each_stack`).
     """
     if rel == 0 or not math.isfinite(rel):
         raise ValueError(f"mutation size must be non-zero and finite, got rel={rel}")
@@ -727,15 +791,15 @@ def mutation_sweep(
         where = np.flatnonzero(keep)
         picks = where[rng.choice(len(where), size=min(per_element, len(where)), replace=False)]
         mutants += [(el, entry_key(index)) for index in np.transpose(np.unravel_index(picks, keep.shape)).tolist()]
-    out = []
-    for part in _stacks(len(mutants), cfg.n, MUTATION_SAMPLES):
+
+    def check(part: slice) -> list[dict]:
         batch = mutants[part]
         bad = AmplitudeTensor([el.tensor.with_scaled_entry(key, 1.0 + rel).amps for el, key in batch])
         sol = TensorSolution(bad, m)
         checks = check_vertex_bc(sol, cfg.n, samples=MUTATION_SAMPLES)
         checks += check_diagonal_bc(sol, cfg.n, cfg.c, samples=MUTATION_SAMPLES)
         worst = np.maximum.reduce([c.max_abs_residual for c in checks])
-        out += [
+        return [
             {
                 "element": el.label,
                 "entry": list(key),
@@ -745,7 +809,8 @@ def mutation_sweep(
             }
             for (el, key), w in zip(batch, worst)
         ]
-    return out
+
+    return _each_stack(check, _stacks(len(mutants), cfg.n, MUTATION_SAMPLES))
 
 
 # ---------------------------------------------------------------------------
@@ -856,12 +921,14 @@ def check_norm_limit(profiles: Mapping[tuple[int, int], Callable], R: float) -> 
     400-point rules.
 
     Raises ``ValueError`` before any sum for an R that is not positive
-    and finite, a key outside {-1, 1}^2, or a profile that does not give
-    one finite value per node; a profile that is zero everywhere is
-    allowed.
+    and finite, an empty channel mapping, a key outside {-1, 1}^2, or a
+    profile that does not give one finite value per node; a profile that
+    is zero everywhere is allowed.
     """
     if not 0.0 < R < math.inf:
         raise ValueError(f"R must be positive and finite, got R={R}")
+    if not profiles:
+        raise ValueError("need at least one channel profile, got none")
     for key in profiles:
         if key not in SIGN_PAIRS:
             raise ValueError(f"channel key must be a sign pair (sig, tau) in {{-1, 1}}^2, got {key!r}")

@@ -409,6 +409,12 @@ def test_norm_limit_rejects_radius_that_is_not_positive_and_finite(monkeypatch, 
     _refused_before_quadrature(monkeypatch, {(1, 1): _bump(0.3, 0.1)}, R, "R must be positive and finite")
 
 
+def test_norm_limit_rejects_an_empty_channel_set(monkeypatch):
+    # with no channel, lhs = rhs = 0 would read as a converged identity
+    monkeypatch.setattr(vf, "gauss_legendre", lambda *args: pytest.fail("a rule was solved for no channel"))
+    _refused_before_quadrature(monkeypatch, {}, 40.0, "need at least one channel profile")
+
+
 @pytest.mark.parametrize("key", [(2, 1), (0, 1), (1, -2), (1,), (1, 1, 1)], ids=str)
 def test_norm_limit_rejects_channel_key_outside_sign_pairs(monkeypatch, key):
     profiles = {(1, 1): _bump(0.3, 0.1), key: _bump(0.5, 0.1)}

@@ -3,11 +3,18 @@
 ``verify_full_basis`` and ``mutation_sweep`` evaluate every check family
 for a stack of elements (or mutants) at once.  Their reports must be the
 bytes that the per-element loops of ``helpers.py`` give, over several
-stacks, at the edge points and at extreme couplings.
+stacks, at the edge points and at extreme couplings.  A basis of several
+stacks is checked by the calling thread and one worker, on one CPU by
+the calling thread alone; the reports are the same bytes either way.
 """
 
 import json
+import os
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +23,7 @@ from stardelta import domain
 from stardelta import transforms as tr
 from stardelta import verifier as vf
 from stardelta.basis import build_basis
-from stardelta.domain import ABOVE, AmplitudeTensor, MomentumPair, make_config
+from stardelta.domain import ABOVE, BELOW, AmplitudeTensor, MomentumPair, make_config
 from helpers import mutation_sweep_oracle, verify_full_basis_oracle
 
 CFG4 = make_config(4, 1.0)
@@ -27,6 +34,20 @@ def _bytes(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
+def _cpus(monkeypatch, count):
+    """Make the checks see ``count`` CPUs to run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs."""
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self.name) or start(self))
+    return starts
+
+
 @pytest.mark.parametrize(
     "n,c,k1", [(3, 1.0, 0.6), (4, -1.5, 0.28), (5, 2.2, 0.45), (6, 0.7, 0.33), (7, -0.3, 0.9), (8, 1.3, 0.12)]
 )
@@ -35,11 +56,81 @@ def test_verify_full_basis_matches_per_element_loop(n, c, k1):
     assert _bytes(vf.verify_full_basis(cfg, m)) == _bytes(verify_full_basis_oracle(cfg, m))
 
 
-def test_verify_full_basis_matches_loop_over_several_stacks():
+def test_verify_full_basis_matches_loop_over_several_stacks(monkeypatch, thread_starts):
     cfg, m = make_config(12, 2.1), MomentumPair.from_k1(0.2)
+    _cpus(monkeypatch, 2)
     assert len(vf._stacks(cfg.basis_size, cfg.n, 60)) > 1
     got = vf.verify_full_basis(cfg, m, samples=60)
+    assert thread_starts == ["stardelta-stacks"]
     assert _bytes(got) == _bytes(verify_full_basis_oracle(cfg, m, samples=60))
+
+
+def test_one_cpu_verifies_several_stacks_in_the_calling_thread(monkeypatch, thread_starts):
+    cfg, m = make_config(12, 2.1), MomentumPair.from_k1(0.2)
+    _cpus(monkeypatch, 1)
+    got = vf.verify_full_basis(cfg, m, samples=60)
+    assert thread_starts == []
+    assert _bytes(got) == _bytes(verify_full_basis_oracle(cfg, m, samples=60))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_mutation_sweep_matches_per_mutant_loop_over_several_stacks(monkeypatch, thread_starts, cpus):
+    cfg, m = make_config(12, 2.1), MomentumPair.from_k1(0.2)
+    _cpus(monkeypatch, cpus)
+    assert len(vf._stacks(cfg.basis_size, cfg.n, vf.MUTATION_SAMPLES)) > 1
+    got = vf.mutation_sweep(cfg, m, seed=5)
+    assert thread_starts == ["stardelta-stacks"] * (cpus - 1)
+    assert got == mutation_sweep_oracle(cfg, m, seed=5)
+    assert all(r["detected"] for r in got)
+
+
+@pytest.mark.parametrize("n, samples", [(10, 60), (8, vf.DEFAULT_SAMPLES)], ids=["n10", "n8_default_samples"])
+def test_a_basis_of_several_stacks_is_verified_on_two_threads(monkeypatch, thread_starts, n, samples):
+    cfg, m = make_config(n, 1.3), MomentumPair.from_k1(0.6)
+    _cpus(monkeypatch, 2)
+    assert vf.verify_full_basis(cfg, m, samples=samples).overall
+    assert thread_starts == ["stardelta-stacks"]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_a_basis_of_one_stack_starts_no_thread(monkeypatch, thread_starts, n):
+    # every n <= 8 at 60 samples, and its mutation sweep, fits one stack
+    cfg, m = make_config(n, 1.3), MomentumPair.from_k1(0.6)
+    _cpus(monkeypatch, 2)
+    assert len(vf._stacks(cfg.basis_size, n, 60)) == len(vf._stacks(cfg.basis_size, n, vf.MUTATION_SAMPLES)) == 1
+    assert vf.verify_full_basis(cfg, m, samples=60).overall
+    assert all(r["detected"] for r in vf.mutation_sweep(cfg, m))
+    assert thread_starts == []
+
+
+def test_a_basis_of_more_than_shared_stacks_starts_no_thread(monkeypatch, thread_starts):
+    # up to n = 25 at 60 samples a basis is checked on two threads; from
+    # n = 26 BLAS runs the transform checks' products on its own threads
+    _cpus(monkeypatch, 2)
+    assert len(vf._stacks(2 * 25 * 24, 25, 60)) <= vf.SHARED_STACKS < len(vf._stacks(2 * 26 * 25, 26, 60))
+    for count in (vf.SHARED_STACKS, vf.SHARED_STACKS + 1):
+        parts = [slice(k, k + 1) for k in range(count)]
+        assert vf._each_stack(lambda part: [part.start], parts) == list(range(count))
+    assert thread_starts == ["stardelta-stacks"]
+
+
+def test_an_error_on_either_thread_is_raised_and_stops_the_stacks(monkeypatch):
+    _cpus(monkeypatch, 2)
+    parts = [slice(k, k + 1) for k in range(40)]
+    checked = []
+
+    def check(part):
+        checked.append(part.start)
+        if part.start == 3:
+            raise ValueError("bad stack")
+        time.sleep(0.005)
+        return [part.start]
+
+    with pytest.raises(ValueError, match="bad stack"):
+        vf._each_stack(check, parts)
+    assert 3 in checked and len(checked) < len(parts)
+    assert not any(t.name == "stardelta-stacks" for t in threading.enumerate())
+    assert vf._each_stack(check, parts[4:]) == list(range(4, 40))
 
 
 @pytest.mark.parametrize("n,c,k1", [(3, 1e-6, 0.6), (3, 1.0, 1.0), (3, 1e6, 0.6), (3, -1e6, 0.6)])
@@ -92,13 +183,27 @@ def test_one_phase_table_per_boundary_family(monkeypatch):
     assert len(tables) == 3 and len(reports) == 10
 
 
-def test_no_phase_table_is_kept_after_the_checks_return():
+def test_no_phase_table_is_kept_after_the_checks_return(monkeypatch):
     # each boundary family frees its table when the check is done with it,
-    # so none outlives a verify or a mutation sweep
-    vf.verify_full_basis(CFG4, M3, samples=60)
-    assert domain._kept == {}
-    vf.mutation_sweep(CFG4, M3)
-    assert domain._kept == {}
+    # so none outlives a verify or a mutation sweep, in the calling thread
+    # or in the worker that checks an n = 10 basis with it
+    tables = []
+    build = domain._phase_table
+
+    def tracked(*args):
+        table = build(*args)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(domain, "_phase_table", tracked)
+    _cpus(monkeypatch, 2)
+    cfg10 = make_config(10, 1.3)
+    for check in (lambda cfg: vf.verify_full_basis(cfg, M3, samples=60), lambda cfg: vf.mutation_sweep(cfg, M3)):
+        for cfg in (CFG4, cfg10):
+            tables.clear()
+            check(cfg)
+            assert domain._kept.table is None and tables
+            assert all(table() is None for table in tables)
 
 
 def test_a_stacked_table_is_one_block(monkeypatch):
@@ -110,7 +215,7 @@ def test_a_stacked_table_is_one_block(monkeypatch):
     args = (np.array([[1], [2]]), 3, ABOVE, xs, xs + 1.0)
     whole = sol.value_array(*args)
     monkeypatch.setattr(domain, "WAVE_POINTS", 8)
-    monkeypatch.setattr(domain, "_kept", {})
+    monkeypatch.setattr(domain, "_kept", domain._Kept())
     tables = []
     build = domain._phase_table
     monkeypatch.setattr(domain, "_phase_table", lambda *args: tables.append(args) or build(*args))
@@ -119,15 +224,63 @@ def test_a_stacked_table_is_one_block(monkeypatch):
 
 
 def test_reports_do_not_depend_on_earlier_evaluations():
-    # A, then B, then A again in one process: the phase table kept between
-    # calls serves only the waves and points it was built for
+    # A, then B, then A again in one process: the phase table each thread
+    # keeps between calls serves only the waves and points it was built
+    # for; an n = 10 basis is checked on two threads where two CPUs exist
     def report(cfg, m):
         return json.dumps(vf.verify_full_basis(cfg, m, samples=60).to_dict())
 
-    first = report(CFG4, M3)
-    report(CFG4, MomentumPair.from_k1(0.45))
-    vf.TensorSolution.from_element(build_basis(CFG4, M3)[3]).value_array(1, 2, ABOVE, np.linspace(0, 3, 7), 1.0)
-    assert report(CFG4, M3) == first
+    for cfg in (CFG4, make_config(10, 1.3)):
+        first = report(cfg, M3)
+        report(cfg, MomentumPair.from_k1(0.45))
+        vf.TensorSolution.from_element(build_basis(cfg, M3)[3]).value_array(1, 2, ABOVE, np.linspace(0, 3, 7), 1.0)
+        assert report(cfg, M3) == first
+
+
+def test_threads_never_read_each_others_phase_table(monkeypatch):
+    # four threads, more than the cores, each sum one family of boundary
+    # points of one stacked basis 200 times over, with frequent thread
+    # switches: value then slope, then the table is dropped, as the checks
+    # do.  Each result is bit for bit its single-threaded one, and each
+    # round builds one table: a kept table shared by all threads would be
+    # dropped or replaced by another thread between the two sums
+    sol = vf.TensorSolution(build_basis(CFG4, M3)[0].stack, M3)
+    rows = np.arange(1, 5)[:, None]
+    families = []
+    for k, (sector, direction) in enumerate([(ABOVE, "dx"), (BELOW, "dy"), (ABOVE, "dy"), (BELOW, "dx")]):
+        ts = vf.kronecker_points(12, offset=12 * k, hi=vf.SPAN)
+        families.append((rows, rows if k % 2 else 2, sector, ts, 0.5 * ts, direction))
+
+    def evaluate(i, j, sector, x, y, direction):
+        return sol.value_array(i, j, sector, x, y), sol.derivative_array(i, j, sector, x, y, direction)
+
+    want = [evaluate(*family) for family in families]
+    domain.drop_phases()
+    built, wrong = [], []
+    build = domain._phase_table
+    monkeypatch.setattr(domain, "_phase_table", lambda *args: built.append(None) or build(*args))
+
+    def run(k):
+        try:
+            for _ in range(200):
+                if not all(np.array_equal(a, b) for a, b in zip(evaluate(*families[k]), want[k])):
+                    wrong.append(k)
+                domain.drop_phases()
+        except Exception as exc:  # a table of another shape fails the sum
+            wrong.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(families))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and len(built) == 200 * len(families)
 
 
 def test_stacked_element_reports_match_single_elements():
