@@ -2,8 +2,9 @@
 
 Every basis element is a sum of products of one-particle solutions,
 each product symmetrised or antisymmetrised over particle exchange:
-:func:`product_tensor` expands S+-(f, g) = f(x) g(y) +- g(x) f(y) into
-sector-tagged plane waves, and it is the only product constructor.
+:func:`product_tensor`, the only product constructor, expands
+S+-(f, g) = f(x) g(y) +- g(x) f(y) into sector-tagged plane waves, and
+:func:`family_rows` builds a family of them over index pairs.
 Three families span the solution space at a generic momentum pair
 (k1, k2) on the unit energy shell:
 
@@ -32,10 +33,11 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .domain import TABLE_CHUNK, AmplitudeTensor, MomentumPair, StarConfig, check_pole, exchange_image
+from .domain import AmplitudeTensor, MomentumPair, Refusal, StarConfig, check_pole, exchange_image, table_parts
 from .oneparticle import (
     LARGER,
     SMALLER,
@@ -106,6 +108,15 @@ class BasisElement:
         return f"{self.family}({idx})"
 
 
+def family_rows(factors: np.ndarray, pairs, sign: float) -> Callable[[slice], np.ndarray]:
+    """The rows S+-(f^i, f^j) of the index pairs (i, j) into the stacked
+    one-particle coefficients ``factors``, as a function of a slice of the
+    pairs that builds that slice's rows as one :func:`product_tensor`."""
+    ij = np.array(pairs, dtype=int).reshape(-1, 2)
+    return lambda part: product_tensor(OneParticleSolution(factors[ij[part, 0]]),
+                                       OneParticleSolution(factors[ij[part, 1]]), sign).amps
+
+
 def cycle_completing_tensor(cfg: StarConfig) -> AmplitudeTensor:
     """The symmetric eigensolution with cyclic antisymmetric coefficients.
 
@@ -117,25 +128,14 @@ def cycle_completing_tensor(cfg: StarConfig) -> AmplitudeTensor:
     any coupling.  It is independent of both the distance->=2 products
     and the diagonal family, and it is exactly the direction lost to the
     telescoping identity sum_j phi^j = 0; folding it into the diagonal
-    family restores the full 2n^2 - 2n span.  Each orientation is one
-    stacked product; the terms are summed in the order of the sum above.
+    family restores the full 2n^2 - 2n span.  Both orientations are one
+    :func:`family_rows` stack over the 2n pairs; the sum is exact in any
+    order, since every entry of S+(phi^i, phi^j) is 0, +-1/4 or +-1/2.
     """
     phis = np.stack([phi(cfg, i).coeff for i in range(1, cfg.n + 1)])
-    ahead = np.roll(phis, -1, axis=0)
-    forward = product_tensor(OneParticleSolution(phis), OneParticleSolution(ahead), 1).amps
-    backward = product_tensor(OneParticleSolution(ahead), OneParticleSolution(phis), 1).amps
-    return AmplitudeTensor.combine(
-        (coeff, AmplitudeTensor(table)) for pair in zip(forward, backward) for coeff, table in zip((1.0, -1.0), pair))
-
-
-def _write_rows(out: np.ndarray, rows) -> None:
-    """Fill ``out`` with ``rows(part)`` over consecutive slices of its
-    leading axis, ``TABLE_CHUNK`` table entries at a time, so no temporary
-    of a family's build outgrows one chunk."""
-    size = max(1, TABLE_CHUNK // max(1, out[:1].size))
-    for start in range(0, len(out), size):
-        part = slice(start, start + size)
-        out[part] = rows(part)
+    forward = np.stack([np.arange(cfg.n), np.roll(np.arange(cfg.n), -1)], axis=1)  # (i, i+1)
+    rows = family_rows(phis, np.concatenate([forward, forward[:, ::-1]]), 1)(slice(None))
+    return AmplitudeTensor((rows[:cfg.n] - rows[cfg.n:]).sum(axis=0))
 
 
 def basis_heads(n: int) -> list[tuple[str, tuple]]:
@@ -157,10 +157,12 @@ def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray
     element, while T1 and T2 hold the n ``sym_diag`` rows only, which are
     the last n rows of T0.
 
-    Each one-particle factor is built once, and each family is one stacked
-    product written into T0 a chunk of rows at a time.  ``sym_diag(i)`` has
-    T0 = S+(phi^i, xi) - S+(xi, phi^i) plus 1/n of the cycle-completing
-    solution, T1 = -n S+(phi^0, phi^i) and T2 = n S+(phi^i, phi^0).
+    Each one-particle factor is built once, and each family is written
+    into T0 one :func:`~stardelta.domain.table_parts` slice of rows at a
+    time, ``antisym`` and ``sym_offdiag`` by :func:`family_rows`.
+    ``sym_diag(i)`` has T0 = S+(phi^i, xi) - S+(xi, phi^i) plus 1/n of
+    the cycle-completing solution, T1 = -n S+(phi^0, phi^i) and
+    T2 = n S+(phi^i, phi^0).
     Without the cycle-completing term the n elements sum to zero
     identically (the phi^i telescope around the cycle) and the family
     would span only n - 1 dimensions; the added solution vanishes on
@@ -175,15 +177,6 @@ def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray
     pairs = [ij for family, ij in heads if family == "antisym"]
     far = [ij for family, ij in heads if family == "sym_offdiag"]
     t0 = np.empty((len(heads), n, n, 2, 2, 2, 2), dtype=complex)
-
-    def family(factors, rows, sign):  # the products of factors[i] and factors[j] over rows (i, j)
-        ij = np.array(rows, dtype=int).reshape(-1, 2)
-        return lambda part: product_tensor(OneParticleSolution(factors[ij[part, 0]]),
-                                           OneParticleSolution(factors[ij[part, 1]]), sign).amps
-
-    # psis[0] is psi^1, phis[0] is phi^0
-    _write_rows(t0[:len(pairs)], family(psis, np.subtract(pairs, 1), -1))
-    _write_rows(t0[len(pairs):len(pairs) + len(far)], family(phis, far, 1))
     completer = (1.0 / n) * cycle_completing_tensor(cfg).amps
     diag = np.arange(1, n + 1)
 
@@ -191,7 +184,11 @@ def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray
         f = OneParticleSolution(phis[diag[part]])
         return product_tensor(f, xi, 1).amps - product_tensor(xi, f, 1).amps + completer
 
-    _write_rows(t0[len(pairs) + len(far):], sym_diag)
+    # psis[0] is psi^1, phis[0] is phi^0
+    families = (family_rows(psis, np.subtract(pairs, 1), -1), family_rows(phis, far, 1), sym_diag)
+    for rows, out in zip(families, np.split(t0, [len(pairs), len(pairs) + len(far)])):
+        for part in table_parts(len(out), t0[0].size):
+            out[part] = rows(part)
     # Coupling coefficients -n*k1/c and +n*k2/c: this is the unique
     # sign choice for which the derivative jump across the diagonal
     # equals c times the boundary value (and for which the element
@@ -214,10 +211,10 @@ def check_coupling_scale(cfg: StarConfig) -> None:
     """Raise at c = 0, where the 1/c terms of the tables are undefined, and
     where :func:`coupling_overflows`."""
     if cfg.c == 0:
-        raise ValueError("sym_diag family undefined at c = 0 (1/c coefficients)")
+        raise Refusal("sym_diag family undefined at c = 0 (1/c coefficients)", "c=0")
     if coupling_overflows(cfg):
-        raise ValueError(f"coupling c = {cfg.c} is too small at n = {cfg.n}: the 1/c terms of the basis "
-                         f"tables would overflow (need |c| >= {4 * cfg.n / np.finfo(float).max:.3g})")
+        raise Refusal(f"coupling c = {cfg.c} is too small at n = {cfg.n}: the 1/c terms of the basis "
+                      f"tables would overflow (need |c| >= {4 * cfg.n / np.finfo(float).max:.3g})", "overflow")
 
 
 def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:

@@ -9,7 +9,8 @@ synthesize  quadrature synthesis with gridded CSV export
 mutate      amplitude-mutation detection sweep (negative controls)
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad configuration,
-input or output path, refused before any work.
+input or output path, refused before any work, or an array too large to
+allocate.
 Reports are flat JSON/CSV with a ``schema: 1`` marker and contain no
 timestamps, so identical invocations produce byte-identical files.
 ``--seed`` seeds NumPy's PCG64 draws of the entries ``mutate`` perturbs;
@@ -33,8 +34,7 @@ import numpy as np
 from . import synthesis as syn
 from . import transforms as tr
 from . import verifier as vf
-from .basis import coupling_overflows
-from .domain import SCHEMA, MomentumPair, check_edge_count, make_config, near_pole
+from .domain import SCHEMA, MomentumPair, Refusal, check_edge_count, make_config
 
 
 def _nonempty(grid: list, text: str) -> list:
@@ -200,12 +200,11 @@ def cmd_sweep(args) -> int:
     rows = []
     for cfg, k1, m in points:
         head = [cfg.n, repr(cfg.c), repr(k1)]
-        skip = ("c=0" if cfg.c == 0.0 else "overflow" if coupling_overflows(cfg)
-                else "singularity" if near_pole(m.fold) else "")
-        if skip:
-            rows.append(head + ["-", "-", "", "", f"SKIPPED({skip})"])
+        try:
+            report = vf.verify_full_basis(cfg, m, samples=args.samples, tol=args.tol)
+        except Refusal as exc:  # a point the basis is not built at
+            rows.append(head + ["-", "-", "", "", f"SKIPPED({exc.tag})"])
             continue
-        report = vf.verify_full_basis(cfg, m, samples=args.samples, tol=args.tol)
         # (family, check) -> worst residual, tolerance, every element passed
         worst: dict[tuple[str, str], tuple[float, float, bool]] = {}
         for el in report.extras["elements"]:
@@ -369,7 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

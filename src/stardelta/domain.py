@@ -25,7 +25,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -124,10 +124,19 @@ def near_pole(k):
     return np.abs(np.asarray(k) - POLE) < MARGIN
 
 
+class Refusal(ValueError):
+    """A refused input, with the ``tag`` a sweep writes as SKIPPED(tag)."""
+
+    def __init__(self, message: str, tag: str):
+        super().__init__(message)
+        self.tag = tag
+
+
 def check_pole(k, c: float) -> None:
     """Raise when c != 0 and the fold momentum k lies within MARGIN of the pole."""
     if c != 0.0 and near_pole(k):
-        raise ValueError(f"fold momentum k = {k} is inside the exclusion zone around 1/sqrt(2) for c != 0")
+        raise Refusal(f"fold momentum k = {k} is inside the exclusion zone around 1/sqrt(2) for c != 0",
+                      "singularity")
 
 
 def check_fold(k) -> None:
@@ -171,11 +180,6 @@ class AmplitudeTensor:
         return self.amps.shape[-6]
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def combine(cls, terms: Iterable[tuple[complex, "AmplitudeTensor"]]) -> "AmplitudeTensor":
-        """Linear combination sum(coeff * tensor), summed in term order."""
-        return cls(functools.reduce(operator.add, (coeff * tensor.amps for coeff, tensor in terms)))
 
     def with_scaled_entry(self, key: EntryKey, factor: complex) -> "AmplitudeTensor":
         """Copy with a single amplitude multiplied by ``factor`` (mutation tests)."""
@@ -268,9 +272,17 @@ def exchange_image(amps: np.ndarray) -> np.ndarray:
 
 
 # Table entries per step of a pass over a stacked table (512 KiB of
-# complex entries): the basis build writes its rows, and the parity check
-# reads them, this many entries at a time.
+# complex entries): the basis build writes its rows, and the rank's parity
+# and product checks read them, this many entries at a time.
 TABLE_CHUNK = 1 << 15
+
+
+def table_parts(count: int, row_size: int) -> list[slice]:
+    """Consecutive slices of ``count`` stacked rows of ``row_size`` entries
+    each, at most ``TABLE_CHUNK`` entries per slice but at least one row:
+    the one walk of every pass over a stacked table."""
+    size = max(1, TABLE_CHUNK // max(1, row_size))
+    return [slice(start, start + size) for start in range(0, count, size)]
 
 # The most wave-point pairs (waves times sample points) one block of a
 # plane_wave_sum takes: a sum over more waves streams them in blocks of

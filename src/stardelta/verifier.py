@@ -40,12 +40,11 @@ from typing import Callable, Mapping, Protocol
 
 import numpy as np
 
-from .basis import EXCHANGE_SIGN, BasisElement, basis_heads, build_basis, family_counts, product_tensor
+from .basis import EXCHANGE_SIGN, BasisElement, basis_heads, build_basis, family_counts, family_rows
 from .domain import (
     ABOVE,
     BELOW,
     SCHEMA,
-    TABLE_CHUNK,
     WAVE_POINTS,
     AmplitudeTensor,
     MomentumPair,
@@ -55,9 +54,9 @@ from .domain import (
     entry_mask,
     exchange_image,
     partner_momentum,
+    table_parts,
     wave_momenta,
 )
-from .oneparticle import OneParticleSolution
 from . import transforms as tr
 from .transforms import TRANSFORM_TOL
 
@@ -145,10 +144,6 @@ class TensorSolution:
         self.tensor = tensor
         self.momentum = momentum
         self.n = tensor.n
-
-    @classmethod
-    def from_element(cls, el: BasisElement) -> "TensorSolution":
-        return cls(el.tensor, el.momentum)
 
     def value_array(self, i, j, sector, x, y):
         return self.tensor.value_array(i, j, sector, x, y, self.momentum)
@@ -346,10 +341,11 @@ def _product_factors(elements: list[BasisElement], family: str, stack: Amplitude
     Factor i is read from the family's first row (i, j): slot 1 of its
     above plane on the quadrants (a, j) holds f^i times the partner's
     incoming wave on edge j, whose coefficient is ``INCOMING[family]``.
-    The products are rebuilt by :func:`~stardelta.basis.product_tensor`,
-    ``TABLE_CHUNK`` entries at a time, and compared bit for bit; a row
-    that passes is its family's sign times its exchange image by
-    construction.  Every index must lead some row of the family.
+    The rows are rebuilt by :func:`~stardelta.basis.family_rows`, the
+    build's own definition, one :func:`~stardelta.domain.table_parts`
+    slice at a time, and compared bit for bit; a row that passes is its
+    family's sign times its exchange image by construction.  Every index
+    must lead some row of the family.
     """
     rows = [el for el in elements if el.family == family]
     first: dict[int, BasisElement] = {}
@@ -358,14 +354,10 @@ def _product_factors(elements: list[BasisElement], family: str, stack: Amplitude
     lead = [first[i] for i in range(1, stack.n + 1)]
     partner = np.array([el.indices[1] for el in lead]) - 1
     factors = stack.amps[[el.row for el in lead], :, partner, 0, :, 0, 0] / INCOMING[family]
-    ij = np.array([el.indices for el in rows]) - 1
+    built = family_rows(factors, np.array([el.indices for el in rows]) - 1, EXCHANGE_SIGN[family])
     table_rows = np.array([el.row for el in rows])
-    size = max(1, TABLE_CHUNK // stack.amps[0].size)
-    for start in range(0, len(rows), size):
-        part = slice(start, start + size)
-        built = product_tensor(OneParticleSolution(factors[ij[part, 0]]), OneParticleSolution(factors[ij[part, 1]]),
-                               EXCHANGE_SIGN[family]).amps
-        if not np.array_equal(built, stack.amps[table_rows[part]]):
+    for part in table_parts(len(rows), stack.amps[0].size):
+        if not np.array_equal(built(part), stack.amps[table_rows[part]]):
             return None
     return factors
 
@@ -380,8 +372,8 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
     (:func:`_product_factors`); a family that passes has its parity by
     construction, and its block is a :class:`ProductBlock`.  Every other
     element's table must equal its family's sign times its exchange image
-    exactly, which one pass of ``TABLE_CHUNK`` entries per step decides;
-    a block whose product check failed is then a plain
+    exactly, which one walk over :func:`~stardelta.domain.table_parts`
+    decides; a block whose product check failed is then a plain
     :class:`ParityBlock`.  The odd and the even elements span independent
     spaces of functions, so the rank is the sum of the blocks' ranks.  At
     the first table that fails the parity pass, the list itself is the
@@ -397,9 +389,7 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
     rest = [el for el in elements if el.family not in factors]
     rows = np.array([el.row for el in rest], dtype=int)
     signs = np.array([EXCHANGE_SIGN[el.family] for el in rest]).reshape((-1,) + (1,) * 6)
-    size = max(1, TABLE_CHUNK // stack.amps[0].size)
-    for start in range(0, len(rows), size):
-        part = slice(start, start + size)
+    for part in table_parts(len(rows), stack.amps[0].size):
         table = stack.amps[rows[part]]
         image = exchange_image(table)
         image *= signs[part]  # in place, on the image's own copy

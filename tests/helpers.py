@@ -6,7 +6,9 @@ coefficients, the oracle the one-particle tests read them with.
 ``resynthesize_tensor`` rebuilds one from transform vectors key by key,
 independently of the array gather in ``extract_transforms``.
 ``single_slot_product`` is one unsymmetrised product in one momentum
-slot, the oracle of the exchange-symmetrised ``product_tensor``.
+slot, the oracle of the exchange-symmetrised ``product_tensor``, and
+``combine`` sums weighted tables in term order, the oracle sum of those
+products.
 ``verify_full_basis_oracle`` and ``mutation_sweep_oracle`` check one
 element or mutant at a time, each as an unstacked tensor; they are the
 oracles of the stacked whole-basis checks.  ``basis_rank_oracle`` takes
@@ -27,8 +29,10 @@ The closed-form kernel patterns are the cross-check of
 ``kron(F, F)``, independently of the per-matrix conversion in the package.
 """
 
+import functools
 import math
-from typing import Callable, Mapping
+import operator
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -60,6 +64,11 @@ def from_entries(n: int, entries: Mapping[EntryKey, complex]) -> AmplitudeTensor
     for key, amp in entries.items():
         amps[_entry_index(n, key)] += amp
     return AmplitudeTensor(amps)
+
+
+def combine(terms: Iterable[tuple[complex, AmplitudeTensor]]) -> AmplitudeTensor:
+    """Linear combination sum(coeff * tensor), summed in term order."""
+    return AmplitudeTensor(functools.reduce(operator.add, (coeff * tensor.amps for coeff, tensor in terms)))
 
 
 def resynthesize_tensor(tv: TransformVectors4) -> AmplitudeTensor:
@@ -306,7 +315,7 @@ def offdiag_drift_masked(*pairs):
 
 def _verify_one(el, samples, tol, offset) -> "vf.ResidualReport":
     n = el.tensor.n
-    sol = vf.TensorSolution.from_element(el)
+    sol = vf.TensorSolution(el.tensor, el.momentum)
     checks = vf.check_vertex_bc(sol, n, samples=samples, tol=tol, offset=offset)
     checks += vf.check_diagonal_bc(sol, n, el.coupling, samples=samples, tol=tol, offset=offset)
     tv = tr.extract_transforms(el.tensor, el.momentum)

@@ -77,7 +77,7 @@ def test_criterion_3_boundary_condition_residuals():
             cfg = make_config(n, c)
             m = MomentumPair.from_k1(k1)
             for el in build_basis(cfg, m):
-                sol = vf.TensorSolution.from_element(el)
+                sol = vf.TensorSolution(el.tensor, el.momentum)
                 checks = vf.check_vertex_bc(sol, n, samples=60)
                 checks += vf.check_diagonal_bc(sol, n, c, samples=60)
                 worst = max(worst, max(ch.max_abs_residual for ch in checks))
@@ -101,7 +101,7 @@ def test_criterion_4_transform_pointwise_equivalence():
             kir = tr.check_kirchhoff_transforms(tv)
             diag = tr.check_diagonal_conditions(tv, c)
             worst = max(worst, kir.max, diag.max)
-            sol = vf.TensorSolution.from_element(el)
+            sol = vf.TensorSolution(el.tensor, el.momentum)
             _, jump = vf.check_diagonal_bc(sol, n, c, samples=60)
             agree = agree and ((jump.max_abs_residual <= 1e-9) == (diag.max <= 1e-9))
     _report(

@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import edge_wave, single_slot_product
+from helpers import combine, edge_wave, single_slot_product
 from stardelta.basis import (
     basis_template,
     build_basis,
+    check_coupling_scale,
     circular_distance,
     closed_form,
     complex_momentum_profile,
@@ -18,9 +19,10 @@ from stardelta.basis import (
     cycle_completing_tensor,
     diagonal_closed_form,
     family_counts,
+    family_rows,
     product_tensor,
 )
-from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, check_pole, make_config
+from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, Refusal, check_pole, make_config
 from stardelta.oneparticle import LARGER, NEUTRAL, SMALLER, OneParticleSolution, phi, scattering_wave, xi_solution
 from stardelta import verifier as vf
 from stardelta.verifier import basis_rank
@@ -186,7 +188,7 @@ def _oracle_terms(cfg):
             (-1.0, prod(ph[s], ph[i], (1, 2))),
             (-1.0, prod(ph[i], ph[s], (2, 1))),
         ]
-    completer = AmplitudeTensor.combine(completer)
+    completer = combine(completer)
     for i in range(1, n + 1):
         t0 = [
             (1.0, prod(ph[i], xi, (1, 2))),
@@ -206,7 +208,7 @@ def _termwise_basis(cfg, m):
     momentum pair, term by term, without the momentum-free tables."""
     s1, s2 = m.k1 / cfg.c, m.k2 / cfg.c
     return [
-        AmplitudeTensor.combine(t0 + [(s1 * a, t) for a, t in t1] + [(s2 * a, t) for a, t in t2])
+        combine(t0 + [(s1 * a, t) for a, t in t1] + [(s2 * a, t) for a, t in t2])
         for t0, t1, t2 in _oracle_terms(cfg)
     ]
 
@@ -235,7 +237,7 @@ def test_template_tables_equal_single_slot_oracle(n):
     for row, ((family, indices), terms) in enumerate(zip(heads, oracle)):
         coupled = (t1[row - first], t2[row - first]) if row >= first else (zero, zero)
         for t, (table, table_terms) in enumerate(zip((t0[row],) + coupled, terms)):
-            expected = AmplitudeTensor.combine(table_terms).amps if table_terms else 0
+            expected = combine(table_terms).amps if table_terms else 0
             assert np.array_equal(table, np.broadcast_to(expected, t0.shape[1:])), (family, indices, t)
 
 
@@ -484,7 +486,7 @@ def _per_element_basis(cfg, m):
     xi = xi_solution(cfg)
     s1, s2 = m.k1 / cfg.c, m.k2 / cfg.c
     zero = np.zeros_like(product_tensor(xi, xi, 1).amps)
-    completer = AmplitudeTensor.combine(
+    completer = combine(
         term for i in range(1, n + 1) for term in (
             (1.0, product_tensor(phis[i], phis[i % n + 1], 1)), (-1.0, product_tensor(phis[i % n + 1], phis[i], 1)))).amps
     tables = [(product_tensor(f, g, -1).amps, zero, zero) for f in psis for g in psis]
@@ -531,3 +533,42 @@ def test_build_basis_peak_memory_stays_near_its_table():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * elements[0].stack.amps.nbytes
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cycle_completer_equals_the_interleaved_sum_of_pair_products(n):
+    # the oracle: per pair, S+(phi^i, phi^{i+1}) then minus
+    # S+(phi^{i+1}, phi^i), added in that order
+    cfg = make_config(n, 1.0)
+    phis = [phi(cfg, i) for i in range(n + 1)]
+    pairs = [(i, i % n + 1) for i in range(1, n + 1)]
+    products = [product_tensor(phis[i], phis[j], 1) for i, j in pairs + [(j, i) for i, j in pairs]]
+    # every entry is 0, +-1/4 or +-1/2, so every partial sum is exact in any order
+    for table in products:
+        assert set(np.unique(np.concatenate([table.amps.real, table.amps.imag]).ravel())) <= {0.0, 0.25, -0.25, 0.5, -0.5}
+    interleaved = combine(term for k in range(n) for term in ((1.0, products[k]), (-1.0, products[n + k])))
+    assert np.array_equal(cycle_completing_tensor(cfg).amps, interleaved.amps)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("part", [slice(None), slice(0, 1), slice(3, 9), slice(7, 7), slice(2, None, 3), slice(5, 100)])
+def test_family_rows_over_any_slice_are_the_row_products(sign, part):
+    cfg = make_config(4, 1.3)
+    factors = [scattering_wave(cfg, i) for i in range(1, 5)] + [phi(cfg, 0), phi(cfg, 2)]
+    stacked = np.stack([f.coeff for f in factors])
+    pairs = [(i, j) for i in range(len(factors)) for j in range(len(factors)) if (i + 2 * j) % 3]
+    rows = family_rows(stacked, pairs, sign)(part)
+    expected = [product_tensor(factors[i], factors[j], sign).amps for i, j in pairs[part]]
+    assert rows.shape == (len(expected), 4, 4, 2, 2, 2, 2)
+    assert all(np.array_equal(row, table) for row, table in zip(rows, expected))
+
+
+@pytest.mark.parametrize("refuse, tag", [
+    (lambda: check_coupling_scale(make_config(3, 0.0)), "c=0"),
+    (lambda: check_coupling_scale(make_config(3, 1e-310)), "overflow"),
+    (lambda: check_pole(1.0 / np.sqrt(2.0), 1.0), "singularity"),
+])
+def test_refusals_carry_their_sweep_tag(refuse, tag):
+    with pytest.raises(Refusal) as refusal:
+        refuse()
+    assert refusal.value.tag == tag and isinstance(refusal.value, ValueError)

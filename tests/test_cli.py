@@ -497,3 +497,23 @@ def test_a_call_argparse_refuses_leaves_later_calls_working(tmp_path, capsys):
     assert missing.value.code == 2
     assert main(VERIFY3 + ["--out", str(after)]) == 0
     assert before.read_bytes() == after.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    "verify --n 3 --c 1.0 --k1 0.6",
+    "mutate --n 3 --c 1.0 --k1 0.6",
+    "sweep --n 3 --c 1.0 --k1 0.6",
+    "synthesize --n 3 --c 1.0 --nodes 8",
+])
+def test_a_table_too_large_to_allocate_exits_2_with_no_report(monkeypatch, tmp_path, capsys, command):
+    # stands in for a basis of a very large n, without asking for the memory
+    def too_large(cfg):
+        raise MemoryError(f"Unable to allocate the n = {cfg.n} tables")
+
+    monkeypatch.setattr("stardelta.basis.basis_template", too_large)
+    monkeypatch.setattr(syn, "basis_template", too_large)
+    out = tmp_path / "r.json"
+    assert main(command.split() + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: Unable to allocate the n = 3 tables\n"
+    assert captured.out == "" and not out.exists()

@@ -11,13 +11,14 @@ from stardelta.domain import (
     ABOVE,
     BELOW,
     OFFDIAG,
-    AmplitudeTensor,
+    TABLE_CHUNK,
     MomentumPair,
     make_config,
+    table_parts,
     wave_momenta,
     wave_phases,
 )
-from helpers import from_entries
+from helpers import combine, from_entries
 
 
 def test_make_config_valid():
@@ -161,7 +162,7 @@ def test_linearity_of_evaluation():
     m = MomentumPair.from_k1(0.37)
     t1 = _random_tensor(rng)
     t2 = _random_tensor(rng)
-    combo = AmplitudeTensor.combine([(2.0 - 1.0j, t1), (0.5j, t2)])
+    combo = combine([(2.0 - 1.0j, t1), (0.5j, t2)])
     for _ in range(20):
         i, j = rng.integers(1, 4, size=2)
         sector = OFFDIAG if i != j else ABOVE
@@ -228,3 +229,13 @@ def test_phase_tables_are_read_only_and_kept_for_a_repeat_call():
     assert wave_phases(kx, ky, xs.copy(), 0.5) is table
     assert wave_phases(-kx, ky, xs, 0.5) is not table
     assert wave_phases(kx, ky, xs, 0.25) is not table
+
+
+@pytest.mark.parametrize("count, row_size", [(0, 64), (1, 64), (760, 6400), (513, 64), (5, 1 << 16), (7, 0)])
+def test_table_parts_walk_every_row_once_a_chunk_at_a_time(count, row_size):
+    parts = table_parts(count, row_size)
+    covered = [k for part in parts for k in range(count)[part]]
+    assert covered == list(range(count))
+    sizes = [len(range(count)[part]) for part in parts]
+    assert all(size >= 1 and (size == 1 or size * row_size <= TABLE_CHUNK) for size in sizes)
+    assert all(size == sizes[0] for size in sizes[:-1])

@@ -26,7 +26,7 @@ def test_kronecker_points_deterministic_and_spread():
 
 def test_vertex_checks_pass_for_basis():
     for el in build_basis(CFG3, M68):
-        sol = vf.TensorSolution.from_element(el)
+        sol = vf.TensorSolution(el.tensor, el.momentum)
         for check in vf.check_vertex_bc(sol, 3):
             assert check.max_abs_residual <= 1e-11, (el.label, check.name)
 
@@ -37,7 +37,8 @@ def test_vertex_checks_pass_for_basis():
 def test_boundary_checks_refuse_an_edge_count_not_the_solutions(checked_n, kind, family):
     cfg = make_config(4, -1.5)
     if kind == "table":
-        sol = vf.TensorSolution.from_element(build_basis(cfg, MomentumPair.from_k1(0.28))[0])
+        el = build_basis(cfg, MomentumPair.from_k1(0.28))[0]
+        sol = vf.TensorSolution(el.tensor, el.momentum)
     else:
         sol = syn.synthesize_eigensolution(cfg, {14: syn.gaussian_bump(0.3, 0.1)}, syn.gauss_rule(8))
     check = vf.check_vertex_bc if family == "vertex" else lambda s, n: vf.check_diagonal_bc(s, n, cfg.c)
@@ -68,7 +69,7 @@ def test_vertex_check_cosine_product():
 
 def test_diagonal_checks_pass_for_basis():
     for el in build_basis(CFG3, M68):
-        sol = vf.TensorSolution.from_element(el)
+        sol = vf.TensorSolution(el.tensor, el.momentum)
         for check in vf.check_diagonal_bc(sol, 3, el.coupling):
             assert check.max_abs_residual <= 1e-10, (el.label, check.name)
 
@@ -80,13 +81,13 @@ def test_antisym_vanishes_on_diagonal():
         for i in range(1, 4):
             v = el.tensor.value_array(i, i, ABOVE, ts, ts, M68)
             assert np.max(np.abs(v)) <= 1e-11
-        checks = vf.check_diagonal_bc(vf.TensorSolution.from_element(el), 3, el.coupling)
+        checks = vf.check_diagonal_bc(vf.TensorSolution(el.tensor, el.momentum), 3, el.coupling)
         assert all(c.max_abs_residual <= 1e-11 for c in checks)
 
 
 def test_wrong_coupling_breaks_jump():
     el = [e for e in build_basis(CFG3, M68) if e.family == "sym_diag"][0]
-    sol = vf.TensorSolution.from_element(el)
+    sol = vf.TensorSolution(el.tensor, el.momentum)
     _, jump = vf.check_diagonal_bc(sol, 3, c=1.5)  # built at c = 1
     assert jump.max_abs_residual > 0.1
 
@@ -177,7 +178,8 @@ def test_mutation_sweep_entry_order():
     dict(tol=-1.0), dict(tol=0.0), dict(tol=np.inf), dict(tol=np.nan), dict(samples=0), dict(samples=-5),
 ])
 def test_checks_refuse_a_bad_tolerance_or_sample_count(monkeypatch, kwargs):
-    sol = vf.TensorSolution.from_element(build_basis(CFG3, M68)[0])
+    el = build_basis(CFG3, M68)[0]
+    sol = vf.TensorSolution(el.tensor, el.momentum)
     for check in (lambda: vf.check_vertex_bc(sol, 3, **kwargs), lambda: vf.check_diagonal_bc(sol, 3, 1.0, **kwargs)):
         with pytest.raises(ValueError):
             check()
@@ -294,7 +296,7 @@ def test_batched_checks_match_per_quadrant_loop(n, c, k1, residuals):
     cfg = make_config(n, c)
     elements = build_basis(cfg, MomentumPair.from_k1(k1))
     for idx, el in enumerate(elements):
-        sol = vf.TensorSolution.from_element(el)
+        sol = vf.TensorSolution(el.tensor, el.momentum)
         _assert_batched_checks_match_loop(sol, n, c, 100, idx * 7, residuals)
     el = [e for e in elements if e.family == "sym_diag"][0]
     # a diagonal-quadrant entry, seen by both the vertex and the diagonal checks

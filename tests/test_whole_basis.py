@@ -233,7 +233,8 @@ def test_reports_do_not_depend_on_earlier_evaluations():
     for cfg in (CFG4, make_config(10, 1.3)):
         first = report(cfg, M3)
         report(cfg, MomentumPair.from_k1(0.45))
-        vf.TensorSolution.from_element(build_basis(cfg, M3)[3]).value_array(1, 2, ABOVE, np.linspace(0, 3, 7), 1.0)
+        el = build_basis(cfg, M3)[3]
+        vf.TensorSolution(el.tensor, el.momentum).value_array(1, 2, ABOVE, np.linspace(0, 3, 7), 1.0)
         assert report(cfg, M3) == first
 
 
