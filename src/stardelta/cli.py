@@ -172,23 +172,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernels(args) -> int:
-    ok = True
     ns = parse_int_grid(args.n)
     check_edge_count(min(ns))
     outs = [Path(args.out) / f"kernels_n{n}.json" if args.out else None for n in ns]
     check_outputs(*outs)
-    for n, out in zip(ns, outs):
-        report = tr.compute_kernel_decomposition(n, basis=args.basis)
-        payload = report.to_dict(include_bases=args.include_bases)
+    # every n is computed before the first report is written, so a run that
+    # exits 2 part way leaves no report behind
+    payloads = [tr.compute_kernel_decomposition(n, basis=args.basis).to_dict(include_bases=args.include_bases)
+                for n in ns]
+    for out, payload in zip(outs, payloads):
         if out is not None:
             write_json(out, payload)
-        status = "PASS" if report.passed else "FAIL"
-        dims = report.dims
-        print(f"kernels n={n}: {status} "
+        dims = payload["dims"]
+        print(f"kernels n={payload['n']}: {'PASS' if payload['pass'] else 'FAIL'} "
               f"(ker_Q_minus={dims['ker_Q_minus']}, ker_Q_plus={dims['ker_Q_plus']}, "
-              f"K_minus={dims['K_minus']}, K_plus={dims['K_plus']}, total={report.total})")
-        ok = ok and report.passed
-    return 0 if ok else 1
+              f"K_minus={dims['K_minus']}, K_plus={dims['K_plus']}, total={payload['total']})")
+    return 0 if all(payload["pass"] for payload in payloads) else 1
 
 
 def cmd_sweep(args) -> int:

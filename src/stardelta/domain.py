@@ -299,16 +299,47 @@ _SLOT1 = np.tile([True, False], 4)
 
 def wave_momenta(k1, k2) -> tuple[np.ndarray, np.ndarray]:
     """Momenta (k_x, k_y) of the eight waves of a quadrant/sector at the
-    pair (k1, k2); a column of P pairs gives a (P, 8) array of each."""
+    pair (k1, k2); a column of P pairs gives a (P, 8) array of each.  The
+    partner of wave w, position w ^ 6 of its eight, has signs (-sig, -tau)
+    in the same slot, so it carries the negated momenta."""
     kx = _SIG * np.where(_SLOT1, k1, k2)
     ky = _TAU * np.where(_SLOT1, k2, k1)
     return kx, ky
 
 
+# The partners (w ^ 6) of the sig = +1 waves 4..7 of a block of eight
+_PARTNERS = np.arange(4, 8) ^ 6
+
+
 def _phase_table(kx, ky, x, y) -> np.ndarray:
-    """A new read-only table of :func:`wave_phases`."""
+    """A new read-only table of :func:`wave_phases`.
+
+    Real momenta give real arguments k_x x + k_y y.  Where, in addition,
+    each block of eight waves holds four conjugate pairs, every sig = +1
+    wave's partner carrying exactly its negated momenta (as
+    :func:`wave_momenta` gives them), only the sig = +1 waves take an exp
+    and each partner takes its conjugate.  The partner's argument is the
+    exact negation and sin/cos are odd/even, so the table is bit for bit
+    the one of an exp per wave.  Complex momenta take an exp per wave.
+    """
     x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)), np.asarray(y, dtype=float))
-    table = np.exp(1j * (np.multiply.outer(kx, x) + np.multiply.outer(ky, y)))
+    kx, ky = np.asarray(kx), np.asarray(ky)
+    if not (np.any(kx.imag) or np.any(ky.imag)):
+        kx, ky = kx.real, ky.real
+    k = np.stack([kx, ky]).reshape(2, -1, 8) if kx.size % 8 == 0 else None
+    if k is None or np.iscomplexobj(k) or not np.array_equal(k[..., _PARTNERS], -k[..., 4:]):
+        table = np.exp(1j * (x[..., None] * kx + y[..., None] * ky))
+    else:
+        table = np.empty(x.shape + k.shape[1:], dtype=complex)
+        half = 1j * (x[..., None, None] * k[0, :, 4:] + y[..., None, None] * k[1, :, 4:])
+        table[..., 4:] = np.exp(half, out=half)
+        # + 0 turns the -0 imaginary part that a conjugate gives at a zero
+        # argument into the +0 that an exp gives there
+        np.conjugate(half, out=half)
+        half += 0
+        table[..., :2] = half[..., 2:]
+        table[..., 2:4] = half[..., :2]
+        table = table.reshape(x.shape + (-1,))
     table.setflags(write=False)
     return table
 
@@ -324,8 +355,8 @@ _kept = _Kept()
 
 
 def wave_phases(kx: np.ndarray, ky: np.ndarray, x, y) -> np.ndarray:
-    """exp(1j(k_x x + k_y y)) per wave (first axis) and point (the
-    broadcast shape of ``x`` and ``y``, at least 1-d), read-only.
+    """exp(1j(k_x x + k_y y)) per point (the broadcast shape of ``x`` and
+    ``y``, at least 1-d) and wave (the last axis), read-only.
 
     The table of the thread's previous call is kept: a call whose wave
     momenta and points are bit for bit those of that call gets the kept
@@ -364,8 +395,9 @@ def plane_wave_sum(waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction
     for the stack in front of their quadrant axes.  The wave axis is
     summed in blocks of at most ``WAVE_POINTS`` wave-point pairs, down to
     one table's eight waves, so a single table is always one block; each
-    block's phases come from :func:`wave_phases`.  Callers size stacks of
-    tables by ``WAVE_POINTS``.
+    block's phases come from :func:`wave_phases`, points first and waves
+    last, and the block is summed over that last, contiguous axis.
+    Callers size stacks of tables by ``WAVE_POINTS``.
     """
     i, j = np.asarray(i), np.asarray(j)
     n = waves.shape[-3]
@@ -380,4 +412,4 @@ def plane_wave_sum(waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction
     # an empty wave axis still makes one block, which gives zeros of the right shape
     blocks = [slice(w, w + step) for w in range(0, max(len(kx), 1), step)]
     return functools.reduce(operator.add, (
-        np.einsum("...w,w...->...", rows[..., b], wave_phases(kx[b], ky[b], x, y)) for b in blocks))
+        np.einsum("...w,...w->...", rows[..., b], wave_phases(kx[b], ky[b], x, y)) for b in blocks))

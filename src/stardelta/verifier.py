@@ -13,7 +13,8 @@ stack (:func:`_each_stack`); every result is stored by stack index, so
 no report depends on which thread checked what.  Every stacked value is
 the one the tensor alone gives.  The value and derivative sums of one
 family share its phase table, which :func:`~stardelta.domain.wave_phases`
-keeps, per thread, until the check is done with the family's points.
+keeps, per thread, until the check is done with the family's points; at
+real momenta that table takes one exp per conjugate wave pair.
 All residuals are exact analytic evaluations sampled at deterministic
 low-discrepancy points; one-sided limits at the diagonal evaluate the
 sector-tagged branches exactly at x = y, since each branch is an entire

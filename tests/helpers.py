@@ -238,7 +238,7 @@ def sampled_values(elements, count, seed) -> np.ndarray:
     phases = wave_phases(*wave_momenta(m.k1, m.k2), xy[:, 0], xy[:, 1])
     i, j = quads[:, 0] - 1, quads[:, 1] - 1
     return np.stack([
-        np.einsum("pw,wp->p", el.tensor.amps[i, j, planes].reshape(count, 8), phases)
+        np.einsum("pw,pw->p", el.tensor.amps[i, j, planes].reshape(count, 8), phases)
         for el in elements
     ])
 
