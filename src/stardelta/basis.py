@@ -117,7 +117,7 @@ def family_rows(factors: np.ndarray, pairs, sign: float) -> Callable[[slice], np
                                        OneParticleSolution(factors[ij[part, 1]]), sign).amps
 
 
-def cycle_completing_tensor(cfg: StarConfig, phis: np.ndarray | None = None) -> AmplitudeTensor:
+def cycle_completing_tensor(cfg: StarConfig, phis: np.ndarray) -> AmplitudeTensor:
     """The symmetric eigensolution with cyclic antisymmetric coefficients.
 
     sum_i S+(phi^i, phi^{i+1}) - S+(phi^{i+1}, phi^i) with indices wrapping
@@ -131,11 +131,8 @@ def cycle_completing_tensor(cfg: StarConfig, phis: np.ndarray | None = None) -> 
     family restores the full 2n^2 - 2n span.  Both orientations are one
     :func:`family_rows` stack over the 2n pairs; the sum is exact in any
     order, since every entry of S+(phi^i, phi^j) is 0, +-1/4 or +-1/2.
-    ``phis`` are the stacked coefficients of phi^1..phi^n, when the caller
-    has them already.
+    ``phis`` are the stacked coefficients of phi^1..phi^n.
     """
-    if phis is None:
-        phis = np.stack([phi(cfg, i).coeff for i in range(1, cfg.n + 1)])
     forward = np.stack([np.arange(cfg.n), np.roll(np.arange(cfg.n), -1)], axis=1)  # (i, i+1)
     rows = family_rows(phis, np.concatenate([forward, forward[:, ::-1]]), 1)(slice(None))
     return AmplitudeTensor((rows[:cfg.n] - rows[cfg.n:]).sum(axis=0))

@@ -64,14 +64,16 @@ def parse_float_grid(text: str) -> list[float]:
 def check_outputs(*paths) -> None:
     """Refuse, before any work, an output path that cannot be written.
 
-    A path that is an existing directory is refused, and so is one whose
-    nearest existing ancestor is not a writable directory, so a run that
-    exits 2 leaves no report beside an unwritable second output.  Nothing
-    is created here: the writers make the parent directories.
+    An existing directory or unwritable file is refused, and so is a path
+    whose nearest existing ancestor is not a writable directory, so a run
+    that exits 2 leaves no report beside an unwritable second output.
+    Nothing is created here: the writers make the parent directories.
     """
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if path.exists() and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
         ancestor = path.parent
         while not ancestor.exists():
             ancestor = ancestor.parent

@@ -159,8 +159,8 @@ class AmplitudeTensor:
 
     A leading axis, shape (E, n, n, 2, 2, 2, 2), stacks E tables that are
     evaluated together: every evaluation then carries that axis first (see
-    :func:`plane_wave_sum`).  Keyed access (``items``,
-    ``with_scaled_entry``) is for a single table.
+    :func:`plane_wave_sum`).  Keyed access to a single table (``items``,
+    ``with_scaled_entry``) has no caller but ``perfbench/selftest.py``.
     """
 
     __slots__ = ("amps",)

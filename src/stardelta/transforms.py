@@ -103,13 +103,15 @@ def _conjugate(pairs: np.ndarray, n: int) -> np.ndarray:
     return (F @ half.reshape(2 * n, n, -1)).reshape(pairs.shape)
 
 
-def _vertex_xi(S: np.ndarray, chi_hat: np.ndarray, tau_chi_check: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The xi the vertex equations assign: (-chi_hat S, -S tau chi_check).
+def _vertex_xi(chi_hat: np.ndarray, tau_chi_check: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The xi the vertex equations assign: (-chi_hat S, -S tau chi_check),
+    with S the edge-basis vertex scattering matrix.
 
     Arrays are (..., n, n, m): stack axes, the quadrant axes, then one
     axis (slots, kernel columns) that rides along.
     """
     shape = tau_chi_check.shape
+    S = s_matrix(shape[-2], EDGE)
     xi_hat = -(S.T @ chi_hat)
     xi_check = -(S @ tau_chi_check.reshape(shape[:-2] + (-1,))).reshape(shape)
     return xi_hat, xi_check
@@ -139,16 +141,17 @@ def _offdiag_drift(*pairs: tuple[np.ndarray, np.ndarray]):
     return drift
 
 
-def _apply_q(S: np.ndarray, sign: int, cols: np.ndarray) -> np.ndarray:
-    """Q_pm(A, B) = (A S + sign * S B, A - B) on columns of stacked pair vectors.
+def _apply_q(sign: int, cols: np.ndarray) -> np.ndarray:
+    """Q_pm(A, B) = (A S + sign * S B, A - B) on columns of stacked pair
+    vectors, 2n^2 rows each, with S the edge-basis vertex scattering matrix.
 
     That is (xi_check - xi_hat, chi_hat - chi_check) for chi = (A, B) and
     tau chi_check = -sign * B, so PI_perp o Q_pm is the off-diagonal
     hat/check drift that :func:`basic_solution_tensor` refuses.
     """
-    n = S.shape[0]
+    n = math.isqrt(cols.shape[0] // 2)
     A, B = cols.reshape(2, n, n, -1)
-    xi_hat, xi_check = _vertex_xi(S, A, -sign * B)
+    xi_hat, xi_check = _vertex_xi(A, -sign * B)
     return np.concatenate([xi_check - xi_hat, A - B]).reshape(cols.shape)
 
 
@@ -293,7 +296,6 @@ def compute_kernel_decomposition(n: int, basis: str = SPECTRAL) -> KernelReport:
     nn = n * n
     diag = _diag_rows(n)
     s = np.diag(s_matrix(n, SPECTRAL))
-    S = s_matrix(n, EDGE)
     F = change_of_basis(n)
     # entry (i, j) of f_k f_k^T, with k on the last axis
     g = (F[:, None, :] * F[None, :, :]).reshape(nn, n)
@@ -333,9 +335,9 @@ def compute_kernel_decomposition(n: int, basis: str = SPECTRAL) -> KernelReport:
         target = np.zeros_like(pre_e)
         target[diag] = y
         joint = np.hstack([ker_e, K_e])
-        image = _apply_q(S, sign, joint)
+        image = _apply_q(sign, joint)
         residuals[f"ker_Q_{tag}_apply"] = _max_abs(image[:, : ker.shape[1]])
-        residuals[f"K_{tag}_preimage"] = _max_abs(_apply_q(S, sign, pre_e) - target)
+        residuals[f"K_{tag}_preimage"] = _max_abs(_apply_q(sign, pre_e) - target)
         residuals[f"K_{tag}_orth"] = _max_abs(ker.T @ K)
         # ker(P_pm) must be spanned by ker(Q_pm) and K_pm together:
         # dim ker(P) = 2n^2 - rank(Q) + #targets, and the joint columns are
@@ -452,7 +454,7 @@ def check_kirchhoff_transforms(tv: TransformVectors4) -> KirchhoffResiduals:
     transforms; both compare xi with :func:`_vertex_xi`.  Also reports
     how far hat and check drift apart off the diagonal.
     """
-    xi_hat, xi_check = _vertex_xi(s_matrix(tv.n, EDGE), tv.hat_chi, tv.check_chi[..., _TAU4])
+    xi_hat, xi_check = _vertex_xi(tv.hat_chi, tv.check_chi[..., _TAU4])
     return KirchhoffResiduals(
         row=_max_abs(tv.hat_xi - xi_hat, 3),
         column=_max_abs(tv.check_xi - xi_check, 3),
@@ -539,7 +541,7 @@ def basic_solution_tensor(chi_hat: np.ndarray, chi_check: np.ndarray, tau_sign: 
         raise ValueError("tau_sign must be +1 or -1")
     n = chi_hat.shape[0]
     chi_hat, chi_check = chi_hat[..., None], chi_check[..., None]
-    xi_hat, xi_check = _vertex_xi(s_matrix(n, EDGE), chi_hat, tau_sign * chi_check)
+    xi_hat, xi_check = _vertex_xi(chi_hat, tau_sign * chi_check)
     drift = _offdiag_drift((chi_hat, chi_check), (xi_hat, xi_check))
     if drift > 1e-9:
         raise ValueError(

@@ -763,10 +763,13 @@ def mutation_sweep(
     residual at ``MUTATION_SAMPLES`` samples and whether the perturbation
     was detected (residual above ``detect_above``).  A healthy verifier
     detects every mutation; silent records mean the checks are vacuous
-    somewhere.  The entries are drawn element by element, each among the
-    entries ``items`` lists, in its order; the mutants are then checked in
-    stacks, all at offset 0, two stacks at a time when there are several
-    (:func:`_each_stack`).
+    somewhere.  The entries are drawn element by element, each among those
+    :func:`~stardelta.domain.entry_mask` keeps in its row of the basis
+    table, in array order.  The mutants are checked in stacks, all at
+    offset 0, two stacks at a time when there are several
+    (:func:`_each_stack`); a stack is one gathered copy of its mutants'
+    rows, each picked entry times ``1 + rel`` (in both planes off the
+    diagonal, where the below plane repeats the above one).
     """
     if rel == 0 or not math.isfinite(rel):
         raise ValueError(f"mutation size must be non-zero and finite, got rel={rel}")
@@ -775,33 +778,42 @@ def mutation_sweep(
     if per_element < 1:
         raise ValueError(f"need at least one mutation per element, got {per_element}")
     rng = np.random.default_rng(seed)
-    mutants = []  # (element, entry key) in draw order
-    for el in build_basis(cfg, m):
-        # the element's entries in the order of its items(); only the picked become keys
-        keep = entry_mask(el.tensor.amps)
-        where = np.flatnonzero(keep)
-        picks = where[rng.choice(len(where), size=min(per_element, len(where)), replace=False)]
-        mutants += [(el, entry_key(index)) for index in np.transpose(np.unravel_index(picks, keep.shape)).tolist()]
+    elements = build_basis(cfg, m)
+    table = elements[0].stack.amps
+    rows, picks = [], []  # per mutant, in draw order: its element's row and the flat index of its entry there
+    for el in elements:
+        # one row's mask at a time: a whole-table mask raises the peak
+        where = np.flatnonzero(entry_mask(table[el.row]))
+        chosen = where[rng.choice(len(where), size=min(per_element, len(where)), replace=False)]
+        rows += [el.row] * len(chosen)
+        picks += chosen.tolist()
+    rows = np.array(rows, dtype=int)
+    entries = np.unravel_index(np.array(picks, dtype=int), table.shape[1:])  # (a, b, s, p, q, r) per mutant
 
     def check(part: slice) -> list[dict]:
-        batch = mutants[part]
-        bad = AmplitudeTensor([el.tensor.with_scaled_entry(key, 1.0 + rel).amps for el, key in batch])
-        sol = TensorSolution(bad, m)
+        bad = table[rows[part]]  # one gathered copy, one row per mutant
+        mutant = np.arange(len(bad))
+        a, b, s, p, q, r = (axis[part] for axis in entries)
+        bad[mutant, a, b, s, p, q, r] *= 1.0 + rel
+        off = a != b  # an off-diagonal quadrant's below plane repeats its above one
+        bad[mutant[off], a[off], b[off], 1, p[off], q[off], r[off]] *= 1.0 + rel
+        bad.setflags(write=False)
+        sol = TensorSolution(AmplitudeTensor(bad), m)
         checks = check_vertex_bc(sol, cfg.n, samples=MUTATION_SAMPLES)
         checks += check_diagonal_bc(sol, cfg.n, cfg.c, samples=MUTATION_SAMPLES)
         worst = np.maximum.reduce([c.max_abs_residual for c in checks])
         return [
             {
-                "element": el.label,
-                "entry": list(key),
+                "element": elements[row].label,
+                "entry": list(entry_key(index)),
                 "relative_change": rel,
                 "max_residual": float(w),
                 "detected": bool(w > detect_above),
             }
-            for (el, key), w in zip(batch, worst)
+            for row, index, w in zip(rows[part].tolist(), np.transpose([a, b, s, p, q, r]).tolist(), worst)
         ]
 
-    return _each_stack(check, _stacks(len(mutants), cfg.n, MUTATION_SAMPLES))
+    return _each_stack(check, _stacks(len(rows), cfg.n, MUTATION_SAMPLES))
 
 
 # ---------------------------------------------------------------------------

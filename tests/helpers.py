@@ -1,17 +1,22 @@
 """Test-side constructors and oracles for amplitude tensors and kernels.
 
 ``edge_wave`` evaluates a one-particle solution on one edge from its
-coefficients, the oracle the one-particle tests read them with.
-``from_entries`` builds a tensor from keyed amplitudes, and
-``resynthesize_tensor`` rebuilds one from transform vectors key by key,
-independently of the array gather in ``extract_transforms``.
+coefficients, the oracle the one-particle tests read them with, and
+``phi_stack`` stacks the coefficients of phi^1..phi^n.
+``entry_index`` is the inverse of ``entry_key``: ``from_entries`` builds
+a tensor from keyed amplitudes with it, ``table_entries`` lists a single
+table's keyed entries and ``scaled_entry`` copies a table with one keyed
+amplitude scaled.  ``resynthesize_tensor`` rebuilds a tensor from
+transform vectors key by key, independently of the array gather in
+``extract_transforms``.
 ``single_slot_product`` is one unsymmetrised product in one momentum
 slot, the oracle of the exchange-symmetrised ``product_tensor``, and
 ``combine`` sums weighted tables in term order, the oracle sum of those
 products.
 ``verify_full_basis_oracle`` and ``mutation_sweep_oracle`` check one
-element or mutant at a time, each as an unstacked tensor; they are the
-oracles of the stacked whole-basis checks.  ``basis_rank_oracle`` takes
+element or mutant at a time, each as an unstacked tensor, a mutant as
+its own ``scaled_entry`` copy; they are the oracles of the stacked
+whole-basis checks.  ``basis_rank_oracle`` takes
 one SVD of every element's values at random points (``sample_points``),
 without the exchange-parity split and without the tables' coefficients;
 it is the reference of ``basis_rank``.  ``table_coefficients`` reads one
@@ -45,16 +50,28 @@ from stardelta.domain import (
     OFFDIAG,
     AmplitudeTensor,
     EntryKey,
-    _entry_index,
+    entry_key,
+    entry_mask,
     partner_momentum,
     wave_momenta,
     wave_phases,
 )
-from stardelta.oneparticle import EDGE, LARGER, NEUTRAL, SMALLER, SPECTRAL, OneParticleSolution
+from stardelta.oneparticle import EDGE, LARGER, NEUTRAL, SMALLER, SPECTRAL, OneParticleSolution, phi
 from stardelta.transforms import TransformVectors4, change_of_basis
 
 # the (sig, tau) channel of each slot pair of xi, then chi
 CHANNELS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def entry_index(n: int, key: EntryKey) -> tuple:
+    """Array index of a key, the inverse of ``entry_key``; an off-diagonal
+    key selects both sector planes."""
+    i, j, sector, sig, tau, slot = key
+    if not (1 <= i <= n and 1 <= j <= n) or sig not in (-1, 1) or tau not in (-1, 1) or slot not in (1, 2):
+        raise KeyError(f"{key} is not an entry of an n = {n} amplitude table")
+    # a diagonal key with any other sector tag raises ValueError
+    plane = slice(None) if i != j else (ABOVE, BELOW).index(sector)
+    return (i - 1, j - 1, plane, (sig + 1) // 2, (tau + 1) // 2, slot - 1)
 
 
 def from_entries(n: int, entries: Mapping[EntryKey, complex]) -> AmplitudeTensor:
@@ -62,8 +79,28 @@ def from_entries(n: int, entries: Mapping[EntryKey, complex]) -> AmplitudeTensor
     (an off-diagonal quadrant under two sector tags) add up."""
     amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
     for key, amp in entries.items():
-        amps[_entry_index(n, key)] += amp
+        amps[entry_index(n, key)] += amp
     return AmplitudeTensor(amps)
+
+
+def table_entries(tensor: AmplitudeTensor) -> list[tuple[EntryKey, complex]]:
+    """A single table's entries that ``entry_mask`` keeps, in array order,
+    each with its ``entry_key``."""
+    keep = entry_mask(tensor.amps)
+    return [(entry_key(index), amp) for index, amp in zip(np.argwhere(keep).tolist(), tensor.amps[keep].tolist())]
+
+
+def scaled_entry(tensor: AmplitudeTensor, key: EntryKey, factor: complex) -> AmplitudeTensor:
+    """A copy of a single table with the amplitude of ``key`` multiplied by
+    ``factor``, in both sector planes of an off-diagonal quadrant."""
+    amps = tensor.amps.copy()
+    amps[entry_index(tensor.n, key)] *= factor
+    return AmplitudeTensor(amps)
+
+
+def phi_stack(cfg) -> np.ndarray:
+    """The stacked coefficients of phi^1..phi^n."""
+    return np.stack([phi(cfg, i).coeff for i in range(1, cfg.n + 1)])
 
 
 def combine(terms: Iterable[tuple[complex, AmplitudeTensor]]) -> AmplitudeTensor:
@@ -361,11 +398,11 @@ def mutation_sweep_oracle(cfg, m, rel=vf.DEFAULT_REL, per_element=1, detect_abov
     rng = np.random.default_rng(seed)
     out = []
     for el in build_basis(cfg, m):
-        keys = [key for key, _amp in el.tensor.items()]
+        keys = [key for key, _amp in table_entries(el.tensor)]
         picks = rng.choice(len(keys), size=min(per_element, len(keys)), replace=False)
         for pick in picks:
             key = keys[int(pick)]
-            sol = vf.TensorSolution(el.tensor.with_scaled_entry(key, 1.0 + rel), el.momentum)
+            sol = vf.TensorSolution(scaled_entry(el.tensor, key, 1.0 + rel), el.momentum)
             checks = vf.check_vertex_bc(sol, cfg.n, samples=vf.MUTATION_SAMPLES)
             checks += vf.check_diagonal_bc(sol, cfg.n, el.coupling, samples=vf.MUTATION_SAMPLES)
             worst = max(c.max_abs_residual for c in checks)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import combine, edge_wave, single_slot_product
+from helpers import combine, edge_wave, phi_stack, single_slot_product, table_entries
 from stardelta.basis import (
     basis_template,
     build_basis,
@@ -283,7 +283,7 @@ def test_sym_offdiag_vanishes_on_diagonal_quadrants():
 
 
 def test_cycle_completer_vanishes_on_diagonal_quadrants():
-    t = cycle_completing_tensor(CFG3)
+    t = cycle_completing_tensor(CFG3, phi_stack(CFG3))
     rng = np.random.default_rng(4)
     for _ in range(20):
         i = int(rng.integers(1, 4))
@@ -336,7 +336,7 @@ def test_sym_diag_without_the_cycle_completer_stays_rank_deficient(n, c):
     elements = build_basis(cfg, M68)
     amps = elements[0].stack.amps.copy()
     diag = [k for k, el in enumerate(elements) if el.family == "sym_diag"]
-    amps[diag] -= cycle_completing_tensor(cfg).amps / n
+    amps[diag] -= cycle_completing_tensor(cfg, phi_stack(cfg)).amps / n
     stack = AmplitudeTensor(amps)
     rank, _ = basis_rank([dataclasses.replace(el, stack=stack) for el in elements])
     assert rank == len(elements) - 1
@@ -359,7 +359,7 @@ def test_eigen_equation_per_entry():
     # every stored plane wave sits on the unit energy shell, so the
     # two-dimensional eigen-equation holds entry by entry
     for el in build_basis(CFG3, M68):
-        for (_i, _j, _sector, sig, tau, slot), _amp in el.tensor.items():
+        for (_i, _j, _sector, sig, tau, slot), _amp in table_entries(el.tensor):
             kx = sig * (el.momentum.k1 if slot == 1 else el.momentum.k2)
             ky = tau * (el.momentum.k2 if slot == 1 else el.momentum.k1)
             assert abs(kx * kx + ky * ky - 1.0) <= 1e-12
@@ -547,7 +547,7 @@ def test_cycle_completer_equals_the_interleaved_sum_of_pair_products(n):
     for table in products:
         assert set(np.unique(np.concatenate([table.amps.real, table.amps.imag]).ravel())) <= {0.0, 0.25, -0.25, 0.5, -0.5}
     interleaved = combine(term for k in range(n) for term in ((1.0, products[k]), (-1.0, products[n + k])))
-    assert np.array_equal(cycle_completing_tensor(cfg).amps, interleaved.amps)
+    assert np.array_equal(cycle_completing_tensor(cfg, phi_stack(cfg)).amps, interleaved.amps)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +309,21 @@ def test_output_under_an_unwritable_directory_exits_2(tmp_path, capsys, monkeypa
     assert main(VERIFY3 + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: {str(out)!r}\n"
     assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_an_existing_unwritable_output_file_exits_2(tmp_path, capsys, monkeypatch):
+    # an existing --grid-out file that cannot be written is refused before
+    # any work, in a writable directory, and leaves no --out report; the
+    # access check is stubbed for that file alone, as a superuser passes it
+    grid, out = tmp_path / "g.csv", tmp_path / "ok.json"
+    grid.write_text("taken\n")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != grid and access(path, mode))
+    calls = []
+    monkeypatch.setattr(syn, "synthesize_eigensolution", lambda *a, **k: calls.append(a))
+    assert main(SYN3 + ["--out", str(out), "--grid-out", str(grid)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: {str(grid)!r}\n"
+    assert calls == [] and not out.exists() and grid.read_text() == "taken\n"
 
 
 @pytest.mark.parametrize(

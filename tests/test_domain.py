@@ -18,7 +18,7 @@ from stardelta.domain import (
     wave_momenta,
     wave_phases,
 )
-from helpers import combine, from_entries
+from helpers import combine, from_entries, table_entries
 
 
 def test_make_config_valid():
@@ -179,7 +179,7 @@ def test_derivative_matches_finite_differences():
     m = MomentumPair.from_k1(0.45)
     t = _random_tensor(rng, entries=10)
     h = 1e-5
-    for i, j, sector in sorted({key[:3] for key, _amp in t.items()}):
+    for i, j, sector in sorted({key[:3] for key, _amp in table_entries(t)}):
         x, y = rng.uniform(1.0, 8.0, size=2)
         for direction in ("dx", "dy"):
             exact = t.derivative_array(i, j, sector, x, y, m, direction)[0]

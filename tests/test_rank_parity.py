@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import basis_rank_oracle, table_coefficients, table_rank
+from helpers import basis_rank_oracle, phi_stack, table_coefficients, table_rank
 from stardelta import verifier as vf
 from stardelta.basis import EXCHANGE_SIGN, build_basis, cycle_completing_tensor, product_tensor
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, exchange_image, make_config
@@ -317,7 +317,7 @@ def _dropped(elements, family):
 def _without_completer(elements, cfg):
     amps = elements[0].stack.amps.copy()
     diag = [k for k, el in enumerate(elements) if el.family == "sym_diag"]
-    amps[diag] -= cycle_completing_tensor(cfg).amps / cfg.n
+    amps[diag] -= cycle_completing_tensor(cfg, phi_stack(cfg)).amps / cfg.n
     return _with_table(elements, amps)
 
 

@@ -9,7 +9,7 @@ from stardelta.basis import build_basis
 from stardelta.domain import ABOVE, BELOW, OFFDIAG, AmplitudeTensor, MomentumPair, check_pole, make_config
 from stardelta import synthesis as syn
 from stardelta import verifier as vf
-from helpers import from_entries, norm_lhs_dense
+from helpers import from_entries, norm_lhs_dense, scaled_entry, table_entries
 
 CFG3 = make_config(3, 1.0)
 M68 = MomentumPair.from_k1(0.6)
@@ -139,8 +139,8 @@ def test_verify_full_basis_detects_perturbation():
     cfg = CFG3
     elements = build_basis(cfg, M68)
     el = [e for e in elements if e.family == "sym_diag"][0]
-    key = next(k for k, _v in el.tensor.items())
-    bad = el.tensor.with_scaled_entry(key, 1.01)
+    key = next(k for k, _v in table_entries(el.tensor))
+    bad = scaled_entry(el.tensor, key, 1.01)
     sol = vf.TensorSolution(bad, M68)
     checks = vf.check_vertex_bc(sol, 3) + vf.check_diagonal_bc(sol, 3, cfg.c)
     assert any(c.max_abs_residual > 1e-5 for c in checks)
@@ -154,8 +154,9 @@ def test_mutation_sweep_detects_everything():
 
 
 def test_mutation_sweep_entry_order():
-    # the sweep picks entries by position in items(), so this list pins
-    # that order: keys sorted by (i, j, sector, sig, tau, slot), zeros dropped
+    # the sweep picks entries by position among those entry_mask keeps, so
+    # this list pins that order: keys sorted by (i, j, sector, sig, tau,
+    # slot), zeros dropped
     records = vf.mutation_sweep(CFG3, M68, seed=0)
     assert [(r["element"], tuple(r["entry"])) for r in records] == [
         ("antisym(1,1)", (3, 1, "off", 1, 1, 2)),
@@ -300,8 +301,8 @@ def test_batched_checks_match_per_quadrant_loop(n, c, k1, residuals):
         _assert_batched_checks_match_loop(sol, n, c, 100, idx * 7, residuals)
     el = [e for e in elements if e.family == "sym_diag"][0]
     # a diagonal-quadrant entry, seen by both the vertex and the diagonal checks
-    key = next(k for k, _v in el.tensor.items() if k[0] == k[1])
-    mutant = vf.TensorSolution(el.tensor.with_scaled_entry(key, 1.001), el.momentum)
+    key = next(k for k, _v in table_entries(el.tensor) if k[0] == k[1])
+    mutant = vf.TensorSolution(scaled_entry(el.tensor, key, 1.001), el.momentum)
     _assert_batched_checks_match_loop(mutant, n, c, 60, 0, residuals)
 
 

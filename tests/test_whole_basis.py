@@ -24,7 +24,7 @@ from stardelta import transforms as tr
 from stardelta import verifier as vf
 from stardelta.basis import build_basis
 from stardelta.domain import ABOVE, BELOW, AmplitudeTensor, MomentumPair, make_config
-from helpers import mutation_sweep_oracle, verify_full_basis_oracle
+from helpers import entry_index, mutation_sweep_oracle, verify_full_basis_oracle
 
 CFG4 = make_config(4, 1.0)
 M3 = MomentumPair.from_k1(0.3)
@@ -73,15 +73,45 @@ def test_one_cpu_verifies_several_stacks_in_the_calling_thread(monkeypatch, thre
     assert _bytes(got) == _bytes(verify_full_basis_oracle(cfg, m, samples=60))
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_mutation_sweep_matches_per_mutant_loop_over_several_stacks(monkeypatch, thread_starts, cpus):
+@pytest.mark.parametrize("cpus, per_element", [(1, 1), (2, 1), (1, 3), (2, 3)],
+                         ids=["1", "2", "1-per_element_3", "2-per_element_3"])
+def test_mutation_sweep_matches_per_mutant_loop_over_several_stacks(monkeypatch, thread_starts, cpus, per_element):
     cfg, m = make_config(12, 2.1), MomentumPair.from_k1(0.2)
     _cpus(monkeypatch, cpus)
     assert len(vf._stacks(cfg.basis_size, cfg.n, vf.MUTATION_SAMPLES)) > 1
-    got = vf.mutation_sweep(cfg, m, seed=5)
+    got = vf.mutation_sweep(cfg, m, per_element=per_element, seed=5)
     assert thread_starts == ["stardelta-stacks"] * (cpus - 1)
-    assert got == mutation_sweep_oracle(cfg, m, seed=5)
+    assert got == mutation_sweep_oracle(cfg, m, per_element=per_element, seed=5)
     assert all(r["detected"] for r in got)
+
+
+@pytest.mark.parametrize("n, stacks", [(4, 1), (10, 7)])
+def test_mutants_differ_from_their_rows_only_at_the_picked_entry(monkeypatch, n, stacks):
+    # each checked mutant is its element's row with the picked entry, in
+    # both planes off the diagonal, times exactly 1 + rel, and the basis
+    # table the sweep drew from is left as it was built
+    cfg, m, rel = make_config(n, 1.3), MomentumPair.from_k1(0.6), 1e-3
+    _cpus(monkeypatch, 1)  # the calling thread checks the stacks in order
+    built, checked = [], []
+    build, solution = vf.build_basis, vf.TensorSolution
+    monkeypatch.setattr(vf, "build_basis", lambda *args: built.append(build(*args)) or built[-1])
+    monkeypatch.setattr(vf, "TensorSolution", lambda tensor, mm: checked.append(tensor.amps) or solution(tensor, mm))
+    records = vf.mutation_sweep(cfg, m, rel=rel, per_element=2, seed=3)
+    (elements,) = built
+    table = elements[0].stack.amps
+    assert table.tobytes() == build_basis(cfg, m)[0].stack.amps.tobytes()
+    assert len(checked) == stacks and len(records) == 2 * len(elements)
+    rows = {el.label: el.row for el in elements}
+    planes = set()
+    for mutant, rec in zip(np.concatenate(checked), records, strict=True):
+        row = table[rows[rec["element"]]]
+        at = entry_index(n, tuple(rec["entry"]))
+        picked = np.zeros(row.shape, dtype=bool)
+        picked[at] = True
+        planes.add(int(picked.sum()))
+        assert np.array_equal(mutant != row, picked)
+        assert mutant[at].tobytes() == (row[at] * (1.0 + rel)).tobytes()
+    assert planes == {1, 2}
 
 
 @pytest.mark.parametrize("n, samples", [(10, 60), (8, vf.DEFAULT_SAMPLES)], ids=["n10", "n8_default_samples"])
@@ -153,23 +183,35 @@ def test_mutation_sweep_spans_several_stacks():
     assert len(vf._stacks(3 * cfg.basis_size, cfg.n, vf.MUTATION_SAMPLES)) > 1
 
 
-def test_verify_full_basis_peak_memory():
-    # the stacks are views of the basis rows, so the checks add no copy of
-    # the basis (9.3 MiB of tables here); one stack of all rows at once
-    # peaked at 32 MiB
-    cfg, m = make_config(12, 2.1), MomentumPair.from_k1(0.2)
+def _traced_peak(call) -> int:
+    """Peak bytes traced while ``call()`` runs, above what was held before."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        vf.verify_full_basis(cfg, m, samples=60)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 21 * 2 ** 20
+
+
+def test_verify_full_basis_peak_memory():
+    # the stacks are views of the basis rows, so the checks add no copy of
+    # the basis (9.3 MiB of tables here); one stack of all rows at once
+    # peaked at 32 MiB
+    cfg, m = make_config(12, 2.1), MomentumPair.from_k1(0.2)
+    assert _traced_peak(lambda: vf.verify_full_basis(cfg, m, samples=60)) <= 21 * 2 ** 20
+
+
+def test_mutation_sweep_peak_memory():
+    # each stack is one gathered copy of its mutants' rows, and the entries
+    # are drawn on one row's mask at a time: a whole-table mask raised this
+    # peak from 14.0 to 14.6 MiB on one thread
+    cfg, m = make_config(12, 2.1), MomentumPair.from_k1(0.2)
+    assert _traced_peak(lambda: vf.mutation_sweep(cfg, m)) <= 21 * 2 ** 20
 
 
 def test_one_phase_table_per_boundary_family(monkeypatch):
