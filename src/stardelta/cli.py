@@ -25,6 +25,7 @@ import errno
 import functools
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -94,14 +95,16 @@ _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_f
                  bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
 
 
-def _json_text(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
+def _json_text(payload, indent: str = "") -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte,
+    for a payload that starts at ``indent``.
 
     Reports hold dicts with str keys, lists, tuples, str, int, bool, None
     and float (NaN and the infinities as the stdlib writes them).  The
     stdlib encodes with its pure-Python encoder at any indent; this is the
-    same rules without its options.  Any other type, a non-str key
-    included, raises TypeError.
+    same rules without its options.  A :class:`~stardelta.verifier.ElementRows`
+    block is written from its tables (:func:`_element_rows_text`).  Any
+    other type, a non-str key included, raises TypeError.
     """
     heads: dict[str, str] = {}  # the encoded '"key": ' of each key seen
 
@@ -120,6 +123,9 @@ def _json_text(payload) -> str:
                 scalar = _JSON_SCALARS.get(type(item))
                 parts.append(head + (scalar(item) if scalar else encode(item, inner)))
             brackets = "{}"
+        elif isinstance(value, vf.ElementRows) and value:
+            parts = [_element_rows_text(value, inner)]
+            brackets = "[]"
         elif isinstance(value, (list, tuple)):
             parts = [encode(item, inner) for item in value]
             brackets = "[]"
@@ -132,7 +138,50 @@ def _json_text(payload) -> str:
             return brackets
         return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}{brackets[1]}"
 
-    return encode(payload, "")
+    return encode(payload, indent)
+
+
+@functools.lru_cache(maxsize=32)
+def _row_pieces(layout: tuple, indent: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The text of an element row of this layout at this indent, split at
+    the values that vary: the literal pieces, and between each two the
+    number of the value that stands there (0 the label, 1 the row's overall
+    flag, then each check's residual, then each check's pass flag)."""
+    count = len(layout)
+    slots = [f"@{k}@" for k in range(2 + 2 * count)]
+    text = _json_text(vf.element_row(slots[0], slots[1], layout, slots[2:2 + count], slots[2 + count:]), indent)
+    pieces = re.split(r'"@(\d+)@"', text)  # literal text, then slot number, alternately
+    return tuple(pieces[::2]), tuple(int(k) for k in pieces[1::2])
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """The JSON text of every float of an array, each distinct value
+    formatted once.  Values are told apart by their bits, so 0.0 and -0.0
+    keep their own texts."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64).ravel()
+    distinct, at = np.unique(bits, return_inverse=True)
+    texts = np.array([_json_float(v) for v in distinct.view(float).tolist()], dtype=object)
+    return texts[at.ravel()].reshape(values.shape)
+
+
+def _element_rows_text(rows: vf.ElementRows, indent: str) -> str:
+    """The element rows at this indent, joined as a list writes its items,
+    read from the rows' tables: one table of texts, whose columns are the
+    literal pieces of the layout's row text (:func:`_row_pieces`) and the
+    values between them, joined in one call."""
+    literal, slots = _row_pieces(rows.layout, indent)
+    count = len(rows.layout)
+    values = np.empty((len(rows), 2 + 2 * count), dtype=object)
+    values[:, 0] = [encode_basestring_ascii(label) for label in rows.labels]
+    values[:, 1] = np.where(rows.passed.all(axis=1), "true", "false")
+    values[:, 2:2 + count] = _float_texts(rows.residuals)
+    values[:, 2 + count:] = np.where(rows.passed, "true", "false")
+    text = np.empty((len(rows), 2 * len(slots) + 2), dtype=object)  # piece, value, ..., piece, separator
+    text[:, 0:-1:2] = literal
+    text[:, 1:-1:2] = values[:, list(slots)]
+    text[:, -1] = f",\n{indent}"
+    text[-1, -1] = ""
+    return "".join(text.ravel().tolist())
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -161,14 +210,14 @@ def cmd_verify(args) -> int:
     payload["seed"] = args.seed
     if args.out:
         write_json(Path(args.out), payload)
-    passed = sum(1 for ch in report.checks if ch.passed)
+    checks = payload["checks"]
     print(f"verify n={cfg.n} c={cfg.c} k1={args.k1}: "
-          f"{passed}/{len(report.checks)} checks pass, "
+          f"{sum(ch['pass'] for ch in checks)}/{len(checks)} checks pass, "
           f"{report.extras['element_count']} elements, rank {report.extras['rank']}")
-    if not report.overall:
-        for ch in report.checks:
-            if not ch.passed:
-                print(f"  FAIL {ch.name}: {ch.max_abs_residual:.3e} > {ch.tolerance:.1e}")
+    if not payload["overall"]:
+        for ch in checks:
+            if not ch["pass"]:
+                print(f"  FAIL {ch['name']}: {ch['max_abs_residual']:.3e} > {ch['tolerance']:.1e}")
         return 1
     return 0
 
@@ -206,15 +255,18 @@ def cmd_sweep(args) -> int:
         except Refusal as exc:  # a point the basis is not built at
             rows.append(head + ["-", "-", "", "", f"SKIPPED({exc.tag})"])
             continue
-        # (family, check) -> worst residual, tolerance, every element passed
-        worst: dict[tuple[str, str], tuple[float, float, bool]] = {}
-        for el in report.extras["elements"]:
-            family = el["solution"].split("(")[0]
-            for ch in el["checks"]:
-                resid, _, passed = worst.get((family, ch["name"]), (0.0, 0.0, True))
-                worst[family, ch["name"]] = (max(resid, ch["max_abs_residual"]), ch["tolerance"], passed and ch["pass"])
-        for (family, check), (resid, tolerance, passed) in sorted(worst.items()):
-            rows.append(head + [family, check, repr(resid), repr(tolerance), "PASS" if passed else "FAIL"])
+        # per (family, check): the worst residual (NaN if any is NaN) and
+        # whether every element passed, read off the residual table
+        table = report.elements
+        families = np.array([label.partition("(")[0] for label in table.labels])
+        checks = sorted(range(len(table.layout)), key=lambda k: table.layout[k][0])
+        for family in sorted(set(families.tolist())):
+            rows_of = families == family
+            worst = table.residuals[rows_of].max(axis=0).tolist()
+            passed = table.passed[rows_of].all(axis=0).tolist()
+            for k in checks:
+                name, _count, tolerance = table.layout[k]
+                rows.append(head + [family, name, repr(worst[k]), repr(tolerance), "PASS" if passed[k] else "FAIL"])
         rank, expected = report.extras["rank"], report.extras["rank_expected"]
         rows.append(head + ["all", "basis_rank", str(rank), str(expected), "PASS" if rank == expected else "FAIL"])
     header = ["n", "c", "k1", "family", "check", "max_residual", "tolerance", "status"]

@@ -263,12 +263,22 @@ class KernelReport:
         return out
 
 
+def _block_kinds(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of s and, per entry pair (i, j) in row-major
+    order, the index of its value pair (s_i, s_j) among the pairs of
+    distinct values.  The Q_pm block of an entry pair is set by that pair,
+    so each distinct block's SVD and pseudo-inverse are taken once."""
+    values, at = np.unique(s, return_inverse=True)
+    return values, (at[:, None] * values.size + at).reshape(-1)
+
+
 def compute_kernel_decomposition(n: int, basis: str = SPECTRAL) -> KernelReport:
     """Kernels of Q_pm and the bridging subspaces K_pm, with dimensions.
 
     Blockwise in the spectral basis, where S = diag(s): Q_pm acts on the
-    entry pair (A_ij, B_ij) as the 2x2 block [[s_j, +-s_i], [1, -1]].  One
-    batched SVD of the n^2 blocks decides each block's rank against the
+    entry pair (A_ij, B_ij) as the 2x2 block [[s_j, +-s_i], [1, -1]], of
+    which at most four are distinct (:func:`_block_kinds`).  One batched
+    SVD of the distinct blocks decides each block's rank against the
     largest singular value of all of them.  ker(Q_pm) is one coordinate
     pair per singular block, and the singular blocks' left null vectors
     span the left kernel.  The edge-diagonal pairs are (f_k f_k^T, 0) and
@@ -299,14 +309,18 @@ def compute_kernel_decomposition(n: int, basis: str = SPECTRAL) -> KernelReport:
     F = change_of_basis(n)
     # entry (i, j) of f_k f_k^T, with k on the last axis
     g = (F[:, None, :] * F[None, :, :]).reshape(nn, n)
+    values, of = _block_kinds(s)
 
     for sign, tag in ((1, "plus"), (-1, "minus")):
-        blocks = np.empty((nn, 2, 2))
-        blocks[:, 0, 0] = np.tile(s, n)
-        blocks[:, 0, 1] = sign * np.repeat(s, n)
-        blocks[:, 1] = (1.0, -1.0)
-        u, sv, vh = np.linalg.svd(blocks)
+        kinds = np.empty((values.size, values.size, 2, 2))  # the block of (s_i, s_j), by value index
+        kinds[:, :, 0, 0] = values
+        kinds[:, :, 0, 1] = sign * values[:, None]
+        kinds[:, :, 1] = (1.0, -1.0)
+        u, sv, vh = np.linalg.svd(kinds.reshape(-1, 2, 2))
         live = _live(sv, sv.max())
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=live)
+        pinv = np.einsum("bji,bj,bkj->bik", vh, inv, u)
+        u, vh, live, pinv = (part[of] for part in (u, vh, live, pinv))
         b, idx = np.nonzero(~live)
         cols = np.arange(b.size)
         ker = np.zeros((2 * nn, b.size))
@@ -323,8 +337,6 @@ def compute_kernel_decomposition(n: int, basis: str = SPECTRAL) -> KernelReport:
         G = (left[:, :, None] * g[b, None, :]).reshape(b.size, 2 * n)
         _, cos, wh = np.linalg.svd(np.linalg.qr(G, mode="r"))
         y = wh[_rank(cos, 1.0):].T
-        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=live)
-        pinv = np.einsum("bji,bj,bkj->bik", vh, inv, u)
         target_blocks = np.stack([g @ y[:n], g @ y[n:]], axis=1)
         pre = (pinv @ target_blocks).transpose(1, 0, 2).reshape(2 * nn, -1)
         K = orthonormalize(pre)

@@ -36,7 +36,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol
 
 import numpy as np
@@ -174,26 +174,6 @@ class CheckResult:
             "sample_count": self.sample_count,
             "tolerance": float(self.tolerance),
             "pass": bool(self.passed),
-        }
-
-
-@dataclass
-class ResidualReport:
-    solution_id: str
-    checks: list
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def overall(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "solution": self.solution_id,
-            "checks": [c.to_dict() for c in self.checks],
-            "overall": bool(self.overall),
-            **{k: v for k, v in sorted(self.extras.items())},
         }
 
 
@@ -600,18 +580,64 @@ def basis_rank(elements: list[BasisElement]) -> tuple[int, np.ndarray]:
     return rank, np.sort(np.concatenate(ratios))[::-1]
 
 
+def element_row(label, overall, layout, residuals, passed) -> dict:
+    """One element's row of a verify report: its label, whether every
+    check passed and, per check of the ``layout`` (name, sample count,
+    tolerance), its worst residual and whether that passed.  The JSON
+    writer builds a layout's text template from one row of text markers."""
+    return {
+        "schema": SCHEMA,
+        "solution": label,
+        "overall": overall,
+        "checks": [{"name": name, "max_abs_residual": r, "sample_count": count, "tolerance": tol, "pass": ok}
+                   for (name, count, tol), r, ok in zip(layout, residuals, passed)],
+    }
+
+
+class ElementRows(list):
+    """The element rows of a verify report, one :func:`element_row` dict
+    per element, with what they are read from: the elements' ``labels``,
+    their (elements x checks) ``residuals`` table, the ``passed`` table
+    (residual <= tolerance, so a NaN fails) and the ``layout`` every row
+    shares, (name, sample count, tolerance) per check.  ``json.dumps``
+    writes the dicts; :func:`stardelta.cli.write_json` writes the same
+    text from the tables, so neither is changed once built."""
+
+    def __init__(self, labels: list[str], residuals: np.ndarray, layout: tuple, rows: list | None = None):
+        self.labels, self.residuals, self.layout = labels, residuals, layout
+        self.tolerances = np.array([tol for _name, _count, tol in layout])
+        self.passed = residuals <= self.tolerances
+        if rows is None:
+            rows = [element_row(label, all(ok), layout, res, ok)
+                    for label, res, ok in zip(labels, residuals.tolist(), self.passed.tolist())]
+        super().__init__(rows)
+
+    @classmethod
+    def join(cls, parts: list[ElementRows]) -> ElementRows:
+        """The rows of consecutive stacks of one basis, in order."""
+        return cls([label for part in parts for label in part.labels],
+                   np.concatenate([part.residuals for part in parts]), parts[0].layout,
+                   [row for part in parts for row in part])
+
+    def worst_ratios(self) -> np.ndarray:
+        """Per element, its worst residual over the check's tolerance
+        (<= 1 means every check passed); NaN where any residual is NaN."""
+        return (self.residuals / self.tolerances).max(axis=1)
+
+
 def verify_element(
     elements: list[BasisElement],
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
     offset: int | np.ndarray = 0,
-) -> list[ResidualReport]:
+) -> ElementRows:
     """All per-element checks: pointwise boundary conditions + transforms.
 
     The edge count, momentum pair and coupling are the elements' own.  The
     list holds consecutive elements of one basis, with one sample offset
     for all or an array of one each; it is checked as one stack, a view of
-    their rows, and gives one report per element.
+    their rows, and gives the stack's :class:`ElementRows`: one residual
+    per element and check, in one table.
     """
     first = elements[0]
     if any(e.stack is not first.stack or e.row != first.row + k for k, e in enumerate(elements)):
@@ -624,16 +650,16 @@ def verify_element(
     tv = tr.extract_transforms(tensor, m)
     kir = tr.check_kirchhoff_transforms(tv)
     diag = tr.check_diagonal_conditions(tv, c)
-    checks.append(CheckResult("transform_kirchhoff", kir.max, 4 * n * n, TRANSFORM_TOL))
-    checks.append(CheckResult("transform_diagonal", diag.max, 8 * n, TRANSFORM_TOL))
     pointwise_diag = [ch for ch in checks if ch.name == "diagonal_jump"][0]
     agree = pointwise_diag.passed == (diag.max <= tol)
-    checks.append(CheckResult("transform_pointwise_agreement", np.where(agree, 0.0, 1.0), 1, 0.5))
-    return [
-        ResidualReport(e.label, [CheckResult(ch.name, float(ch.max_abs_residual[k]), ch.sample_count, ch.tolerance)
-                                 for ch in checks])
-        for k, e in enumerate(elements)
-    ]
+    layout = tuple((ch.name, ch.sample_count, float(ch.tolerance)) for ch in checks) + (
+        ("transform_kirchhoff", 4 * n * n, TRANSFORM_TOL),
+        ("transform_diagonal", 8 * n, TRANSFORM_TOL),
+        ("transform_pointwise_agreement", 1, 0.5),
+    )
+    residuals = np.stack([ch.max_abs_residual for ch in checks] + [kir.max, diag.max, np.where(agree, 0.0, 1.0)],
+                         axis=1)
+    return ElementRows([e.label for e in elements], residuals, layout)
 
 
 # The most stacks a basis may take and still be checked on two threads.  A
@@ -705,42 +731,72 @@ def _each_stack(check: Callable[[slice], list], parts: list[slice]) -> list:
     return [item for part in done for item in part]
 
 
+@dataclass(frozen=True)
+class BasisReport:
+    """The report of :func:`verify_full_basis`.  Its checks are one per
+    element, the element's worst residual over tolerance read off the
+    residual table of ``elements`` (<= 1 passes), then the basis rank."""
+
+    solution_id: str
+    elements: ElementRows
+    samples: int
+    extras: dict  # element_count, family_counts, rank, rank_expected, singular_value_ratio
+
+    @property
+    def overall(self) -> bool:
+        return bool(np.all(self.elements.worst_ratios() <= 1.0)) and self.extras["rank"] == len(self.elements)
+
+    def to_dict(self) -> dict:
+        rank_ok = self.extras["rank"] == len(self.elements)
+        checks = [
+            {"name": f"element:{label}", "max_abs_residual": worst, "sample_count": self.samples,
+             "tolerance": 1.0, "pass": worst <= 1.0}
+            for label, worst in zip(self.elements.labels, self.elements.worst_ratios().tolist())
+        ]
+        checks.append({"name": "basis_rank", "max_abs_residual": 0.0 if rank_ok else 1.0,
+                       "sample_count": len(self.elements), "tolerance": 0.5, "pass": rank_ok})
+        return {
+            "schema": SCHEMA,
+            "solution": self.solution_id,
+            "checks": checks,
+            "overall": self.overall,
+            **self.extras,
+            "elements": self.elements,
+        }
+
+
 def verify_full_basis(
     cfg: StarConfig,
     m: MomentumPair,
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
-) -> ResidualReport:
+) -> BasisReport:
     """Verify every basis element and the basis rank at this momentum.
 
     Element ``idx`` samples at offset ``7 * idx``; the elements are
-    checked in stacks, each stack in one pass, two stacks at a time when
-    there are several (:func:`_each_stack`).
+    checked in stacks, each stack in one pass by :func:`verify_element`,
+    two stacks at a time when there are several (:func:`_each_stack`).
+    The stacks' residuals are joined into one (elements x checks) table,
+    from which the element rows and each element's worst ratio are read;
+    no per-element check object is built.
     """
     check_sampling(samples, tol)
     elements = build_basis(cfg, m)
     offsets = 7 * np.arange(len(elements))
-    sub_reports = _each_stack(
-        lambda part: verify_element(elements[part], samples=samples, tol=tol, offset=offsets[part]),
-        _stacks(len(elements), cfg.n, samples))
-    checks: list[CheckResult] = []
-    for el, rep in zip(elements, sub_reports):
-        # aggregate row per element: worst residual normalised by each
-        # sub-check's own tolerance, so <= 1 means the element passed
-        worst_ratio = max(c.max_abs_residual / c.tolerance for c in rep.checks)
-        checks.append(CheckResult(f"element:{el.label}", worst_ratio, samples, 1.0))
+    rows = ElementRows.join(_each_stack(
+        lambda part: [verify_element(elements[part], samples=samples, tol=tol, offset=offsets[part])],
+        _stacks(len(elements), cfg.n, samples)))
     rank, svals = basis_rank(elements)
-    checks.append(CheckResult("basis_rank", 0.0 if rank == len(elements) else 1.0, len(elements), 0.5))
-    return ResidualReport(
+    return BasisReport(
         solution_id=f"basis(n={cfg.n}, c={cfg.c}, k1={m.k1.real})",
-        checks=checks,
+        elements=rows,
+        samples=samples,
         extras={
             "element_count": len(elements),
             "family_counts": family_counts(elements),
             "rank": rank,
             "rank_expected": len(elements),
             "singular_value_ratio": float(svals[-1] / svals[0]),
-            "elements": [rep.to_dict() for rep in sub_reports],
         },
     )
 

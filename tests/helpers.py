@@ -34,6 +34,7 @@ The closed-form kernel patterns are the cross-check of
 ``kron(F, F)``, independently of the per-matrix conversion in the package.
 """
 
+import dataclasses
 import functools
 import math
 import operator
@@ -48,6 +49,7 @@ from stardelta.domain import (
     ABOVE,
     BELOW,
     OFFDIAG,
+    SCHEMA,
     AmplitudeTensor,
     EntryKey,
     entry_key,
@@ -350,7 +352,25 @@ def offdiag_drift_masked(*pairs):
 # -- per-element whole-basis checks -------------------------------------------
 
 
-def _verify_one(el, samples, tol, offset) -> "vf.ResidualReport":
+@dataclasses.dataclass
+class ResidualReport:
+    """A report of checks, each a ``vf.CheckResult``, built one at a time."""
+
+    solution_id: str
+    checks: list
+    extras: dict = dataclasses.field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": SCHEMA,
+            "solution": self.solution_id,
+            "checks": [c.to_dict() for c in self.checks],
+            "overall": all(c.passed for c in self.checks),
+            **self.extras,
+        }
+
+
+def _verify_one(el, samples, tol, offset) -> ResidualReport:
     n = el.tensor.n
     sol = vf.TensorSolution(el.tensor, el.momentum)
     checks = vf.check_vertex_bc(sol, n, samples=samples, tol=tol, offset=offset)
@@ -363,23 +383,25 @@ def _verify_one(el, samples, tol, offset) -> "vf.ResidualReport":
     pointwise_diag = [c for c in checks if c.name == "diagonal_jump"][0]
     agree = pointwise_diag.passed == (diag.max <= tol)
     checks.append(vf.CheckResult("transform_pointwise_agreement", 0.0 if agree else 1.0, 1, 0.5))
-    return vf.ResidualReport(solution_id=el.label, checks=checks)
+    return ResidualReport(solution_id=el.label, checks=checks)
 
 
-def verify_full_basis_oracle(cfg, m, samples=vf.DEFAULT_SAMPLES, tol=vf.DEFAULT_TOL) -> "vf.ResidualReport":
-    """``verify_full_basis`` one element at a time, element idx at offset idx * 7."""
+def verify_full_basis_oracle(cfg, m, samples=vf.DEFAULT_SAMPLES, tol=vf.DEFAULT_TOL) -> ResidualReport:
+    """``verify_full_basis`` one element at a time, element idx at offset idx * 7.
+    An element's worst ratio is NaN when any of its residuals is NaN."""
     elements = build_basis(cfg, m)
     checks = []
     sub_reports = []
     for idx, el in enumerate(elements):
         rep = _verify_one(el, samples, tol, idx * 7)
         sub_reports.append(rep)
-        worst_ratio = max(c.max_abs_residual / c.tolerance for c in rep.checks)
+        ratios = [c.max_abs_residual / c.tolerance for c in rep.checks]
+        worst_ratio = math.nan if any(map(math.isnan, ratios)) else max(ratios)
         checks.append(vf.CheckResult(f"element:{el.label}", worst_ratio, samples, 1.0))
     rank, svals = vf.basis_rank(elements)
     rank_ok = rank == len(elements)
     checks.append(vf.CheckResult("basis_rank", 0.0 if rank_ok else 1.0, len(elements), 0.5))
-    return vf.ResidualReport(
+    return ResidualReport(
         solution_id=f"basis(n={cfg.n}, c={cfg.c}, k1={m.k1.real})",
         checks=checks,
         extras={

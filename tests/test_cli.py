@@ -14,7 +14,7 @@ from stardelta import synthesis as syn
 from stardelta import transforms as tr
 from stardelta import verifier as vf
 from stardelta.cli import main, parse_float_grid, parse_int_grid
-from stardelta.domain import SCHEMA, check_pole
+from stardelta.domain import SCHEMA, MomentumPair, check_pole, make_config
 
 
 def test_parse_int_grid():
@@ -462,10 +462,19 @@ def test_report_writer_matches_the_stdlib_on_every_value_it_takes(tmp_path):
         "text": ["é", " ", "\U0001d11e", 'quote " and \\ back', "tab\tnew\nline\x00\x1f", ""],
         "kéy\twith\nescapes\"": {"z": 1, "a": 2, "": 3, "Z": 4},
     }
+    # a block of element rows of one layout, written from its tables, at
+    # two indents; a float cache keyed by value would write -0.0 as 0.0
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 0.1, 1e-9, 2.5e-10, 0.0, -0.0]
+    layout = (("a", 3, 1e-9), ("b", 10 ** 20, 0.5), ("c\u00e9", 0, 1e-9))
+    rows = vf.ElementRows(["x(1,2)", 'q"uote\\', "é\n"], np.array(values).reshape(3, 4)[:, :3].copy(), layout)
+    payload["rows"] = rows
+    payload["deeper"] = [{"rows": vf.ElementRows(["y"] * 4, np.array(values).reshape(4, 3), layout)}]
+    payload["no_rows"] = vf.ElementRows([], np.zeros((0, 3)), layout)
+    assert [math.copysign(1.0, row["checks"][1]["max_abs_residual"]) for row in rows] == [-1.0, 1.0, 1.0]
     out = tmp_path / "nested" / "p.json"
     cli.write_json(out, payload)
     assert out.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    for top in (payload["tuples"], [], {}):
+    for top in (payload["tuples"], [], {}, rows):
         cli.write_json(out, top)
         assert out.read_text() == json.dumps(top, sort_keys=True, indent=2) + "\n"
 
@@ -533,3 +542,52 @@ def test_a_table_too_large_to_allocate_exits_2_with_no_report(monkeypatch, tmp_p
     captured = capsys.readouterr()
     assert captured.err == "error: Unable to allocate the n = 3 tables\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("n, c, k1, extra, seed", [
+    (3, 1.0, 0.6, [], 0),
+    (6, 0.7, 0.33, [], 3),
+    (10, 2.1, 0.2, ["--samples", "60"], 1),
+    (3, 1e-6, 0.6, [], 0),
+    (3, 1.0, 1.0, [], 2),
+    (3, 1e-200, 0.6, [], 0),
+])
+def test_verify_report_is_the_per_element_oracle_as_the_stdlib_writes_it(tmp_path, monkeypatch, capsys,
+                                                                          n, c, k1, extra, seed):
+    # the report written from one residual table is, byte for byte, the
+    # stdlib encoding of the report built one element at a time; the n = 10
+    # basis is checked in several stacks on two threads
+    from helpers import verify_full_basis_oracle
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "r.json"
+    argv = ["verify", "--n", str(n), "--c", str(c), "--k1", str(k1), "--seed", str(seed), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv + extra) in (0, 1)
+    samples = int(extra[1]) if extra else vf.DEFAULT_SAMPLES
+    oracle = verify_full_basis_oracle(make_config(n, c), MomentumPair.from_k1(k1), samples=samples)
+    assert out.read_text() == json.dumps(oracle.to_dict() | {"seed": seed}, sort_keys=True, indent=2) + "\n"
+
+
+def test_a_nan_residual_is_the_worst_of_its_rows(tmp_path, capsys):
+    # at c = 1e308 the transform_diagonal residuals of the antisym and
+    # sym_diag elements are NaN: the element check and the sweep row of
+    # each of those (family, check) pairs report NaN, not a smaller
+    # residual of the same rows or the 0.0 a sweep starts from
+    argv = ["--n", "3", "--c", "1e308", "--k1", "0.6"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["verify", *argv, "--out", str(tmp_path / "v.json")]) == 1
+        assert main(["sweep", *argv, "--out", str(tmp_path / "s.csv")]) == 1
+    report = json.loads((tmp_path / "v.json").read_text())
+    nan_rows = {el["solution"] for el in report["elements"]
+                if math.isnan({ch["name"]: ch["max_abs_residual"] for ch in el["checks"]}["transform_diagonal"])}
+    assert {label.partition("(")[0] for label in nan_rows} == {"antisym", "sym_diag"}
+    worst = {ch["name"].partition(":")[2]: ch for ch in report["checks"] if ch["name"].startswith("element:")}
+    assert {label for label, ch in worst.items() if math.isnan(ch["max_abs_residual"])} == nan_rows
+    assert not any(worst[label]["pass"] for label in nan_rows)
+    assert "  FAIL element:antisym(1,1): nan > 1.0e+00\n" in capsys.readouterr().out
+    rows = (tmp_path / "s.csv").read_text().splitlines()
+    assert "3,1e+308,0.6,antisym,transform_diagonal,nan,1e-10,FAIL" in rows
+    assert "3,1e+308,0.6,sym_diag,transform_diagonal,nan,1e-10,FAIL" in rows

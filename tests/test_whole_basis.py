@@ -330,7 +330,7 @@ def test_stacked_element_reports_match_single_elements():
     elements = build_basis(CFG4, M3)
     stacked = vf.verify_element(elements[5:11], offset=7 * np.arange(5, 11))
     for k, (el, rep) in enumerate(zip(elements[5:11], stacked), 5):
-        assert rep.to_dict() == vf.verify_element([el], offset=7 * k)[0].to_dict()
+        assert rep == vf.verify_element([el], offset=7 * k)[0]
 
 
 @pytest.mark.parametrize("k1", [0.3, 0.8])
