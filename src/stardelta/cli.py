@@ -413,6 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "--seed", "--out")
     p.set_defaults(func=cmd_mutate)
 
+    # argparse's own pattern reads -1e6 or the grid -1e-3,2 as an option; a minus and a digit is a value
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -7,10 +7,10 @@ whole family of boundary lines per call.  A stack of amplitude tensors
 is checked in one pass: every family is evaluated for all of them at
 once, each at its own sample offset, and the whole-basis checks and the
 mutation sweep walk the basis in stacks sized by ``WAVE_POINTS``.  A
-basis of more than one stack, up to ``SHARED_STACKS``, is checked by the
-calling thread and one worker at once, each taking the next unchecked
-stack (:func:`_each_stack`); every result is stored by stack index, so
-no report depends on which thread checked what.  Every stacked value is
+basis of more than one stack is checked by the calling thread and one
+worker at once, each taking the next unchecked stack
+(:func:`_each_stack`); every result is stored by stack index, so no
+report depends on which thread checked what.  Every stacked value is
 the one the tensor alone gives.  The value and derivative sums of one
 family share its phase table, which :func:`~stardelta.domain.wave_phases`
 keeps, per thread, until the check is done with the family's points; at
@@ -662,13 +662,6 @@ def verify_element(
     return ElementRows([e.label for e in elements], residuals, layout)
 
 
-# The most stacks a basis may take and still be checked on two threads.  A
-# basis of more (n >= 26 at 60 samples) has transform checks whose matrix
-# products BLAS already runs on its own threads; a second thread of ours on
-# top of them made verify slower at n = 26 and 30 on two CPUs.
-SHARED_STACKS = 48
-
-
 def _per_line(samples: int, lines: int) -> int:
     """Sample points on each boundary line of a family of ``lines`` lines."""
     return max(1, samples // lines)
@@ -691,14 +684,13 @@ def _each_stack(check: Callable[[slice], list], parts: list[slice]) -> list:
     """``check(part)`` for every part, the lists it returns joined in part
     order.
 
-    With more than one part, but no more than ``SHARED_STACKS``, and at
-    least two CPUs to run on, the calling thread and one worker thread
-    each take the next unchecked part until none is left; the checks
-    spend their time in NumPy kernels that release the interpreter lock.
-    Each result is stored under its part's index, so the output does not
-    depend on which thread checked which part.  An error in either thread
-    stops the handing out of parts and is raised here once the worker has
-    finished.
+    With more than one part and at least two CPUs to run on, the calling
+    thread and one worker thread each take the next unchecked part until
+    none is left; the checks spend their time in NumPy kernels that
+    release the interpreter lock.  Each result is stored under its part's
+    index, so the output does not depend on which thread checked which
+    part.  An error in either thread stops the handing out of parts and is
+    raised here once the worker has finished.
     """
     done: list = [None] * len(parts)
     todo = list(range(len(parts) - 1, -1, -1))  # popped from the end: part 0 first
@@ -720,7 +712,7 @@ def _each_stack(check: Callable[[slice], list], parts: list[slice]) -> list:
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     worker = None
-    if 1 < len(parts) <= SHARED_STACKS and cpus > 1:
+    if len(parts) > 1 and cpus > 1:
         worker = threading.Thread(target=drain, name="stardelta-stacks")
         worker.start()
     drain()

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -509,6 +511,36 @@ def test_verify_at_an_endpoint_reports_the_function_rank(tmp_path, k1, capsys):
     report = json.loads(out.read_text())
     assert report["rank"] == 3
     assert math.isfinite(report["singular_value_ratio"])
+
+
+@pytest.mark.parametrize("command, code", [
+    ("verify --n 3 --c -1e6 --k1 0.6", 1),
+    ("mutate --n 3 --c -1e6 --k1 0.6", 0),
+    ("synthesize --n 3 --c -1e6 --nodes 8", 0),
+    ("sweep --n 3 --c -1e-3,2 --k1 0.6", 0),
+])
+def test_a_negative_value_in_exponent_notation_is_a_value(tmp_path, capsys, command, code):
+    # argparse's own pattern reads -1e6 as an unknown option and exits 2;
+    # the run is the one --c=-1e6 gives, byte for byte
+    split, joined = tmp_path / "split.out", tmp_path / "joined.out"
+    assert main(command.split() + ["--out", str(split)]) == code
+    assert main(command.replace("--c ", "--c=").split() + ["--out", str(joined)]) == code
+    assert split.read_bytes() == joined.read_bytes()
+    if command.startswith("verify"):  # only the known transform_diagonal roundoff at |c| = 1e6 fails
+        report = json.loads(split.read_text())
+        failed = {ch["name"] for el in report["elements"] for ch in el["checks"] if not ch["pass"]}
+        assert failed == {"transform_diagonal"} and report["rank"] == 12
+
+
+def test_a_nan_residual_warns_nothing():
+    # at c = 1e308 the diagonal systems hold NaN entries: the run reports
+    # NaN transform_diagonal residuals and exits 1, with no RuntimeWarning
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "stardelta.cli", "verify",
+                          "--n", "3", "--c", "1e308", "--k1", "0.6"], capture_output=True, text=True, env=env)
+    assert run.returncode == 1 and run.stderr == ""
+    assert "  FAIL element:sym_diag(3): nan > 1.0e+00\n" in run.stdout
 
 
 def test_a_call_argparse_refuses_leaves_later_calls_working(tmp_path, capsys):

@@ -246,20 +246,41 @@ def test_kernel_dims_follow_a_wrong_s(monkeypatch, n):
     assert not report.passed
 
 
-def test_kernel_residuals_see_an_s_that_is_not_diagonal(monkeypatch):
-    # the blocks read only the diagonal of the spectral S, so the dims stay
-    # as predicted; the residuals apply the full S and must fail
-    n = 4
-    S = tr.s_matrix(n, tr.SPECTRAL)
-    S[1, 2] = S[2, 1] = 1e-6
+@pytest.mark.parametrize("n", [4, 5])
+def test_kernel_residuals_see_an_s_whose_plus_one_is_not_uniform(monkeypatch, n):
+    # a spectral S whose one +1 sits on f_2, not on the uniform f_1: the
+    # blocks read only its diagonal, whose values keep their counts, so the
+    # dims stay as predicted; the residuals apply the true edge-basis S in
+    # closed form to the bases built from it, and must fail
+    d = -np.ones(n)
+    d[1] = 1.0
     F = tr.change_of_basis(n)
-    wrong = {tr.SPECTRAL: S, tr.EDGE: F @ S @ F}
+    wrong = {tr.SPECTRAL: np.diag(d), tr.EDGE: F @ np.diag(d) @ F}
     monkeypatch.setattr(tr, "s_matrix", lambda n, basis: wrong[basis])
     report = tr.compute_kernel_decomposition(n)
     assert report.dims == {key: fn(n) for key, fn in tr.PREDICTED_DIMS.items()}
     keys = ("ker_Q_plus_apply", "ker_Q_minus_apply", "K_plus_preimage", "K_minus_preimage")
     assert max(report.residuals[key] for key in keys) > 1e-8
     assert not report.passed
+
+
+@pytest.mark.parametrize("n", [3, 12, 26, 40])
+@pytest.mark.parametrize("shape", [(2, None, None, 4), (None, None, 7)], ids=["stacked", "kernel_columns"])
+def test_vertex_xi_is_the_dense_product(n, shape):
+    # -chi_hat S and -S tau chi_check in closed form against the dense
+    # S.T @ A and S @ B, on stacked (E, n, n, 4) slot arrays and on the
+    # (n, n, m) kernel columns of _apply_q, within eight ulps of the summed
+    # magnitudes of the terms that make each entry
+    rng = np.random.default_rng(n)
+    shape = tuple(n if size is None else size for size in shape)
+    A, B = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    S = tr.s_matrix(n, tr.EDGE)
+    flat = shape[:-2] + (-1,)  # S acts on the first quadrant axis of B
+    dense = (-(S.T @ A), -(S @ B.reshape(flat)).reshape(shape))
+    scale = (np.abs(S) @ np.abs(A), (np.abs(S) @ np.abs(B).reshape(flat)).reshape(shape))
+    eps = np.finfo(float).eps
+    for closed, oracle, size in zip(tr._vertex_xi(A, B), dense, scale):
+        assert np.all(np.abs(closed - oracle) <= 8 * eps * size)
 
 
 def test_kernel_residuals_see_a_k_column_outside_ker_p(monkeypatch):

@@ -133,15 +133,16 @@ def test_a_basis_of_one_stack_starts_no_thread(monkeypatch, thread_starts, n):
     assert thread_starts == []
 
 
-def test_a_basis_of_more_than_shared_stacks_starts_no_thread(monkeypatch, thread_starts):
-    # up to n = 25 at 60 samples a basis is checked on two threads; from
-    # n = 26 BLAS runs the transform checks' products on its own threads
+def test_a_basis_of_many_stacks_is_checked_on_two_threads(monkeypatch, thread_starts):
+    # no stack count keeps a basis on one thread: n = 26 at 60 samples
+    # takes more than 48 stacks, and those are handed out in order to the
+    # calling thread and one worker like any other basis's
     _cpus(monkeypatch, 2)
-    assert len(vf._stacks(2 * 25 * 24, 25, 60)) <= vf.SHARED_STACKS < len(vf._stacks(2 * 26 * 25, 26, 60))
-    for count in (vf.SHARED_STACKS, vf.SHARED_STACKS + 1):
-        parts = [slice(k, k + 1) for k in range(count)]
-        assert vf._each_stack(lambda part: [part.start], parts) == list(range(count))
-    assert thread_starts == ["stardelta-stacks"]
+    stacks = vf._stacks(2 * 26 * 25, 26, 60)
+    assert len(stacks) > 48
+    for parts in (stacks, [slice(k, k + 1) for k in range(49)]):
+        assert vf._each_stack(lambda part: [part.start], parts) == [part.start for part in parts]
+    assert thread_starts == ["stardelta-stacks"] * 2
 
 
 def test_an_error_on_either_thread_is_raised_and_stops_the_stacks(monkeypatch):
