@@ -37,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import AmplitudeTensor, MomentumPair, Refusal, StarConfig, check_pole, exchange_image, table_parts
+from .domain import (ABOVE, BELOW, AmplitudeTensor, MomentumPair, Refusal, StarConfig, cell, cell_keys, check_pole,
+                     exchange_image, table_parts, table_shape)
 from .oneparticle import (
     LARGER,
     SMALLER,
@@ -73,12 +74,14 @@ def product_tensor(f: OneParticleSolution, g: OneParticleSolution, sign: float) 
     """
     n = f.n
     waves = np.einsum("...as,...bt->...abst", f.coeff, g.coeff)  # edge a, edge b, sig, tau
-    half = np.zeros(waves.shape[:-4] + (n, n, 2, 2, 2, 2), dtype=complex)
-    slot1 = half[..., 0]  # a view
-    slot1[...] = np.expand_dims(waves, -3)
-    d = np.arange(n)
-    slot1[..., d, d, 0, :, :] = f.branch_scale(LARGER) * g.branch_scale(SMALLER) * waves[..., d, d, :, :]
-    slot1[..., d, d, 1, :, :] = f.branch_scale(SMALLER) * g.branch_scale(LARGER) * waves[..., d, d, :, :]
+    half = np.zeros(waves.shape[:-4] + table_shape(n), dtype=complex)
+    slot1 = half[..., 0]  # a view: row, cell, sig, tau
+    i, j, _below = cell_keys(n)
+    slot1[...] = waves[..., i - 1, j - 1, :, :]
+    d = np.arange(1, n + 1)
+    on_diag = waves[..., d - 1, d - 1, :, :]
+    slot1[..., d - 1, cell(d, d, ABOVE), :, :] = f.branch_scale(LARGER) * g.branch_scale(SMALLER) * on_diag
+    slot1[..., d - 1, cell(d, d, BELOW), :, :] = f.branch_scale(SMALLER) * g.branch_scale(LARGER) * on_diag
     amps = exchange_image(half)  # a new array: sign times it, plus slot 1, in place
     amps *= sign
     amps += half
@@ -176,7 +179,7 @@ def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray
     heads = basis_heads(n)
     pairs = [ij for family, ij in heads if family == "antisym"]
     far = [ij for family, ij in heads if family == "sym_offdiag"]
-    t0 = np.empty((len(heads), n, n, 2, 2, 2, 2), dtype=complex)
+    t0 = np.empty((len(heads),) + table_shape(n), dtype=complex)
     completer = (1.0 / n) * cycle_completing_tensor(cfg, phis[1:]).amps
     diag = np.arange(1, n + 1)
 

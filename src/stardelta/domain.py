@@ -14,7 +14,8 @@ Wavefunctions at fixed energy are finite sums of plane waves
 where (k_x, k_y) is one of the two orderings of a momentum pair
 (k1, k2) with k1^2 + k2^2 = 1 and sig, tau are signs.  The coefficient
 table of such a sum is an :class:`AmplitudeTensor`: one dense array
-indexed by quadrant, sector, sign pair and momentum assignment.
+with a cell per quadrant sector (:func:`cell`), indexed by that cell,
+sign pair and momentum assignment.
 Evaluation is exact (analytic), never discretised.
 """
 
@@ -146,18 +147,50 @@ def check_fold(k) -> None:
         raise ValueError(f"fold momentum must lie in [0, 1/sqrt(2)), got {k}")
 
 
+def table_shape(n: int) -> tuple[int, ...]:
+    """Shape of one n-edge amplitude table: n rows of n + 1 cells, each
+    cell the eight waves (sig, tau, slot) of one quadrant sector."""
+    return (n, n + 1, 2, 2, 2)
+
+
+def cell(i, j, sector: str):
+    """Column of the cell of quadrant (i, j), sector in row i of an
+    amplitude table; 1-based edge indices, elementwise on quadrant index
+    arrays.  Row i holds its n + 1 cells in key order: the quadrants
+    (i, j < i), the diagonal quadrant's above then below sector, then the
+    quadrants (i, j > i).  Off-diagonal quadrants ignore the sector tag."""
+    i, j = np.asarray(i), np.asarray(j)
+    if sector not in SECTORS and np.any(i == j):
+        raise ValueError(f"diagonal quadrant needs sector above/below, got {sector!r}")
+    return j - 1 + (j > i) + ((i == j) & (sector == BELOW))
+
+
+def cell_quadrant(row, col):
+    """The inverse of :func:`cell`: the 1-based quadrant (i, j) of the cell
+    at 0-based ``row``, ``col``, and whether it is a below sector;
+    elementwise, on ints as on arrays."""
+    return row + 1, col + (col <= row), col == row + 1
+
+
+@functools.lru_cache(maxsize=None)
+def cell_keys(n: int) -> tuple[np.ndarray, ...]:
+    """:func:`cell_quadrant` of every cell of an n-edge table, (n, n + 1)
+    arrays of i, j and below, built once per n and never written."""
+    return tuple(np.broadcast_arrays(*cell_quadrant(np.arange(n)[:, None], np.arange(n + 1))))
+
+
 class AmplitudeTensor:
     """Plane-wave coefficient table of a piecewise-analytic wavefunction.
 
-    One read-only complex array ``amps`` of shape (n, n, 2, 2, 2, 2)
-    holds the amplitude of key (i, j, sector, sig, tau, slot) at
-    ``amps[i-1, j-1, s, (sig+1)//2, (tau+1)//2, slot-1]``, with s = 0 for
-    the above sector and s = 1 for the below sector.  Off-diagonal
-    quadrants have no sector split and hold the same values in both
-    planes.  Evaluation at a point sums the eight waves of the point's
-    quadrant and sector; the sum is linear in the entries.
+    One read-only complex array ``amps`` of shape (n, n + 1, 2, 2, 2)
+    (:func:`table_shape`) holds one cell per quadrant sector: the
+    amplitude of key (i, j, sector, sig, tau, slot) sits at
+    ``amps[i-1, cell(i, j, sector), (sig+1)//2, (tau+1)//2, slot-1]``.
+    A diagonal quadrant has an above and a below cell, an off-diagonal
+    quadrant one (:func:`cell`).  Evaluation at a point sums the eight
+    waves of the point's cell; the sum is linear in the entries.
 
-    A leading axis, shape (E, n, n, 2, 2, 2, 2), stacks E tables that are
+    A leading axis, shape (E, n, n + 1, 2, 2, 2), stacks E tables that are
     evaluated together: every evaluation then carries that axis first (see
     :func:`plane_wave_sum`).  Keyed access to a single table (``items``,
     ``with_scaled_entry``) has no caller but ``perfbench/selftest.py``.
@@ -171,20 +204,20 @@ class AmplitudeTensor:
         if not (isinstance(amps, np.ndarray) and amps.dtype == complex and not amps.flags.writeable):
             amps = np.array(amps, dtype=complex)
             amps.setflags(write=False)
-        if amps.ndim not in (6, 7) or amps.shape[-6:] != (amps.shape[-6],) * 2 + (2, 2, 2, 2):
-            raise ValueError(f"expected an ([E,] n, n, 2, 2, 2, 2) amplitude array, got {amps.shape}")
+        if amps.ndim not in (5, 6) or amps.shape[-5:] != table_shape(amps.shape[-5]):
+            raise ValueError(f"expected an ([E,] n, n + 1, 2, 2, 2) amplitude array, got {amps.shape}")
         self.amps = amps
 
     @property
     def n(self) -> int:
-        return self.amps.shape[-6]
+        return self.amps.shape[-5]
 
     # -- construction helpers -------------------------------------------------
 
     def with_scaled_entry(self, key: EntryKey, factor: complex) -> "AmplitudeTensor":
         """Copy with a single amplitude multiplied by ``factor`` (mutation tests)."""
         idx = _entry_index(self.n, key)
-        if np.any(self.amps[idx] == 0):
+        if self.amps[idx] == 0:
             raise KeyError(f"no amplitude stored at {key}")
         amps = self.amps.copy()
         amps[idx] *= factor
@@ -193,8 +226,8 @@ class AmplitudeTensor:
     # -- inspection ------------------------------------------------------------
 
     def items(self) -> Iterator[tuple[EntryKey, complex]]:
-        """Nonzero entries sorted by key; off-diagonal quadrants once, tagged OFFDIAG."""
-        keep = entry_mask(self.amps)
+        """Nonzero entries sorted by key; off-diagonal quadrants tagged OFFDIAG."""
+        keep = self.amps != 0
         for index, amp in zip(np.argwhere(keep).tolist(), self.amps[keep].tolist()):
             yield entry_key(index), amp
 
@@ -215,49 +248,41 @@ class AmplitudeTensor:
         return plane_wave_sum(self._waves(), *wave_momenta(m.k1, m.k2), i, j, sector, x, y, direction)
 
     def _waves(self) -> np.ndarray:
-        """The table with the eight waves of a quadrant/sector on one axis."""
+        """The table with the eight waves of a cell on one axis."""
         return self.amps.reshape(self.amps.shape[:-3] + (8,))
 
 
-def _plane(i, j, sector: str):
-    """Sector axis of the amplitude array: 0 above or off-diagonal, 1 below;
-    elementwise on quadrant index arrays."""
-    diag = np.asarray(i) == np.asarray(j)
-    if sector in SECTORS:
-        return np.where(diag, SECTORS.index(sector), 0)
-    if np.any(diag):
-        raise ValueError(f"diagonal quadrant needs sector above/below, got {sector!r}")
-    return 0
-
-
-def entry_mask(amps: np.ndarray) -> np.ndarray:
-    """Where the entries that ``items`` lists sit, per stacked table: the
-    nonzero amplitudes, with an off-diagonal quadrant's below plane left
-    out, since it repeats the above one."""
-    keep = amps != 0
-    keep[..., 1, :, :, :] &= np.eye(amps.shape[-6], dtype=bool)[:, :, None, None, None]
-    return keep
-
-
 def entry_key(index) -> EntryKey:
-    """The key of a single table's array index (a, b, s, p, q, r)."""
-    a, b, s, p, q, r = index
-    sector = SECTORS[s] if a == b else OFFDIAG
-    return (a + 1, b + 1, sector, 2 * p - 1, 2 * q - 1, r + 1)
+    """The key of a single table's array index (row, column, p, q, r)."""
+    a, col, p, q, r = index
+    i, j, below = cell_quadrant(a, col)
+    return (i, j, SECTORS[below] if i == j else OFFDIAG, 2 * p - 1, 2 * q - 1, r + 1)
 
 
 def _entry_index(n: int, key: EntryKey) -> tuple:
-    """Array index of a key; an off-diagonal key selects both sector planes."""
+    """Array index of a key; a diagonal key names its sector, an
+    off-diagonal one is tagged OFFDIAG."""
     i, j, sector, sig, tau, slot = key
-    if not (1 <= i <= n and 1 <= j <= n) or sig not in (-1, 1) or tau not in (-1, 1) or slot not in (1, 2):
+    if (not (1 <= i <= n and 1 <= j <= n) or sector not in (SECTORS if i == j else (OFFDIAG,))
+            or sig not in (-1, 1) or tau not in (-1, 1) or slot not in (1, 2)):
         raise KeyError(f"{key} is not an entry of an n = {n} amplitude table")
-    plane = slice(None) if i != j else int(_plane(i, j, sector))
-    return (i - 1, j - 1, plane, (sig + 1) // 2, (tau + 1) // 2, slot - 1)
+    return (i - 1, int(cell(i, j, sector)), (sig + 1) // 2, (tau + 1) // 2, slot - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _exchange_order(n: int) -> np.ndarray:
+    """Flat positions in an n-edge table of what :func:`exchange_image`
+    gathers per entry: the cell of quadrant (j, i), with the other sector
+    on the diagonal, and the wave of signs (tau, sig) in the other slot."""
+    i, j, below = cell_keys(n)
+    cells = (j - 1) * (n + 1) + np.where(below, cell(j, i, ABOVE), cell(j, i, BELOW))
+    waves = np.arange(8).reshape(2, 2, 2).transpose(1, 0, 2)[..., ::-1].reshape(-1)
+    return (cells[..., None] * 8 + waves).reshape(-1)
 
 
 def exchange_image(amps: np.ndarray) -> np.ndarray:
     """Table of the exchanged wavefunction psi(y, x), given the table of
-    psi(x, y), with any leading stack axes kept.
+    psi(x, y), with any leading stack axes kept: a new array, one gather.
 
     Exchange maps quadrant (a, b) to (b, a) and the wave of signs
     (sig, tau) to the wave of signs (tau, sig) in the other slot, since x
@@ -265,10 +290,8 @@ def exchange_image(amps: np.ndarray) -> np.ndarray:
     sector becomes the below one.  An exchange-symmetric table equals its
     image, an antisymmetric one minus it.
     """
-    image = amps.swapaxes(-6, -5).swapaxes(-3, -2)[..., ::-1].copy()
-    d = np.arange(amps.shape[-6])
-    image[..., d, d, :, :, :, :] = image[..., d, d, ::-1, :, :, :]
-    return image
+    order = _exchange_order(amps.shape[-5])
+    return np.take(amps.reshape(amps.shape[:-5] + order.shape), order, axis=-1).reshape(amps.shape)
 
 
 # Table entries per step of a pass over a stacked table (512 KiB of
@@ -385,10 +408,10 @@ def plane_wave_sum(waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction
     """Sum of the waves of quadrant (i, j), sector at the points (x, y), or
     its exact partial derivative along ``direction`` ("dx" or "dy").
 
-    ``waves`` has shape (..., n, n, 2, W): the W waves of every quadrant
-    and sector plane, with momenta ``kx, ky`` in the same order.  That is
-    one amplitude table (W = 8), or P of them side by side for P momentum
-    pairs (W = 8P, one sum of 8P waves).  Rows of waves for many quadrants
+    ``waves`` has shape (..., n, n + 1, W): the W waves of every cell
+    (:func:`cell`), with momenta ``kx, ky`` in the same order.  That is one
+    amplitude table (W = 8), or P of them side by side for P momentum pairs
+    (W = 8P, one sum of 8P waves).  Rows of waves for many quadrants
     broadcast against the points.  Leading axes stack tables evaluated
     together; they lead the quadrant rows, and the points broadcast
     against both, so points that differ per stacked table carry an axis
@@ -403,7 +426,7 @@ def plane_wave_sum(waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction
     n = waves.shape[-3]
     if np.any((i < 1) | (i > n) | (j < 1) | (j > n)):
         raise IndexError(f"quadrant ({i}, {j}) outside an n = {n} star")
-    rows = waves[..., i - 1, j - 1, _plane(i, j, sector), :]
+    rows = waves[..., i - 1, cell(i, j, sector), :]
     if direction not in (None, "dx", "dy"):
         raise ValueError(f"direction must be 'dx' or 'dy', got {direction!r}")
     if direction is not None:

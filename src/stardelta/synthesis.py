@@ -128,10 +128,11 @@ def check_grid(span: float, step: float) -> None:
 class SynthesizedSolution:
     """Quadrature superposition: one weighted amplitude table per node.
 
-    ``amps`` stacks the tables of P nodes, shape (P, n, n, 2, 2, 2, 2), and
-    node p sits at the pair (k1[p], sqrt(1 - k1[p]^2)).  The stack is kept
-    as one (n, n, 2, 8P) wave table and evaluated like AmplitudeTensor, as
-    one sum of 8P waves, so all verifier checks apply unchanged.
+    ``amps`` stacks the tables of P nodes, shape (P, n, n + 1, 2, 2, 2),
+    and node p sits at the pair (k1[p], sqrt(1 - k1[p]^2)).  The stack is
+    kept as one (n, n + 1, 8P) wave table, the waves of each cell node by
+    node, and evaluated like AmplitudeTensor, as one sum of 8P waves, so
+    all verifier checks apply unchanged.
     ``rebuild`` re-synthesises at a different node count for refinement
     studies.
     """
@@ -144,8 +145,9 @@ class SynthesizedSolution:
         node_count: int = 0,
     ):
         amps, k1 = np.asarray(amps, dtype=complex), np.asarray(k1, dtype=float)[:, None]
-        # one wave axis, node-major like the momenta: shape (n, n, 2, 8P)
-        self.amps = amps.transpose(1, 2, 3, 0, 4, 5, 6).reshape(amps.shape[1:4] + (-1,))
+        # one wave axis, node-major like the momenta: shape (n, n + 1, 8P)
+        waves = np.moveaxis(amps.reshape(amps.shape[:-3] + (8,)), 0, -2)
+        self.amps = waves.reshape(waves.shape[:2] + (-1,))
         kx, ky = wave_momenta(k1, partner_momentum(k1))
         self.kx, self.ky = kx.reshape(-1), ky.reshape(-1)
         self.n = self.amps.shape[0]
@@ -164,8 +166,8 @@ class SynthesizedSolution:
         """Gridded values over every quadrant and sector for external
         plotting, one row per point in the column order of ``GRID_HEADER``.
 
-        Two sums give every value: the above plane of all quadrants and
-        the below plane of the diagonal ones, at the same grid points.
+        Two sums give every value: the above sector of all quadrants and
+        the below sector of the diagonal ones, at the same grid points.
         """
         check_grid(span, step)
         coords = np.arange(0.0, span + 1e-12, step)
@@ -284,7 +286,7 @@ def refine_quadrature(sol: SynthesizedSolution) -> ConvergenceRecord:
     def change(i, j, sector, x, y) -> float:
         return float(np.max(np.abs(sol.value_array(i, j, sector, x, y) - fine.value_array(i, j, sector, x, y))))
 
-    # the above plane covers every quadrant, the below plane the diagonal ones
+    # the above sector covers every quadrant, the below sector the diagonal ones
     d = edges - 1
     worst = max(
         change(edges[:, None, None], edges[None, :, None], ABOVE, xs, ys),

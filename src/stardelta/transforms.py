@@ -50,12 +50,14 @@ c_minus has a pole at k = 1/sqrt(2), hence the exclusion zone there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import SCHEMA, AmplitudeTensor, MomentumPair, check_edge_count, check_fold, check_pole, partner_momentum
+from .domain import (SCHEMA, SECTORS, AmplitudeTensor, MomentumPair, cell, check_edge_count, check_fold, check_pole,
+                     partner_momentum, table_shape)
 from .oneparticle import EDGE, SPECTRAL, s_matrix
 
 RANK_RTOL = 1e-10
@@ -121,10 +123,11 @@ def _offdiag_drift(*pairs: tuple[np.ndarray, np.ndarray]):
     """Largest |hat - check| off the diagonal, where hat and check must agree,
     per stacked (..., n, n, m) array.
 
-    Where the two agree bit for bit off the diagonal, as every amplitude
-    table's two sector planes do, the drift is 0.0, which one exact
-    comparison decides; only the other stacked arrays take the differences
-    and their masked gathers.
+    Where the two agree bit for bit off the diagonal, as every pair read
+    from an amplitude table does (an off-diagonal quadrant has one cell,
+    read as both), the drift is 0.0, which one exact comparison decides;
+    only the other stacked arrays take the differences and their masked
+    gathers.
     """
     n = pairs[0][0].shape[-2]
     d = np.arange(n)
@@ -420,17 +423,34 @@ _CH_TAU = np.array([1, 0, 0, 1])
 _CH_SIGN = np.array([[-1.0], [-1.0], [1.0], [1.0]])
 
 
+@functools.lru_cache(maxsize=None)
+def _transform_order(n: int, swap: bool) -> np.ndarray:
+    """Flat positions in an n-edge table of the (quadrant, quadrant, sector,
+    channel, slot) gather of :func:`extract_transforms`, the fold slot,
+    slot 2 where ``swap``, first; an off-diagonal quadrant's one cell
+    serves both sectors."""
+    i, j = np.arange(1, n + 1)[:, None], np.arange(1, n + 1)
+    cols = np.stack([cell(i, j, sector) for sector in SECTORS], axis=-1)[..., None, None]
+    slots = [1, 0] if swap else [0, 1]
+    return np.ravel_multi_index(np.broadcast_arrays(i[..., None, None, None] - 1, cols, _CH_SIG[:, None],
+                                                    _CH_TAU[:, None], slots), table_shape(n))
+
+
 def extract_transforms(tensor: AmplitudeTensor, m: MomentumPair) -> TransformVectors4:
     """Read a tensor built at the real pair ``m`` into folded transform vectors.
 
     The fold momentum is k = ``m.fold``; the assignment slot that carries
-    it is slot 1, or slot 2 when k2 < k1.  A stacked tensor gives stacked
-    transform vectors.
+    it is slot 1, or slot 2 when k2 < k1.  Hat and check are one gather of
+    the above and below cells, which off the diagonal are one cell, so a
+    table's off-diagonal hat and check agree bit for bit.  A stacked
+    tensor gives stacked transform vectors.
     """
     k = m.fold
     kappa = partner_momentum(k)
+    amps = tensor.amps
     # one gather, the fold slot first: ([E,] quadrant, quadrant, sector, channel, slot)
-    psi = tensor.amps[..., _CH_SIG, _CH_TAU, ::-1 if m.k2.real < m.k1.real else 1]
+    order = _transform_order(tensor.n, bool(m.k2.real < m.k1.real))
+    psi = np.take(amps.reshape(amps.shape[:-5] + (math.prod(amps.shape[-5:]),)), order, axis=-1)
     psi *= _CH_SIGN * kappa  # signed in place, on the gather's own copy
     # per sector: xi = (++ at k, ++ at kappa, -- at k, -- at kappa), chi likewise
     psi = psi.reshape(psi.shape[:-2] + (8,))
@@ -549,7 +569,8 @@ def basic_solution_tensor(chi_hat: np.ndarray, chi_check: np.ndarray, tau_sign: 
     by construction; it need not satisfy the diagonal conditions, which
     is the point of basic solutions.  The tensor is momentum-agnostic:
     evaluate it at any real pair with k1 < k2, so that slot 1 carries the
-    fold momentum.  n is read from ``chi_hat``.
+    fold momentum.  n is read from ``chi_hat``.  Off the diagonal, where
+    hat and check agree to 1e-9, a quadrant's one cell holds the hat values.
     """
     if tau_sign not in (1, -1):
         raise ValueError("tau_sign must be +1 or -1")
@@ -564,10 +585,10 @@ def basic_solution_tensor(chi_hat: np.ndarray, chi_check: np.ndarray, tau_sign: 
     # channels (++, --, +-, -+) carry (xi, tau_sign xi, chi, tau_sign chi) in
     # slot 1; -sig*tau turns each into its wave amplitude
     sign = _CH_SIGN[:, 0] * np.array([1.0, tau_sign, 1.0, tau_sign])
-    amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
-    for plane, (xi, chi) in enumerate(((xi_hat, chi_hat), (xi_check, chi_check))):
-        amps[:, :, plane, _CH_SIG, _CH_TAU, 0] = sign * np.concatenate([xi, xi, chi, chi], axis=-1)
-    # off the diagonal, where hat = check, both planes hold the hat values
-    off = ~np.eye(n, dtype=bool)
-    amps[off, 1] = amps[off, 0]
+    amps = np.zeros(table_shape(n), dtype=complex)
+    order = _transform_order(n, False)[..., 0]  # slot 1 of each (quadrant, quadrant, sector, channel)
+    # the below sector first: off the diagonal, where both sectors are one
+    # cell, the hat values written last are kept
+    for sector, (xi, chi) in ((1, (xi_check, chi_check)), (0, (xi_hat, chi_hat))):
+        amps.flat[order[..., sector, :]] = sign * np.concatenate([xi, xi, chi, chi], axis=-1)
     return AmplitudeTensor(amps)

@@ -50,9 +50,10 @@ from .domain import (
     AmplitudeTensor,
     MomentumPair,
     StarConfig,
+    cell,
+    cell_keys,
     drop_phases,
     entry_key,
-    entry_mask,
     exchange_image,
     partner_momentum,
     table_parts,
@@ -319,8 +320,8 @@ def _product_factors(elements: list[BasisElement], family: str, stack: Amplitude
     """The factors f^1..f^n of a product family read off its tables, or
     None unless every row of the family is exactly S+-(f^i, f^j).
 
-    Factor i is read from the family's first row (i, j): slot 1 of its
-    above plane on the quadrants (a, j) holds f^i times the partner's
+    Factor i is read from the family's first row (i, j): slot 1 of the
+    above cells of its quadrants (a, j) holds f^i times the partner's
     incoming wave on edge j, whose coefficient is ``INCOMING[family]``.
     The rows are rebuilt by :func:`~stardelta.basis.family_rows`, the
     build's own definition, one :func:`~stardelta.domain.table_parts`
@@ -333,8 +334,10 @@ def _product_factors(elements: list[BasisElement], family: str, stack: Amplitude
     for el in rows:
         first.setdefault(el.indices[0], el)
     lead = [first[i] for i in range(1, stack.n + 1)]
-    partner = np.array([el.indices[1] for el in lead]) - 1
-    factors = stack.amps[[el.row for el in lead], :, partner, 0, :, 0, 0] / INCOMING[family]
+    partner = np.array([el.indices[1] for el in lead])[:, None]
+    edges = np.arange(1, stack.n + 1)
+    lead_rows = np.array([el.row for el in lead])[:, None]
+    factors = stack.amps[lead_rows, edges - 1, cell(edges, partner, ABOVE), :, 0, 0] / INCOMING[family]
     built = family_rows(factors, np.array([el.indices for el in rows]) - 1, EXCHANGE_SIGN[family])
     table_rows = np.array([el.row for el in rows])
     for part in table_parts(len(rows), stack.amps[0].size):
@@ -369,7 +372,7 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
                 factors[family] = found
     rest = [el for el in elements if el.family not in factors]
     rows = np.array([el.row for el in rest], dtype=int)
-    signs = np.array([EXCHANGE_SIGN[el.family] for el in rest]).reshape((-1,) + (1,) * 6)
+    signs = np.array([EXCHANGE_SIGN[el.family] for el in rest]).reshape((-1,) + (1,) * stack.amps[0].ndim)
     for part in table_parts(len(rows), stack.amps[0].size):
         table = stack.amps[rows[part]]
         image = exchange_image(table)
@@ -386,24 +389,21 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
 
 def _coefficients(elements: list[BasisElement], half: bool) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the elements' plane-wave coefficients, unscaled, with the
-    diagonal-quadrant mask of the columns: per cell read, the summed
-    amplitudes of each distinct wave momentum.  The half table reads
-    quadrants a <= b of plane 0, the full one every quadrant of plane 0 and
-    the diagonal quadrants of plane 1 too."""
+    diagonal-quadrant mask of the columns: per cell read, in key order,
+    the summed amplitudes of each distinct wave momentum.  The half table
+    reads the cells of quadrants a <= b, the above one on the diagonal;
+    the full one every cell."""
     stack, m = _one_basis(elements)
-    n = stack.n
     kx, ky = wave_momenta(m.k1, m.k2)
     same = (kx[:, None] == kx) & (ky[:, None] == ky)
     # column w of ``merge`` adds the waves that share the momenta of wave w,
     # for each w whose momenta no earlier wave has
     merge = same[:, ~np.tril(same, -1).any(axis=1)].astype(float)
-    plane0 = np.arange(2) == 0  # the (quadrant, quadrant, sector plane) cells read
-    cells = (np.triu(np.ones((n, n), dtype=bool))[..., None] & plane0 if half
-             else np.eye(n, dtype=bool)[..., None] | plane0)
-    a, b, s = np.nonzero(cells)
+    i, j, below = cell_keys(stack.n)
+    a, col = np.nonzero((j >= i) & ~below if half else np.ones_like(below))
     rows = np.array([el.row for el in elements])[:, None]
-    mat = (stack.amps[rows, a, b, s].reshape(-1, 8) @ merge).reshape(len(elements), -1)
-    return mat, np.repeat(a == b, merge.shape[1])
+    mat = (stack.amps[rows, a, col].reshape(-1, 8) @ merge).reshape(len(elements), -1)
+    return mat, np.repeat(i[a, col] == j[a, col], merge.shape[1])
 
 
 def _normalise(mat: np.ndarray, elements: list[BasisElement], n: int) -> float:
@@ -468,13 +468,13 @@ def sample_matrix(elements: list[BasisElement]) -> np.ndarray:
 
     All elements must be rows of one stacked table, built at one momentum
     pair.  Waves of distinct frequency vectors are independent functions,
-    so the coefficients decide the rank exactly: per quadrant and sector
-    plane read, a row holds the summed amplitudes of each distinct wave
-    momentum (waves coincide where k1 or k2 is 0).  A :class:`ParityBlock`,
-    a :class:`ProductBlock` too, is read on quadrants a <= b of plane 0
-    (4n^2 + 4n columns), which fix the rest of its tables; any other list,
-    such as the one-block fallback of :func:`exchange_blocks`, on every
-    quadrant and both diagonal planes (8n^2 + 8n columns).  Before
+    so the coefficients decide the rank exactly: per cell read, a row
+    holds the summed amplitudes of each distinct wave momentum (waves
+    coincide where k1 or k2 is 0).  A :class:`ParityBlock`,
+    a :class:`ProductBlock` too, is read on the cells of quadrants a <= b,
+    the above one on the diagonal (4n^2 + 4n columns), which fix the rest
+    of its tables; any other list, such as the one-block fallback of
+    :func:`exchange_blocks`, on every cell (8n^2 + 8n columns).  Before
     normalisation the last ``sym_diag`` row is replaced by the sum of the
     family's rows, when the family holds exactly n of them.  Their O(1/c)
     coupling parts cancel in that sum, which leaves the O(1)
@@ -811,13 +811,12 @@ def mutation_sweep(
     residual at ``MUTATION_SAMPLES`` samples and whether the perturbation
     was detected (residual above ``detect_above``).  A healthy verifier
     detects every mutation; silent records mean the checks are vacuous
-    somewhere.  The entries are drawn element by element, each among those
-    :func:`~stardelta.domain.entry_mask` keeps in its row of the basis
-    table, in array order.  The mutants are checked in stacks, all at
-    offset 0, two stacks at a time when there are several
+    somewhere.  The entries are drawn element by element, each among the
+    nonzero entries of its row of the basis table, in array order, which is
+    key order.  The mutants are checked in
+    stacks, all at offset 0, two stacks at a time when there are several
     (:func:`_each_stack`); a stack is one gathered copy of its mutants'
-    rows, each picked entry times ``1 + rel`` (in both planes off the
-    diagonal, where the below plane repeats the above one).
+    rows, each picked entry times ``1 + rel``.
     """
     if rel == 0 or not math.isfinite(rel):
         raise ValueError(f"mutation size must be non-zero and finite, got rel={rel}")
@@ -830,21 +829,17 @@ def mutation_sweep(
     table = elements[0].stack.amps
     rows, picks = [], []  # per mutant, in draw order: its element's row and the flat index of its entry there
     for el in elements:
-        # one row's mask at a time: a whole-table mask raises the peak
-        where = np.flatnonzero(entry_mask(table[el.row]))
+        where = np.flatnonzero(table[el.row])  # row by row: a whole-table mask raises the peak
         chosen = where[rng.choice(len(where), size=min(per_element, len(where)), replace=False)]
         rows += [el.row] * len(chosen)
         picks += chosen.tolist()
     rows = np.array(rows, dtype=int)
-    entries = np.unravel_index(np.array(picks, dtype=int), table.shape[1:])  # (a, b, s, p, q, r) per mutant
+    entries = np.unravel_index(np.array(picks, dtype=int), table.shape[1:])  # its index in the row, per mutant
 
     def check(part: slice) -> list[dict]:
         bad = table[rows[part]]  # one gathered copy, one row per mutant
-        mutant = np.arange(len(bad))
-        a, b, s, p, q, r = (axis[part] for axis in entries)
-        bad[mutant, a, b, s, p, q, r] *= 1.0 + rel
-        off = a != b  # an off-diagonal quadrant's below plane repeats its above one
-        bad[mutant[off], a[off], b[off], 1, p[off], q[off], r[off]] *= 1.0 + rel
+        index = tuple(axis[part] for axis in entries)
+        bad[(np.arange(len(bad)),) + index] *= 1.0 + rel
         bad.setflags(write=False)
         sol = TensorSolution(AmplitudeTensor(bad), m)
         checks = check_vertex_bc(sol, cfg.n, samples=MUTATION_SAMPLES)
@@ -858,7 +853,7 @@ def mutation_sweep(
                 "max_residual": float(w),
                 "detected": bool(w > detect_above),
             }
-            for row, index, w in zip(rows[part].tolist(), np.transpose([a, b, s, p, q, r]).tolist(), worst)
+            for row, index, w in zip(rows[part].tolist(), np.transpose(index).tolist(), worst)
         ]
 
     return _each_stack(check, _stacks(len(rows), cfg.n, MUTATION_SAMPLES))

@@ -3,8 +3,9 @@
 ``edge_wave`` evaluates a one-particle solution on one edge from its
 coefficients, the oracle the one-particle tests read them with, and
 ``phi_stack`` stacks the coefficients of phi^1..phi^n.
-``entry_index`` is the inverse of ``entry_key``: ``from_entries`` builds
-a tensor from keyed amplitudes with it, ``table_entries`` lists a single
+``cell_column`` is the cell layout of an amplitude table's rows, and
+``entry_index``, built on it, is the inverse of ``entry_key``:
+``from_entries`` builds a tensor from keyed amplitudes with it, ``table_entries`` lists a single
 table's keyed entries and ``scaled_entry`` copies a table with one keyed
 amplitude scaled.  ``resynthesize_tensor`` rebuilds a tensor from
 transform vectors key by key, independently of the array gather in
@@ -25,7 +26,7 @@ and ``table_rank`` takes one SVD of each parity block's coefficient rows,
 the reference of the rank that ``basis_rank`` reads from the product
 structure.  ``offdiag_drift_masked`` is the hat/check drift taken by
 boolean-mask gathers on every stacked array, the oracle of
-``check_kirchhoff_transforms``' exact plane comparison.
+``check_kirchhoff_transforms``' exact hat/check comparison.
 ``norm_lhs_dense`` builds psi on the whole X x X composite-Gauss grid
 and sums its weighted density, the oracle of the Hermitian form of
 ``verifier._norm_lhs``.
@@ -53,7 +54,6 @@ from stardelta.domain import (
     AmplitudeTensor,
     EntryKey,
     entry_key,
-    entry_mask,
     partner_momentum,
     wave_momenta,
     wave_phases,
@@ -65,36 +65,43 @@ from stardelta.transforms import TransformVectors4, change_of_basis
 CHANNELS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
+def cell_column(a, b, below):
+    """Column of quadrant (a, b) (0-based) in row a of an amplitude table,
+    its below sector where ``below`` and a == b; elementwise.  Row a holds
+    the quadrants (a, b < a), the diagonal's above then below sector, then
+    the quadrants (a, b > a)."""
+    return b + (b > a) + (below & (a == b))
+
+
 def entry_index(n: int, key: EntryKey) -> tuple:
-    """Array index of a key, the inverse of ``entry_key``; an off-diagonal
-    key selects both sector planes."""
+    """Array index of a key, the inverse of ``entry_key``; a diagonal key
+    names its sector, an off-diagonal one is tagged OFFDIAG."""
     i, j, sector, sig, tau, slot = key
-    if not (1 <= i <= n and 1 <= j <= n) or sig not in (-1, 1) or tau not in (-1, 1) or slot not in (1, 2):
+    sectors = (ABOVE, BELOW) if i == j else (OFFDIAG,)
+    if (not (1 <= i <= n and 1 <= j <= n) or sector not in sectors
+            or sig not in (-1, 1) or tau not in (-1, 1) or slot not in (1, 2)):
         raise KeyError(f"{key} is not an entry of an n = {n} amplitude table")
-    # a diagonal key with any other sector tag raises ValueError
-    plane = slice(None) if i != j else (ABOVE, BELOW).index(sector)
-    return (i - 1, j - 1, plane, (sig + 1) // 2, (tau + 1) // 2, slot - 1)
+    return (i - 1, cell_column(i - 1, j - 1, sector == BELOW), (sig + 1) // 2, (tau + 1) // 2, slot - 1)
 
 
 def from_entries(n: int, entries: Mapping[EntryKey, complex]) -> AmplitudeTensor:
-    """Tensor of an n-edge star from keyed amplitudes; keys that coincide
-    (an off-diagonal quadrant under two sector tags) add up."""
-    amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
+    """Tensor of an n-edge star from keyed amplitudes."""
+    amps = np.zeros((n, n + 1, 2, 2, 2), dtype=complex)
     for key, amp in entries.items():
         amps[entry_index(n, key)] += amp
     return AmplitudeTensor(amps)
 
 
 def table_entries(tensor: AmplitudeTensor) -> list[tuple[EntryKey, complex]]:
-    """A single table's entries that ``entry_mask`` keeps, in array order,
-    each with its ``entry_key``."""
-    keep = entry_mask(tensor.amps)
+    """A single table's nonzero entries, in array order, each with its
+    ``entry_key``."""
+    keep = tensor.amps != 0
     return [(entry_key(index), amp) for index, amp in zip(np.argwhere(keep).tolist(), tensor.amps[keep].tolist())]
 
 
 def scaled_entry(tensor: AmplitudeTensor, key: EntryKey, factor: complex) -> AmplitudeTensor:
     """A copy of a single table with the amplitude of ``key`` multiplied by
-    ``factor``, in both sector planes of an off-diagonal quadrant."""
+    ``factor``."""
     amps = tensor.amps.copy()
     amps[entry_index(tensor.n, key)] *= factor
     return AmplitudeTensor(amps)
@@ -154,12 +161,13 @@ def single_slot_product(
     takes its larger-branch scale and gy its smaller-branch scale.
     """
     waves = np.einsum("as,bt->abst", fx.coeff, gy.coeff)  # edge a, edge b, sig, tau
-    amps = np.zeros((n, n, 2, 2, 2, 2), dtype=complex)
-    slot = amps[..., assignment[0] - 1]  # view: quadrant, quadrant, sector, sig, tau
-    slot[:] = waves[:, :, None]
-    d = np.arange(n)
-    slot[d, d, 0] = fx.branch_scale(LARGER) * gy.branch_scale(SMALLER) * waves[d, d]
-    slot[d, d, 1] = fx.branch_scale(SMALLER) * gy.branch_scale(LARGER) * waves[d, d]
+    amps = np.zeros((n, n + 1, 2, 2, 2), dtype=complex)
+    slot = amps[..., assignment[0] - 1]  # view: row, cell, sig, tau
+    for a in range(n):
+        for b in range(n):
+            slot[a, cell_column(a, b, False)] = waves[a, b]
+        slot[a, cell_column(a, a, False)] = fx.branch_scale(LARGER) * gy.branch_scale(SMALLER) * waves[a, a]
+        slot[a, cell_column(a, a, True)] = fx.branch_scale(SMALLER) * gy.branch_scale(LARGER) * waves[a, a]
     return AmplitudeTensor(amps)
 
 
@@ -259,25 +267,25 @@ def k_minus_targets(n: int, basis: str = EDGE) -> np.ndarray:
 def sample_points(n: int, count: int, seed: int):
     """Random evaluation points spread over all quadrants and sectors.
 
-    Returns 1-based quadrants (count, 2), sector planes (1 for the below
+    Returns 1-based quadrants (count, 2), sector indices (1 for the below
     sector of a diagonal quadrant, else 0) and coordinates (count, 2).
     """
     rng = np.random.default_rng(seed)
     quads = rng.integers(1, n + 1, size=(count, 2))
     xy = rng.uniform(0.05, vf.SPAN, size=(count, 2))
-    planes = ((quads[:, 0] == quads[:, 1]) & (rng.random(count) >= 0.5)).astype(int)
-    return quads, planes, xy
+    sectors = ((quads[:, 0] == quads[:, 1]) & (rng.random(count) >= 0.5)).astype(int)
+    return quads, sectors, xy
 
 
 def sampled_values(elements, count, seed) -> np.ndarray:
     """Each element's values at the ``sample_points`` of (count, seed),
     unscaled, one row per element, each gathered from its own table."""
     m, n = elements[0].momentum, elements[0].tensor.n
-    quads, planes, xy = sample_points(n, count, seed)
+    quads, sectors, xy = sample_points(n, count, seed)
     phases = wave_phases(*wave_momenta(m.k1, m.k2), xy[:, 0], xy[:, 1])
     i, j = quads[:, 0] - 1, quads[:, 1] - 1
     return np.stack([
-        np.einsum("pw,pw->p", el.tensor.amps[i, j, planes].reshape(count, 8), phases)
+        np.einsum("pw,pw->p", el.tensor.amps[i, cell_column(i, j, sectors == 1)].reshape(count, 8), phases)
         for el in elements
     ])
 
@@ -310,10 +318,10 @@ def basis_rank_oracle(elements, seed=0) -> tuple[int, np.ndarray]:
 
 def table_coefficients(el, half: bool) -> np.ndarray:
     """One element's plane-wave coefficients, read cell by cell: per
-    quadrant (a, b) and sector plane in index order, the summed amplitudes
-    of each distinct wave momentum, in order of first appearance.  The
-    half table reads quadrants a <= b on plane 0, the full one every
-    quadrant on plane 0 and the diagonal ones on plane 1 too."""
+    quadrant (a, b) and sector (s = 1 below) in index order, the summed
+    amplitudes of each distinct wave momentum, in order of first
+    appearance.  The half table reads quadrants a <= b, the above sector on
+    the diagonal, the full one every quadrant and both diagonal sectors."""
     n = el.tensor.n
     kx, ky = wave_momenta(el.momentum.k1, el.momentum.k2)
     momenta = list(dict.fromkeys(zip(kx.tolist(), ky.tolist())))
@@ -323,7 +331,7 @@ def table_coefficients(el, half: bool) -> np.ndarray:
             for s in (0, 1):
                 if (half and (b < a or s == 1)) or (s == 1 and a != b):
                     continue
-                waves = el.tensor.amps[a, b, s].reshape(8)
+                waves = el.tensor.amps[a, cell_column(a, b, s == 1)].reshape(8)
                 for k in momenta:
                     out.append(sum(w for w, q in zip(waves, zip(kx.tolist(), ky.tolist())) if q == k))
     return np.array(out, dtype=complex)

@@ -514,7 +514,7 @@ def test_stacked_factors_give_the_products_row_by_row():
     assert stacked.n == 4
     for sign in (1, -1):
         rows = product_tensor(stacked, xi, sign).amps
-        assert rows.shape == (4, 4, 4, 2, 2, 2, 2)
+        assert rows.shape == (4, 4, 5, 2, 2, 2)
         for f, row in zip(phis, rows):
             assert np.array_equal(row, product_tensor(f, xi, sign).amps)
         pairs = product_tensor(stacked, OneParticleSolution(np.roll(stacked.coeff, 1, axis=0)), sign).amps
@@ -533,6 +533,20 @@ def test_build_basis_peak_memory_stays_near_its_table():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * elements[0].stack.amps.nbytes
+
+
+def test_build_basis_at_n20_peaks_under_50_mib():
+    # one cell per quadrant sector: the n = 20 table is 39.0 MiB, where two
+    # sector planes per quadrant would take 74.2 MiB on their own
+    cfg, m = make_config(20, 2.1), MomentumPair.from_k1(0.2)
+    tracemalloc.start()
+    try:
+        elements = build_basis(cfg, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elements[0].stack.amps.nbytes == 760 * 20 * 21 * 8 * 16
+    assert peak <= 50 * 2**20
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -559,7 +573,7 @@ def test_family_rows_over_any_slice_are_the_row_products(sign, part):
     pairs = [(i, j) for i in range(len(factors)) for j in range(len(factors)) if (i + 2 * j) % 3]
     rows = family_rows(stacked, pairs, sign)(part)
     expected = [product_tensor(factors[i], factors[j], sign).amps for i, j in pairs[part]]
-    assert rows.shape == (len(expected), 4, 4, 2, 2, 2, 2)
+    assert rows.shape == (len(expected), 4, 5, 2, 2, 2)
     assert all(np.array_equal(row, table) for row, table in zip(rows, expected))
 
 

@@ -12,13 +12,19 @@ from stardelta.domain import (
     BELOW,
     OFFDIAG,
     TABLE_CHUNK,
+    AmplitudeTensor,
     MomentumPair,
+    cell,
+    cell_keys,
+    cell_quadrant,
+    entry_key,
     make_config,
     table_parts,
+    table_shape,
     wave_momenta,
     wave_phases,
 )
-from helpers import combine, from_entries, table_entries
+from helpers import cell_column, combine, entry_index, from_entries, table_entries
 
 
 def test_make_config_valid():
@@ -84,9 +90,10 @@ def test_assignment_slot_swaps_momenta():
 
 
 def test_offdiagonal_sector_collapses():
-    t = from_entries(3, {(1, 2, ABOVE, 1, 1, 1): 2.0})
+    # an off-diagonal quadrant has one cell, which every sector tag reads
+    t = from_entries(3, {(1, 2, OFFDIAG, 1, 1, 1): 2.0})
     m = MomentumPair.from_k1(0.6)
-    assert t.amps[0, 1, 0, 1, 1, 0] == t.amps[0, 1, 1, 1, 1, 0] == 2.0
+    assert t.amps[0, 2, 1, 1, 0] == 2.0 and np.count_nonzero(t.amps) == 1
     va = t.value_array(1, 2, ABOVE, [1.0], [2.0], m)
     vb = t.value_array(1, 2, BELOW, [1.0], [2.0], m)
     assert va[0] == vb[0]
@@ -218,6 +225,56 @@ def test_with_scaled_entry():
     assert dict(t.items()) == {(1, 2, OFFDIAG, 1, 1, 1): 2.0}
     with pytest.raises(KeyError):
         t.with_scaled_entry((2, 2, ABOVE, 1, 1, 1), 2.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_cells_hold_the_quadrant_sectors_in_key_order(n):
+    # row i: the quadrants (i, j < i), the diagonal's above then below
+    # sector, then the quadrants (i, j > i); cell_quadrant undoes cell
+    i, j = np.arange(1, n + 1)[:, None], np.arange(1, n + 1)
+    for sector in (ABOVE, BELOW):
+        cols = cell(i, j, sector)
+        assert np.array_equal(cols, cell_column(i - 1, j - 1, sector == BELOW))
+        back_i, back_j, below = cell_quadrant(i - 1, cols)
+        assert np.all(back_i == i) and np.all(back_j == j) and np.all(below == ((i == j) & (sector == BELOW)))
+    # every cell once: its key maps back to its own column
+    ki, kj, below = cell_keys(n)
+    assert ki.shape == kj.shape == below.shape == (n, n + 1)
+    assert np.array_equal(np.where(below, cell(ki, kj, BELOW), cell(ki, kj, ABOVE)), np.indices((n, n + 1))[1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_entry_keys_round_trip_in_array_order(n):
+    # over a full mask the keys rise strictly in array order, each is the
+    # key of its own index, and scaling a key scales exactly its one cell
+    index = np.argwhere(np.ones(table_shape(n), dtype=bool)).tolist()
+    keys = [entry_key(at) for at in index]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert [list(entry_index(n, key)) for key in keys] == index
+    table = AmplitudeTensor(np.arange(1.0, 1.0 + 8 * n * (n + 1)).reshape(table_shape(n)) * (1 - 2j))
+    assert [key for key, _amp in table.items()] == keys
+    for key, at in zip(keys, index):
+        changed = np.argwhere(table.with_scaled_entry(key, 1.5).amps != table.amps).tolist()
+        assert changed == [at]
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_malformed_keys_raise_key_error(n):
+    table = AmplitudeTensor(np.ones(table_shape(n), dtype=complex))
+    malformed = [
+        (2, 2, OFFDIAG, 1, 1, 1),  # a diagonal key needs its sector
+        (n, n, OFFDIAG, -1, 1, 2),
+        (1, 2, ABOVE, 1, 1, 1),  # an off-diagonal key has none
+        (n, 1, BELOW, -1, -1, 2),
+        (1, n + 1, OFFDIAG, 1, 1, 1),
+        (1, 2, OFFDIAG, 0, 1, 1),
+        (1, 2, OFFDIAG, 1, 1, 3),
+    ]
+    for key in malformed:
+        with pytest.raises(KeyError):
+            table.with_scaled_entry(key, 2.0)
+        with pytest.raises(KeyError):
+            entry_index(n, key)
 
 
 def test_phase_tables_are_read_only_and_kept_for_a_repeat_call():

@@ -40,7 +40,7 @@ def test_exchange_image_swaps_the_particles():
     # gives at (x, y) on (a, b), with the sector flipped on the diagonal
     n = 3
     rng = np.random.default_rng(5)
-    amps = rng.normal(size=(n, n, 2, 2, 2, 2)) + 1j * rng.normal(size=(n, n, 2, 2, 2, 2))
+    amps = rng.normal(size=(n, n + 1, 2, 2, 2)) + 1j * rng.normal(size=(n, n + 1, 2, 2, 2))
     table, image = AmplitudeTensor(amps), AmplitudeTensor(exchange_image(amps))
     x, y = rng.uniform(0.0, 9.0, size=(2, 16))
     for a in range(1, n + 1):

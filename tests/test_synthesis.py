@@ -79,7 +79,7 @@ def test_zero_profile_is_refused():
     with pytest.raises(ValueError, match=VANISHING):
         syn.refine_quadrature(narrow)
     # the zero table itself still evaluates to zeros of the right shape
-    zero = syn.SynthesizedSolution(np.zeros((8, 3, 3, 2, 2, 2, 2)), rule.nodes)
+    zero = syn.SynthesizedSolution(np.zeros((8, 3, 4, 2, 2, 2)), rule.nodes)
     assert zero.value_array(1, 2, OFFDIAG, [1.0, 3.0], [2.0, 4.0])[0] == 0
     zeros = zero.derivative_array(np.array([[1], [2]]), 3, ABOVE, [1.0, 3.0, 5.0], 2.0, "dx")
     assert zeros.shape == (2, 3) and not np.any(zeros)
@@ -300,9 +300,9 @@ def test_grid_rows_refuses_a_bad_grid(span, step):
 
 
 def test_grid_rows_match_a_per_quadrant_loop(monkeypatch):
-    # the above plane of every quadrant and the below plane of the diagonal
-    # ones, here three nodes per block, give the values of one sum per
-    # quadrant and sector; each block builds one phase table per plane
+    # the above sector of every quadrant and the below sector of the
+    # diagonal ones, here three nodes per block, give the values of one sum
+    # per quadrant and sector; each block builds one phase table per sector
     sol = syn.synthesize_eigensolution(CFG3, {9: syn.gaussian_bump(0.35, 0.08)}, syn.gauss_rule(8))
     coords = np.arange(0.0, 2.0 + 1e-12, 0.5)
     xs, ys = (a.reshape(-1) for a in np.meshgrid(coords, coords, indexing="ij"))

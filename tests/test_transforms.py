@@ -564,15 +564,20 @@ def test_basic_solution_tensor_rejects_incompatible_pair():
 
 
 def test_offdiag_drift_matches_the_masked_gathers_on_a_mixed_stack():
-    # rows 1 and 4 get below planes that differ off the diagonal, row 6
-    # only on a diagonal quadrant; the other rows keep equal planes, which
-    # give 0.0 without a gather, and every row's value is the masked one
+    # a table's transform vectors agree off the diagonal, where hat and
+    # check read one cell; crafted check vectors of rows 1 and 4 drift off
+    # the diagonal, row 6's only on a diagonal quadrant, the other rows give
+    # 0.0 without a gather, and every row's value is the masked one
     elements = build_basis(make_config(4, 1.3), M68)
-    amps = elements[0].stack.amps[:8].copy()
-    amps[1, 0, 2, 1] *= 1.0 + 1e-9  # quadrant (1, 3), its below plane
-    amps[4, 3, 1, 1, 0, 1, 0] += 1e-7
-    amps[6, 2, 2, 1] *= 2.0
-    tv = tr.extract_transforms(AmplitudeTensor(amps), M68)
+    table = tr.extract_transforms(AmplitudeTensor(elements[0].stack.amps[:8]), M68)
+    assert not np.any(tr.check_kirchhoff_transforms(table).hat_check_offdiag)
+    check_xi, check_chi = table.check_xi.copy(), table.check_chi.copy()
+    check_xi[1, 0, 2] *= 1.0 + 1e-9  # quadrant (1, 3)
+    check_chi[1, 0, 2] *= 1.0 + 1e-9
+    check_chi[4, 3, 1, 2] += 1e-7  # quadrant (4, 2), channel -+ at k
+    check_xi[6, 2, 2] *= 2.0  # the diagonal quadrant (3, 3)
+    check_chi[6, 2, 2] *= 2.0
+    tv = tr.TransformVectors4(table.k, table.hat_xi, table.hat_chi, check_xi, check_chi)
     got = tr.check_kirchhoff_transforms(tv).hat_check_offdiag
     want = offdiag_drift_masked((tv.hat_xi, tv.check_xi), (tv.hat_chi, tv.check_chi))
     assert got.shape == (8,) and np.array_equal(got, want)
