@@ -151,27 +151,13 @@ def basis_heads(n: int) -> list[tuple[str, tuple]]:
             + [("sym_diag", (i,)) for i in range(1, n + 1)])
 
 
-def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray, np.ndarray, np.ndarray]:
-    """Family and indices of every basis element, in basis order, with the
-    tables (T0, T1, T2) the elements are built from.  The element at
-    (k1, k2) is T0 + (k1/c) T1 + (k2/c) T2; no table depends on k or c,
-    and T1 and T2 vanish outside ``sym_diag``, whose coupling terms are
-    the only momentum-dependent ones.  So T0 is one stacked table of every
-    element, while T1 and T2 hold the n ``sym_diag`` rows only, which are
-    the last n rows of T0.
-
-    Each one-particle factor is built once, and each family is written
-    into T0 one :func:`~stardelta.domain.table_parts` slice of rows at a
-    time, ``antisym`` and ``sym_offdiag`` by :func:`family_rows`.
-    ``sym_diag(i)`` has T0 = S+(phi^i, xi) - S+(xi, phi^i) plus 1/n of
-    the cycle-completing solution, T1 = -n S+(phi^0, phi^i) and
-    T2 = n S+(phi^i, phi^0).
-    Without the cycle-completing term the n elements sum to zero
-    identically (the phi^i telescope around the cycle) and the family
-    would span only n - 1 dimensions; the added solution vanishes on
-    every diagonal quadrant, so the elements' diagonal behaviour,
-    including the closed form on Q_ii, is untouched.
-    """
+def _template_rows(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], dict[str, np.ndarray], Callable, Callable]:
+    """Family and indices of every basis element, in basis order, the
+    stacked one-particle factors f^1..f^n of each product family, and two
+    row builders of the tables of :func:`basis_template`: the T0 rows of
+    any slice of consecutive basis rows, and (T1, T2) of any slice of the
+    ``sym_diag`` family.  Each one-particle factor is built once; each row
+    is built alone, so it comes out the same bits in any slice."""
     n = cfg.n
     psis = np.stack([scattering_wave(cfg, i).coeff for i in range(1, n + 1)])
     phis = np.stack([phi(cfg, i).coeff for i in range(n + 1)])
@@ -179,7 +165,6 @@ def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray
     heads = basis_heads(n)
     pairs = [ij for family, ij in heads if family == "antisym"]
     far = [ij for family, ij in heads if family == "sym_offdiag"]
-    t0 = np.empty((len(heads),) + table_shape(n), dtype=complex)
     completer = (1.0 / n) * cycle_completing_tensor(cfg, phis[1:]).amps
     diag = np.arange(1, n + 1)
 
@@ -189,17 +174,61 @@ def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray
 
     # psis[0] is psi^1, phis[0] is phi^0
     families = (family_rows(psis, np.subtract(pairs, 1), -1), family_rows(phis, far, 1), sym_diag)
-    for rows, out in zip(families, np.split(t0, [len(pairs), len(pairs) + len(far)])):
-        for part in table_parts(len(out), t0[0].size):
-            out[part] = rows(part)
+    bounds = np.cumsum([0, len(pairs), len(far), n]).tolist()
+
+    def t0_rows(part: slice) -> np.ndarray:
+        start, stop, _ = part.indices(len(heads))
+        out = np.empty((max(0, stop - start),) + table_shape(n), dtype=complex)
+        for rows, lo, hi in zip(families, bounds, bounds[1:]):
+            first, last = max(start, lo), min(stop, hi)
+            for chunk in table_parts(last - first, out[0].size):
+                a, b = first + chunk.start, min(first + chunk.stop, last)
+                out[a - start:b - start] = rows(slice(a - lo, b - lo))
+        return out
+
     # Coupling coefficients -n*k1/c and +n*k2/c: this is the unique
     # sign choice for which the derivative jump across the diagonal
     # equals c times the boundary value (and for which the element
     # matches diagonal_closed_form on Q_ii).
-    phi0, rest = OneParticleSolution(phis[0]), OneParticleSolution(phis[1:])
-    t1 = -n * product_tensor(phi0, rest, 1).amps
-    t2 = n * product_tensor(rest, phi0, 1).amps
-    return heads, t0, t1, t2
+    phi0 = OneParticleSolution(phis[0])
+
+    def coupling(part: slice) -> tuple[np.ndarray, np.ndarray]:
+        rest = OneParticleSolution(phis[1:][part])
+        return -n * product_tensor(phi0, rest, 1).amps, n * product_tensor(rest, phi0, 1).amps
+
+    return heads, {"antisym": psis, "sym_offdiag": phis[1:]}, t0_rows, coupling
+
+
+def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray, np.ndarray, np.ndarray]:
+    """Family and indices of every basis element, in basis order, with the
+    tables (T0, T1, T2) the elements are built from.  The element at
+    (k1, k2) is T0 + (k1/c) T1 + (k2/c) T2; no table depends on k or c,
+    and T1 and T2 vanish outside ``sym_diag``, whose coupling terms are
+    the only momentum-dependent ones.  So T0 is one stacked table of every
+    element, while T1 and T2 hold the n ``sym_diag`` rows only, which are
+    the last n rows of T0.
+
+    Each family is written into T0 one :func:`~stardelta.domain.table_parts`
+    slice of rows at a time, ``antisym`` and ``sym_offdiag`` by
+    :func:`family_rows`.
+    ``sym_diag(i)`` has T0 = S+(phi^i, xi) - S+(xi, phi^i) plus 1/n of
+    the cycle-completing solution, T1 = -n S+(phi^0, phi^i) and
+    T2 = n S+(phi^i, phi^0).
+    Without the cycle-completing term the n elements sum to zero
+    identically (the phi^i telescope around the cycle) and the family
+    would span only n - 1 dimensions; the added solution vanishes on
+    every diagonal quadrant, so the elements' diagonal behaviour,
+    including the closed form on Q_ii, is untouched.
+    """
+    heads, _factors, t0_rows, coupling = _template_rows(cfg)
+    return (heads, t0_rows(slice(None))) + coupling(slice(None))
+
+
+def _couple(diag: np.ndarray, t1: np.ndarray, t2: np.ndarray, m: MomentumPair, c: float) -> None:
+    """Add the coupling terms (k1/c) T1 + (k2/c) T2 to ``sym_diag`` rows of
+    T0, in place."""
+    diag += (m.k1 / c) * t1
+    diag += (m.k2 / c) * t2
 
 
 def coupling_overflows(cfg: StarConfig) -> bool:
@@ -235,12 +264,42 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     check_pole(m.fold, c)
     heads, amps, t1, t2 = basis_template(cfg)
     # only the sym_diag rows, the last n, have coupling terms
-    diag = amps[len(heads) - cfg.n:]
-    diag += (m.k1 / c) * t1
-    diag += (m.k2 / c) * t2
+    _couple(amps[len(heads) - cfg.n:], t1, t2, m, c)
     amps.setflags(write=False)
     stack = AmplitudeTensor(amps)
     return [BasisElement(family, indices, stack, row, m, c) for row, (family, indices) in enumerate(heads)]
+
+
+def basis_rows(cfg: StarConfig, m: MomentumPair) -> tuple[list[tuple[str, tuple]], dict[str, np.ndarray],
+                                                          Callable[[slice], list[BasisElement]]]:
+    """The basis of :func:`build_basis`, built a slice of rows at a time.
+
+    Gives the family and indices of every element, in basis order; the
+    one-particle factors f^1..f^n that build each product family
+    (``antisym`` from psi^i, ``sym_offdiag`` from phi^i), stacked; and a
+    function that builds the elements of any slice of consecutive basis
+    rows, as the rows of one new read-only stacked table of their own.
+    Each row is bit for bit the row of :func:`build_basis`'s table, the
+    coupling terms of the ``sym_diag`` rows included, however the rows are
+    sliced.  Refuses what :func:`build_basis` refuses, before any row.
+    """
+    check_coupling_scale(cfg)
+    check_pole(m.fold, cfg.c)
+    heads, factors, t0_rows, coupling = _template_rows(cfg)
+    first = len(heads) - cfg.n  # the sym_diag rows
+
+    def elements(part: slice) -> list[BasisElement]:
+        start, stop, _ = part.indices(len(heads))
+        amps = t0_rows(part)
+        if stop > first:
+            lo = max(start, first)
+            _couple(amps[lo - start:], *coupling(slice(lo - first, stop - first)), m, cfg.c)
+        amps.setflags(write=False)
+        stack = AmplitudeTensor(amps)
+        return [BasisElement(family, indices, stack, row, m, cfg.c)
+                for row, (family, indices) in enumerate(heads[start:stop])]
+
+    return heads, factors, elements
 
 
 def family_counts(elements: list[BasisElement]) -> dict[str, int]:

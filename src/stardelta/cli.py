@@ -102,8 +102,8 @@ def _json_text(payload, indent: str = "") -> str:
     Reports hold dicts with str keys, lists, tuples, str, int, bool, None
     and float (NaN and the infinities as the stdlib writes them).  The
     stdlib encodes with its pure-Python encoder at any indent; this is the
-    same rules without its options.  A :class:`~stardelta.verifier.ElementRows`
-    block is written from its tables (:func:`_element_rows_text`).  Any
+    same rules without its options.  A :class:`~stardelta.verifier.TableRows`
+    block is written from its columns (:func:`_table_rows_text`).  Any
     other type, a non-str key included, raises TypeError.
     """
     heads: dict[str, str] = {}  # the encoded '"key": ' of each key seen
@@ -123,8 +123,8 @@ def _json_text(payload, indent: str = "") -> str:
                 scalar = _JSON_SCALARS.get(type(item))
                 parts.append(head + (scalar(item) if scalar else encode(item, inner)))
             brackets = "{}"
-        elif isinstance(value, vf.ElementRows) and value:
-            parts = [_element_rows_text(value, inner)]
+        elif isinstance(value, vf.TableRows) and value:
+            parts = [_table_rows_text(value, inner)]
             brackets = "[]"
         elif isinstance(value, (list, tuple)):
             parts = [encode(item, inner) for item in value]
@@ -142,40 +142,45 @@ def _json_text(payload, indent: str = "") -> str:
 
 
 @functools.lru_cache(maxsize=32)
-def _row_pieces(layout: tuple, indent: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The text of an element row of this layout at this indent, split at
-    the values that vary: the literal pieces, and between each two the
-    number of the value that stands there (0 the label, 1 the row's overall
-    flag, then each check's residual, then each check's pass flag)."""
-    count = len(layout)
-    slots = [f"@{k}@" for k in range(2 + 2 * count)]
-    text = _json_text(vf.element_row(slots[0], slots[1], layout, slots[2:2 + count], slots[2 + count:]), indent)
-    pieces = re.split(r'"@(\d+)@"', text)  # literal text, then slot number, alternately
+def _row_pieces(kind: type, key, count: int, indent: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The text of a row of a :class:`~stardelta.verifier.TableRows` kind
+    and key at this indent, split at its ``count`` values: the literal
+    pieces, and between each two the number of the value that stands
+    there, in the order of the kind's columns."""
+    text = _json_text(kind.template(key, [f"@{k}@" for k in range(count)]), indent)
+    pieces = re.split(r'"@(\d+)@"', text)  # literal text, then value number, alternately
     return tuple(pieces[::2]), tuple(int(k) for k in pieces[1::2])
 
 
-def _float_texts(values: np.ndarray) -> np.ndarray:
-    """The JSON text of every float of an array, each distinct value
-    formatted once.  Values are told apart by their bits, so 0.0 and -0.0
-    keep their own texts."""
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64).ravel()
-    distinct, at = np.unique(bits, return_inverse=True)
-    texts = np.array([_json_float(v) for v in distinct.view(float).tolist()], dtype=object)
-    return texts[at.ravel()].reshape(values.shape)
+def _value_texts(values: np.ndarray) -> np.ndarray:
+    """The JSON text of every value of an array of str, bool, int or float
+    values.  Each distinct float is formatted once, told apart by its bits,
+    so 0.0 and -0.0 keep their own texts."""
+    if values.dtype == bool:
+        return np.where(values, "true", "false")
+    flat = values.ravel().tolist()
+    if values.dtype.kind == "f":
+        seen: dict[int, str] = {}  # text by bits
+        bits = np.ascontiguousarray(values, dtype=float).view(np.int64).ravel().tolist()
+        texts = [seen.get(b) or seen.setdefault(b, _json_float(v)) for b, v in zip(bits, flat)]
+    else:
+        write = int.__repr__ if values.dtype.kind == "i" else encode_basestring_ascii
+        texts = [write(v) for v in flat]
+    return np.array(texts, dtype=object).reshape(values.shape)
 
 
-def _element_rows_text(rows: vf.ElementRows, indent: str) -> str:
-    """The element rows at this indent, joined as a list writes its items,
-    read from the rows' tables: one table of texts, whose columns are the
-    literal pieces of the layout's row text (:func:`_row_pieces`) and the
+def _table_rows_text(rows: vf.TableRows, indent: str) -> str:
+    """The rows at this indent, joined as a list writes its items, read
+    from the rows' columns: one table of texts, whose columns are the
+    literal pieces of the rows' text template (:func:`_row_pieces`) and the
     values between them, joined in one call."""
-    literal, slots = _row_pieces(rows.layout, indent)
-    count = len(rows.layout)
-    values = np.empty((len(rows), 2 + 2 * count), dtype=object)
-    values[:, 0] = [encode_basestring_ascii(label) for label in rows.labels]
-    values[:, 1] = np.where(rows.passed.all(axis=1), "true", "false")
-    values[:, 2:2 + count] = _float_texts(rows.residuals)
-    values[:, 2 + count:] = np.where(rows.passed, "true", "false")
+    blocks = [np.asarray(block).reshape(len(rows), -1) for block in rows.columns()]
+    values = np.empty((len(rows), sum(block.shape[1] for block in blocks)), dtype=object)
+    at = 0
+    for block in blocks:
+        values[:, at:at + block.shape[1]] = _value_texts(block)
+        at += block.shape[1]
+    literal, slots = _row_pieces(type(rows), rows.key, values.shape[1], indent)
     text = np.empty((len(rows), 2 * len(slots) + 2), dtype=object)  # piece, value, ..., piece, separator
     text[:, 0:-1:2] = literal
     text[:, 1:-1:2] = values[:, list(slots)]

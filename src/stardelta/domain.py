@@ -404,6 +404,22 @@ def drop_phases() -> None:
     _kept.key = _kept.table = None
 
 
+@functools.lru_cache(maxsize=64)
+def _stack_inner(shape: tuple, i: tuple, j: tuple, points: tuple) -> bool:
+    """Whether :func:`plane_wave_sum` gathers a stack of tables of this
+    ``shape``, at quadrant indices of shapes ``i`` and ``j`` and points of
+    shape ``points``, with the stack axis next to the waves: for a vertex
+    family, whose points broadcast over a quadrant axis of the rows, of at
+    least a quarter of ``WAVE_POINTS`` wave-point pairs.  einsum's inner
+    loop then runs over the stack, not over a cell's eight waves; smaller
+    sums take the same time in either layout, and the sums are the same
+    bits.  Decided once per shape."""
+    quads = np.broadcast_shapes(i, j)
+    aligned = ((1,) * len(quads) + points)[len(points):]  # the point axes against the quadrant axes
+    vertex = any(q > 1 and p == 1 for q, p in zip(quads, aligned))
+    return vertex and math.prod(np.broadcast_shapes(shape[:1] + quads, points)) * shape[-1] >= WAVE_POINTS // 4
+
+
 def plane_wave_sum(waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction: str | None = None) -> np.ndarray:
     """Sum of the waves of quadrant (i, j), sector at the points (x, y), or
     its exact partial derivative along ``direction`` ("dx" or "dy").
@@ -419,20 +435,32 @@ def plane_wave_sum(waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction
     summed in blocks of at most ``WAVE_POINTS`` wave-point pairs, down to
     one table's eight waves, so a single table is always one block; each
     block's phases come from :func:`wave_phases`, points first and waves
-    last, and the block is summed over that last, contiguous axis.
-    Callers size stacks of tables by ``WAVE_POINTS``.
+    last, and the block is summed over that last, contiguous axis; a large
+    vertex family of a stack gathers its rows, and builds its phases, with
+    the stack axis next to the waves (:func:`_stack_inner`).  Callers size
+    stacks of tables by ``WAVE_POINTS``.
     """
     i, j = np.asarray(i), np.asarray(j)
     n = waves.shape[-3]
     if np.any((i < 1) | (i > n) | (j < 1) | (j > n)):
         raise IndexError(f"quadrant ({i}, {j}) outside an n = {n} star")
-    rows = waves[..., i - 1, cell(i, j, sector), :]
     if direction not in (None, "dx", "dy"):
         raise ValueError(f"direction must be 'dx' or 'dy', got {direction!r}")
+    points = np.broadcast(x, y).shape
+    inner = waves.ndim == 4 and _stack_inner(waves.shape, i.shape, j.shape, points)
+    if inner:
+        rows = np.moveaxis(np.moveaxis(waves, 0, -2)[i - 1, cell(i, j, sector)], -2, 0)
+    else:
+        rows = waves[..., i - 1, cell(i, j, sector), :]
     if direction is not None:
         rows = rows * (1j * (kx if direction == "dx" else ky))
-    step = 8 * max(1, WAVE_POINTS // max(8 * np.broadcast(x, y).size, 1))
+    moved = inner and len(points) == rows.ndim - 1  # points with the stack axis take it last
+    if moved:
+        x, y = (np.moveaxis(a, 0, -1) for a in np.broadcast_arrays(x, y))
+    step = 8 * max(1, WAVE_POINTS // max(8 * math.prod(points), 1))
     # an empty wave axis still makes one block, which gives zeros of the right shape
     blocks = [slice(w, w + step) for w in range(0, max(len(kx), 1), step)]
     return functools.reduce(operator.add, (
-        np.einsum("...w,...w->...", rows[..., b], wave_phases(kx[b], ky[b], x, y)) for b in blocks))
+        np.einsum("...w,...w->...", rows[..., b],
+                  np.moveaxis(wave_phases(kx[b], ky[b], x, y), -2, 0) if moved else wave_phases(kx[b], ky[b], x, y))
+        for b in blocks))

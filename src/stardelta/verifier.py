@@ -20,14 +20,16 @@ low-discrepancy points; one-sided limits at the diagonal evaluate the
 sector-tagged branches exactly at x = y, since each branch is an entire
 function.
 
-The basis rank is read from the tables, unsampled: a parity block whose
-product structure an exact check shows (:func:`exchange_blocks`) takes
-it from small SVDs of its one-particle factors and diagonal-quadrant
-rows (:func:`_product_rank`), any other block from one SVD of its
-plane-wave coefficients (:func:`sample_matrix`).  Boundary coordinates
-come from the golden ratio Kronecker sequence; NumPy's PCG64 generator,
-seeded by an integer, draws only the entries :func:`mutation_sweep`
-perturbs.
+The basis rank is read unsampled: a parity block whose product structure
+an exact check of the tables shows (:func:`exchange_blocks`), or whose
+rows were built from their factors (:func:`verify_full_basis`, from
+``PRODUCT_RANK_EDGES`` edges on, which streams the basis through the
+checks a stack at a time), takes it from small SVDs of its one-particle
+factors and diagonal-quadrant rows (:func:`_product_rank`), any other
+block from one SVD of its plane-wave coefficients (:func:`sample_matrix`).
+Boundary coordinates come from the golden ratio Kronecker sequence;
+NumPy's PCG64 generator, seeded by an integer, draws only the entries
+:func:`mutation_sweep` perturbs.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Callable, Mapping, Protocol
 
 import numpy as np
 
-from .basis import EXCHANGE_SIGN, BasisElement, basis_heads, build_basis, family_counts, family_rows
+from .basis import EXCHANGE_SIGN, FAMILIES, BasisElement, basis_heads, basis_rows, build_basis, family_rows
 from .domain import (
     ABOVE,
     BELOW,
@@ -169,13 +171,14 @@ class CheckResult:
         return self.max_abs_residual <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_abs_residual": float(self.max_abs_residual),
-            "sample_count": self.sample_count,
-            "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
-        }
+        return check_row(self.name, float(self.max_abs_residual), self.sample_count, float(self.tolerance),
+                         bool(self.passed))
+
+
+def check_row(name, max_abs_residual, sample_count, tolerance, passed) -> dict:
+    """One check's row of a report."""
+    return {"name": name, "max_abs_residual": max_abs_residual, "sample_count": sample_count,
+            "tolerance": tolerance, "pass": passed}
 
 
 def check_vertex_bc(
@@ -280,15 +283,19 @@ class ParityBlock(list):
 
 
 class ProductBlock(ParityBlock):
-    """A parity block of a whole basis whose ``family`` rows are exactly
-    S+-(f^i, f^j) of the one-particle ``factors`` f^1..f^n, per edge the
-    coefficients of exp(-ikx) and exp(ikx) (shape (n, n, 2)), read off
-    their tables."""
+    """A parity block of a whole basis at ``momentum`` whose ``family`` rows
+    are exactly S+-(f^i, f^j) of the one-particle ``factors`` f^1..f^n, per
+    edge the coefficients of exp(-ikx) and exp(ikx) (shape (n, n, 2)).
+    :func:`exchange_blocks` reads the factors off the tables, and the block
+    holds all its elements; a block of :func:`verify_full_basis` has the
+    factors that built its rows, and holds only its ``sym_diag`` elements,
+    the rows :func:`_product_rank` reads."""
 
-    def __init__(self, elements, family: str, factors: np.ndarray):
+    def __init__(self, elements, family: str, factors: np.ndarray, momentum: MomentumPair):
         super().__init__(elements)
         self.family = family
         self.factors = factors
+        self.momentum = momentum
 
 
 # The families whose rows are products of one factor family, odd first.
@@ -361,9 +368,12 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
     :class:`ParityBlock`.  The odd and the even elements span independent
     spaces of functions, so the rank is the sum of the blocks' ranks.  At
     the first table that fails the parity pass, the list itself is the
-    one block.
+    one block.  A basis that :func:`verify_full_basis` streams through its
+    checks takes neither pass for its product rows: they are built from
+    their factors, so they have their structure, and their parity, by
+    construction.
     """
-    stack, _m = _one_basis(elements)
+    stack, m = _one_basis(elements)
     factors = {}
     if stack.n >= PRODUCT_RANK_EDGES and _whole_basis(elements, stack.n):
         for family in PRODUCT_FAMILIES:
@@ -383,7 +393,7 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
     for family in PRODUCT_FAMILIES:
         block = [el for el in elements if EXCHANGE_SIGN[el.family] == EXCHANGE_SIGN[family]]
         if block:
-            blocks.append(ProductBlock(block, family, factors[family]) if family in factors else ParityBlock(block))
+            blocks.append(ProductBlock(block, family, factors[family], m) if family in factors else ParityBlock(block))
     return blocks
 
 
@@ -512,11 +522,12 @@ def _product_rank(block: ProductBlock) -> tuple[int, np.ndarray] | None:
     ``RANK_MARGIN`` of ``SUM_FLOOR``, the factors do not sum to zero or a
     far pair's share an edge, the sum reaches a diagonal quadrant, a ratio
     or the odd block's weakest product of ratios lies within
-    ``RANK_MARGIN`` of ``GRAM_GAP``, or the even counts fall short.
+    ``RANK_MARGIN`` of ``GRAM_GAP``, or the even counts fall short.  Of
+    the block's rows it reads only the ``sym_diag`` ones; the others are
+    those of a whole n-edge basis.
     """
-    stack, m = _one_basis(block)
-    n = stack.n
-    factors = block.factors
+    m, factors = block.momentum, block.factors
+    n = len(factors)
     if block.family == "antisym":
         small = np.stack([_factor_matrix(factors, k, 2 * n) for k in (m.k1.real, m.k2.real)])
     else:
@@ -528,7 +539,7 @@ def _product_rank(block: ProductBlock) -> tuple[int, np.ndarray] | None:
         if 1.0 / RANK_MARGIN < size < RANK_MARGIN:
             return None
         support = (factors != 0).any(axis=-1)  # factor, edge
-        far = np.array([el.indices for el in block if el.family == "sym_offdiag"]) - 1
+        far = np.array([ij for family, ij in basis_heads(n) if family == "sym_offdiag"]) - 1
         if np.any(factors.sum(axis=0) != 0) or np.any(support[far[:, 0]] & support[far[:, 1]]):
             return None
         cycle = 0.0
@@ -554,7 +565,19 @@ def _product_rank(block: ProductBlock) -> tuple[int, np.ndarray] | None:
         return int(count[0] * count[1]), ratio.reshape(-1)
     if count[0] != n - 1 or count[1] < n - 1:
         return None
-    return len(block) - n + int(count[1]), np.concatenate([ratio[0, :n - 1], ratio[1]])
+    return len(far) + int(count[1]), np.concatenate([ratio[0, :n - 1], ratio[1]])
+
+
+def _table_rank(block: list[BasisElement]) -> tuple[int, np.ndarray]:
+    """A block's rank from one SVD of its :func:`sample_matrix`, with the
+    singular values divided by the largest (a zero block: rank 0, ratios 0)."""
+    s = np.linalg.svd(sample_matrix(block), compute_uv=False)
+    return int(np.sum(s > GRAM_GAP * s[0])), s / (s[0] or 1.0)
+
+
+def _rank_sum(ranks: list[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
+    """The sum of the blocks' ranks, with all their ratios in descending order."""
+    return sum(rank for rank, _ratios in ranks), np.sort(np.concatenate([ratios for _rank, ratios in ranks]))[::-1]
 
 
 def basis_rank(elements: list[BasisElement]) -> tuple[int, np.ndarray]:
@@ -569,48 +592,65 @@ def basis_rank(elements: list[BasisElement]) -> tuple[int, np.ndarray]:
     divided by its largest (all zero for a zero matrix), in descending
     order, so the smallest is the smallest ratio of any of them.
     """
-    rank, ratios = 0, []
-    for block in exchange_blocks(elements):
-        got = _product_rank(block) if isinstance(block, ProductBlock) else None
-        if got is None:
-            s = np.linalg.svd(sample_matrix(block), compute_uv=False)
-            got = int(np.sum(s > GRAM_GAP * s[0])), s / (s[0] or 1.0)  # a zero block: rank 0, ratios 0
-        rank += got[0]
-        ratios.append(got[1])
-    return rank, np.sort(np.concatenate(ratios))[::-1]
+    return _rank_sum([(isinstance(block, ProductBlock) and _product_rank(block)) or _table_rank(block)
+                      for block in exchange_blocks(elements)])
 
 
 def element_row(label, overall, layout, residuals, passed) -> dict:
     """One element's row of a verify report: its label, whether every
     check passed and, per check of the ``layout`` (name, sample count,
-    tolerance), its worst residual and whether that passed.  The JSON
-    writer builds a layout's text template from one row of text markers."""
+    tolerance), its worst residual and whether that passed."""
     return {
         "schema": SCHEMA,
         "solution": label,
         "overall": overall,
+        # check_row's dict, written out: a call per check would cost more
+        # than the dict itself
         "checks": [{"name": name, "max_abs_residual": r, "sample_count": count, "tolerance": tol, "pass": ok}
                    for (name, count, tol), r, ok in zip(layout, residuals, passed)],
     }
 
 
-class ElementRows(list):
+class TableRows(list):
+    """Rows of a report that differ only in their values, read off tables.
+
+    The list holds the row dicts, which ``json.dumps`` writes.  A subclass
+    gives what they are built from: ``columns()``, blocks of columns, each
+    a (rows,) or (rows x k) array of str, bool, int or float values, and
+    the class method
+    ``template(key, values)``, the row of one value per column, whose
+    other parts its instance's ``key`` fixes.  :func:`stardelta.cli.write_json`
+    writes the same text from the columns, into a text template it builds
+    once per key from a row of text markers.  Neither is changed once built.
+    """
+
+    key = None
+
+
+class ElementRows(TableRows):
     """The element rows of a verify report, one :func:`element_row` dict
     per element, with what they are read from: the elements' ``labels``,
     their (elements x checks) ``residuals`` table, the ``passed`` table
     (residual <= tolerance, so a NaN fails) and the ``layout`` every row
-    shares, (name, sample count, tolerance) per check.  ``json.dumps``
-    writes the dicts; :func:`stardelta.cli.write_json` writes the same
-    text from the tables, so neither is changed once built."""
+    shares, (name, sample count, tolerance) per check, which is their key."""
 
     def __init__(self, labels: list[str], residuals: np.ndarray, layout: tuple, rows: list | None = None):
         self.labels, self.residuals, self.layout = labels, residuals, layout
+        self.key = layout
         self.tolerances = np.array([tol for _name, _count, tol in layout])
         self.passed = residuals <= self.tolerances
         if rows is None:
             rows = [element_row(label, all(ok), layout, res, ok)
                     for label, res, ok in zip(labels, residuals.tolist(), self.passed.tolist())]
         super().__init__(rows)
+
+    @classmethod
+    def template(cls, layout: tuple, values: list) -> dict:
+        count = len(layout)
+        return element_row(values[0], values[1], layout, values[2:2 + count], values[2 + count:])
+
+    def columns(self) -> list[np.ndarray]:
+        return [np.array(self.labels, dtype=object), self.passed.all(axis=1), self.residuals, self.passed]
 
     @classmethod
     def join(cls, parts: list[ElementRows]) -> ElementRows:
@@ -623,6 +663,27 @@ class ElementRows(list):
         """Per element, its worst residual over the check's tolerance
         (<= 1 means every check passed); NaN where any residual is NaN."""
         return (self.residuals / self.tolerances).max(axis=1)
+
+
+class CheckRows(TableRows):
+    """Rows of checks, one :func:`check_row` dict each, read off the lists
+    of the checks' ``names``, worst ``residuals`` (floats), sample
+    ``counts`` and ``tolerances`` (floats); each passes where its residual
+    is at most its tolerance, so a NaN fails."""
+
+    def __init__(self, names: list[str], residuals: list[float], counts: list[int], tolerances: list[float]):
+        self.names, self.residuals, self.counts, self.tolerances = names, residuals, counts, tolerances
+        self.passed = [r <= tol for r, tol in zip(residuals, tolerances)]
+        super().__init__(map(check_row, names, residuals, counts, tolerances, self.passed))
+
+    @classmethod
+    def template(cls, _key, values: list) -> dict:
+        return check_row(*values)
+
+    def columns(self) -> list[np.ndarray]:
+        return [np.array(self.names, dtype=object), np.array(self.residuals, dtype=float),
+                np.array(self.counts, dtype=np.int64), np.array(self.tolerances, dtype=float),
+                np.array(self.passed, dtype=bool)]
 
 
 def verify_element(
@@ -740,13 +801,10 @@ class BasisReport:
 
     def to_dict(self) -> dict:
         rank_ok = self.extras["rank"] == len(self.elements)
-        checks = [
-            {"name": f"element:{label}", "max_abs_residual": worst, "sample_count": self.samples,
-             "tolerance": 1.0, "pass": worst <= 1.0}
-            for label, worst in zip(self.elements.labels, self.elements.worst_ratios().tolist())
-        ]
-        checks.append({"name": "basis_rank", "max_abs_residual": 0.0 if rank_ok else 1.0,
-                       "sample_count": len(self.elements), "tolerance": 0.5, "pass": rank_ok})
+        count = len(self.elements)
+        checks = CheckRows([f"element:{label}" for label in self.elements.labels] + ["basis_rank"],
+                           self.elements.worst_ratios().tolist() + [0.0 if rank_ok else 1.0],
+                           [self.samples] * count + [count], [1.0] * count + [0.5])
         return {
             "schema": SCHEMA,
             "solution": self.solution_id,
@@ -771,26 +829,78 @@ def verify_full_basis(
     The stacks' residuals are joined into one (elements x checks) table,
     from which the element rows and each element's worst ratio are read;
     no per-element check object is built.
+
+    Below ``PRODUCT_RANK_EDGES`` edges the basis is one stacked table of
+    :func:`~stardelta.basis.build_basis`, whose rank :func:`basis_rank`
+    reads.  From there on no table of the whole basis is held: each stack
+    builds its own rows (:func:`~stardelta.basis.basis_rows`), checks them,
+    checks the exchange parity of the ``sym_diag`` rows it holds, keeps
+    those and drops the rest.  The ``antisym`` and ``sym_offdiag`` rows are
+    S-(psi^i, psi^j) and S+(phi^i, phi^j) of the factors that built them,
+    so their product structure, and with it their parity, holds by
+    construction, and the rank is read as :func:`_streamed_rank` reads it.
     """
     check_sampling(samples, tol)
-    elements = build_basis(cfg, m)
-    offsets = 7 * np.arange(len(elements))
-    rows = ElementRows.join(_each_stack(
-        lambda part: [verify_element(elements[part], samples=samples, tol=tol, offset=offsets[part])],
-        _stacks(len(elements), cfg.n, samples)))
-    rank, svals = basis_rank(elements)
+    if cfg.n < PRODUCT_RANK_EDGES:
+        whole = build_basis(cfg, m)
+        heads, factors, elements = [(el.family, el.indices) for el in whole], None, whole.__getitem__
+    else:
+        heads, factors, elements = basis_rows(cfg, m)
+    offsets = 7 * np.arange(len(heads))
+
+    def check(part: slice) -> list:
+        stack = elements(part)
+        rows = verify_element(stack, samples=samples, tol=tol, offset=offsets[part])
+        diag = [el.row for el in stack if el.family == "sym_diag"] if factors else []
+        if not diag:
+            return [(rows, None)]
+        held = stack[0].stack.amps[diag]  # a copy: the rest of the stack is dropped
+        return [(rows, (held, np.array_equal(exchange_image(held), held)))]
+
+    checked = _each_stack(check, _stacks(len(heads), cfg.n, samples))
+    if factors is None:
+        rank, svals = basis_rank(whole)
+    else:
+        rank, svals = _streamed_rank(cfg, m, heads, factors, elements, [held for _rows, held in checked if held])
     return BasisReport(
         solution_id=f"basis(n={cfg.n}, c={cfg.c}, k1={m.k1.real})",
-        elements=rows,
+        elements=ElementRows.join([rows for rows, _held in checked]),
         samples=samples,
         extras={
-            "element_count": len(elements),
-            "family_counts": family_counts(elements),
+            "element_count": len(heads),
+            "family_counts": {name: sum(family == name for family, _ in heads) for name in FAMILIES},
             "rank": rank,
-            "rank_expected": len(elements),
+            "rank_expected": len(heads),
             "singular_value_ratio": float(svals[-1] / svals[0]),
         },
     )
+
+
+def _streamed_rank(cfg: StarConfig, m: MomentumPair, heads: list, factors: dict[str, np.ndarray],
+                   elements: Callable[[slice], list[BasisElement]], held: list) -> tuple[int, np.ndarray]:
+    """The rank of a basis that :func:`verify_full_basis` checked a stack at
+    a time, as :func:`basis_rank` reads it from the whole table.
+
+    ``held`` gives, per stack in basis order, its ``sym_diag`` rows and
+    whether they passed their parity check.  Each parity block is a
+    :class:`ProductBlock` of the factors that built its rows, with the
+    ``sym_diag`` rows on a table of their own; a block whose structure
+    decides nothing rebuilds its own rows, and only those, and takes their
+    table SVD.  Should a ``sym_diag`` row fail its parity, the whole table
+    is built, and read as one block, as :func:`exchange_blocks` reads it.
+    """
+    if not all(ok for _rows, ok in held):
+        return basis_rank(build_basis(cfg, m))
+    n = cfg.n
+    table = np.concatenate([rows for rows, _ok in held])
+    table.setflags(write=False)
+    stack = AmplitudeTensor(table)
+    diag = [BasisElement(family, indices, stack, row, m, cfg.c) for row, (family, indices) in enumerate(heads[-n:])]
+    ranks = []
+    for family, part in zip(PRODUCT_FAMILIES, (slice(0, n * n), slice(n * n, None))):
+        block = ProductBlock(diag if family == "sym_offdiag" else [], family, factors[family], m)
+        ranks.append(_product_rank(block) or _table_rank(ParityBlock(elements(part))))
+    return _rank_sum(ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import combine, edge_wave, phi_stack, single_slot_product, table_entries
 from stardelta.basis import (
+    basis_rows,
     basis_template,
     build_basis,
     check_coupling_scale,
@@ -575,6 +576,36 @@ def test_family_rows_over_any_slice_are_the_row_products(sign, part):
     expected = [product_tensor(factors[i], factors[j], sign).amps for i, j in pairs[part]]
     assert rows.shape == (len(expected), 4, 5, 2, 2, 2)
     assert all(np.array_equal(row, table) for row, table in zip(rows, expected))
+
+
+@pytest.mark.parametrize("n, c, k1", [(3, 1.0, 0.6), (6, 2.1, 0.2), (7, 1e-200, 0.3), (10, -0.7, 0.9)])
+def test_basis_rows_are_the_rows_of_build_basis_however_sliced(n, c, k1):
+    # bit for bit, the coupling terms of the sym_diag rows included, each
+    # slice on a read-only table of its own
+    cfg, m = make_config(n, c), MomentumPair.from_k1(k1)
+    elements = build_basis(cfg, m)
+    table = elements[0].stack.amps
+    heads, factors, rows = basis_rows(cfg, m)
+    assert heads == [(el.family, el.indices) for el in elements]
+    for size in (1, 5, 17, len(heads)):
+        for start in range(0, len(heads), size):
+            part = rows(slice(start, start + size))
+            stack = part[0].stack
+            assert stack.amps.tobytes() == table[start:start + size].tobytes() and not stack.amps.flags.writeable
+            assert [(el.label, el.stack, el.row) for el in part] == [(el.label, stack, row) for row, el in
+                                                                      enumerate(elements[start:start + size])]
+    assert np.array_equal(factors["antisym"], np.stack([scattering_wave(cfg, i).coeff for i in range(1, n + 1)]))
+    assert np.array_equal(factors["sym_offdiag"], phi_stack(cfg))
+
+
+@pytest.mark.parametrize("cfg, k1, tag", [
+    (make_config(3, 0.0), 0.6, "c=0"), (make_config(3, 1.0), 0.7071068, "singularity"),
+])
+def test_basis_rows_refuses_what_build_basis_refuses(cfg, k1, tag):
+    for build in (build_basis, basis_rows):
+        with pytest.raises(Refusal) as refusal:
+            build(cfg, MomentumPair.from_k1(k1))
+        assert refusal.value.tag == tag
 
 
 @pytest.mark.parametrize("refuse, tag", [

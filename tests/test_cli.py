@@ -481,6 +481,21 @@ def test_report_writer_matches_the_stdlib_on_every_value_it_takes(tmp_path):
         assert out.read_text() == json.dumps(top, sort_keys=True, indent=2) + "\n"
 
 
+def test_check_rows_are_written_from_their_columns_as_the_stdlib_writes_them(tmp_path):
+    # each column's values take their own texts: -0.0 and 0.0, NaN and the
+    # infinities, ints of any size, names with escapes; a NaN fails
+    residuals = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1.0]
+    counts = [60, 0, 10 ** 15, 60, 7, 60, 60, 1]
+    tolerances = [1.0, 1.0, 0.5, math.inf, 1e-9, 0.0, 1.0, 1.0]
+    names = ["element:x(1,2)", 'q"uote\\', "\u00e9\n", "", "a", "b", "c", "basis_rank"]
+    rows = vf.CheckRows(names, residuals, counts, tolerances)
+    assert [row["pass"] for row in rows] == [True, True, False, True, True, False, True, True]
+    out = tmp_path / "c.json"
+    for payload in (rows, {"checks": rows, "deeper": [{"rows": rows}]}, {"none": vf.CheckRows([], [], [], [])}):
+        cli.write_json(out, payload)
+        assert out.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, {"a": [np.int64(1)]}, {1: "int key"}, object()],
                          ids=["int64", "set", "nested-int64", "int-key", "object"])
 def test_report_writer_refuses_what_json_cannot_write(tmp_path, value):

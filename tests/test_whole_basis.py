@@ -8,6 +8,7 @@ stacks is checked by the calling thread and one worker, on one CPU by
 the calling thread alone; the reports are the same bytes either way.
 """
 
+import dataclasses
 import json
 import os
 import sys
@@ -167,6 +168,123 @@ def test_verify_full_basis_matches_loop_at_edge_points(n, c, k1):
     assert _bytes(vf.verify_full_basis(cfg, m)) == _bytes(verify_full_basis_oracle(cfg, m))
 
 
+def _streamed(monkeypatch):
+    """From six edges on, verify builds each stack's rows alone: any build
+    of the whole table fails, and the slices of rows built are recorded."""
+    def whole_table(*args):
+        raise AssertionError("the whole table was built")
+
+    built = []
+    rows = vf.basis_rows
+
+    def recorded(cfg, m):
+        heads, factors, elements = rows(cfg, m)
+        return heads, factors, lambda part: built.append(part.indices(len(heads))[:2]) or elements(part)
+
+    monkeypatch.setattr(vf, "build_basis", whole_table)
+    monkeypatch.setattr(vf, "basis_rows", recorded)
+    return built
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_stack_builds_its_own_rows_once(monkeypatch, cpus):
+    cfg, m = make_config(12, 2.1), MomentumPair.from_k1(0.2)
+    want = _bytes(verify_full_basis_oracle(cfg, m, samples=60))
+    _cpus(monkeypatch, cpus)
+    built = _streamed(monkeypatch)
+    assert _bytes(vf.verify_full_basis(cfg, m, samples=60)) == want
+    parts = [part.indices(cfg.basis_size)[:2] for part in vf._stacks(cfg.basis_size, cfg.n, 60)]
+    assert sorted(built) == parts
+
+
+@pytest.mark.parametrize("n,c,k1,fallback", [
+    (6, 1.0, 1.0, True), (6, 1.0, 0.0, True), (6, 1e-13, 0.6, True), (7, 1e-200, 0.3, False),
+])
+def test_streamed_reports_are_the_whole_table_reports_where_the_rank_falls_back(monkeypatch, n, c, k1, fallback):
+    # at the endpoints and at c = 1e-13 the even block's structure decides
+    # nothing, so that block rebuilds its own rows, and only those, for its
+    # table SVD; at (7, 1e-200, 0.3) both blocks read the structure
+    cfg, m = make_config(n, c), MomentumPair.from_k1(k1)
+    want = _bytes(verify_full_basis_oracle(cfg, m))
+    built = _streamed(monkeypatch)
+    svds = []
+    table_rank = vf._table_rank
+    monkeypatch.setattr(vf, "_table_rank", lambda block: svds.append(len(block)) or table_rank(block))
+    assert _bytes(vf.verify_full_basis(cfg, m)) == want
+    even = (n * n, cfg.basis_size)
+    assert svds == ([even[1] - even[0]] if fallback else [])
+    assert built.count(even) == fallback
+
+
+def _crafted_rows(monkeypatch, craft):
+    """Make verify build its rows by ``basis_rows`` with
+    ``craft(row, amps, elements)`` applied to each row it builds, and
+    return that crafted ``basis_rows``."""
+    rows = vf.basis_rows
+
+    def crafted(cfg, m):
+        heads, factors, elements = rows(cfg, m)
+
+        def built(part):
+            start, stop, _ = part.indices(len(heads))
+            amps = elements(part)[0].stack.amps.copy()
+            for row in range(start, stop):
+                craft(row, amps[row - start], elements)
+            amps.setflags(write=False)
+            stack = AmplitudeTensor(amps)
+            return [dataclasses.replace(el, stack=stack) for el in elements(part)]
+
+        return heads, factors, built
+
+    monkeypatch.setattr(vf, "basis_rows", crafted)
+    return crafted
+
+
+def test_a_crafted_basis_whose_even_block_falls_back_reads_its_rebuilt_rows(monkeypatch):
+    # sym_diag(1)'s row written into sym_diag(2)'s: each stack's rows pass
+    # their checks of parity, but the family's sum reaches a diagonal
+    # quadrant, so the even block rebuilds its rows for its table SVD and
+    # reads rank 59 of 60, as the whole crafted table reads it
+    cfg, m = make_config(6, 1.3), MomentumPair.from_k1(0.6)
+    first = cfg.basis_size - cfg.n
+
+    def craft(row, amps, elements):
+        if row == first + 1:
+            amps[...] = elements(slice(first, first + 1))[0].tensor.amps
+
+    whole = _crafted_rows(monkeypatch, craft)(cfg, m)[2](slice(None))
+    rank, svals = vf.basis_rank(whole)
+    assert rank == 59
+    svds = []
+    table_rank = vf._table_rank
+    monkeypatch.setattr(vf, "_table_rank", lambda block: svds.append(len(block)) or table_rank(block))
+    monkeypatch.setattr(vf, "build_basis", lambda *args: pytest.fail("the whole table was built"))
+    report = vf.verify_full_basis(cfg, m)
+    assert svds == [cfg.basis_size - cfg.n * cfg.n]
+    assert (report.extras["rank"], report.extras["singular_value_ratio"]) == (rank, float(svals[-1] / svals[0]))
+
+
+def test_a_sym_diag_row_that_fails_its_parity_reads_the_whole_table(monkeypatch):
+    # the largest entry of sym_diag(3)'s row doubled: its stack finds it,
+    # and the rank is read from the whole table, as one block, as
+    # basis_rank reads a table that fails its parity pass
+    cfg, m = make_config(6, 1.3), MomentumPair.from_k1(0.6)
+    row_of = cfg.basis_size - cfg.n + 2
+
+    def craft(row, amps, _elements):
+        if row == row_of:
+            amps.flat[np.argmax(np.abs(amps))] *= 2.0
+
+    whole = _crafted_rows(monkeypatch, craft)(cfg, m)[2](slice(None))
+    assert vf.exchange_blocks(whole) == [whole]
+    calls = []
+    monkeypatch.setattr(vf, "build_basis", lambda *args: calls.append(args) or whole)
+    report = vf.verify_full_basis(cfg, m)
+    assert calls == [(cfg, m)]
+    rank, svals = vf.basis_rank(whole)
+    assert (report.extras["rank"], report.extras["singular_value_ratio"]) == (rank, float(svals[-1] / svals[0]))
+
+
 @pytest.mark.parametrize("per_element", [1, 3])
 @pytest.mark.parametrize("n,c,k1", [(3, 1.0, 0.6), (5, -2.0, 0.3), (8, 1.1, 0.45)])
 def test_mutation_sweep_matches_per_mutant_loop(n, c, k1, per_element):
@@ -197,11 +315,19 @@ def _traced_peak(call) -> int:
 
 
 def test_verify_full_basis_peak_memory():
-    # the stacks are views of the basis rows, so the checks add no copy of
-    # the basis (9.3 MiB of tables here); one stack of all rows at once
-    # peaked at 32 MiB
+    # each stack builds its own rows and drops them once checked, so no
+    # table of the whole basis (4.6 MiB here) is held; one stack of all
+    # rows at once peaked at 32 MiB
     cfg, m = make_config(12, 2.1), MomentumPair.from_k1(0.2)
     assert _traced_peak(lambda: vf.verify_full_basis(cfg, m, samples=60)) <= 21 * 2 ** 20
+
+
+def test_verify_full_basis_at_n20_holds_no_whole_table(monkeypatch):
+    # on one CPU, one stack at a time: the n = 20 table alone is 39.0 MiB,
+    # and the verify that held it peaked at 48.4 MiB
+    _cpus(monkeypatch, 1)
+    cfg, m = make_config(20, 2.1), MomentumPair.from_k1(0.2)
+    assert _traced_peak(lambda: vf.verify_full_basis(cfg, m, samples=60)) <= 24 * 2 ** 20
 
 
 def test_mutation_sweep_peak_memory():
@@ -322,6 +448,28 @@ def test_threads_never_read_each_others_phase_table(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == [] and len(built) == 200 * len(families)
+
+
+@pytest.mark.parametrize("n, count", [(4, 10), (8, 112)])
+def test_a_stacked_vertex_family_sums_each_table_bit_for_bit(n, count):
+    # 10 tables at n = 4 take the layout of one table; 112 at n = 8, past
+    # a quarter of WAVE_POINTS wave-point pairs, take the stack axis next
+    # to the waves, in the rows and in the phases of points per table
+    elements = build_basis(make_config(n, 1.3), M3)[:count]
+    stack = vf.TensorSolution(AmplitudeTensor(elements[0].stack.amps[:count]), M3)
+    edges = np.arange(1, n + 1)
+    quad, line = edges[:, None, None], edges[None, :, None]
+    ts = vf.kronecker_points(3, offset=np.add.outer(7 * np.arange(count), 3 * edges), hi=vf.SPAN)[:, None]
+
+    def families(points):
+        return [(quad, line, BELOW, 0.0, points, "dx"), (line, quad, ABOVE, points, 0.0, "dy")]
+
+    for k, args in enumerate(families(ts)):
+        values, slopes = stack.value_array(*args[:-1]), stack.derivative_array(*args)
+        for e, el in enumerate(elements):
+            one, single = vf.TensorSolution(el.tensor, M3), families(ts[e])[k]
+            assert values[e].tobytes() == one.value_array(*single[:-1]).tobytes()
+            assert slopes[e].tobytes() == one.derivative_array(*single).tobytes()
 
 
 def test_stacked_element_reports_match_single_elements():
