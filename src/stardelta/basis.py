@@ -224,13 +224,6 @@ def basis_template(cfg: StarConfig) -> tuple[list[tuple[str, tuple]], np.ndarray
     return (heads, t0_rows(slice(None))) + coupling(slice(None))
 
 
-def _couple(diag: np.ndarray, t1: np.ndarray, t2: np.ndarray, m: MomentumPair, c: float) -> None:
-    """Add the coupling terms (k1/c) T1 + (k2/c) T2 to ``sym_diag`` rows of
-    T0, in place."""
-    diag += (m.k1 / c) * t1
-    diag += (m.k2 / c) * t2
-
-
 def coupling_overflows(cfg: StarConfig) -> bool:
     """True when c != 0 is so small that the 1/c terms of the tables
     overflow: their entries reach n/(4|c|) (n times a product of phi^0 and
@@ -253,47 +246,41 @@ def build_basis(cfg: StarConfig, m: MomentumPair) -> list[BasisElement]:
     """All 2n^2 - 2n basis elements at the given momentum pair.
 
     The elements' tables are the rows of one stacked table, in basis
-    order.  Family cardinalities are n^2, n^2 - 3n and n.  Each element is
-    T0 + (k1/c) T1 + (k2/c) T2 from :func:`basis_template`, so c != 0;
-    the c -> 0 limit changes the solution space and is not taken here,
-    and a |c| at which those terms overflow is refused.
-    A fold momentum in the pole zone is refused like everywhere else.
+    order, the rows :func:`basis_rows` builds.  Family cardinalities are
+    n^2, n^2 - 3n and n.
     """
-    c = cfg.c
-    check_coupling_scale(cfg)
-    check_pole(m.fold, c)
-    heads, amps, t1, t2 = basis_template(cfg)
-    # only the sym_diag rows, the last n, have coupling terms
-    _couple(amps[len(heads) - cfg.n:], t1, t2, m, c)
-    amps.setflags(write=False)
-    stack = AmplitudeTensor(amps)
-    return [BasisElement(family, indices, stack, row, m, c) for row, (family, indices) in enumerate(heads)]
+    return basis_rows(cfg, m)[2](slice(None))
 
 
 def basis_rows(cfg: StarConfig, m: MomentumPair) -> tuple[list[tuple[str, tuple]], dict[str, np.ndarray],
                                                           Callable[[slice], list[BasisElement]]]:
-    """The basis of :func:`build_basis`, built a slice of rows at a time.
+    """The basis at the given momentum pair, built a slice of rows at a time.
 
     Gives the family and indices of every element, in basis order; the
     one-particle factors f^1..f^n that build each product family
     (``antisym`` from psi^i, ``sym_offdiag`` from phi^i), stacked; and a
     function that builds the elements of any slice of consecutive basis
     rows, as the rows of one new read-only stacked table of their own.
-    Each row is bit for bit the row of :func:`build_basis`'s table, the
-    coupling terms of the ``sym_diag`` rows included, however the rows are
-    sliced.  Refuses what :func:`build_basis` refuses, before any row.
+    Each element is T0 + (k1/c) T1 + (k2/c) T2 from :func:`basis_template`,
+    so c != 0; the c -> 0 limit changes the solution space and is not
+    taken here, and a |c| at which those terms overflow is refused, before
+    any row.  A fold momentum in the pole zone is refused like everywhere
+    else.  Each row comes out the same bits however the rows are sliced.
     """
     check_coupling_scale(cfg)
     check_pole(m.fold, cfg.c)
     heads, factors, t0_rows, coupling = _template_rows(cfg)
-    first = len(heads) - cfg.n  # the sym_diag rows
+    first = len(heads) - cfg.n  # only the sym_diag rows, the last n, have coupling terms
 
     def elements(part: slice) -> list[BasisElement]:
         start, stop, _ = part.indices(len(heads))
         amps = t0_rows(part)
         if stop > first:
             lo = max(start, first)
-            _couple(amps[lo - start:], *coupling(slice(lo - first, stop - first)), m, cfg.c)
+            diag = amps[lo - start:]
+            t1, t2 = coupling(slice(lo - first, stop - first))
+            diag += (m.k1 / cfg.c) * t1
+            diag += (m.k2 / cfg.c) * t2
         amps.setflags(write=False)
         stack = AmplitudeTensor(amps)
         return [BasisElement(family, indices, stack, row, m, cfg.c)
@@ -302,8 +289,11 @@ def basis_rows(cfg: StarConfig, m: MomentumPair) -> tuple[list[tuple[str, tuple]
     return heads, factors, elements
 
 
-def family_counts(elements: list[BasisElement]) -> dict[str, int]:
-    return {name: sum(el.family == name for el in elements) for name in FAMILIES}
+def family_counts(heads) -> dict[str, int]:
+    """The number of elements of each family among basis elements, or among
+    (family, indices) heads."""
+    families = [head[0] if isinstance(head, tuple) else head.family for head in heads]
+    return {name: families.count(name) for name in FAMILIES}
 
 
 def closed_form(cfg: StarConfig, k: complex, kprime: complex, x, y):

@@ -152,21 +152,25 @@ def _row_pieces(kind: type, key, count: int, indent: str) -> tuple[tuple[str, ..
     return tuple(pieces[::2]), tuple(int(k) for k in pieces[1::2])
 
 
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """The JSON text of every float of an array, each distinct value
+    formatted once.  Values are told apart by their bits, so 0.0 and -0.0
+    keep their own texts."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64).ravel()
+    distinct, at = np.unique(bits, return_inverse=True)
+    texts = np.array([_json_float(v) for v in distinct.view(float).tolist()], dtype=object)
+    return texts[at.ravel()].reshape(values.shape)
+
+
 def _value_texts(values: np.ndarray) -> np.ndarray:
     """The JSON text of every value of an array of str, bool, int or float
-    values.  Each distinct float is formatted once, told apart by its bits,
-    so 0.0 and -0.0 keep their own texts."""
+    values."""
     if values.dtype == bool:
         return np.where(values, "true", "false")
-    flat = values.ravel().tolist()
     if values.dtype.kind == "f":
-        seen: dict[int, str] = {}  # text by bits
-        bits = np.ascontiguousarray(values, dtype=float).view(np.int64).ravel().tolist()
-        texts = [seen.get(b) or seen.setdefault(b, _json_float(v)) for b, v in zip(bits, flat)]
-    else:
-        write = int.__repr__ if values.dtype.kind == "i" else encode_basestring_ascii
-        texts = [write(v) for v in flat]
-    return np.array(texts, dtype=object).reshape(values.shape)
+        return _float_texts(values)
+    write = int.__repr__ if values.dtype.kind == "i" else encode_basestring_ascii
+    return np.array([write(v) for v in values.ravel().tolist()], dtype=object).reshape(values.shape)
 
 
 def _table_rows_text(rows: vf.TableRows, indent: str) -> str:

@@ -404,20 +404,26 @@ def drop_phases() -> None:
     _kept.key = _kept.table = None
 
 
+# The wave-point pairs from which a vertex family of a stack sums faster
+# with the stack axis next to the waves.  check_vertex_bc on the first
+# stack of a basis (one CPU, 2-vCPU Xeon VM), old layout against this one:
+# n = 3, 13,824 pairs, 0.68 against 0.87 ms; n = 4, 36,864 pairs, 1.17
+# against 1.31 ms; n = 5, 80,000 pairs, 2.37 against 2.35 ms; n = 12 at 60
+# samples, 129,024 pairs, 6.50 against 3.63 ms.
+STACK_INNER_PAIRS = WAVE_POINTS // 4
+
+
 @functools.lru_cache(maxsize=64)
 def _stack_inner(shape: tuple, i: tuple, j: tuple, points: tuple) -> bool:
     """Whether :func:`plane_wave_sum` gathers a stack of tables of this
     ``shape``, at quadrant indices of shapes ``i`` and ``j`` and points of
     shape ``points``, with the stack axis next to the waves: for a vertex
     family, whose points broadcast over a quadrant axis of the rows, of at
-    least a quarter of ``WAVE_POINTS`` wave-point pairs.  einsum's inner
-    loop then runs over the stack, not over a cell's eight waves; smaller
-    sums take the same time in either layout, and the sums are the same
-    bits.  Decided once per shape."""
+    least ``STACK_INNER_PAIRS`` wave-point pairs.  Decided once per shape."""
     quads = np.broadcast_shapes(i, j)
     aligned = ((1,) * len(quads) + points)[len(points):]  # the point axes against the quadrant axes
     vertex = any(q > 1 and p == 1 for q, p in zip(quads, aligned))
-    return vertex and math.prod(np.broadcast_shapes(shape[:1] + quads, points)) * shape[-1] >= WAVE_POINTS // 4
+    return vertex and math.prod(np.broadcast_shapes(shape[:1] + quads, points)) * shape[-1] >= STACK_INNER_PAIRS
 
 
 def plane_wave_sum(waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction: str | None = None) -> np.ndarray:
@@ -435,9 +441,11 @@ def plane_wave_sum(waves: np.ndarray, kx, ky, i, j, sector: str, x, y, direction
     summed in blocks of at most ``WAVE_POINTS`` wave-point pairs, down to
     one table's eight waves, so a single table is always one block; each
     block's phases come from :func:`wave_phases`, points first and waves
-    last, and the block is summed over that last, contiguous axis; a large
-    vertex family of a stack gathers its rows, and builds its phases, with
-    the stack axis next to the waves (:func:`_stack_inner`).  Callers size
+    last, and the block is summed over that last, contiguous axis.  A
+    large vertex family of a stack (:func:`_stack_inner`) gathers its rows,
+    and builds its phases, with the stack axis next to the waves, so that
+    einsum's inner loop runs over the stack rather than over a cell's eight
+    waves; the sums are the same bits in either layout.  Callers size
     stacks of tables by ``WAVE_POINTS``.
     """
     i, j = np.asarray(i), np.asarray(j)

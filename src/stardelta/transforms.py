@@ -403,17 +403,12 @@ class TransformVectors4:
     hat_chi: np.ndarray
     check_xi: np.ndarray
     check_chi: np.ndarray
-    # check_chi with tau applied to its slots, which the column equations
-    # read; taken from check_chi when not given
-    tau_check_chi: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.hat_xi, self.hat_chi, self.check_xi, self.check_chi):
             if arr.ndim not in (3, 4) or arr.shape[-1] != 4 or arr.shape[-3] != arr.shape[-2]:
                 raise ValueError(f"expected ([E,] n, n, 4) transform array, got {arr.shape}")
         check_fold(self.k)
-        if self.tau_check_chi is None:
-            object.__setattr__(self, "tau_check_chi", self.check_chi[..., _TAU4])
 
     @property
     def n(self) -> int:
@@ -445,15 +440,13 @@ def _transform_order(n: int, swap: bool) -> np.ndarray:
 def _transform_parts(n: int, swap: bool) -> np.ndarray:
     """The gather of :func:`extract_transforms`, :func:`_transform_order`
     taken apart: flat positions (part, quadrant, quadrant, fold slot) of
-    the parts hat xi, hat chi, check xi, check chi and check chi with tau
-    applied, which swaps the two channels of chi."""
+    the parts hat xi, hat chi, check xi and check chi."""
     order = _transform_order(n, swap).reshape(n, n, 2, 2, 2, 2)  # sector, xi or chi, channel, slot
-    parts = [order[:, :, sector, pair] for sector in (0, 1) for pair in (0, 1)] + [order[:, :, 1, 1, ::-1]]
-    return np.stack(parts).reshape(5, n, n, 4)
+    return np.stack([order[:, :, sector, pair] for sector in (0, 1) for pair in (0, 1)]).reshape(4, n, n, 4)
 
 
 # -sig*tau of each part of _transform_parts: -1 on the xi channels (++, --)
-_PART_SIGN = np.array([-1.0, 1.0, -1.0, 1.0, 1.0])[:, None, None, None]
+_PART_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])[:, None, None, None]
 
 
 def extract_transforms(tensor: AmplitudeTensor, m: MomentumPair) -> TransformVectors4:
@@ -463,9 +456,8 @@ def extract_transforms(tensor: AmplitudeTensor, m: MomentumPair) -> TransformVec
     it is slot 1, or slot 2 when k2 < k1.  Hat and check are one gather of
     the above and below cells, which off the diagonal are one cell, so a
     table's off-diagonal hat and check agree bit for bit.  The gather
-    writes each of the five arrays the checks read, tau applied to check
-    chi included, as one contiguous part per tensor.  A stacked tensor
-    gives stacked transform vectors.
+    writes each of the four arrays as one contiguous part per tensor.  A
+    stacked tensor gives stacked transform vectors.
     """
     k = m.fold
     kappa = partner_momentum(k)
@@ -474,8 +466,7 @@ def extract_transforms(tensor: AmplitudeTensor, m: MomentumPair) -> TransformVec
     order = _transform_parts(tensor.n, bool(m.k2.real < m.k1.real))
     psi = np.take(amps.reshape(amps.shape[:-5] + (math.prod(amps.shape[-5:]),)), order, axis=-1)
     psi *= _PART_SIGN * kappa  # signed in place, on the gather's own copy
-    hat_xi, hat_chi, check_xi, check_chi, tau_check_chi = np.moveaxis(psi, -4, 0)
-    return TransformVectors4(k, hat_xi, hat_chi, check_xi, check_chi, tau_check_chi)
+    return TransformVectors4(k, *np.moveaxis(psi, -4, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +495,7 @@ def check_kirchhoff_transforms(tv: TransformVectors4) -> KirchhoffResiduals:
     transforms; both compare xi with :func:`_vertex_xi`.  Also reports
     how far hat and check drift apart off the diagonal.
     """
-    xi_hat, xi_check = _vertex_xi(tv.hat_chi, tv.tau_check_chi)
+    xi_hat, xi_check = _vertex_xi(tv.hat_chi, tv.check_chi[..., _TAU4])
     return KirchhoffResiduals(
         row=_max_abs(tv.hat_xi - xi_hat, 3),
         column=_max_abs(tv.check_xi - xi_check, 3),

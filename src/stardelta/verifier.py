@@ -43,7 +43,7 @@ from typing import Callable, Mapping, Protocol
 
 import numpy as np
 
-from .basis import EXCHANGE_SIGN, FAMILIES, BasisElement, basis_heads, basis_rows, build_basis, family_rows
+from .basis import EXCHANGE_SIGN, BasisElement, basis_heads, basis_rows, build_basis, family_counts, family_rows
 from .domain import (
     ABOVE,
     BELOW,
@@ -371,7 +371,10 @@ def exchange_blocks(elements: list[BasisElement]) -> list[list[BasisElement]]:
     one block.  A basis that :func:`verify_full_basis` streams through its
     checks takes neither pass for its product rows: they are built from
     their factors, so they have their structure, and their parity, by
-    construction.
+    construction.  The product check stays for :func:`basis_rank` on a
+    list a caller built, :func:`~stardelta.basis.build_basis`'s or a
+    changed one: without it a whole basis of n edges would take SVDs of
+    tables of all its 2n^2 - 2n rows.
     """
     stack, m = _one_basis(elements)
     factors = {}
@@ -830,22 +833,22 @@ def verify_full_basis(
     from which the element rows and each element's worst ratio are read;
     no per-element check object is built.
 
-    Below ``PRODUCT_RANK_EDGES`` edges the basis is one stacked table of
-    :func:`~stardelta.basis.build_basis`, whose rank :func:`basis_rank`
-    reads.  From there on no table of the whole basis is held: each stack
-    builds its own rows (:func:`~stardelta.basis.basis_rows`), checks them,
-    checks the exchange parity of the ``sym_diag`` rows it holds, keeps
-    those and drops the rest.  The ``antisym`` and ``sym_offdiag`` rows are
+    The rows are built by :func:`~stardelta.basis.basis_rows`.  Below
+    ``PRODUCT_RANK_EDGES`` edges they are built as one stacked table, as
+    :func:`~stardelta.basis.build_basis` builds it, whose rank
+    :func:`basis_rank` reads.  From there on no table of the whole basis is
+    held: each stack builds its own rows, checks them, checks the exchange
+    parity of the ``sym_diag`` rows it holds, keeps those and drops the
+    rest.  The ``antisym`` and ``sym_offdiag`` rows are
     S-(psi^i, psi^j) and S+(phi^i, phi^j) of the factors that built them,
     so their product structure, and with it their parity, holds by
     construction, and the rank is read as :func:`_streamed_rank` reads it.
     """
     check_sampling(samples, tol)
+    heads, factors, elements = basis_rows(cfg, m)
     if cfg.n < PRODUCT_RANK_EDGES:
-        whole = build_basis(cfg, m)
-        heads, factors, elements = [(el.family, el.indices) for el in whole], None, whole.__getitem__
-    else:
-        heads, factors, elements = basis_rows(cfg, m)
+        whole = elements(slice(None))
+        factors, elements = None, whole.__getitem__
     offsets = 7 * np.arange(len(heads))
 
     def check(part: slice) -> list:
@@ -868,7 +871,7 @@ def verify_full_basis(
         samples=samples,
         extras={
             "element_count": len(heads),
-            "family_counts": {name: sum(family == name for family, _ in heads) for name in FAMILIES},
+            "family_counts": family_counts(heads),
             "rank": rank,
             "rank_expected": len(heads),
             "singular_value_ratio": float(svals[-1] / svals[0]),
@@ -887,10 +890,11 @@ def _streamed_rank(cfg: StarConfig, m: MomentumPair, heads: list, factors: dict[
     ``sym_diag`` rows on a table of their own; a block whose structure
     decides nothing rebuilds its own rows, and only those, and takes their
     table SVD.  Should a ``sym_diag`` row fail its parity, the whole table
-    is built, and read as one block, as :func:`exchange_blocks` reads it.
+    is built, and its SVD read as one block, as :func:`exchange_blocks`
+    leaves such a table.
     """
     if not all(ok for _rows, ok in held):
-        return basis_rank(build_basis(cfg, m))
+        return _rank_sum([_table_rank(elements(slice(None)))])
     n = cfg.n
     table = np.concatenate([rows for rows, _ok in held])
     table.setflags(write=False)

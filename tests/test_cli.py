@@ -582,8 +582,8 @@ def test_a_table_too_large_to_allocate_exits_2_with_no_report(monkeypatch, tmp_p
     def too_large(cfg):
         raise MemoryError(f"Unable to allocate the n = {cfg.n} tables")
 
-    monkeypatch.setattr("stardelta.basis.basis_template", too_large)
-    monkeypatch.setattr(syn, "basis_template", too_large)
+    # every build of basis tables, whole or a slice of rows, starts here
+    monkeypatch.setattr("stardelta.basis._template_rows", too_large)
     out = tmp_path / "r.json"
     assert main(command.split() + ["--out", str(out)]) == 2
     captured = capsys.readouterr()

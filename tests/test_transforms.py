@@ -349,21 +349,17 @@ def test_extract_accepts_swapped_momentum():
 
 @pytest.mark.parametrize("m", [M68, MomentumPair(0.8, 0.6)], ids=["k_in_slot_1", "k_in_slot_2"])
 def test_extract_gathers_each_transform_array_contiguous(m):
-    # per stacked tensor, each of the five arrays the checks read is one
-    # contiguous part of the gather, tau applied to check chi included, and
-    # a tensor alone reads the values of its row of the stack
+    # per stacked tensor, each of the four transform arrays is one
+    # contiguous part of the gather, and a tensor alone reads the values of
+    # its row of the stack
     elements = build_basis(make_config(5, -0.7), m)
     tv = tr.extract_transforms(elements[0].stack, m)
-    arrays = (tv.hat_xi, tv.hat_chi, tv.check_xi, tv.check_chi, tv.tau_check_chi)
+    arrays = (tv.hat_xi, tv.hat_chi, tv.check_xi, tv.check_chi)
     assert all(a.shape == (len(elements), 5, 5, 4) and a[0].flags.c_contiguous for a in arrays)
-    assert np.array_equal(tv.tau_check_chi, tv.check_chi[..., [2, 3, 0, 1]])
     for k in (0, 17, len(elements) - 1):
         one = tr.extract_transforms(elements[k].tensor, m)
         assert all(np.array_equal(a[k], b) for a, b in zip(arrays, (one.hat_xi, one.hat_chi, one.check_xi,
-                                                                   one.check_chi, one.tau_check_chi)))
-    # transform vectors built from the four arrays alone apply tau themselves
-    given = tr.TransformVectors4(tv.k, tv.hat_xi, tv.hat_chi, tv.check_xi, tv.check_chi)
-    assert np.array_equal(given.tau_check_chi, tv.tau_check_chi)
+                                                                   one.check_chi)))
 
 
 def test_roundtrip_extract_resynthesize():

@@ -266,8 +266,8 @@ def test_a_crafted_basis_whose_even_block_falls_back_reads_its_rebuilt_rows(monk
 
 def test_a_sym_diag_row_that_fails_its_parity_reads_the_whole_table(monkeypatch):
     # the largest entry of sym_diag(3)'s row doubled: its stack finds it,
-    # and the rank is read from the whole table, as one block, as
-    # basis_rank reads a table that fails its parity pass
+    # and the rank is one SVD of the whole rebuilt table, as basis_rank
+    # reads a table that fails its parity pass, with no product check
     cfg, m = make_config(6, 1.3), MomentumPair.from_k1(0.6)
     row_of = cfg.basis_size - cfg.n + 2
 
@@ -277,10 +277,13 @@ def test_a_sym_diag_row_that_fails_its_parity_reads_the_whole_table(monkeypatch)
 
     whole = _crafted_rows(monkeypatch, craft)(cfg, m)[2](slice(None))
     assert vf.exchange_blocks(whole) == [whole]
-    calls = []
-    monkeypatch.setattr(vf, "build_basis", lambda *args: calls.append(args) or whole)
+    svds = []
+    table_rank = vf._table_rank
+    monkeypatch.setattr(vf, "_table_rank", lambda block: svds.append(len(block)) or table_rank(block))
+    monkeypatch.setattr(vf, "_product_factors", lambda *args: pytest.fail("the product rows were read again"))
     report = vf.verify_full_basis(cfg, m)
-    assert calls == [(cfg, m)]
+    assert svds == [cfg.basis_size]
+    monkeypatch.undo()
     rank, svals = vf.basis_rank(whole)
     assert (report.extras["rank"], report.extras["singular_value_ratio"]) == (rank, float(svals[-1] / svals[0]))
 
@@ -453,8 +456,9 @@ def test_threads_never_read_each_others_phase_table(monkeypatch):
 @pytest.mark.parametrize("n, count", [(4, 10), (8, 112)])
 def test_a_stacked_vertex_family_sums_each_table_bit_for_bit(n, count):
     # 10 tables at n = 4 take the layout of one table; 112 at n = 8, past
-    # a quarter of WAVE_POINTS wave-point pairs, take the stack axis next
-    # to the waves, in the rows and in the phases of points per table
+    # STACK_INNER_PAIRS wave-point pairs, take the stack axis next to the
+    # waves, in the rows and in the phases of points per table; each table
+    # sums as it sums alone in either layout
     elements = build_basis(make_config(n, 1.3), M3)[:count]
     stack = vf.TensorSolution(AmplitudeTensor(elements[0].stack.amps[:count]), M3)
     edges = np.arange(1, n + 1)
